@@ -12,9 +12,15 @@ test on the discordant counts b (baseline right, contender wrong) and c
 continuity-corrected chi-square with one degree of freedom. Multiple
 comparisons against the same baseline are Bonferroni-adjusted.
 
-run_matrix ties it together: for every (training dataset, policy) pair it
-masks, trains, and evaluates in-domain and on every other dataset, then
-scores each masked policy against the no-mask baseline per cell.
+Documents are featurized into CSR rows (numpy indptr/indices/data); training
+reads its samples from the rows and evaluation scores a whole slice in one
+vectorized pass that adds terms in the same order as a scalar loop.
+
+run_matrix ties it together: each dataset is masked and featurized once per
+policy (train, test and full slices are row selections of that), then for
+every (training dataset, policy) pair it trains and evaluates in-domain and
+on every other dataset, and scores each masked policy against the no-mask
+baseline per cell.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ import math
 import random
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -100,19 +107,88 @@ class FeatureSpace:
 def featurize(text: str, space: FeatureSpace) -> dict[int, int]:
     """Sparse bucket -> occurrence-count vector for one text. Empty text (or
     text shorter than every order) gives the zero vector."""
+    return _bucket_counts(text, space, {})
+
+
+def _bucket_counts(text: str, space: FeatureSpace, memo: dict[str, int]) -> dict[int, int]:
+    """featurize, with phrase -> bucket looked up in `memo` (filled on a miss).
+    Buckets appear in the order their first n-gram does, orders ascending."""
     tokens = tokenize(text)
     vec: dict[int, int] = {}
     for n in space.orders:
         for gram in extract_ngrams(tokens, n):
-            idx = space.bucket(gram)
+            idx = memo.get(gram)
+            if idx is None:
+                idx = memo[gram] = space.bucket(gram)
             vec[idx] = vec.get(idx, 0) + 1
     return vec
 
 
-def _as_arrays(vec: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.fromiter(vec.keys(), dtype=np.int64, count=len(vec))
-    cnt = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
-    return idx, cnt
+@dataclass(frozen=True)
+class _Rows:
+    """Feature vectors in CSR form: row r holds buckets
+    indices[indptr[r]:indptr[r + 1]] with counts in the same slice of data,
+    each row in its vector's key order."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_counts(cls, vecs: Iterable[Mapping[int, int]]) -> "_Rows":
+        indptr = [0]
+        indices: list[int] = []
+        data: list[int] = []
+        for vec in vecs:
+            indices.extend(vec)
+            data.extend(vec.values())
+            indptr.append(len(indices))
+        return cls(
+            indptr=np.array(indptr, dtype=np.int64),
+            indices=np.array(indices, dtype=np.int64),
+            data=np.array(data, dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def take(self, rows: np.ndarray) -> "_Rows":
+        """The given rows, in the given order."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        src = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return _Rows(indptr=indptr, indices=self.indices[src], data=self.data[src])
+
+
+def _featurize_rows(texts: Iterable[str], space: FeatureSpace, memo: dict[str, int]) -> _Rows:
+    return _Rows.from_counts(_bucket_counts(text, space, memo) for text in texts)
+
+
+def _score_rows(weights: np.ndarray, bias: float, rows: _Rows) -> np.ndarray:
+    """Every row's score bias + sum(weights[idx] * cnt), added left to right
+    within the row, so each equals the scalar loop bit for bit.
+
+    Rows are sorted longest first and their terms laid out column by column:
+    column j holds the j-th term of every row longer than j, and those rows
+    are a prefix of the sorted order. One vector add per column then
+    advances every row by one term. np.add.reduceat would sum pairwise and
+    change the last bits. Scratch memory is O(nnz).
+    """
+    by_length = np.argsort(-np.diff(rows.indptr), kind="stable")
+    rows = rows.take(by_length)
+    row = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
+    col = np.arange(len(row)) - rows.indptr[row]
+    active = np.bincount(col)  # rows longer than j: a prefix of the sorted rows
+    col_start = np.cumsum(active) - active
+    terms = np.empty(len(row), dtype=np.float64)
+    terms[col_start[col] + row] = weights[rows.indices] * rows.data
+    acc = np.full(len(rows), bias, dtype=np.float64)
+    for start, n in zip(col_start.tolist(), active.tolist()):
+        acc[:n] += terms[start : start + n]
+    scores = np.empty_like(acc)
+    scores[by_length] = acc
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +230,16 @@ class Model:
     bias: float
 
     def score(self, vec: dict[int, int]) -> float:
-        s = self.bias
-        for idx, cnt in vec.items():
-            s += self.weights[idx] * cnt
-        return float(s)
+        return float(_score_rows(self.weights, self.bias, _Rows.from_counts([vec]))[0])
 
     def predict(self, text: str) -> Label:
-        p = _sigmoid(self.score(featurize(text, self.space)))
-        return Label.FAKE if p > 0.5 else Label.REAL
+        return self._predict_rows(_featurize_rows([text], self.space, {}))[0]
+
+    def _predict_rows(self, rows: _Rows) -> list[Label]:
+        return [
+            Label.FAKE if _sigmoid(s) > 0.5 else Label.REAL
+            for s in _score_rows(self.weights, self.bias, rows).tolist()
+        ]
 
 
 def train(
@@ -176,17 +254,26 @@ def train(
     coordinates of each update. Single-threaded and bitwise deterministic
     for a fixed seed. A corpus with only one label is an error.
     """
-    if len(corpus) == 0:
+    rows = _featurize_rows((doc.text for doc in corpus), space, {})
+    return _fit(rows, corpus.labels(), corpus.name, space, config)
+
+
+def _fit(
+    rows: _Rows, labels: Sequence[Label], name: str, space: FeatureSpace, config: TrainConfig
+) -> Model:
+    """train on featurized rows, labels[r] being row r's gold label."""
+    if len(labels) == 0:
         raise DataError("cannot train on an empty corpus")
-    if len(set(corpus.labels())) < 2:
+    if len(set(labels)) < 2:
         raise DataError("training corpus must contain both labels")
-    feats = [_as_arrays(featurize(doc.text, space)) for doc in corpus]
-    ys = [1.0 if doc.label is Label.FAKE else 0.0 for doc in corpus]
+    bounds = rows.indptr.tolist()
+    feats = [(rows.indices[a:b], rows.data[a:b]) for a, b in zip(bounds, bounds[1:])]
+    ys = [1.0 if label is Label.FAKE else 0.0 for label in labels]
     w = np.zeros(space.dimensions, dtype=np.float64)
     bias = 0.0
     lr = config.learning_rate
     l2 = config.l2
-    order = list(range(len(corpus)))
+    order = list(range(len(labels)))
     rng = random.Random(config.seed)
     for _ in range(config.epochs):
         rng.shuffle(order)
@@ -197,7 +284,7 @@ def train(
             if idx.size:
                 w[idx] -= lr * (g * cnt + l2 * w[idx])
             bias -= lr * g
-    return Model(space=space, config=config, train_set=corpus.name, weights=w, bias=bias)
+    return Model(space=space, config=config, train_set=name, weights=w, bias=bias)
 
 
 @dataclass(frozen=True)
@@ -217,14 +304,26 @@ class EvalCell:
 def evaluate(model: Model, test: Corpus, policy: MaskPolicy | None = None) -> EvalCell:
     """Accuracy and per-document predictions on a test corpus (order
     preserved). An empty test set is an error."""
-    if len(test) == 0:
+    rows = _featurize_rows((doc.text for doc in test), model.space, {})
+    return _evaluate_rows(model, rows, test.labels(), test.name, policy)
+
+
+def _evaluate_rows(
+    model: Model,
+    rows: _Rows,
+    gold: Sequence[Label],
+    test_set: str,
+    policy: MaskPolicy | None,
+) -> EvalCell:
+    """evaluate on featurized rows, gold[r] being row r's gold label."""
+    if len(gold) == 0:
         raise DataError("cannot evaluate on an empty corpus")
-    predictions = tuple(model.predict(doc.text) for doc in test)
-    gold = tuple(test.labels())
+    predictions = tuple(model._predict_rows(rows))
+    gold = tuple(gold)
     correct = sum(p is g for p, g in zip(predictions, gold))
     return EvalCell(
         train_set=model.train_set,
-        test_set=test.name,
+        test_set=test_set,
         policy=policy,
         accuracy=correct / len(gold),
         predictions=predictions,
@@ -275,6 +374,10 @@ def load_model(path: str | Path) -> Model:
         config = TrainConfig(**obj["config"])
         w = np.zeros(space.dimensions, dtype=np.float64)
         for key, value in obj["weights"].items():
+            if not (key.isascii() and key.isdigit() and int(key) < space.dimensions):
+                raise DataError(
+                    f"{path}: weight bucket {key!r} is not an integer in [0, {space.dimensions})"
+                )
             w[int(key)] = value
         return Model(
             space=space,
@@ -387,15 +490,12 @@ class MatrixReport:
     ood_full: bool
     cells: tuple[MatrixCell, ...]
 
+    @cached_property
+    def _by_key(self) -> dict[tuple[str, str, MaskPolicy], MatrixCell]:
+        return {(c.train_set, c.test_set, c.policy): c for c in self.cells}
+
     def cell(self, train_set: str, test_set: str, policy: MaskPolicy) -> MatrixCell:
-        for cell in self.cells:
-            if (
-                cell.train_set == train_set
-                and cell.test_set == test_set
-                and cell.policy is policy
-            ):
-                return cell
-        raise KeyError((train_set, test_set, policy))
+        return self._by_key[(train_set, test_set, policy)]
 
     def to_json(self) -> str:
         obj = {
@@ -466,18 +566,18 @@ class MatrixReport:
         return "\n".join(lines) + "\n"
 
 
-def _split_bundle(
-    bundle: DatasetBundle, split: SplitSpec
-) -> tuple[list[AnnotatedDocument], list[AnnotatedDocument]]:
+def _split_rows(bundle: DatasetBundle, split: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in bundle.docs of the split's train and test sides, each
+    in split order."""
     corpus = bundle.corpus()
     if split.mode is SplitMode.RANDOM_HOLDOUT:
         train_c, test_c = split_random(corpus, split)
     else:
         train_c, test_c = split_by_time(corpus, split)
-    by_id = {ann.document.id: ann for ann in bundle.docs}
+    row_of = {doc.id: r for r, doc in enumerate(corpus)}
     return (
-        [by_id[doc.id] for doc in train_c],
-        [by_id[doc.id] for doc in test_c],
+        np.array([row_of[doc.id] for doc in train_c], dtype=np.int64),
+        np.array([row_of[doc.id] for doc in test_c], dtype=np.int64),
     )
 
 
@@ -494,14 +594,16 @@ def run_matrix(
 ) -> MatrixReport:
     """Full evaluation matrix over datasets x policies.
 
-    For every (train dataset, policy): the dataset is split, its training
-    split masked (always with that dataset's own index) and a model trained,
-    then evaluated on the in-domain test split and on every other dataset's
-    test split (or the full foreign dataset when ood_full is set), each
-    masked with the same policy and the evaluated dataset's index. Every
-    masked policy is McNemar-tested against the no-mask baseline within its
-    (train, test) cell, Bonferroni-adjusted for m = len(policies) - 1
-    comparisons. Output ordering and content are deterministic.
+    Every dataset is split once. For every policy, each dataset is masked
+    (always with its own index) and featurized once; its train, test and
+    full slices are row selections of those features. For every (train
+    dataset, policy) a model is trained on the training slice, then
+    evaluated on the in-domain test slice and on every other dataset's test
+    slice (or its full slice when ood_full is set), all under the same
+    policy. Every masked policy is McNemar-tested against the no-mask
+    baseline within its (train, test) cell, Bonferroni-adjusted for
+    m = len(policies) - 1 comparisons. Output ordering and content are
+    deterministic.
     """
     if not datasets:
         raise DataError("run_matrix needs at least one dataset")
@@ -516,37 +618,33 @@ def run_matrix(
         if any(p.requires_index for p in policies) and indexes.get(bundle.name) is None:
             raise DataError(f"dataset {bundle.name!r} has no entity index but a policy needs one")
     m = max(1, len(policies) - 1)
-    splits = {b.name: _split_bundle(b, split) for b in datasets}
+    splits = {b.name: _split_rows(b, split) for b in datasets}
+    memo: dict[str, int] = {}  # phrase -> bucket, for this call's space only
     results: dict[tuple[str, str, MaskPolicy], EvalCell] = {}
-    for train_bundle in datasets:
-        train_anns, _ = splits[train_bundle.name]
-        for policy in policies:
-            masked_train, _ = mask_corpus(
-                train_anns,
-                policy,
-                indexes.get(train_bundle.name),
-                resolve_mode,
-                name=train_bundle.name,
+    for policy in policies:
+        # name -> (rows, gold labels) of each slice, masked under this policy
+        train_sides: dict[str, tuple[_Rows, list[Label]]] = {}
+        test_sides: dict[str, tuple[_Rows, list[Label]]] = {}
+        full_sides: dict[str, tuple[_Rows, list[Label]]] = {}
+        for bundle in datasets:
+            masked, _ = mask_corpus(
+                bundle.docs, policy, indexes.get(bundle.name), resolve_mode, name=bundle.name
             )
-            model = train(masked_train, space, config)
-            for eval_bundle in datasets:
-                eval_train_anns, eval_test_anns = splits[eval_bundle.name]
-                if eval_bundle.name == train_bundle.name:
-                    eval_anns = eval_test_anns
-                elif ood_full:
-                    eval_anns = list(eval_bundle.docs)
-                else:
-                    eval_anns = eval_test_anns
-                masked_eval, _ = mask_corpus(
-                    eval_anns,
-                    policy,
-                    indexes.get(eval_bundle.name),
-                    resolve_mode,
-                    name=eval_bundle.name,
+            rows = _featurize_rows((doc.text for doc in masked), space, memo)
+            gold = masked.labels()
+            train_sel, test_sel = splits[bundle.name]
+            train_sides[bundle.name] = rows.take(train_sel), [gold[r] for r in train_sel]
+            test_sides[bundle.name] = rows.take(test_sel), [gold[r] for r in test_sel]
+            full_sides[bundle.name] = rows, gold
+        for train_name in names:
+            model = _fit(*train_sides[train_name], train_name, space, config)
+            for eval_name in names:
+                sides = full_sides if ood_full and eval_name != train_name else test_sides
+                results[(train_name, eval_name, policy)] = _evaluate_rows(
+                    model, *sides[eval_name], eval_name, policy
                 )
-                results[(train_bundle.name, eval_bundle.name, policy)] = evaluate(
-                    model, masked_eval, policy=policy
-                )
+            # free this model's weights before the next one is allocated
+            del model
     has_baseline = MaskPolicy.NO_MASK in policies and len(policies) > 1
     cells = []
     for train_name in names:

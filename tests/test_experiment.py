@@ -32,7 +32,7 @@ from diamask import (
     synth_diachronic_corpus,
     train,
 )
-from diamask.experiment import mask_corpus
+from diamask.experiment import _Rows, _score_rows, mask_corpus
 
 from helpers import (
     SYNTH_A,
@@ -242,6 +242,66 @@ class TestPredictAndEvaluate:
             evaluate(model, Corpus(name="e", documents=()))
 
 
+def reference_score(weights, bias, vec):
+    """The plain scalar sum: bias, then weight * count left to right."""
+    s = bias
+    for idx, cnt in vec.items():
+        s += weights[idx] * cnt
+    return s
+
+
+SCORER_DIMENSIONS = 64
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def feature_rows(draw):
+    n_rows = draw(st.integers(0, 12))
+    rows = []
+    for _ in range(n_rows):
+        n = draw(st.integers(0, 60))
+        keys = draw(
+            st.lists(
+                st.integers(0, SCORER_DIMENSIONS - 1), min_size=n, max_size=n, unique=True
+            )
+        )
+        counts = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        rows.append(dict(zip(keys, counts)))
+    return rows
+
+
+class TestBatchedScorer:
+    @given(
+        st.lists(finite, min_size=SCORER_DIMENSIONS, max_size=SCORER_DIMENSIONS),
+        finite,
+        feature_rows(),
+    )
+    @settings(max_examples=200)
+    def test_matches_left_to_right_sum_bit_for_bit(self, weights, bias, rows):
+        expected = [reference_score(weights, bias, vec).hex() for vec in rows]
+        w = np.array(weights, dtype=np.float64)
+        batched = _score_rows(w, bias, _Rows.from_counts(rows)).tolist()
+        assert [s.hex() for s in batched] == expected
+        model = Model(
+            space=FeatureSpace(dimensions=SCORER_DIMENSIONS),
+            config=TrainConfig(),
+            train_set="t",
+            weights=w,
+            bias=bias,
+        )
+        assert [model.score(vec).hex() for vec in rows] == expected
+        for vec, score in zip(rows, batched):
+            if not vec:
+                assert score.hex() == float(bias).hex()
+
+    def test_row_selection_keeps_rows_and_order(self):
+        rows = _Rows.from_counts([{3: 1}, {}, {5: 2, 1: 1}, {0: 4}])
+        picked = rows.take(np.array([2, 0, 1], dtype=np.int64))
+        assert picked.indptr.tolist() == [0, 2, 3, 3]
+        assert picked.indices.tolist() == [5, 1, 3]
+        assert picked.data.tolist() == [2.0, 1.0, 1.0]
+
+
 class TestModelSerialization:
     def test_round_trip_preserves_predictions_and_weights(self, tmp_path):
         model = train(SEPARABLE, SMALL_SPACE)
@@ -282,6 +342,27 @@ class TestModelSerialization:
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(DataError, match="format"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "key", ["-1", "4", "1.5", "one"], ids=["negative", "too-large", "fraction", "word"]
+    )
+    def test_bad_weight_bucket_is_rejected(self, tmp_path, key):
+        model = Model(
+            space=FeatureSpace(dimensions=4),
+            config=TrainConfig(),
+            train_set="t",
+            weights=np.zeros(4),
+            bias=0.0,
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        obj = json.loads(path.read_text())
+        obj["weights"] = {"0": 1.0, key: 2.5}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError) as excinfo:
+            load_model(path)
+        assert str(path) in str(excinfo.value)
+        assert repr(key) in str(excinfo.value)
 
 
 def make_cells(b, c, both_right=5, test_set="shared"):
@@ -508,6 +589,8 @@ class TestRunMatrix:
         report = run_matrix(bundles, (MaskPolicy.NO_MASK,), indexes, SPLIT, space=SMALL_SPACE)
         with pytest.raises(KeyError):
             report.cell("a", "z", MaskPolicy.NO_MASK)
+        with pytest.raises(KeyError):
+            report.cell("a", "b", MaskPolicy.WIKID)
 
     def test_missing_index_is_rejected_when_needed(self):
         _, bundles, _ = small_world()
