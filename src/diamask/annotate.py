@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document
 from .errors import DataError
+from .wikidata import _normalize
 
 __all__ = [
     "NeTag",
@@ -184,10 +185,6 @@ def write_annotations(docs: Sequence[AnnotatedDocument], path: str | Path) -> No
             fh.write("\n")
 
 
-def _normalize_name(name: str) -> str:
-    return " ".join(name.casefold().split())
-
-
 @dataclass(frozen=True)
 class Gazetteer:
     """Case-insensitive name -> tag table; keys are casefolded and
@@ -199,7 +196,7 @@ class Gazetteer:
     def from_pairs(cls, pairs: Iterable[tuple[str, NeTag]]) -> "Gazetteer":
         entries: dict[str, NeTag] = {}
         for name, tag in pairs:
-            key = _normalize_name(name)
+            key = _normalize(name)
             if not key:
                 raise DataError("gazetteer entry with empty name")
             entries[key] = tag

@@ -7,6 +7,15 @@ with person_only set it must additionally be an instance (P31) of human
 the full normalized name and one by each individual name token, so both
 "narendra modi" and the bare "modi" can reach the same record.
 
+Each posting list holds a QID once, in the order the records were added;
+adding a record appends to the lists of its own names and never scans a
+shared list, so building or loading is linear in the number of postings.
+Re-adding a QID first withdraws the postings of the record it replaces.
+Posting order carries no meaning: lookup_by_name sorts its candidates by
+sitelink count descending, then numeric QID. resolve_person_label memoizes
+its answer on the index per (normalized surface, mode); every add clears
+that memo, so a resolve always reflects the records present at the time.
+
 The dump is read as newline-delimited JSON entities, optionally gzipped.
 The wrapped-array form is tolerated: '[' and ']' lines are skipped and a
 trailing ',' per line is dropped. Indexing is a single streaming pass;
@@ -115,20 +124,47 @@ class EntityIndex:
     by_name: dict[str, list[str]] = field(default_factory=dict)
     by_token: dict[str, list[str]] = field(default_factory=dict)
     malformed_lines: int = 0
+    # resolve_person_label results per (normalized surface, mode); add clears it
+    _resolved: dict[tuple[str, ResolveMode], ResolvedLabel] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def add(self, record: EntityRecord) -> None:
-        self.records[record.qid] = record
+        """Insert a record, replacing any earlier one with the same QID.
+
+        The QID must have the form Q<digits>, as index_dump and load_index
+        ensure. It is appended once to the posting list of each distinct
+        name key and token of this record; shared lists are never scanned.
+        """
+        qid = record.qid
+        old = self.records.get(qid)
+        if old is not None:
+            self._unpost(old)
+        self.records[qid] = record
+        # A QID is appended only during its own add, so a key repeated
+        # within this record finds it at the end of the list.
         for name in (record.primary_label, *record.aliases):
             key = _normalize(name)
             if not key:
                 continue
             bucket = self.by_name.setdefault(key, [])
-            if record.qid not in bucket:
-                bucket.append(record.qid)
+            if not bucket or bucket[-1] != qid:
+                bucket.append(qid)
             for token in key.split(" "):
                 tbucket = self.by_token.setdefault(token, [])
-                if record.qid not in tbucket:
-                    tbucket.append(record.qid)
+                if not tbucket or tbucket[-1] != qid:
+                    tbucket.append(qid)
+        self._resolved.clear()
+
+    def _unpost(self, record: EntityRecord) -> None:
+        names = {_normalize(n) for n in (record.primary_label, *record.aliases)} - {""}
+        tokens = {token for name in names for token in name.split(" ")}
+        for postings, keys in ((self.by_name, names), (self.by_token, tokens)):
+            for key in keys:
+                bucket = postings[key]
+                bucket.remove(record.qid)
+                if not bucket:
+                    del postings[key]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -251,10 +287,11 @@ def _open_dump(source: str | Path | BinaryIO | io.TextIOBase) -> Iterator[str]:
         close = True
     else:
         raw, close = source, False
+    if not hasattr(raw, "peek"):
+        raw = io.BufferedReader(raw)
     try:
-        head = raw.read(2)
-        raw.seek(raw.tell() - len(head))
-        if head == b"\x1f\x8b":
+        # peek, not read + seek: pipes such as /dev/stdin cannot seek
+        if raw.peek(2)[:2] == b"\x1f\x8b":
             with gzip.open(raw, "rt", encoding="utf-8") as fh:
                 yield from fh
         else:
@@ -351,7 +388,9 @@ def load_index(path: str | Path) -> EntityIndex:
             header = json.loads(header_line)
         except json.JSONDecodeError:
             raise DataError(f"{path}: missing or malformed index header") from None
-        if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: malformed index header")
+        if header.get("format_version") != FORMAT_VERSION:
             raise DataError(
                 f"{path}: unsupported index format version {header.get('format_version')!r}"
             )
@@ -367,6 +406,19 @@ def load_index(path: str | Path) -> EntityIndex:
                 continue
             try:
                 raw = json.loads(line)
+                qid, label, aliases = raw["qid"], raw["label"], raw["aliases"]
+                sitelinks = raw["sitelinks"]
+                if not (
+                    isinstance(qid, str)
+                    and _QID_RE.match(qid)
+                    and type(sitelinks) is int
+                    and sitelinks >= 0
+                    and isinstance(label, str)
+                    and label
+                    and isinstance(aliases, list)
+                    and all(isinstance(a, str) for a in aliases)
+                ):
+                    raise ValueError("bad record fields")
                 statements = tuple(
                     Statement(
                         property=RoleProperty(s["property"]),
@@ -378,11 +430,11 @@ def load_index(path: str | Path) -> EntityIndex:
                     for i, s in enumerate(raw["statements"])
                 )
                 record = EntityRecord(
-                    qid=raw["qid"],
-                    primary_label=raw["label"],
-                    aliases=tuple(raw["aliases"]),
+                    qid=qid,
+                    primary_label=label,
+                    aliases=tuple(aliases),
                     statements=statements,
-                    sitelink_count=raw["sitelinks"],
+                    sitelink_count=sitelinks,
                 )
             except (json.JSONDecodeError, KeyError, ValueError, TypeError):
                 raise DataError(f"{path}: malformed index record at line {lineno}") from None
@@ -407,13 +459,12 @@ def lookup_by_name(index: EntityIndex, surface: str) -> list[str]:
         return []
     candidates = list(index.by_name.get(key, ()))
     if not candidates:
-        seen: set[str] = set()
-        for token in key.split(" "):
-            for qid in index.by_token.get(token, ()):
-                if qid not in seen:
-                    seen.add(qid)
-                    candidates.append(qid)
-    candidates.sort(key=lambda q: (-index.records[q].sitelink_count, qid_sort_key(q)))
+        candidates = list(
+            dict.fromkeys(q for token in key.split(" ") for q in index.by_token.get(token, ()))
+        )
+    records = index.records
+    # every indexed QID matches _QID_RE, so int(q[1:]) is qid_sort_key's order
+    candidates.sort(key=lambda q: (-records[q].sitelink_count, int(q[1:])))
     return candidates
 
 
@@ -446,7 +497,16 @@ def resolve_person_label(
     snapshot date (open-ended ranges count; the latest start wins, dump
     order breaking ties) and falls back to the full DUMP_ORDER cascade when
     none is valid. Unresolvable surfaces yield the generic person token.
+    Results are memoized on the index per normalized surface and mode.
     """
+    key = (_normalize(surface), mode)
+    resolved = index._resolved.get(key)
+    if resolved is None:
+        resolved = index._resolved[key] = _resolve(index, key[0], mode)
+    return resolved
+
+
+def _resolve(index: EntityIndex, surface: str, mode: ResolveMode) -> ResolvedLabel:
     candidates = lookup_by_name(index, surface)
     if not candidates:
         return ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=LabelSource.FALLBACK_PER)

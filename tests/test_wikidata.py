@@ -2,9 +2,12 @@ import gzip
 import io
 import json
 import logging
+import os
 from datetime import date
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diamask import (
     DataError,
@@ -186,6 +189,23 @@ class TestIndexDump:
         path.write_text("\n".join(modi_dump_lines()) + "\n", encoding="utf-8")
         assert len(index_dump(path, SNAPSHOT)) == 3
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_non_seekable_pipe(self, compress):
+        data = ("\n".join(modi_dump_lines()) + "\n").encode("utf-8")
+        if compress:
+            data = gzip.compress(data)
+        read_fd, write_fd = os.pipe()
+        # a few KB fits the pipe buffer, so one write completes unblocked
+        assert os.write(write_fd, data) == len(data)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as fh:
+            index = index_dump(fh, SNAPSHOT)
+        assert set(index.records) == {"Q1165", "Q76", "Q42"}
+
+    def test_unbuffered_binary_stream(self):
+        data = gzip.compress(("\n".join(modi_dump_lines()) + "\n").encode("utf-8"))
+        assert len(index_dump(io.BytesIO(data), SNAPSHOT)) == 3
+
     def test_empty_dump_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="diamask.wikidata"):
             index = index_of([""])
@@ -221,6 +241,12 @@ class TestSaveLoad:
         with pytest.raises(DataError, match="header"):
             load_index(path)
 
+    def test_non_object_header_is_rejected(self, tmp_path):
+        path = tmp_path / "entities.idx"
+        path.write_text("[1]\n")
+        with pytest.raises(DataError, match="malformed index header"):
+            load_index(path)
+
     def test_unsupported_version_is_rejected(self, tmp_path):
         path = tmp_path / "entities.idx"
         path.write_text(
@@ -247,6 +273,32 @@ class TestSaveLoad:
         lines[2] = '{"qid": "Q1"}'
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="line 3"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("qid", "X"),
+            ("qid", 76),
+            ("sitelinks", "7"),
+            ("sitelinks", -1),
+            ("sitelinks", True),
+            ("sitelinks", 1.5),
+            ("label", ""),
+            ("label", None),
+            ("aliases", "Modi"),
+            ("aliases", ["Modi", 3]),
+        ],
+    )
+    def test_bad_record_field_names_line(self, tmp_path, modi_index, field, value):
+        path = tmp_path / "entities.idx"
+        save_index(modi_index, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"malformed index record at line 3$"):
             load_index(path)
 
 
@@ -403,24 +455,132 @@ class TestTopLabels:
         assert top_labels(["Q1"], index, 10) == [("Q1", 1)]
 
 
+def person(qid, label, aliases=(), sitelinks=1, occupation="Q2"):
+    return EntityRecord(
+        qid=qid,
+        primary_label=label,
+        aliases=tuple(aliases),
+        statements=(
+            Statement(
+                property=RoleProperty.OCCUPATION,
+                value_qid=occupation,
+                start_date=None,
+                end_date=None,
+                dump_order=0,
+            ),
+        ),
+        sitelink_count=sitelinks,
+    )
+
+
 class TestEntityIndexAdd:
     def test_add_is_idempotent_per_bucket(self):
         index = EntityIndex(snapshot_date=SNAPSHOT)
-        record = EntityRecord(
-            qid="Q9",
-            primary_label="Jane Roe",
-            aliases=("Jane", "Jane Roe"),
-            statements=(
-                Statement(
-                    property=RoleProperty.OCCUPATION,
-                    value_qid="Q2",
-                    start_date=None,
-                    end_date=None,
-                    dump_order=0,
-                ),
-            ),
-            sitelink_count=1,
-        )
-        index.add(record)
+        index.add(person("Q9", "Jane Roe", aliases=("Jane", "Jane Roe")))
         assert index.by_name["jane roe"] == ["Q9"]
         assert index.by_token["jane"] == ["Q9"]
+
+    def test_re_add_drops_the_old_names(self):
+        index = EntityIndex(snapshot_date=SNAPSHOT)
+        index.add(person("Q9", "Old Name", aliases=("Oldie",)))
+        index.add(person("Q10", "Bo Name", occupation="Q4"))
+        assert resolve_person_label(index, "Old Name").token == "Q2"
+        index.add(person("Q9", "New Person", occupation="Q3"))
+        assert lookup_by_name(index, "old") == []
+        assert lookup_by_name(index, "Oldie") == []
+        # no exact match any more; only Q10 still shares the token "name"
+        assert lookup_by_name(index, "Old Name") == ["Q10"]
+        assert lookup_by_name(index, "New Person") == ["Q9"]
+        assert resolve_person_label(index, "Old Name").token == "Q4"
+        assert resolve_person_label(index, "Oldie").token == FALLBACK_PERSON_TOKEN
+        assert resolve_person_label(index, "new person").token == "Q3"
+        assert "old" not in index.by_token and "oldie" not in index.by_name
+
+    def test_add_after_resolve_changes_the_answer(self):
+        index = EntityIndex(snapshot_date=SNAPSHOT)
+        index.add(person("Q9", "Jane Roe", sitelinks=1, occupation="Q2"))
+        assert resolve_person_label(index, "Roe").token == "Q2"
+        index.add(person("Q8", "Ann Roe", sitelinks=5, occupation="Q3"))
+        assert resolve_person_label(index, "Roe").token == "Q3"
+        assert resolve_person_label(index, "Jane Roe").token == "Q2"
+
+
+# -- property: lookup and memoized resolve against reference models --------
+
+_TOKENS = ("ann", "Ann", "bo", "cy", "dee")
+_NAMES = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map(" ".join)
+_DATES = st.sampled_from([None, date(2019, 1, 1), date(2020, 6, 1), date(2021, 6, 1)])
+
+
+@st.composite
+def _statements(draw):
+    out = []
+    for order in range(draw(st.integers(0, 3))):
+        start, end = draw(_DATES), draw(_DATES)
+        if start and end and start > end:
+            start, end = end, start
+        out.append(
+            Statement(
+                property=draw(st.sampled_from(list(RoleProperty))),
+                value_qid=draw(st.sampled_from(["Q100", "Q101", "Q102"])),
+                start_date=start,
+                end_date=end,
+                dump_order=order,
+            )
+        )
+    return tuple(out)
+
+
+@st.composite
+def _records(draw):
+    label = draw(_NAMES)
+    aliases = draw(st.lists(st.one_of(st.just(label), _NAMES), max_size=3))
+    return EntityRecord(
+        qid=f"Q{draw(st.integers(1, 6))}",  # small range: re-adds are common
+        primary_label=label,
+        aliases=tuple(aliases),
+        statements=draw(_statements()),
+        sitelink_count=draw(st.integers(0, 2)),  # narrow range: ties are common
+    )
+
+
+def _norm(name):
+    return " ".join(name.casefold().split())
+
+
+def reference_lookup(records, surface):
+    """Exact normalized name first, else the token union, by scanning records."""
+    key = _norm(surface)
+    if not key:
+        return []
+    names = {q: {_norm(n) for n in (r.primary_label, *r.aliases)} for q, r in records.items()}
+    hits = [q for q in records if key in names[q]]
+    if not hits:
+        wanted = set(key.split(" "))
+        hits = [q for q in records if wanted & {t for n in names[q] for t in n.split(" ")}]
+    return sorted(hits, key=lambda q: (-records[q].sitelink_count, qid_sort_key(q)))
+
+
+def fresh_resolve(records, surface, mode):
+    index = EntityIndex(snapshot_date=SNAPSHOT)
+    for record in records.values():
+        index.add(record)
+    return resolve_person_label(index, surface, mode)
+
+
+@given(
+    records=st.lists(_records(), min_size=1, max_size=8),
+    surfaces=st.lists(st.one_of(_NAMES, _NAMES.map(lambda n: f"  {n.upper()} ")), max_size=4),
+)
+def test_lookup_and_memoized_resolve_match_reference(records, surfaces):
+    index = EntityIndex(snapshot_date=SNAPSHOT)
+    model: dict[str, EntityRecord] = {}
+    for record in records:
+        index.add(record)
+        model[record.qid] = record
+        for surface in surfaces:
+            assert lookup_by_name(index, surface) == reference_lookup(model, surface)
+            for mode in ResolveMode:
+                expected = fresh_resolve(model, surface, mode)
+                assert resolve_person_label(index, surface, mode) == expected
+                assert resolve_person_label(index, surface, mode) == expected
