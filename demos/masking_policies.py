@@ -36,10 +36,10 @@ def build_index() -> EntityIndex:
             statements=(
                 # Chief Minister of Gujarat until 2014, then Prime Minister.
                 Statement(RoleProperty.POSITION_HELD, "Q22337580",
-                          date(2001, 10, 7), date(2014, 5, 26), 0),
+                          date(2001, 10, 7), date(2014, 5, 26)),
                 Statement(RoleProperty.POSITION_HELD, "Q192045",
-                          date(2014, 5, 26), None, 1),
-                Statement(RoleProperty.OCCUPATION, "Q82955", None, None, 2),
+                          date(2014, 5, 26), None),
+                Statement(RoleProperty.OCCUPATION, "Q82955", None, None),
             ),
             sitelink_count=50,
         )
@@ -51,8 +51,8 @@ def build_index() -> EntityIndex:
             aliases=(),
             statements=(
                 Statement(RoleProperty.POSITION_HELD, "Q11696",
-                          date(2009, 1, 20), date(2017, 1, 20), 3),
-                Statement(RoleProperty.OCCUPATION, "Q82955", None, None, 4),
+                          date(2009, 1, 20), date(2017, 1, 20)),
+                Statement(RoleProperty.OCCUPATION, "Q82955", None, None),
             ),
             sitelink_count=100,
         )
@@ -62,7 +62,7 @@ def build_index() -> EntityIndex:
             qid="Q42",
             primary_label="Douglas Adams",
             aliases=(),
-            statements=(Statement(RoleProperty.OCCUPATION, "Q36180", None, None, 5),),
+            statements=(Statement(RoleProperty.OCCUPATION, "Q36180", None, None),),
             sitelink_count=90,
         )
     )

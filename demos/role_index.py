@@ -98,7 +98,8 @@ def main() -> None:
     print("=== dump-order vs temporal resolution ===")
     for mode in ResolveMode:
         resolved = resolve_person_label(index, "Jordan Blake", mode)
-        print(f"  {mode.value:<12} -> {resolved.token}  (source: {resolved.source.value})")
+        source = resolved.source.value if resolved.source else "fallback"
+        print(f"  {mode.value:<12} -> {resolved.token}  (source: {source})")
     print("dump-order keeps the first listed position (governor, Q212238);")
     print("temporal picks the one held on the snapshot date (senator, Q13217683)")
     print()

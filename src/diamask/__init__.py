@@ -54,7 +54,6 @@ from .masking import MaskedDocument, MaskPolicy, apply_mask, mask_corpus
 from .wikidata import (
     EntityIndex,
     EntityRecord,
-    LabelSource,
     ResolvedLabel,
     ResolveMode,
     RoleProperty,

@@ -135,18 +135,23 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {lineno}: malformed JSON ({exc.msg})") from None
-            if not isinstance(record, dict) or "doc_id" not in record:
-                raise DataError(f"line {lineno}: expected an object with 'doc_id'")
+            if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
+                raise DataError(f"line {lineno}: expected an object with a string 'doc_id'")
             doc_id = record["doc_id"]
             if doc_id not in known_ids:
                 raise DataError(f"line {lineno}: unknown document id {doc_id!r}")
             spans = by_doc.setdefault(doc_id, [])
-            for raw in record.get("spans", []):
+            raw_spans = record.get("spans", [])
+            if not (isinstance(raw_spans, list) and all(isinstance(r, dict) for r in raw_spans)):
+                raise DataError(f"line {lineno}: spans for {doc_id!r} must be a list of objects")
+            for raw in raw_spans:
                 for field in ("start", "end", "tag", "text"):
                     if field not in raw:
                         raise DataError(
                             f"line {lineno}: span for {doc_id!r} missing field {field!r}"
                         )
+                if type(raw["start"]) is not int or type(raw["end"]) is not int:
+                    raise DataError(f"line {lineno}: span offsets for {doc_id!r} must be integers")
                 spans.append(
                     NeSpan(
                         start=raw["start"],

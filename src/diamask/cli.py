@@ -14,8 +14,9 @@ import argparse
 import json
 import logging
 import sys
-from datetime import date as Date
+from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 from .analysis import compute_lmi, export_lmi_table
 from .annotate import AnnotatedDocument, load_annotations, load_gazetteer, tag_with_gazetteer, write_annotations
@@ -24,6 +25,7 @@ from .corpus import (
     SplitMode,
     SplitSpec,
     document_to_record,
+    iso_date,
     load_corpus,
     save_corpus,
     split_by_time,
@@ -57,13 +59,6 @@ log = logging.getLogger("diamask")
 
 class _UsageError(Exception):
     """Flag-level problem detected after argparse (exit status 2)."""
-
-
-def _iso_date(raw: str) -> Date:
-    try:
-        return Date.fromisoformat(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {raw!r}") from None
 
 
 def _orders(raw: str) -> tuple[int, ...]:
@@ -138,8 +133,10 @@ def _cmd_index_wikidata(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_annotated(corpus_path: str, annotations_path: str | None) -> tuple[Corpus, list[AnnotatedDocument]]:
-    corpus = load_corpus(corpus_path)
+def _load_annotated(
+    corpus_path: str, annotations_path: str | None, name: str | None = None
+) -> tuple[Corpus, list[AnnotatedDocument]]:
+    corpus = load_corpus(corpus_path, name=name)
     if annotations_path is None:
         return corpus, [AnnotatedDocument(document=doc, spans=()) for doc in corpus]
     return corpus, load_annotations(corpus, annotations_path)
@@ -220,53 +217,71 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require(config: dict, key: str, context: str) -> object:
-    if key not in config:
-        raise DataError(f"experiment config: {context} is missing {key!r}")
-    return config[key]
+_REQUIRED = object()
+
+
+def _field(
+    where: str, container: object, key: str, convert: Callable = lambda raw: raw, default=_REQUIRED
+) -> object:
+    """convert(container[key]), or default if the key is absent or null. Any
+    problem raises DataError naming where (config file and section) and key."""
+    if not isinstance(container, dict):
+        raise DataError(f"{where}: expected a JSON object")
+    raw = container.get(key)
+    if raw is None:
+        if default is _REQUIRED:
+            raise DataError(f"{where}: missing {key!r}")
+        return default
+    try:
+        return convert(raw)
+    except (ValueError, TypeError, OverflowError, DataError) as exc:
+        raise DataError(f"{where}: bad {key!r} ({exc})") from None
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    where = f"experiment config {args.config}"
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise DataError(f"experiment config: malformed JSON ({exc.msg})") from None
-    if not isinstance(config, dict):
-        raise DataError("experiment config: expected a JSON object")
+        raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
     bundles = []
     indexes = {}
-    for entry in _require(config, "datasets", "config"):
-        name = str(_require(entry, "name", "dataset entry"))
-        corpus = load_corpus(str(_require(entry, "corpus", f"dataset {name!r}")), name=name)
-        if entry.get("annotations"):
-            annotated = load_annotations(corpus, entry["annotations"])
-        else:
-            annotated = [AnnotatedDocument(document=doc, spans=()) for doc in corpus]
+    for i, entry in enumerate(_field(where, config, "datasets", tuple)):
+        at = f"{where}: datasets[{i}]"
+        name = _field(at, entry, "name", str)
+        # an empty annotations or index path means none, as an absent one does
+        annotations = _field(at, entry, "annotations", str, None) or None
+        _, annotated = _load_annotated(_field(at, entry, "corpus", str), annotations, name)
         bundles.append(DatasetBundle(name=name, docs=tuple(annotated)))
-        indexes[name] = load_index(entry["index"]) if entry.get("index") else None
-    policy_values = config.get("policies", [p.value for p in MaskPolicy])
-    policies = [MaskPolicy.parse(str(v)) for v in policy_values]
-    split_cfg = _require(config, "split", "config")
-    mode = SplitMode(str(_require(split_cfg, "mode", "split")))
-    boundary = split_cfg.get("boundary_date")
+        index = _field(at, entry, "index", str, None)
+        indexes[name] = load_index(index) if index else None
+    policies = _field(
+        where, config, "policies", lambda raw: [MaskPolicy.parse(v) for v in raw], list(MaskPolicy)
+    )
+    split_cfg = _field(where, config, "split")
+    at = f"{where}: split"
     split = SplitSpec(
-        mode=mode,
-        train_fraction=float(split_cfg.get("train_fraction", 0.8)),
-        boundary_date=Date.fromisoformat(boundary) if boundary else None,
-        seed=int(split_cfg.get("seed", 0)),
+        mode=_field(at, split_cfg, "mode", SplitMode),
+        train_fraction=_field(at, split_cfg, "train_fraction", float, 0.8),
+        boundary_date=_field(
+            at, split_cfg, "boundary_date", lambda raw: iso_date(raw) if raw else None, None
+        ),
+        seed=_field(at, split_cfg, "seed", int, 0),
     )
-    feat_cfg = config.get("features", {})
+    feat_cfg = _field(where, config, "features", default={})
+    at = f"{where}: features"
     space = FeatureSpace(
-        orders=tuple(feat_cfg.get("orders", (1, 2))),
-        dimensions=int(feat_cfg.get("dimensions", FeatureSpace().dimensions)),
-        hash_seed=int(feat_cfg.get("hash_seed", 0)),
+        orders=_field(at, feat_cfg, "orders", lambda raw: tuple(map(int, raw)), (1, 2)),
+        dimensions=_field(at, feat_cfg, "dimensions", int, FeatureSpace().dimensions),
+        hash_seed=_field(at, feat_cfg, "hash_seed", int, 0),
     )
-    train_cfg = config.get("training", {})
+    train_cfg = _field(where, config, "training", default={})
+    at = f"{where}: training"
     tconfig = TrainConfig(
-        epochs=int(train_cfg.get("epochs", TrainConfig().epochs)),
-        learning_rate=float(train_cfg.get("learning_rate", TrainConfig().learning_rate)),
-        l2=float(train_cfg.get("l2", TrainConfig().l2)),
-        seed=int(train_cfg.get("seed", TrainConfig().seed)),
+        epochs=_field(at, train_cfg, "epochs", int, TrainConfig().epochs),
+        learning_rate=_field(at, train_cfg, "learning_rate", float, TrainConfig().learning_rate),
+        l2=_field(at, train_cfg, "l2", float, TrainConfig().l2),
+        seed=_field(at, train_cfg, "seed", int, TrainConfig().seed),
     )
     report = run_matrix(
         bundles,
@@ -275,8 +290,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         split,
         space=space,
         config=tconfig,
-        resolve_mode=ResolveMode(str(config.get("resolve_mode", ResolveMode.DUMP_ORDER.value))),
-        ood_full=bool(config.get("ood_full", False)),
+        resolve_mode=_field(where, config, "resolve_mode", ResolveMode, ResolveMode.DUMP_ORDER),
+        ood_full=_field(where, config, "ood_full", bool, False),
     )
     if args.output_json:
         _write_output(args.output_json, report.to_json())
@@ -285,8 +300,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_usage(path: str) -> list[str]:
-    tokens = []
+def _read_usage(path: str) -> Counter[str]:
+    counts: Counter[str] = Counter()
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -299,22 +314,23 @@ def _read_usage(path: str) -> list[str]:
                 count = int(parts[1])
             except ValueError:
                 raise DataError(f"{path} line {lineno}: bad count {parts[1]!r}") from None
-            tokens.extend([parts[0]] * count)
-    return tokens
+            if count < 1:
+                raise DataError(f"{path} line {lineno}: count must be positive, got {count}")
+            counts[parts[0]] += count
+    return counts
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
     if len(args.usage) < 2 and not (len(args.usage) == 1 and args.top_k):
         raise _UsageError("--usage must be given at least twice (NAME=PATH each)")
-    named: list[tuple[str, list[str]]] = []
+    named: list[tuple[str, dict[str, int]]] = []
     for spec in args.usage:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             raise _UsageError(f"--usage expects NAME=PATH, got {spec!r}")
         # Usage reports may contain PER/LOC/ORG/MISC placeholders; coverage
         # is over role QIDs only.
-        tokens = [t for t in _read_usage(path) if _QID_RE.match(t)]
-        named.append((name, tokens))
+        named.append((name, {t: c for t, c in _read_usage(path).items() if _QID_RE.match(t)}))
     lines = []
     if len(named) >= 2:
         lines.append("# coverage matrix (% of row's unique labels present in column)")
@@ -329,17 +345,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         if lines:
             lines.append("")
         lines.append(f"# top {args.top_k} labels per dataset")
-        for name, tokens in named:
-            if index is not None:
-                ranked = top_labels(tokens, index, args.top_k)
-            else:
-                from collections import Counter
-
-                counts = Counter(tokens)
-                ranked = sorted(counts.items(), key=lambda kv: (-kv[1], qid_sort_key(kv[0])))[
-                    : args.top_k
-                ]
-            for label, count in ranked:
+        for name, counts in named:
+            for label, count in top_labels(counts, index, args.top_k):
                 lines.append(f"{name}\t{label}\t{count}")
     _write_output(args.output, "\n".join(lines) + "\n")
     return 0
@@ -356,12 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         "against it using a snapshotted Wikidata role index.",
     )
     parser.add_argument("--seed", type=int, default=None, help="default seed for seeded stages")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on stage-internal parallelism (stages are currently single-threaded)",
-    )
     parser.add_argument(
         "--strict", action="store_true", help="fail on malformed dump lines instead of skipping"
     )
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index-wikidata", help="build an entity index from a JSON dump")
     p.add_argument("--dump", required=True, help="NDJSON entity dump, optionally .gz")
-    p.add_argument("--snapshot-date", required=True, type=_iso_date)
+    p.add_argument("--snapshot-date", required=True, type=iso_date)
     p.add_argument("--output", required=True)
     p.add_argument(
         "--person-only", action="store_true", help="keep only instance-of-human entities"
@@ -418,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=[m.value for m in SplitMode], required=True)
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--boundary-date", type=_iso_date, default=None)
+    p.add_argument("--boundary-date", type=iso_date, default=None)
     p.add_argument("--seed", dest="sub_seed", type=int, default=None)
     p.add_argument("--train-output", required=True)
     p.add_argument("--test-output", required=True)
@@ -477,9 +478,6 @@ def dispatch(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.threads < 1:
-        print("usage error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except _UsageError as exc:

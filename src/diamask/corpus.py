@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
@@ -107,11 +108,15 @@ class SplitSpec:
             raise DataError("time-based split requires a boundary_date")
 
 
-def _parse_date(raw: str, lineno: int) -> Date:
-    try:
-        return Date.fromisoformat(raw)
-    except (ValueError, TypeError):
-        raise DataError(f"line {lineno}: bad date {raw!r}, expected YYYY-MM-DD") from None
+_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(raw: object) -> Date:
+    """Parse a YYYY-MM-DD string, else raise ValueError. Unlike date.fromisoformat
+    on Python 3.11+, rejects "20200101" and "2020-W01-1" on every Python."""
+    if not isinstance(raw, str) or not _ISO_DATE_RE.fullmatch(raw):
+        raise ValueError(f"not a YYYY-MM-DD date: {raw!r}")
+    return Date.fromisoformat(raw)
 
 
 def load_corpus(
@@ -156,11 +161,11 @@ def load_corpus(
                 raise DataError(f"line {lineno}: empty text for document {doc_id!r}")
             try:
                 label = Label.parse(record["label"])
-            except DataError as exc:
+                doc_date = None if record.get("date") is None else iso_date(record["date"])
+            except (DataError, ValueError) as exc:
                 raise DataError(f"line {lineno}: {exc}") from None
-            doc_date = None
-            if record.get("date") is not None:
-                doc_date = _parse_date(record["date"], lineno)
+            if not isinstance(record.get("source"), (str, type(None))):
+                raise DataError(f"line {lineno}: source must be a string or null")
             docs.append(
                 Document(
                     id=doc_id,

@@ -748,7 +748,6 @@ def _person_record(qid: str, name: str, role_qid: str) -> EntityRecord:
                 value_qid=role_qid,
                 start_date=None,
                 end_date=None,
-                dump_order=0,
             ),
         ),
         sitelink_count=5,

@@ -3,8 +3,10 @@
 Only two claim properties matter here: P39 (position held) and P106
 (occupation). An entity is retained when it carries at least one of them;
 with person_only set it must additionally be an instance (P31) of human
-(Q5). Labels and aliases are casefolded into two lookup maps, one keyed by
-the full normalized name and one by each individual name token, so both
+(Q5). A record's statements keep dump order (all P39 claims as listed,
+then all P106 claims); resolution breaks ties by that order. Labels and
+aliases are casefolded into two lookup maps, one keyed by the full
+normalized name and one by each individual name token, so both
 "narendra modi" and the bare "modi" can reach the same record.
 
 Each posting list holds a QID once, in the order the records were added;
@@ -35,12 +37,14 @@ import json
 import logging
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
+from .corpus import iso_date
 from .errors import DataError
 
 __all__ = [
@@ -49,7 +53,6 @@ __all__ = [
     "EntityRecord",
     "EntityIndex",
     "ResolveMode",
-    "LabelSource",
     "ResolvedLabel",
     "index_dump",
     "save_index",
@@ -75,12 +78,6 @@ class RoleProperty(Enum):
     OCCUPATION = "P106"
 
 
-class LabelSource(Enum):
-    POSITION_HELD = "P39"
-    OCCUPATION = "P106"
-    FALLBACK_PER = "fallback"
-
-
 class ResolveMode(Enum):
     DUMP_ORDER = "dump-order"
     TEMPORAL = "temporal"
@@ -92,7 +89,6 @@ class Statement:
     value_qid: str
     start_date: Date | None
     end_date: Date | None
-    dump_order: int
 
     def __post_init__(self) -> None:
         if self.start_date and self.end_date and self.start_date > self.end_date:
@@ -238,7 +234,6 @@ def _extract_record(entity: dict) -> EntityRecord | None:
     (no P39/P106 targets, or no English label to match surfaces against)."""
     claims = entity.get("claims", {})
     statements: list[Statement] = []
-    order = 0
     for prop in RoleProperty:
         for claim in claims.get(prop.value, []):
             target = _claim_target(claim)
@@ -254,10 +249,8 @@ def _extract_record(entity: dict) -> EntityRecord | None:
                     value_qid=target,
                     start_date=start,
                     end_date=end,
-                    dump_order=order,
                 )
             )
-            order += 1
     if not statements:
         return None
     label_obj = entity.get("labels", {}).get("en")
@@ -278,27 +271,30 @@ def _extract_record(entity: dict) -> EntityRecord | None:
     )
 
 
-def _open_dump(source: str | Path | BinaryIO | io.TextIOBase) -> Iterator[str]:
+@contextmanager
+def _open_dump(source: str | Path | BinaryIO | io.TextIOBase) -> Iterator[Iterable[str]]:
+    """The dump's lines; a stream the caller passed in is left open."""
     if isinstance(source, io.TextIOBase):
-        yield from source
+        yield source
         return
-    if isinstance(source, (str, Path)):
-        raw: BinaryIO = open(source, "rb")
-        close = True
-    else:
-        raw, close = source, False
-    if not hasattr(raw, "peek"):
-        raw = io.BufferedReader(raw)
+    owned = isinstance(source, (str, Path))
+    raw: BinaryIO = open(source, "rb") if owned else source
+    buffered = raw if hasattr(raw, "peek") else io.BufferedReader(raw)
+    # peek, not read + seek: pipes such as /dev/stdin cannot seek
+    gzipped = buffered.peek(2)[:2] == b"\x1f\x8b"
+    text = io.TextIOWrapper(
+        gzip.GzipFile(fileobj=buffered) if gzipped else buffered, encoding="utf-8"
+    )
     try:
-        # peek, not read + seek: pipes such as /dev/stdin cannot seek
-        if raw.peek(2)[:2] == b"\x1f\x8b":
-            with gzip.open(raw, "rt", encoding="utf-8") as fh:
-                yield from fh
-        else:
-            yield from io.TextIOWrapper(raw, encoding="utf-8")
+        yield text
     finally:
-        if close:
+        # A collected wrapper closes the stream under it (a GzipFile never
+        # closes a fileobj it was given), so detach the caller's stream.
+        text.detach()
+        if owned:
             raw.close()
+        elif buffered is not raw:
+            buffered.detach()
 
 
 def index_dump(
@@ -316,31 +312,32 @@ def index_dump(
     strict. An empty result is valid but logged as a warning.
     """
     index = EntityIndex(snapshot_date=snapshot_date)
-    for lineno, line in enumerate(_open_dump(source), start=1):
-        line = line.strip()
-        if not line or line in ("[", "]"):
-            continue
-        line = line.rstrip(",")
-        try:
-            entity = json.loads(line)
-            if not isinstance(entity, dict):
-                raise DataError("not a JSON object")
-            qid = entity.get("id")
-            if not isinstance(qid, str) or not _QID_RE.match(qid):
-                raise DataError(f"bad entity id {qid!r}")
-        except (json.JSONDecodeError, DataError) as exc:
-            if strict:
-                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                raise DataError(f"dump line {lineno}: {msg}") from None
-            index.malformed_lines += 1
-            continue
-        if entity.get("type") not in (None, "item"):
-            continue
-        if person_only and not _is_human(entity.get("claims", {})):
-            continue
-        record = _extract_record(entity)
-        if record is not None:
-            index.add(record)
+    with _open_dump(source) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line in ("[", "]"):
+                continue
+            line = line.rstrip(",")
+            try:
+                entity = json.loads(line)
+                if not isinstance(entity, dict):
+                    raise DataError("not a JSON object")
+                qid = entity.get("id")
+                if not isinstance(qid, str) or not _QID_RE.match(qid):
+                    raise DataError(f"bad entity id {qid!r}")
+            except (json.JSONDecodeError, DataError) as exc:
+                if strict:
+                    msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                    raise DataError(f"dump line {lineno}: {msg}") from None
+                index.malformed_lines += 1
+                continue
+            if entity.get("type") not in (None, "item"):
+                continue
+            if person_only and not _is_human(entity.get("claims", {})):
+                continue
+            record = _extract_record(entity)
+            if record is not None:
+                index.add(record)
     if not index.records:
         log.warning("dump produced an empty index (snapshot %s)", snapshot_date)
     return index
@@ -395,7 +392,7 @@ def load_index(path: str | Path) -> EntityIndex:
                 f"{path}: unsupported index format version {header.get('format_version')!r}"
             )
         try:
-            snapshot = Date.fromisoformat(header["snapshot_date"])
+            snapshot = iso_date(header["snapshot_date"])
             expected = int(header["record_count"])
         except (KeyError, ValueError, TypeError):
             raise DataError(f"{path}: malformed index header fields") from None
@@ -408,27 +405,27 @@ def load_index(path: str | Path) -> EntityIndex:
                 raw = json.loads(line)
                 qid, label, aliases = raw["qid"], raw["label"], raw["aliases"]
                 sitelinks = raw["sitelinks"]
+                statements = tuple(
+                    Statement(
+                        property=RoleProperty(s["property"]),
+                        value_qid=s["value"],
+                        start_date=None if s["start"] is None else iso_date(s["start"]),
+                        end_date=None if s["end"] is None else iso_date(s["end"]),
+                    )
+                    for s in raw["statements"]
+                )
+                # _QID_RE.match raises TypeError on a non-string, as wanted
                 if not (
-                    isinstance(qid, str)
-                    and _QID_RE.match(qid)
+                    _QID_RE.match(qid)
                     and type(sitelinks) is int
                     and sitelinks >= 0
                     and isinstance(label, str)
                     and label
                     and isinstance(aliases, list)
                     and all(isinstance(a, str) for a in aliases)
+                    and all(_QID_RE.match(s.value_qid) for s in statements)
                 ):
                     raise ValueError("bad record fields")
-                statements = tuple(
-                    Statement(
-                        property=RoleProperty(s["property"]),
-                        value_qid=s["value"],
-                        start_date=Date.fromisoformat(s["start"]) if s["start"] else None,
-                        end_date=Date.fromisoformat(s["end"]) if s["end"] else None,
-                        dump_order=i,
-                    )
-                    for i, s in enumerate(raw["statements"])
-                )
                 record = EntityRecord(
                     qid=qid,
                     primary_label=label,
@@ -436,7 +433,7 @@ def load_index(path: str | Path) -> EntityIndex:
                     statements=statements,
                     sitelink_count=sitelinks,
                 )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError):
+            except (json.JSONDecodeError, KeyError, ValueError, TypeError, DataError):
                 raise DataError(f"{path}: malformed index record at line {lineno}") from None
             index.add(record)
     if len(index.records) != expected:
@@ -470,18 +467,10 @@ def lookup_by_name(index: EntityIndex, surface: str) -> list[str]:
 
 @dataclass(frozen=True)
 class ResolvedLabel:
+    """A role token and the property it came from; source None is the PER fallback."""
+
     token: str
-    source: LabelSource
-
-
-def _first_by_dump_order(
-    statements: Iterable[Statement], prop: RoleProperty
-) -> Statement | None:
-    best: Statement | None = None
-    for s in statements:
-        if s.property is prop and (best is None or s.dump_order < best.dump_order):
-            best = s
-    return best
+    source: RoleProperty | None
 
 
 def resolve_person_label(
@@ -509,7 +498,7 @@ def resolve_person_label(
 def _resolve(index: EntityIndex, surface: str, mode: ResolveMode) -> ResolvedLabel:
     candidates = lookup_by_name(index, surface)
     if not candidates:
-        return ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=LabelSource.FALLBACK_PER)
+        return ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=None)
     statements = index.records[candidates[0]].statements
     if mode is ResolveMode.TEMPORAL:
         valid = [
@@ -518,16 +507,15 @@ def _resolve(index: EntityIndex, surface: str, mode: ResolveMode) -> ResolvedLab
             if s.property is RoleProperty.POSITION_HELD and s.valid_at(index.snapshot_date)
         ]
         if valid:
-            valid.sort(key=lambda s: (s.start_date or Date.min, -s.dump_order), reverse=True)
-            return ResolvedLabel(token=valid[0].value_qid, source=LabelSource.POSITION_HELD)
+            # max keeps the first of equal starts: dump order breaks ties
+            latest = max(valid, key=lambda s: s.start_date or Date.min)
+            return ResolvedLabel(token=latest.value_qid, source=RoleProperty.POSITION_HELD)
         # fall through to dump-order behavior
-    position = _first_by_dump_order(statements, RoleProperty.POSITION_HELD)
-    if position is not None:
-        return ResolvedLabel(token=position.value_qid, source=LabelSource.POSITION_HELD)
-    occupation = _first_by_dump_order(statements, RoleProperty.OCCUPATION)
-    if occupation is not None:
-        return ResolvedLabel(token=occupation.value_qid, source=LabelSource.OCCUPATION)
-    return ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=LabelSource.FALLBACK_PER)
+    for prop in (RoleProperty.POSITION_HELD, RoleProperty.OCCUPATION):
+        for s in statements:
+            if s.property is prop:
+                return ResolvedLabel(token=s.value_qid, source=prop)
+    return ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=None)
 
 
 def coverage_rate(labels_a: Iterable[str], labels_b: Iterable[str]) -> float:
@@ -541,17 +529,19 @@ def coverage_rate(labels_a: Iterable[str], labels_b: Iterable[str]) -> float:
 
 
 def top_labels(
-    tokens: Iterable[str], index: EntityIndex, k: int
+    tokens: Iterable[str], index: EntityIndex | None, k: int
 ) -> list[tuple[str, int]]:
-    """The k most frequent tokens in a usage multiset, rendered with the
-    index's human-readable labels where available. Count ties break by
+    """The k most frequent tokens in a usage multiset (an iterable of tokens
+    or a token -> count mapping), rendered with the index's human-readable
+    labels where available (none without an index). Count ties break by
     numeric QID ascending."""
     if k < 1:
         raise DataError(f"top_labels: k must be >= 1, got {k}")
     counts = Counter(tokens)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], qid_sort_key(kv[0])))
+    records = index.records if index is not None else {}
     out = []
     for token, count in ranked[:k]:
-        record = index.records.get(token)
+        record = records.get(token)
         out.append((record.primary_label if record else token, count))
     return out

@@ -130,13 +130,6 @@ class TestExitCodes:
         assert dispatch(["ingest", "--input", "/nope/x.jsonl", "--output", "-"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_threads_must_be_positive(self, capsys):
-        code = dispatch(
-            ["--threads", "0", "ingest", "--input", "x", "--output", "-"]
-        )
-        assert code == 2
-        assert "--threads" in capsys.readouterr().err
-
     def test_malformed_corpus_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text("{oops\n")
@@ -309,6 +302,12 @@ class TestIndexWikidata:
         )
         assert code == 0
         assert set(load_index(out).records) == {"Q10"}
+
+    @pytest.mark.parametrize("raw", ["20201228", "2020-W53-1"])
+    def test_non_iso_snapshot_date_is_a_usage_error(self, raw, capsys):
+        code = dispatch(["index-wikidata", "--dump", "x", "--snapshot-date", raw, "--output", "y"])
+        assert code == 2
+        assert "--snapshot-date" in capsys.readouterr().err
 
     def test_bad_snapshot_date_is_a_usage_error(self, tmp_path):
         code = dispatch(
@@ -767,3 +766,98 @@ class TestCoverage:
             ["coverage", "--usage", f"a={bad}", "--usage", f"b={bad}"]
         )
         assert code == 1
+
+
+# -- hostile input: one `error:` line and exit 1, never a traceback ----------
+
+def _index_file(snapshot_date="2020-12-28", **statement):
+    header = {"format_version": 1, "snapshot_date": snapshot_date, "record_count": 1}
+    statement = {"property": "P39", "value": "Q2", "start": None, "end": None, **statement}
+    record = {"qid": "Q1", "label": "Jane Roe", "aliases": [], "sitelinks": 1,
+              "statements": [statement]}
+    return json.dumps(header) + "\n" + json.dumps(record) + "\n"
+
+
+def _config(**fields):
+    return json.dumps({"datasets": [], "split": {"mode": "random"}, **fields})
+
+
+def _span(**fields):
+    span = {"start": 0, "end": 8, "tag": "PER", "text": "Jane Roe", **fields}
+    return json.dumps({"doc_id": "d1", "spans": [span]}) + "\n"
+
+
+_EXPERIMENT = ["experiment", "--config", "{f}"]
+_MASK_ANNOTATED = ["mask", "--corpus", "{corpus}", "--annotations", "{f}", "--policy", "no-mask",
+                   "--output", "-"]
+_MASK_INDEXED = ["mask", "--corpus", "{corpus}", "--policy", "wikid", "--index", "{f}",
+                 "--output", "-"]
+_INGEST = ["ingest", "--input", "{f}", "--output", "-"]
+_TOP_LABELS = ["coverage", "--usage", "a={f}", "--top-k", "1"]
+
+# (file contents, argv, what the error line must name)
+HOSTILE = [
+    pytest.param("[1]", _EXPERIMENT, "hostile: expected a JSON object", id="config-not-an-object"),
+    pytest.param(_config(datasets=5), _EXPERIMENT, "hostile: bad 'datasets'",
+                 id="config-datasets-not-a-list"),
+    pytest.param(_config(datasets=["c"]), _EXPERIMENT, "hostile: datasets[0]",
+                 id="config-dataset-a-string"),
+    pytest.param(_config(split="random"), _EXPERIMENT, "hostile: split",
+                 id="config-split-a-string"),
+    pytest.param(_config(split={"mode": "bogus"}), _EXPERIMENT, "split: bad 'mode'",
+                 id="config-split-mode"),
+    pytest.param(_config(split={"mode": "time", "boundary_date": "2020-13-01"}), _EXPERIMENT,
+                 "split: bad 'boundary_date'", id="config-boundary-date"),
+    pytest.param(_config(split={"mode": "time", "boundary_date": "20200101"}), _EXPERIMENT,
+                 "split: bad 'boundary_date'", id="config-compact-boundary-date"),
+    pytest.param(_config(split={"mode": "random", "train_fraction": [0.8]}), _EXPERIMENT,
+                 "split: bad 'train_fraction'", id="config-train-fraction"),
+    pytest.param(_config(resolve_mode="sideways"), _EXPERIMENT, "hostile: bad 'resolve_mode'",
+                 id="config-resolve-mode"),
+    pytest.param(_config(policies=5), _EXPERIMENT, "hostile: bad 'policies'",
+                 id="config-policies-not-a-list"),
+    pytest.param(_config(features={"orders": ["x"]}), _EXPERIMENT, "features: bad 'orders'",
+                 id="config-orders"),
+    pytest.param(_config(features={"dimensions": 1e400}), _EXPERIMENT,
+                 "features: bad 'dimensions'", id="config-dimensions"),
+    pytest.param(_config(training=[1]), _EXPERIMENT, "hostile: training",
+                 id="config-training-not-an-object"),
+    pytest.param(_span(start="0"), _MASK_ANNOTATED, "line 1:", id="span-string-offset"),
+    pytest.param(_span(end=True), _MASK_ANNOTATED, "line 1:", id="span-bool-offset"),
+    pytest.param('{"doc_id": "d1", "spans": ["start end tag text"]}\n', _MASK_ANNOTATED,
+                 "line 1:", id="span-not-an-object"),
+    pytest.param('{"doc_id": "d1", "spans": 5}\n', _MASK_ANNOTATED, "line 1:",
+                 id="spans-not-a-list"),
+    pytest.param('{"doc_id": ["d1"]}\n', _MASK_ANNOTATED, "line 1:", id="doc-id-not-a-string"),
+    pytest.param('{"id": "a", "text": "x", "label": "real", "source": 5}\n', _INGEST,
+                 "line 1:", id="corpus-source-not-a-string"),
+    pytest.param('{"id": "a", "text": "x", "label": "real", "date": "20200101"}\n', _INGEST,
+                 "line 1:", id="corpus-compact-date"),
+    pytest.param('{"id": "a", "text": "x", "label": "real", "date": "2020-W01-1"}\n', _INGEST,
+                 "line 1:", id="corpus-week-date"),
+    pytest.param(_index_file(value=5), _MASK_INDEXED, "hostile: malformed index record at line 2",
+                 id="index-statement-value-not-a-qid"),
+    pytest.param(_index_file(start="20200101"), _MASK_INDEXED,
+                 "hostile: malformed index record at line 2", id="index-compact-statement-date"),
+    pytest.param(_index_file(snapshot_date="20201228"), _MASK_INDEXED,
+                 "hostile: malformed index header", id="index-compact-snapshot-date"),
+    pytest.param("token\tcount\nQ1\t0\n", _TOP_LABELS, "hostile line 2", id="usage-zero-count"),
+    pytest.param("token\tcount\nQ1\t-2\n", _TOP_LABELS, "hostile line 2",
+                 id="usage-negative-count"),
+    pytest.param("token\tcount\nQ1\t2\n", ["coverage", "--usage", "a={f}", "--top-k", "-1"],
+                 "k must be >= 1", id="coverage-negative-top-k-without-index"),
+]
+
+
+@pytest.mark.parametrize("contents, argv, names", HOSTILE)
+def test_hostile_input_exits_1_with_one_error_line(tmp_path, capsys, contents, argv, names):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "d1", "text": "Jane Roe spoke.", "label": "real"}\n')
+    hostile = tmp_path / "hostile"
+    hostile.write_text(contents, encoding="utf-8")
+    code = dispatch([arg.format(f=hostile, corpus=corpus) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert names in err

@@ -20,6 +20,7 @@ from diamask import (
     split_by_time,
     split_random,
 )
+from diamask.corpus import iso_date
 
 from helpers import random_corpus
 
@@ -153,6 +154,18 @@ class TestLoadCorpus:
         write_jsonl(path, [{"id": "a", "text": "x", "label": "real", "date": "03/01/2020"}])
         with pytest.raises(DataError, match="line 1"):
             load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["20200101", "2020-W01-1", "2020-1-01", "2020-01-01T00:00", " 2020-01-01",
+         "2020-01-01\n", "\u0662020-01-01", "2020-02-30", "", 20200101],
+    )
+    def test_iso_date_accepts_only_yyyy_mm_dd(self, raw):
+        with pytest.raises(ValueError):
+            iso_date(raw)
+
+    def test_iso_date_parses_yyyy_mm_dd(self):
+        assert iso_date("2020-02-29") == date(2020, 2, 29)
 
     def test_explicit_name_overrides_stem(self, tmp_path):
         path = tmp_path / "c.jsonl"

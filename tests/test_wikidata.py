@@ -1,3 +1,4 @@
+import gc
 import gzip
 import io
 import json
@@ -13,7 +14,6 @@ from diamask import (
     DataError,
     EntityIndex,
     EntityRecord,
-    LabelSource,
     ResolveMode,
     RoleProperty,
     Statement,
@@ -55,7 +55,6 @@ class TestStatement:
                 value_qid="Q1",
                 start_date=date(2020, 1, 1),
                 end_date=date(2010, 1, 1),
-                dump_order=0,
             )
 
     def test_valid_at_respects_open_ranges(self):
@@ -64,7 +63,6 @@ class TestStatement:
             value_qid="Q1",
             start_date=date(2014, 5, 26),
             end_date=None,
-            dump_order=0,
         )
         assert not s.valid_at(date(2014, 5, 25))
         assert s.valid_at(date(2014, 5, 26))
@@ -74,7 +72,6 @@ class TestStatement:
             value_qid="Q1",
             start_date=None,
             end_date=None,
-            dump_order=0,
         )
         assert undated.valid_at(date(1900, 1, 1))
 
@@ -87,7 +84,6 @@ class TestIndexDump:
 
     def test_statement_extraction_preserves_dump_order(self, modi_index):
         statements = modi_index.records["Q1165"].statements
-        assert [s.dump_order for s in statements] == [0, 1, 2]
         assert [(s.property, s.value_qid) for s in statements] == [
             (RoleProperty.POSITION_HELD, "Q22337580"),
             (RoleProperty.POSITION_HELD, "Q192045"),
@@ -206,6 +202,16 @@ class TestIndexDump:
         data = gzip.compress(("\n".join(modi_dump_lines()) + "\n").encode("utf-8"))
         assert len(index_dump(io.BytesIO(data), SNAPSHOT)) == 3
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("wrap", [io.BytesIO, lambda b: io.BufferedReader(io.BytesIO(b))],
+                             ids=["bytesio", "buffered"])
+    def test_caller_stream_stays_open(self, compress, wrap):
+        data = ("\n".join(modi_dump_lines()) + "\n").encode("utf-8")
+        stream = wrap(gzip.compress(data) if compress else data)
+        assert len(index_dump(stream, SNAPSHOT)) == 3
+        gc.collect()  # a wrapper left attached would close the stream when collected
+        assert not stream.closed
+
     def test_empty_dump_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="diamask.wikidata"):
             index = index_of([""])
@@ -288,6 +294,9 @@ class TestSaveLoad:
             ("label", None),
             ("aliases", "Modi"),
             ("aliases", ["Modi", 3]),
+            ("statements", [{"property": "P39", "value": 5, "start": None, "end": None}]),
+            ("statements", [{"property": "P39", "value": "Q2", "start": "2020-01-01",
+                             "end": "2010-01-01"}]),
         ],
     )
     def test_bad_record_field_names_line(self, tmp_path, modi_index, field, value):
@@ -341,22 +350,22 @@ class TestResolve:
     def test_dump_order_prefers_first_position_held(self, modi_index):
         resolved = resolve_person_label(modi_index, "Modi")
         assert resolved.token == "Q22337580"
-        assert resolved.source is LabelSource.POSITION_HELD
+        assert resolved.source is RoleProperty.POSITION_HELD
 
     def test_dump_order_falls_back_to_occupation(self, modi_index):
         resolved = resolve_person_label(modi_index, "Douglas Adams")
         assert resolved.token == "Q36180"
-        assert resolved.source is LabelSource.OCCUPATION
+        assert resolved.source is RoleProperty.OCCUPATION
 
     def test_unknown_person_gets_generic_token(self, modi_index):
         resolved = resolve_person_label(modi_index, "Cleopatra")
         assert resolved.token == FALLBACK_PERSON_TOKEN
-        assert resolved.source is LabelSource.FALLBACK_PER
+        assert resolved.source is None
 
     def test_temporal_prefers_position_valid_at_snapshot(self, modi_index):
         resolved = resolve_person_label(modi_index, "Modi", ResolveMode.TEMPORAL)
         assert resolved.token == "Q192045"
-        assert resolved.source is LabelSource.POSITION_HELD
+        assert resolved.source is RoleProperty.POSITION_HELD
 
     def test_temporal_latest_start_wins(self):
         entity = make_entity(
@@ -393,7 +402,7 @@ class TestResolve:
         index = index_of([entity_line(entity)])
         resolved = resolve_person_label(index, "Jane Roe", ResolveMode.TEMPORAL)
         assert resolved.token == "Q100"
-        assert resolved.source is LabelSource.POSITION_HELD
+        assert resolved.source is RoleProperty.POSITION_HELD
 
 
 class TestCoverage:
@@ -466,7 +475,6 @@ def person(qid, label, aliases=(), sitelinks=1, occupation="Q2"):
                 value_qid=occupation,
                 start_date=None,
                 end_date=None,
-                dump_order=0,
             ),
         ),
         sitelink_count=sitelinks,
@@ -515,7 +523,7 @@ _DATES = st.sampled_from([None, date(2019, 1, 1), date(2020, 6, 1), date(2021, 6
 @st.composite
 def _statements(draw):
     out = []
-    for order in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         start, end = draw(_DATES), draw(_DATES)
         if start and end and start > end:
             start, end = end, start
@@ -525,7 +533,6 @@ def _statements(draw):
                 value_qid=draw(st.sampled_from(["Q100", "Q101", "Q102"])),
                 start_date=start,
                 end_date=end,
-                dump_order=order,
             )
         )
     return tuple(out)
