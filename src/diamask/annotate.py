@@ -18,11 +18,12 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document
-from .errors import DataError
+from .errors import DataError, numbered_lines
 from .wikidata import _normalize
 
 __all__ = [
@@ -127,7 +128,7 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
     by_doc: dict[str, list[NeSpan]] = {}
     known_ids = {doc.id for doc in corpus}
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             line = line.strip()
             if not line:
                 continue
@@ -207,7 +208,7 @@ class Gazetteer:
             entries[key] = tag
         return cls(entries=entries)
 
-    @property
+    @cached_property
     def max_tokens(self) -> int:
         return max((key.count(" ") + 1 for key in self.entries), default=0)
 
@@ -216,7 +217,7 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     """Read a TSV gazetteer: one `name<TAB>tag` per line, '#' comments allowed."""
     pairs = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue

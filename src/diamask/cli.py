@@ -31,7 +31,7 @@ from .corpus import (
     split_by_time,
     split_random,
 )
-from .errors import DataError
+from .errors import DataError, not_utf8, numbered_lines
 from .experiment import (
     DatasetBundle,
     FeatureSpace,
@@ -244,6 +244,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8(where, exc) from None
     bundles = []
     indexes = {}
     for i, entry in enumerate(_field(where, config, "datasets", tuple)):
@@ -303,7 +305,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _read_usage(path: str) -> Counter[str]:
     counts: Counter[str] = Counter()
     with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             line = line.rstrip("\n")
             if not line or (lineno == 1 and line.startswith("token\t")):
                 continue
@@ -321,7 +323,7 @@ def _read_usage(path: str) -> Counter[str]:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    if len(args.usage) < 2 and not (len(args.usage) == 1 and args.top_k):
+    if len(args.usage) < 2 and not (len(args.usage) == 1 and args.top_k is not None):
         raise _UsageError("--usage must be given at least twice (NAME=PATH each)")
     named: list[tuple[str, dict[str, int]]] = []
     for spec in args.usage:
@@ -340,7 +342,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
             for _, tokens_b in named:
                 row.append(f"{coverage_rate(tokens_a, tokens_b):.1f}")
             lines.append("\t".join(row))
-    if args.top_k:
+    if args.top_k is not None:
         index = load_index(args.index) if args.index else None
         if lines:
             lines.append("")

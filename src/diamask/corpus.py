@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError
+from .errors import DataError, numbered_lines
 
 __all__ = [
     "Label",
@@ -135,7 +135,7 @@ def load_corpus(
     docs: list[Document] = []
     seen: set[str] = set()
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             line = line.strip()
             if not line:
                 continue

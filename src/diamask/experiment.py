@@ -13,14 +13,15 @@ continuity-corrected chi-square with one degree of freedom. Multiple
 comparisons against the same baseline are Bonferroni-adjusted.
 
 Documents are featurized into CSR rows (numpy indptr/indices/data); training
-reads its samples from the rows and evaluation scores a whole slice in one
-vectorized pass that adds terms in the same order as a scalar loop.
+reads its samples from the rows. Evaluation forms every term weight * count
+of a slice in one vectorized product, then adds each row's terms to the bias
+one at a time, left to right, as the scalar score does.
 
-run_matrix ties it together: each dataset is masked and featurized once per
-policy (train, test and full slices are row selections of that), then for
-every (training dataset, policy) pair it trains and evaluates in-domain and
-on every other dataset, and scores each masked policy against the no-mask
-baseline per cell.
+run_matrix ties it together: each dataset is split and its gold labels read
+once; under each policy its documents are masked and featurized once (train,
+test and full slices are row selections of that), then for every (training
+dataset, policy) pair it trains and evaluates in-domain and on every other
+dataset, and scores each masked policy against the no-mask baseline per cell.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ import numpy as np
 from .analysis import extract_ngrams, tokenize
 from .annotate import AnnotatedDocument, NeSpan, NeTag
 from .corpus import Corpus, Document, Label, SplitMode, SplitSpec, split_by_time, split_random
-from .errors import DataError
-from .masking import MaskPolicy, mask_corpus
+from .errors import DataError, not_utf8
+# mask_corpus is unused here; perfbench's tracer test reads diamask.experiment.mask_corpus
+from .masking import MaskPolicy, apply_mask, mask_corpus  # noqa: F401
 from .wikidata import (
     EntityIndex,
     EntityRecord,
@@ -149,9 +151,6 @@ class _Rows:
             data=np.array(data, dtype=np.float64),
         )
 
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
     def take(self, rows: np.ndarray) -> "_Rows":
         """The given rows, in the given order."""
         starts = self.indptr[rows]
@@ -166,29 +165,19 @@ def _featurize_rows(texts: Iterable[str], space: FeatureSpace, memo: dict[str, i
 
 
 def _score_rows(weights: np.ndarray, bias: float, rows: _Rows) -> np.ndarray:
-    """Every row's score bias + sum(weights[idx] * cnt), added left to right
-    within the row, so each equals the scalar loop bit for bit.
-
-    Rows are sorted longest first and their terms laid out column by column:
-    column j holds the j-th term of every row longer than j, and those rows
-    are a prefix of the sorted order. One vector add per column then
-    advances every row by one term. np.add.reduceat would sum pairwise and
-    change the last bits. Scratch memory is O(nnz).
-    """
-    by_length = np.argsort(-np.diff(rows.indptr), kind="stable")
-    rows = rows.take(by_length)
-    row = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
-    col = np.arange(len(row)) - rows.indptr[row]
-    active = np.bincount(col)  # rows longer than j: a prefix of the sorted rows
-    col_start = np.cumsum(active) - active
-    terms = np.empty(len(row), dtype=np.float64)
-    terms[col_start[col] + row] = weights[rows.indices] * rows.data
-    acc = np.full(len(rows), bias, dtype=np.float64)
-    for start, n in zip(col_start.tolist(), active.tolist()):
-        acc[:n] += terms[start : start + n]
-    scores = np.empty_like(acc)
-    scores[by_length] = acc
-    return scores
+    """Every row's score: bias, then each term weights[idx] * cnt added one at
+    a time in row order, so each equals the scalar loop bit for bit. Not
+    sum(), which adds floats with compensation from Python 3.12 on, and not
+    np.add.reduceat, which adds pairwise."""
+    terms = (weights[rows.indices] * rows.data).tolist()
+    bounds = rows.indptr.tolist()
+    scores = []
+    for a, b in zip(bounds, bounds[1:]):
+        score = bias
+        for term in terms[a:b]:
+            score += term
+        scores.append(score)
+    return np.array(scores, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +352,8 @@ def load_model(path: str | Path) -> Model:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError:
         raise DataError(f"{path}: malformed model file") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     if not isinstance(obj, dict) or obj.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format")
     try:
@@ -566,18 +557,20 @@ class MatrixReport:
         return "\n".join(lines) + "\n"
 
 
-def _split_rows(bundle: DatasetBundle, split: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in bundle.docs of the split's train and test sides, each
-    in split order."""
+def _split_rows(
+    bundle: DatasetBundle, split: SplitSpec
+) -> tuple[tuple[np.ndarray, list[Label]], ...]:
+    """(positions in bundle.docs, gold labels) of the split's train side and
+    test side, each in split order, and of the whole dataset."""
     corpus = bundle.corpus()
     if split.mode is SplitMode.RANDOM_HOLDOUT:
-        train_c, test_c = split_random(corpus, split)
+        sides = split_random(corpus, split)
     else:
-        train_c, test_c = split_by_time(corpus, split)
+        sides = split_by_time(corpus, split)
     row_of = {doc.id: r for r, doc in enumerate(corpus)}
-    return (
-        np.array([row_of[doc.id] for doc in train_c], dtype=np.int64),
-        np.array([row_of[doc.id] for doc in test_c], dtype=np.int64),
+    return tuple(
+        (np.array([row_of[doc.id] for doc in side], dtype=np.int64), side.labels())
+        for side in (*sides, corpus)
     )
 
 
@@ -618,30 +611,27 @@ def run_matrix(
         if any(p.requires_index for p in policies) and indexes.get(bundle.name) is None:
             raise DataError(f"dataset {bundle.name!r} has no entity index but a policy needs one")
     m = max(1, len(policies) - 1)
-    splits = {b.name: _split_rows(b, split) for b in datasets}
+    # name -> (positions, gold labels) of its train, test and full slices
+    slices = {b.name: _split_rows(b, split) for b in datasets}
     memo: dict[str, int] = {}  # phrase -> bucket, for this call's space only
     results: dict[tuple[str, str, MaskPolicy], EvalCell] = {}
     for policy in policies:
-        # name -> (rows, gold labels) of each slice, masked under this policy
-        train_sides: dict[str, tuple[_Rows, list[Label]]] = {}
-        test_sides: dict[str, tuple[_Rows, list[Label]]] = {}
-        full_sides: dict[str, tuple[_Rows, list[Label]]] = {}
-        for bundle in datasets:
-            masked, _ = mask_corpus(
-                bundle.docs, policy, indexes.get(bundle.name), resolve_mode, name=bundle.name
+        # name -> rows of every document of the dataset, masked under this policy
+        rows = {
+            b.name: _featurize_rows(
+                (apply_mask(doc, policy, indexes.get(b.name), resolve_mode).text for doc in b.docs),
+                space,
+                memo,
             )
-            rows = _featurize_rows((doc.text for doc in masked), space, memo)
-            gold = masked.labels()
-            train_sel, test_sel = splits[bundle.name]
-            train_sides[bundle.name] = rows.take(train_sel), [gold[r] for r in train_sel]
-            test_sides[bundle.name] = rows.take(test_sel), [gold[r] for r in test_sel]
-            full_sides[bundle.name] = rows, gold
+            for b in datasets
+        }
         for train_name in names:
-            model = _fit(*train_sides[train_name], train_name, space, config)
+            sel, gold = slices[train_name][0]
+            model = _fit(rows[train_name].take(sel), gold, train_name, space, config)
             for eval_name in names:
-                sides = full_sides if ood_full and eval_name != train_name else test_sides
+                sel, gold = slices[eval_name][2 if ood_full and eval_name != train_name else 1]
                 results[(train_name, eval_name, policy)] = _evaluate_rows(
-                    model, *sides[eval_name], eval_name, policy
+                    model, rows[eval_name].take(sel), gold, eval_name, policy
                 )
             # free this model's weights before the next one is allocated
             del model

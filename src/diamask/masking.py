@@ -93,6 +93,8 @@ def _span_action(
     resolve_mode: ResolveMode,
 ) -> str:
     """What to splice in for one span: _KEEP, _DELETE, or a replacement."""
+    if policy is MaskPolicy.NO_MASK:
+        return _KEEP
     if policy is MaskPolicy.NE_DEL:
         return _DELETE
     if policy is MaskPolicy.BASIC_NER:
@@ -146,11 +148,6 @@ def apply_mask(
     if policy.requires_index and index is None:
         raise DataError(f"policy {policy.value!r} requires an entity index")
     text = doc.document.text
-    if policy is MaskPolicy.NO_MASK:
-        replacements = tuple((span, None) for span in doc.spans)
-        return MaskedDocument(
-            original_id=doc.document.id, policy=policy, text=text, replacements=replacements
-        )
     pieces: list[str] = []
     out_len = 0
     junctions: list[int] = []

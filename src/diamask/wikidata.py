@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 from .corpus import iso_date
-from .errors import DataError
+from .errors import DataError, numbered_lines
 
 __all__ = [
     "RoleProperty",
@@ -312,8 +312,9 @@ def index_dump(
     strict. An empty result is valid but logged as a warning.
     """
     index = EntityIndex(snapshot_date=snapshot_date)
+    where = source if isinstance(source, (str, Path)) else "dump"
     with _open_dump(source) as lines:
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in numbered_lines(lines, where):
             line = line.strip()
             if not line or line in ("[", "]"):
                 continue
@@ -380,7 +381,8 @@ def save_index(index: EntityIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> EntityIndex:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        header_line = fh.readline()
+        lines = numbered_lines(fh, path)
+        _, header_line = next(lines, (1, ""))
         try:
             header = json.loads(header_line)
         except json.JSONDecodeError:
@@ -397,7 +399,7 @@ def load_index(path: str | Path) -> EntityIndex:
         except (KeyError, ValueError, TypeError):
             raise DataError(f"{path}: malformed index header fields") from None
         index = EntityIndex(snapshot_date=snapshot)
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in lines:
             line = line.strip()
             if not line:
                 continue

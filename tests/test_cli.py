@@ -794,6 +794,8 @@ _MASK_INDEXED = ["mask", "--corpus", "{corpus}", "--policy", "wikid", "--index",
                  "--output", "-"]
 _INGEST = ["ingest", "--input", "{f}", "--output", "-"]
 _TOP_LABELS = ["coverage", "--usage", "a={f}", "--top-k", "1"]
+_INDEX_DUMP = ["index-wikidata", "--dump", "{f}", "--snapshot-date", "2020-12-28",
+               "--output", "{corpus}.idx"]
 
 # (file contents, argv, what the error line must name)
 HOSTILE = [
@@ -846,6 +848,32 @@ HOSTILE = [
                  id="usage-negative-count"),
     pytest.param("token\tcount\nQ1\t2\n", ["coverage", "--usage", "a={f}", "--top-k", "-1"],
                  "k must be >= 1", id="coverage-negative-top-k-without-index"),
+    pytest.param("token\tcount\nQ1\t2\n", ["coverage", "--usage", "a={f}", "--top-k", "0"],
+                 "k must be >= 1", id="coverage-zero-top-k"),
+    pytest.param("token\tcount\nQ1\t2\n",
+                 ["coverage", "--usage", "a={f}", "--usage", "b={f}", "--top-k", "0"],
+                 "k must be >= 1", id="coverage-zero-top-k-two-reports"),
+    # bytes rows are written as they are: a byte that is not UTF-8, a cut gzip stream
+    pytest.param(b'{"id": "a", "text": "x", "label": "real"}\n{"id": "b", "text": "\xff"}\n',
+                 _INGEST, "hostile line 2: not UTF-8", id="corpus-not-utf8"),
+    pytest.param(b'{"doc_id": "d1", "spans": []}\n\n{"doc_id": "\xff"}\n', _MASK_ANNOTATED,
+                 "hostile line 3: not UTF-8", id="annotations-not-utf8"),
+    pytest.param(_index_file().encode().replace(b"Jane", b"J\xffne"), _MASK_INDEXED,
+                 "hostile line 2: not UTF-8", id="index-not-utf8"),
+    pytest.param(b"Jane Roe\tPER\n\xff\tLOC\n",
+                 ["tag", "--corpus", "{corpus}", "--gazetteer", "{f}", "--output", "{corpus}.out"],
+                 "hostile line 2: not UTF-8", id="gazetteer-not-utf8"),
+    pytest.param(b"token\tcount\nQ\xff\t2\n", _TOP_LABELS, "hostile line 2: not UTF-8",
+                 id="usage-not-utf8"),
+    pytest.param(b'{"format_version": 1,\n "train_set": "\xff"}\n',
+                 ["eval", "--model", "{f}", "--corpus", "{corpus}"],
+                 "hostile line 2: not UTF-8", id="model-not-utf8"),
+    pytest.param(b'{"datasets": [],\n\n "split": "\xff"}', _EXPERIMENT,
+                 "hostile line 3: not UTF-8", id="config-not-utf8"),
+    pytest.param(b'{"id": "Q1"}\n\xff\n', _INDEX_DUMP, "hostile line 2: not UTF-8",
+                 id="dump-not-utf8"),
+    pytest.param(bytes.fromhex("1f8b0800"), _INDEX_DUMP,
+                 "hostile line 1: compressed data ends early", id="dump-truncated-gzip"),
 ]
 
 
@@ -854,10 +882,23 @@ def test_hostile_input_exits_1_with_one_error_line(tmp_path, capsys, contents, a
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "d1", "text": "Jane Roe spoke.", "label": "real"}\n')
     hostile = tmp_path / "hostile"
-    hostile.write_text(contents, encoding="utf-8")
+    if isinstance(contents, bytes):
+        hostile.write_bytes(contents)
+    else:
+        hostile.write_text(contents, encoding="utf-8")
     code = dispatch([arg.format(f=hostile, corpus=corpus) for arg in argv])
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert names in err
+
+
+def test_bad_byte_past_the_first_chunk_names_its_line(tmp_path, capsys):
+    # a text file decodes 8 KiB ahead of the line it hands out
+    lines = [b'{"id": "d%03d", "text": "x", "label": "real"}\n' % i for i in range(700)]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"".join(lines) + b'{"id": "bad", "text": "\xff", "label": "real"}\n')
+    assert corpus.stat().st_size > 3 * 8192
+    assert dispatch(["ingest", "--input", str(corpus), "--output", "-"]) == 1
+    assert capsys.readouterr().err == f"error: {corpus} line 701: not UTF-8 (byte 0xff)\n"

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import random
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamask import (
+    AnnotatedDocument,
     Corpus,
     DataError,
     DatasetBundle,
@@ -18,6 +21,7 @@ from diamask import (
     Label,
     MaskPolicy,
     Model,
+    NeSpan,
     NeTag,
     SplitMode,
     SplitSpec,
@@ -29,10 +33,12 @@ from diamask import (
     resolve_person_label,
     run_matrix,
     save_model,
+    split_random,
     synth_diachronic_corpus,
     train,
 )
-from diamask.experiment import _Rows, _score_rows, mask_corpus
+from diamask.experiment import _Rows, _score_rows
+from diamask.masking import mask_corpus
 
 from helpers import (
     SYNTH_A,
@@ -502,7 +508,70 @@ def small_world(seed=5, n_docs=100, n_persons=4):
 SPLIT = SplitSpec(mode=SplitMode.RANDOM_HOLDOUT, train_fraction=0.8, seed=3)
 
 
+def mixed_world(seed=11):
+    """small_world with a LOC and an ORG span appended to every document,
+    each leaning toward the document's label, and an unindexed person (the
+    PER fallback) appended to some, so all six policies mask differently."""
+    _, bundles, indexes = small_world(seed=seed)
+    rng = random.Random(seed)
+    extra = {
+        NeTag.LOC: {Label.FAKE: "Oslo", Label.REAL: "Lima"},
+        NeTag.ORG: {Label.FAKE: "Acme Corp", Label.REAL: "Globex"},
+    }
+
+    def extend(ann):
+        doc, spans, text = ann.document, list(ann.spans), ann.document.text
+        appended = [(tag, names[doc.label if rng.random() < 0.8 else rng.choice(list(Label))])
+                    for tag, names in extra.items()]
+        if rng.random() < 0.3:
+            appended.append((NeTag.PER, "Zed Nobody"))
+        for tag, surface in appended:
+            text += " near "
+            spans.append(NeSpan(start=len(text), end=len(text) + len(surface), tag=tag,
+                                surface=surface))
+            text += surface
+        return AnnotatedDocument(document=replace(doc, text=text), spans=tuple(spans))
+
+    bundles = [DatasetBundle(name=b.name, docs=tuple(map(extend, b.docs))) for b in bundles]
+    return bundles, indexes
+
+
 class TestRunMatrix:
+    @pytest.mark.parametrize("ood_full", [False, True])
+    def test_cells_match_train_and_evaluate_on_masked_corpora(self, ood_full):
+        bundles, indexes = mixed_world()
+        policies = tuple(MaskPolicy)
+        report = run_matrix(
+            bundles, policies, indexes, SPLIT, space=SMALL_SPACE, ood_full=ood_full
+        )
+        expected = {}
+        masked_texts = set()
+        for policy in policies:
+            masked = {
+                b.name: mask_corpus(b.docs, policy, indexes[b.name], name=b.name)[0]
+                for b in bundles
+            }
+            masked_texts.add(tuple(doc.text for c in masked.values() for doc in c))
+            sides = {name: split_random(c, SPLIT) for name, c in masked.items()}
+            for train_name, (train_c, _) in sides.items():
+                model = train(train_c, SMALL_SPACE)
+                for eval_name, (_, test_c) in sides.items():
+                    full = ood_full and eval_name != train_name
+                    ev = evaluate(model, masked[eval_name] if full else test_c)
+                    expected[(train_name, eval_name, policy)] = ev
+        # every policy, the WikiD family included, masks this data differently
+        assert len(masked_texts) == len(policies)
+        for cell in report.cells:
+            ev = expected[(cell.train_set, cell.test_set, cell.policy)]
+            assert (cell.accuracy, cell.n_test) == (ev.accuracy, ev.n)
+            if cell.policy is MaskPolicy.NO_MASK:
+                continue
+            base = expected[(cell.train_set, cell.test_set, MaskPolicy.NO_MASK)]
+            pairs = list(zip(ev.gold, base.predictions, ev.predictions))
+            b = sum(pb is g and pc is not g for g, pb, pc in pairs)
+            c = sum(pc is g and pb is not g for g, pb, pc in pairs)
+            assert (cell.mcnemar.b, cell.mcnemar.c) == (b, c)
+
     def test_shape_and_ordering(self):
         _, bundles, indexes = small_world()
         report = run_matrix(
