@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document
-from .errors import DataError, numbered_lines
+from .errors import DataError, at_line, numbered_lines
 from .wikidata import _normalize
 
 __all__ = [
@@ -132,35 +132,34 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: malformed JSON ({exc.msg})") from None
-            if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
-                raise DataError(f"line {lineno}: expected an object with a string 'doc_id'")
-            doc_id = record["doc_id"]
-            if doc_id not in known_ids:
-                raise DataError(f"line {lineno}: unknown document id {doc_id!r}")
-            spans = by_doc.setdefault(doc_id, [])
-            raw_spans = record.get("spans", [])
-            if not (isinstance(raw_spans, list) and all(isinstance(r, dict) for r in raw_spans)):
-                raise DataError(f"line {lineno}: spans for {doc_id!r} must be a list of objects")
-            for raw in raw_spans:
-                for field in ("start", "end", "tag", "text"):
-                    if field not in raw:
-                        raise DataError(
-                            f"line {lineno}: span for {doc_id!r} missing field {field!r}"
+            with at_line(path, lineno):
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"malformed JSON ({exc.msg})") from None
+                if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
+                    raise DataError("expected an object with a string 'doc_id'")
+                doc_id = record["doc_id"]
+                if doc_id not in known_ids:
+                    raise DataError(f"unknown document id {doc_id!r}")
+                spans = by_doc.setdefault(doc_id, [])
+                raw_spans = record.get("spans", [])
+                if not isinstance(raw_spans, list) or any(type(r) is not dict for r in raw_spans):
+                    raise DataError(f"spans for {doc_id!r} must be a list of objects")
+                for raw in raw_spans:
+                    for field in ("start", "end", "tag", "text"):
+                        if field not in raw:
+                            raise DataError(f"span for {doc_id!r} missing field {field!r}")
+                    if type(raw["start"]) is not int or type(raw["end"]) is not int:
+                        raise DataError(f"span offsets for {doc_id!r} must be integers")
+                    spans.append(
+                        NeSpan(
+                            start=raw["start"],
+                            end=raw["end"],
+                            tag=NeTag.parse(raw["tag"]),
+                            surface=raw["text"],
                         )
-                if type(raw["start"]) is not int or type(raw["end"]) is not int:
-                    raise DataError(f"line {lineno}: span offsets for {doc_id!r} must be integers")
-                spans.append(
-                    NeSpan(
-                        start=raw["start"],
-                        end=raw["end"],
-                        tag=NeTag.parse(raw["tag"]),
-                        surface=raw["text"],
                     )
-                )
     out: list[AnnotatedDocument] = []
     total_dropped = 0
     for doc in corpus:
@@ -200,32 +199,34 @@ class Gazetteer:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, NeTag]]) -> "Gazetteer":
-        entries: dict[str, NeTag] = {}
-        for name, tag in pairs:
-            key = _normalize(name)
-            if not key:
-                raise DataError("gazetteer entry with empty name")
-            entries[key] = tag
-        return cls(entries=entries)
+        return cls(entries={_gazetteer_key(name): tag for name, tag in pairs})
 
     @cached_property
     def max_tokens(self) -> int:
         return max((key.count(" ") + 1 for key in self.entries), default=0)
 
 
+def _gazetteer_key(name: str) -> str:
+    key = _normalize(name)
+    if not key:
+        raise DataError("gazetteer entry with empty name")
+    return key
+
+
 def load_gazetteer(path: str | Path) -> Gazetteer:
     """Read a TSV gazetteer: one `name<TAB>tag` per line, '#' comments allowed."""
-    pairs = []
+    entries: dict[str, NeTag] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in numbered_lines(fh, path):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"line {lineno}: expected 'name<TAB>tag'")
-            pairs.append((parts[0], NeTag.parse(parts[1])))
-    return Gazetteer.from_pairs(pairs)
+            with at_line(path, lineno):
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise DataError("expected 'name<TAB>tag'")
+                entries[_gazetteer_key(parts[0])] = NeTag.parse(parts[1])
+    return Gazetteer(entries=entries)
 
 
 # Word runs for boundary detection: alphanumerics glued by single internal

@@ -31,7 +31,7 @@ from .corpus import (
     split_by_time,
     split_random,
 )
-from .errors import DataError, not_utf8, numbered_lines
+from .errors import DataError, at_line, not_utf8, numbered_lines
 from .experiment import (
     DatasetBundle,
     FeatureSpace,
@@ -309,16 +309,17 @@ def _read_usage(path: str) -> Counter[str]:
             line = line.rstrip("\n")
             if not line or (lineno == 1 and line.startswith("token\t")):
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path} line {lineno}: expected 'token<TAB>count'")
-            try:
-                count = int(parts[1])
-            except ValueError:
-                raise DataError(f"{path} line {lineno}: bad count {parts[1]!r}") from None
-            if count < 1:
-                raise DataError(f"{path} line {lineno}: count must be positive, got {count}")
-            counts[parts[0]] += count
+            with at_line(path, lineno):
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise DataError("expected 'token<TAB>count'")
+                try:
+                    count = int(parts[1])
+                except ValueError:
+                    raise DataError(f"bad count {parts[1]!r}") from None
+                if count < 1:
+                    raise DataError(f"count must be positive, got {count}")
+                counts[parts[0]] += count
     return counts
 
 

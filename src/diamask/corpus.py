@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError, numbered_lines
+from .errors import DataError, at_line, numbered_lines
 
 __all__ = [
     "Label",
@@ -129,7 +129,7 @@ def load_corpus(
 
     Every record needs id, text, and label. Labels parse case-insensitively.
     Empty text is rejected unless allow_empty_text is set. Malformed lines,
-    missing fields, and duplicate ids raise DataError with the line number.
+    missing fields, and duplicate ids raise DataError naming the file and line.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -139,42 +139,38 @@ def load_corpus(
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: malformed JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise DataError(f"line {lineno}: expected a JSON object")
-            for field in ("id", "text", "label"):
-                if field not in record:
-                    raise DataError(f"line {lineno}: missing field {field!r}")
-            doc_id = record["id"]
-            if not isinstance(doc_id, str) or not doc_id:
-                raise DataError(f"line {lineno}: id must be a non-empty string")
-            if doc_id in seen:
-                raise DataError(f"line {lineno}: duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-            text = record["text"]
-            if not isinstance(text, str):
-                raise DataError(f"line {lineno}: text must be a string")
-            if not text and not allow_empty_text:
-                raise DataError(f"line {lineno}: empty text for document {doc_id!r}")
-            try:
+            with at_line(path, lineno):
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"malformed JSON ({exc.msg})") from None
+                if not isinstance(record, dict):
+                    raise DataError("expected a JSON object")
+                for field in ("id", "text", "label"):
+                    if field not in record:
+                        raise DataError(f"missing field {field!r}")
+                doc_id = record["id"]
+                if not isinstance(doc_id, str) or not doc_id:
+                    raise DataError("id must be a non-empty string")
+                if doc_id in seen:
+                    raise DataError(f"duplicate document id {doc_id!r}")
+                seen.add(doc_id)
+                text = record["text"]
+                if not isinstance(text, str):
+                    raise DataError("text must be a string")
+                if not text and not allow_empty_text:
+                    raise DataError(f"empty text for document {doc_id!r}")
                 label = Label.parse(record["label"])
-                doc_date = None if record.get("date") is None else iso_date(record["date"])
-            except (DataError, ValueError) as exc:
-                raise DataError(f"line {lineno}: {exc}") from None
-            if not isinstance(record.get("source"), (str, type(None))):
-                raise DataError(f"line {lineno}: source must be a string or null")
-            docs.append(
-                Document(
-                    id=doc_id,
-                    text=text,
-                    label=label,
-                    date=doc_date,
-                    source=record.get("source"),
+                try:
+                    doc_date = None if record.get("date") is None else iso_date(record["date"])
+                except ValueError as exc:
+                    raise DataError(str(exc)) from None
+                source = record.get("source")
+                if not isinstance(source, (str, type(None))):
+                    raise DataError("source must be a string or null")
+                docs.append(
+                    Document(id=doc_id, text=text, label=label, date=doc_date, source=source)
                 )
-            )
     return Corpus(name=name or path.stem, documents=tuple(docs))
 
 

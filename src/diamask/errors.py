@@ -7,6 +7,7 @@ CLI maps DataError to exit status 1 and usage problems to exit status 2.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 
@@ -16,8 +17,10 @@ class DataError(Exception):
 
 def not_utf8(where: object, exc: UnicodeDecodeError, lines_before: int = 0) -> DataError:
     """DataError naming the line of exc's bad byte, given that the bytes
-    exc was decoding start on line lines_before + 1."""
-    line = lines_before + 1 + exc.object[: exc.start].count(b"\n")
+    exc was decoding start on line lines_before + 1. As in a file read with
+    universal newlines, each of CR LF, a bare CR and LF ends one line."""
+    head = exc.object[: exc.start]
+    line = lines_before + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
     return DataError(f"{where} line {line}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})")
 
 
@@ -40,3 +43,13 @@ def numbered_lines(lines: Iterable[str], where: object) -> Iterator[tuple[int, s
             raise DataError(f"{where} line {lineno + 1}: compressed data ends early") from None
         lineno += 1
         yield lineno, line
+
+
+@contextmanager
+def at_line(where: object, lineno: int) -> Iterator[None]:
+    """Prefix a DataError raised inside with where and the line, as
+    numbered_lines does: `<where> line <lineno>: `."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{where} line {lineno}: {exc}") from None

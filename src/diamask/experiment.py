@@ -12,10 +12,10 @@ test on the discordant counts b (baseline right, contender wrong) and c
 continuity-corrected chi-square with one degree of freedom. Multiple
 comparisons against the same baseline are Bonferroni-adjusted.
 
-Documents are featurized into CSR rows (numpy indptr/indices/data); training
-reads its samples from the rows. Evaluation forms every term weight * count
-of a slice in one vectorized product, then adds each row's terms to the bias
-one at a time, left to right, as the scalar score does.
+Documents are featurized into CSR rows (numpy indptr/indices/data). A row's
+score has one definition, _score, through which training and evaluation both
+sum; no score is summed by BLAS, whose order depends on the CPU, so models and
+reports have the same bytes on every machine.
 
 run_matrix ties it together: each dataset is split and its gold labels read
 once; under each policy its documents are masked and featurized once (train,
@@ -164,20 +164,22 @@ def _featurize_rows(texts: Iterable[str], space: FeatureSpace, memo: dict[str, i
     return _Rows.from_counts(_bucket_counts(text, space, memo) for text in texts)
 
 
+def _score(bias: float, terms: Iterable[float]) -> float:
+    """A row's score: its terms added one at a time, left to right, from -0.0
+    (the identity of float addition, so an empty row scores exactly its bias),
+    then the bias. Not sum() (compensated from Python 3.12 on), reduceat
+    (pairwise) or a dot product (its order depends on the CPU's BLAS kernel)."""
+    total = -0.0
+    for term in terms:
+        total += term
+    return bias + total
+
+
 def _score_rows(weights: np.ndarray, bias: float, rows: _Rows) -> np.ndarray:
-    """Every row's score: bias, then each term weights[idx] * cnt added one at
-    a time in row order, so each equals the scalar loop bit for bit. Not
-    sum(), which adds floats with compensation from Python 3.12 on, and not
-    np.add.reduceat, which adds pairwise."""
+    """Every row's _score, with all terms weights[idx] * cnt formed at once."""
     terms = (weights[rows.indices] * rows.data).tolist()
     bounds = rows.indptr.tolist()
-    scores = []
-    for a, b in zip(bounds, bounds[1:]):
-        score = bias
-        for term in terms[a:b]:
-            score += term
-        scores.append(score)
-    return np.array(scores, dtype=np.float64)
+    return np.array([_score(bias, terms[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +220,6 @@ class Model:
     weights: np.ndarray
     bias: float
 
-    def score(self, vec: dict[int, int]) -> float:
-        return float(_score_rows(self.weights, self.bias, _Rows.from_counts([vec]))[0])
-
     def predict(self, text: str) -> Label:
         return self._predict_rows(_featurize_rows([text], self.space, {}))[0]
 
@@ -241,7 +240,7 @@ def train(
     Per-sample updates in a seeded shuffled order (reshuffled every epoch
     from one PRNG stream), fixed learning rate, L2 applied to the touched
     coordinates of each update. Single-threaded and bitwise deterministic
-    for a fixed seed. A corpus with only one label is an error.
+    for a fixed seed, on any CPU. A corpus with only one label is an error.
     """
     rows = _featurize_rows((doc.text for doc in corpus), space, {})
     return _fit(rows, corpus.labels(), corpus.name, space, config)
@@ -250,30 +249,31 @@ def train(
 def _fit(
     rows: _Rows, labels: Sequence[Label], name: str, space: FeatureSpace, config: TrainConfig
 ) -> Model:
-    """train on featurized rows, labels[r] being row r's gold label."""
+    """train on featurized rows (labels[r] is row r's label), over their own buckets only."""
     if len(labels) == 0:
         raise DataError("cannot train on an empty corpus")
     if len(set(labels)) < 2:
         raise DataError("training corpus must contain both labels")
+    buckets, cols = np.unique(rows.indices, return_inverse=True)
     bounds = rows.indptr.tolist()
-    feats = [(rows.indices[a:b], rows.data[a:b]) for a, b in zip(bounds, bounds[1:])]
+    feats = [(cols[a:b], rows.data[a:b]) for a, b in zip(bounds, bounds[1:])]
     ys = [1.0 if label is Label.FAKE else 0.0 for label in labels]
-    w = np.zeros(space.dimensions, dtype=np.float64)
+    w = np.zeros(buckets.size, dtype=np.float64)
     bias = 0.0
-    lr = config.learning_rate
-    l2 = config.l2
+    lr, l2 = config.learning_rate, config.l2
     order = list(range(len(labels)))
     rng = random.Random(config.seed)
     for _ in range(config.epochs):
         rng.shuffle(order)
         for i in order:
-            idx, cnt = feats[i]
-            score = bias + (float(w[idx] @ cnt) if idx.size else 0.0)
-            g = _sigmoid(score) - ys[i]
-            if idx.size:
-                w[idx] -= lr * (g * cnt + l2 * w[idx])
+            col, cnt = feats[i]
+            wi = w[col]
+            g = _sigmoid(_score(bias, (wi * cnt).tolist())) - ys[i]
+            w[col] = wi - lr * (g * cnt + l2 * wi)
             bias -= lr * g
-    return Model(space=space, config=config, train_set=name, weights=w, bias=bias)
+    weights = np.zeros(space.dimensions, dtype=np.float64)
+    weights[buckets] = w
+    return Model(space=space, config=config, train_set=name, weights=weights, bias=bias)
 
 
 @dataclass(frozen=True)

@@ -329,7 +329,7 @@ def index_dump(
             except (json.JSONDecodeError, DataError) as exc:
                 if strict:
                     msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                    raise DataError(f"dump line {lineno}: {msg}") from None
+                    raise DataError(f"{where} line {lineno}: {msg}") from None
                 index.malformed_lines += 1
                 continue
             if entity.get("type") not in (None, "item"):

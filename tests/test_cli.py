@@ -794,6 +794,7 @@ _MASK_INDEXED = ["mask", "--corpus", "{corpus}", "--policy", "wikid", "--index",
                  "--output", "-"]
 _INGEST = ["ingest", "--input", "{f}", "--output", "-"]
 _TOP_LABELS = ["coverage", "--usage", "a={f}", "--top-k", "1"]
+_TAG = ["tag", "--corpus", "{corpus}", "--gazetteer", "{f}", "--output", "{corpus}.out"]
 _INDEX_DUMP = ["index-wikidata", "--dump", "{f}", "--snapshot-date", "2020-12-28",
                "--output", "{corpus}.idx"]
 
@@ -824,19 +825,33 @@ HOSTILE = [
                  "features: bad 'dimensions'", id="config-dimensions"),
     pytest.param(_config(training=[1]), _EXPERIMENT, "hostile: training",
                  id="config-training-not-an-object"),
-    pytest.param(_span(start="0"), _MASK_ANNOTATED, "line 1:", id="span-string-offset"),
-    pytest.param(_span(end=True), _MASK_ANNOTATED, "line 1:", id="span-bool-offset"),
+    pytest.param(_span(start="0"), _MASK_ANNOTATED, "hostile line 1:", id="span-string-offset"),
+    pytest.param(_span(end=True), _MASK_ANNOTATED, "hostile line 1:", id="span-bool-offset"),
     pytest.param('{"doc_id": "d1", "spans": ["start end tag text"]}\n', _MASK_ANNOTATED,
-                 "line 1:", id="span-not-an-object"),
-    pytest.param('{"doc_id": "d1", "spans": 5}\n', _MASK_ANNOTATED, "line 1:",
+                 "hostile line 1:", id="span-not-an-object"),
+    pytest.param('{"doc_id": "d1", "spans": 5}\n', _MASK_ANNOTATED, "hostile line 1:",
                  id="spans-not-a-list"),
-    pytest.param('{"doc_id": ["d1"]}\n', _MASK_ANNOTATED, "line 1:", id="doc-id-not-a-string"),
+    pytest.param('{"doc_id": ["d1"]}\n', _MASK_ANNOTATED, "hostile line 1:",
+                 id="doc-id-not-a-string"),
+    pytest.param('{"doc_id": "d1", "spans": []}\n' + _span(tag="XYZ"), _MASK_ANNOTATED,
+                 "hostile line 2: unknown entity tag 'XYZ'", id="span-unknown-tag"),
+    pytest.param(_span(start=3, end=1), _MASK_ANNOTATED, "hostile line 1: bad span offsets [3, 1)",
+                 id="span-start-after-end"),
     pytest.param('{"id": "a", "text": "x", "label": "real", "source": 5}\n', _INGEST,
-                 "line 1:", id="corpus-source-not-a-string"),
+                 "hostile line 1: source must be a string or null",
+                 id="corpus-source-not-a-string"),
     pytest.param('{"id": "a", "text": "x", "label": "real", "date": "20200101"}\n', _INGEST,
-                 "line 1:", id="corpus-compact-date"),
+                 "hostile line 1:", id="corpus-compact-date"),
     pytest.param('{"id": "a", "text": "x", "label": "real", "date": "2020-W01-1"}\n', _INGEST,
-                 "line 1:", id="corpus-week-date"),
+                 "hostile line 1:", id="corpus-week-date"),
+    pytest.param('{"id": "a", "text": "x", "label": "bogus"}\n', _INGEST,
+                 "hostile line 1: unknown label 'bogus'", id="corpus-unknown-label"),
+    pytest.param("Jane Roe\tPER\nJohn\tXYZ\n", _TAG, "hostile line 2: unknown entity tag 'XYZ'",
+                 id="gazetteer-unknown-tag"),
+    pytest.param("Jane Roe\tPER\n \tPER\n", _TAG,
+                 "hostile line 2: gazetteer entry with empty name", id="gazetteer-empty-name"),
+    pytest.param('{"id": "Q1"}\nnot json\n', ["--strict", *_INDEX_DUMP],
+                 "hostile line 2: Expecting value", id="dump-strict-malformed-line"),
     pytest.param(_index_file(value=5), _MASK_INDEXED, "hostile: malformed index record at line 2",
                  id="index-statement-value-not-a-qid"),
     pytest.param(_index_file(start="20200101"), _MASK_INDEXED,
@@ -860,9 +875,8 @@ HOSTILE = [
                  "hostile line 3: not UTF-8", id="annotations-not-utf8"),
     pytest.param(_index_file().encode().replace(b"Jane", b"J\xffne"), _MASK_INDEXED,
                  "hostile line 2: not UTF-8", id="index-not-utf8"),
-    pytest.param(b"Jane Roe\tPER\n\xff\tLOC\n",
-                 ["tag", "--corpus", "{corpus}", "--gazetteer", "{f}", "--output", "{corpus}.out"],
-                 "hostile line 2: not UTF-8", id="gazetteer-not-utf8"),
+    pytest.param(b"Jane Roe\tPER\n\xff\tLOC\n", _TAG, "hostile line 2: not UTF-8",
+                 id="gazetteer-not-utf8"),
     pytest.param(b"token\tcount\nQ\xff\t2\n", _TOP_LABELS, "hostile line 2: not UTF-8",
                  id="usage-not-utf8"),
     pytest.param(b'{"format_version": 1,\n "train_set": "\xff"}\n',
@@ -902,3 +916,15 @@ def test_bad_byte_past_the_first_chunk_names_its_line(tmp_path, capsys):
     assert corpus.stat().st_size > 3 * 8192
     assert dispatch(["ingest", "--input", str(corpus), "--output", "-"]) == 1
     assert capsys.readouterr().err == f"error: {corpus} line 701: not UTF-8 (byte 0xff)\n"
+
+
+@pytest.mark.parametrize("n_lines", [3, 701])
+@pytest.mark.parametrize("newline", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+def test_bad_byte_after_cr_line_ends_names_its_line(tmp_path, capsys, newline, n_lines):
+    # text files are read with universal newlines: \r\n, \r and \n each end a line
+    lines = [b'{"id": "d%03d", "text": "x", "label": "real"}' % i for i in range(n_lines - 1)]
+    lines.append(b'{"id": "bad", "text": "\xff", "label": "real"}')
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(newline.join(lines) + newline)
+    assert dispatch(["ingest", "--input", str(corpus), "--output", "-"]) == 1
+    assert capsys.readouterr().err == f"error: {corpus} line {n_lines}: not UTF-8 (byte 0xff)\n"

@@ -37,7 +37,7 @@ from diamask import (
     synth_diachronic_corpus,
     train,
 )
-from diamask.experiment import _Rows, _score_rows
+from diamask.experiment import _fit, _Rows, _score_rows
 from diamask.masking import mask_corpus
 
 from helpers import (
@@ -249,11 +249,11 @@ class TestPredictAndEvaluate:
 
 
 def reference_score(weights, bias, vec):
-    """The plain scalar sum: bias, then weight * count left to right."""
-    s = bias
+    """The plain scalar sum: weight * count left to right from -0.0, then the bias."""
+    s = -0.0
     for idx, cnt in vec.items():
         s += weights[idx] * cnt
-    return s
+    return bias + s
 
 
 SCORER_DIMENSIONS = 64
@@ -288,14 +288,6 @@ class TestBatchedScorer:
         w = np.array(weights, dtype=np.float64)
         batched = _score_rows(w, bias, _Rows.from_counts(rows)).tolist()
         assert [s.hex() for s in batched] == expected
-        model = Model(
-            space=FeatureSpace(dimensions=SCORER_DIMENSIONS),
-            config=TrainConfig(),
-            train_set="t",
-            weights=w,
-            bias=bias,
-        )
-        assert [model.score(vec).hex() for vec in rows] == expected
         for vec, score in zip(rows, batched):
             if not vec:
                 assert score.hex() == float(bias).hex()
@@ -306,6 +298,70 @@ class TestBatchedScorer:
         assert picked.indptr.tolist() == [0, 2, 3, 3]
         assert picked.indices.tolist() == [5, 1, 3]
         assert picked.data.tolist() == [2.0, 1.0, 1.0]
+
+
+def reference_fit(rows, labels, config):
+    """Scalar SGD: dict weights, the same seeded shuffle, and each score summed
+    as weight * count left to right from -0.0, then the bias."""
+    lr, l2 = config.learning_rate, config.l2
+    w, bias = {}, 0.0
+    order = list(range(len(rows)))
+    rng = random.Random(config.seed)
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for i in order:
+            total = -0.0
+            for idx, cnt in rows[i].items():
+                total += w.get(idx, 0.0) * cnt
+            z = bias + total
+            p = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+            g = p - (1.0 if labels[i] is Label.FAKE else 0.0)
+            for idx, cnt in rows[i].items():
+                wi = w.get(idx, 0.0)
+                w[idx] = wi - lr * (g * cnt + l2 * wi)
+            bias -= lr * g
+    return w, bias
+
+
+FIT_DIMENSIONS = 2**10
+
+
+@st.composite
+def long_rows(draw):
+    """2-8 rows of 0-500 distinct buckets with counts 3-9, and both labels."""
+    n_rows = draw(st.integers(2, 8))
+    rows = [
+        draw(st.dictionaries(st.integers(0, FIT_DIMENSIONS - 1), st.integers(3, 9), max_size=500))
+        for _ in range(n_rows)
+    ]
+    labels = [Label.FAKE, Label.REAL] + draw(
+        st.lists(st.sampled_from(Label), min_size=n_rows - 2, max_size=n_rows - 2)
+    )
+    draw(st.randoms(use_true_random=False)).shuffle(labels)
+    return rows, labels
+
+
+class TestFitMatchesScalarTrainer:
+    @given(
+        long_rows(),
+        st.integers(1, 3),
+        st.sampled_from([0.5, 0.1, 0.003]),
+        st.sampled_from([0.0, 1e-6, 0.01]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_weight_and_the_bias_bit_for_bit(self, data, epochs, lr, l2, seed):
+        rows, labels = data
+        config = TrainConfig(epochs=epochs, learning_rate=lr, l2=l2, seed=seed)
+        model = _fit(
+            _Rows.from_counts(rows), labels, "t", FeatureSpace(dimensions=FIT_DIMENSIONS), config
+        )
+        w, bias = reference_fit(rows, labels, config)
+        expected = np.zeros(FIT_DIMENSIONS)
+        for idx, value in w.items():
+            expected[idx] = value
+        assert model.weights.tobytes() == expected.tobytes()
+        assert model.bias.hex() == bias.hex()
 
 
 class TestModelSerialization:

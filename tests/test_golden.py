@@ -1,22 +1,28 @@
 """Golden byte gate for the determinism contract.
 
 Each test pins the SHA-256 of an output that must stay byte-identical
-across refactors: the experiment reports, a saved model and a saved index,
-all built from one fixed synthetic config. Comparing two runs of the same
-code cannot catch a change that reorders float sums; these hashes can.
+across refactors and CPUs: the experiment reports, a saved model and a saved
+index, all built from one fixed synthetic config, and a model trained on long
+rows. Comparing two runs of the same code cannot catch a change that reorders
+float sums, nor can one kind of CPU; these hashes, checked under several BLAS
+kernels, can.
 
 A change to any of these bytes must be deliberate: update the hash in the
 same change and say why in CHANGES.md.
 """
 
 import hashlib
+import random
 from datetime import date
 
 import pytest
 
 from diamask import (
+    Corpus,
     DatasetBundle,
+    Document,
     FeatureSpace,
+    Label,
     MaskPolicy,
     SplitMode,
     SplitSpec,
@@ -39,6 +45,7 @@ GOLDEN = {
     "time.txt": "a1788c6622a2be06406721b205cf4cff97ba0afa8513c8dc622742e9b6f6ae77",
     "model.json": "b355bc19af42b339c315cf030b7cf01326ed781fd051fba2374f42d61d6fcaf1",
     "index.idx": "0596f121947b11ab88f0178f674c7d2b060de8e967c718a759ca6d6cc551a8b9",
+    "long_model.json": "7de7724249e52277e7a6a989eaa8a1b4548384ee8619031c6dbe59ffb751540e",
 }
 
 
@@ -97,3 +104,23 @@ def test_saved_index_bytes(data, tmp_path):
     path = tmp_path / "index.idx"
     save_index(data.index, path)
     assert sha256(path.read_bytes()) == GOLDEN["index.idx"]
+
+
+def test_saved_long_row_model_bytes(tmp_path):
+    # 300-token documents over 40 words: most unigrams occur 3 or more times
+    # in a row, where a dot product's summation order shows in the weights.
+    rng = random.Random(13)
+    words = [f"w{k}" for k in range(40)]
+    docs = tuple(
+        Document(
+            id=f"d{i:02d}",
+            text=" ".join(rng.choice(words[:30] if i % 2 else words[10:]) for _ in range(300)),
+            label=Label.FAKE if i % 2 else Label.REAL,
+        )
+        for i in range(24)
+    )
+    corpus = Corpus(name="long", documents=docs)
+    model = train(corpus, FeatureSpace(hash_seed=3), TrainConfig(seed=5))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert sha256(path.read_bytes()) == GOLDEN["long_model.json"]
