@@ -126,7 +126,7 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
     """
     path = Path(path)
     by_doc: dict[str, list[NeSpan]] = {}
-    known_ids = {doc.id for doc in corpus}
+    docs = {doc.id: doc for doc in corpus}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in numbered_lines(fh, path):
             line = line.strip()
@@ -140,7 +140,7 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
                 if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
                     raise DataError("expected an object with a string 'doc_id'")
                 doc_id = record["doc_id"]
-                if doc_id not in known_ids:
+                if doc_id not in docs:
                     raise DataError(f"unknown document id {doc_id!r}")
                 spans = by_doc.setdefault(doc_id, [])
                 raw_spans = record.get("spans", [])
@@ -152,21 +152,18 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
                             raise DataError(f"span for {doc_id!r} missing field {field!r}")
                     if type(raw["start"]) is not int or type(raw["end"]) is not int:
                         raise DataError(f"span offsets for {doc_id!r} must be integers")
-                    spans.append(
-                        NeSpan(
-                            start=raw["start"],
-                            end=raw["end"],
-                            tag=NeTag.parse(raw["tag"]),
-                            surface=raw["text"],
-                        )
+                    span = NeSpan(
+                        start=raw["start"],
+                        end=raw["end"],
+                        tag=NeTag.parse(raw["tag"]),
+                        surface=raw["text"],
                     )
+                    span.check_against(docs[doc_id].text, doc_id)
+                    spans.append(span)
     out: list[AnnotatedDocument] = []
     total_dropped = 0
     for doc in corpus:
-        spans = by_doc.get(doc.id, [])
-        for span in spans:
-            span.check_against(doc.text, doc.id)
-        kept, dropped = resolve_overlaps(spans)
+        kept, dropped = resolve_overlaps(by_doc.get(doc.id, []))
         total_dropped += dropped
         out.append(AnnotatedDocument(document=doc, spans=tuple(kept)))
     if total_dropped:

@@ -15,7 +15,10 @@ comparisons against the same baseline are Bonferroni-adjusted.
 Documents are featurized into CSR rows (numpy indptr/indices/data). A row's
 score has one definition, _score, through which training and evaluation both
 sum; no score is summed by BLAS, whose order depends on the CPU, so models and
-reports have the same bytes on every machine.
+reports have the same bytes on every machine. A model's weights are a bucket ->
+weight map holding only the buckets its training rows (or its file) name: the
+bucket space is a hash range, not a parameter vector, and a bucket missing from
+the map weighs 0.0.
 
 run_matrix ties it together: each dataset is split and its gold labels read
 once; under each policy its documents are masked and featurized once (train,
@@ -33,6 +36,7 @@ import random
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -81,7 +85,8 @@ __all__ = [
 @dataclass(frozen=True)
 class FeatureSpace:
     """Hashed n-gram feature space: orders to extract, a power-of-two bucket
-    count, and the 64-bit key for the hash."""
+    count (at most 2**63, as bucket ids are stored as int64), and the 64-bit
+    key for the hash."""
 
     orders: tuple[int, ...] = (1, 2)
     dimensions: int = 2**20
@@ -92,8 +97,10 @@ class FeatureSpace:
         if not orders or orders[0] < 1:
             raise DataError(f"n-gram orders must be >= 1, got {self.orders}")
         object.__setattr__(self, "orders", orders)
-        if self.dimensions < 2 or self.dimensions & (self.dimensions - 1):
-            raise DataError(f"dimensions must be a power of two >= 2, got {self.dimensions}")
+        if not 2 <= self.dimensions <= 2**63 or self.dimensions & (self.dimensions - 1):
+            raise DataError(
+                f"dimensions must be a power of two in [2, 2**63], got {self.dimensions}"
+            )
         if not (0 <= self.hash_seed < 2**64):
             raise DataError("hash_seed must fit in 64 bits")
 
@@ -175,9 +182,10 @@ def _score(bias: float, terms: Iterable[float]) -> float:
     return bias + total
 
 
-def _score_rows(weights: np.ndarray, bias: float, rows: _Rows) -> np.ndarray:
-    """Every row's _score, with all terms weights[idx] * cnt formed at once."""
-    terms = (weights[rows.indices] * rows.data).tolist()
+def _score_rows(weights: Mapping[int, float], bias: float, rows: _Rows) -> np.ndarray:
+    """Every row's _score, with all terms weights.get(idx, 0.0) * cnt formed at once."""
+    looked_up = map(weights.get, rows.indices.tolist(), repeat(0.0))
+    terms = (np.fromiter(looked_up, np.float64, rows.indices.size) * rows.data).tolist()
     bounds = rows.indptr.tolist()
     return np.array([_score(bias, terms[a:b]) for a, b in zip(bounds, bounds[1:])])
 
@@ -212,12 +220,13 @@ def _sigmoid(z: float) -> float:
 @dataclass
 class Model:
     """Trained logistic model. Scores point toward the fake label: the
-    predicted label is fake iff sigmoid(score) > 0.5, ties toward real."""
+    predicted label is fake iff sigmoid(score) > 0.5, ties toward real.
+    weights maps bucket -> weight; a bucket it does not hold weighs 0.0."""
 
     space: FeatureSpace
     config: TrainConfig
     train_set: str
-    weights: np.ndarray
+    weights: dict[int, float]
     bias: float
 
     def predict(self, text: str) -> Label:
@@ -271,8 +280,7 @@ def _fit(
             g = _sigmoid(_score(bias, (wi * cnt).tolist())) - ys[i]
             w[col] = wi - lr * (g * cnt + l2 * wi)
             bias -= lr * g
-    weights = np.zeros(space.dimensions, dtype=np.float64)
-    weights[buckets] = w
+    weights = dict(zip(buckets.tolist(), w.tolist()))
     return Model(space=space, config=config, train_set=name, weights=weights, bias=bias)
 
 
@@ -324,9 +332,9 @@ MODEL_FORMAT_VERSION = 1
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    """Single JSON object; weights stored sparsely (untouched buckets stay
-    exactly zero during training, so this is lossless)."""
-    nonzero = np.nonzero(model.weights)[0]
+    """Single JSON object. weights lists the model's nonzero weights by
+    ascending bucket; a bucket it omits weighs 0.0, as one missing from
+    model.weights does, so this is lossless."""
     obj = {
         "format_version": MODEL_FORMAT_VERSION,
         "space": {
@@ -342,9 +350,16 @@ def save_model(model: Model, path: str | Path) -> None:
         },
         "train_set": model.train_set,
         "bias": model.bias,
-        "weights": {str(int(i)): float(model.weights[i]) for i in nonzero},
+        "weights": {str(b): w for b, w in sorted(model.weights.items()) if w},
     }
     Path(path).write_text(json.dumps(obj, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def _json_number(value: object) -> float:
+    """A JSON number (not a bool) as a float."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def load_model(path: str | Path) -> Model:
@@ -363,21 +378,25 @@ def load_model(path: str | Path) -> Model:
             hash_seed=obj["space"]["hash_seed"],
         )
         config = TrainConfig(**obj["config"])
-        w = np.zeros(space.dimensions, dtype=np.float64)
+        weights = {}
         for key, value in obj["weights"].items():
             if not (key.isascii() and key.isdigit() and int(key) < space.dimensions):
                 raise DataError(
-                    f"{path}: weight bucket {key!r} is not an integer in [0, {space.dimensions})"
+                    f"weight bucket {key!r} is not an integer in [0, {space.dimensions})"
                 )
-            w[int(key)] = value
+            weights[int(key)] = _json_number(value)
+        if not isinstance(obj["train_set"], str):
+            raise TypeError("train_set must be a string")
         return Model(
             space=space,
             config=config,
             train_set=obj["train_set"],
-            weights=w,
-            bias=float(obj["bias"]),
+            weights=weights,
+            bias=_json_number(obj["bias"]),
         )
-    except (KeyError, ValueError, TypeError, IndexError):
+    except DataError as exc:
+        raise DataError(f"{path}: malformed model fields ({exc})") from None
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError):
         raise DataError(f"{path}: malformed model fields") from None
 
 
@@ -633,8 +652,6 @@ def run_matrix(
                 results[(train_name, eval_name, policy)] = _evaluate_rows(
                     model, rows[eval_name].take(sel), gold, eval_name, policy
                 )
-            # free this model's weights before the next one is allocated
-            del model
     has_baseline = MaskPolicy.NO_MASK in policies and len(policies) > 1
     cells = []
     for train_name in names:

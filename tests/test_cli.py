@@ -539,6 +539,23 @@ class TestTrainEval:
         assert {p["id"] for p in report["predictions"]} == {"f0", "f1", "r0", "r1"}
         assert all(p["gold"] == p["predicted"] for p in report["predictions"])
 
+    def test_train_and_eval_at_2_to_the_40_dimensions(self, tmp_path, tiny_corpus):
+        model_path = tmp_path / "model.json"
+        argv = ["train", "--corpus", tiny_corpus, "--output", str(model_path)]
+        assert dispatch([*argv, "--dimensions", str(2**40)]) == 0
+        assert load_model(model_path).space.dimensions == 2**40
+        report_path = tmp_path / "report.json"
+        argv = ["eval", "--model", str(model_path), "--corpus", tiny_corpus]
+        assert dispatch([*argv, "--output", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["n"] > 0
+
+    def test_dimensions_past_2_to_the_63_are_a_data_error(self, tmp_path, tiny_corpus, capsys):
+        argv = ["train", "--corpus", tiny_corpus, "--output", str(tmp_path / "model.json")]
+        assert dispatch([*argv, "--dimensions", str(2**64)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert "dimensions must be a power of two in [2, 2**63]" in err
+
     def test_single_label_corpus_fails_training(self, tmp_path, capsys):
         corpus = write_corpus_file(
             tmp_path / "one.jsonl",
@@ -782,6 +799,14 @@ def _config(**fields):
     return json.dumps({"datasets": [], "split": {"mode": "random"}, **fields})
 
 
+def _model(space=None, **fields):
+    model = {"format_version": 1, "space": {"orders": [1, 2], "dimensions": 16, "hash_seed": 0},
+             "config": {"epochs": 1, "learning_rate": 0.1, "l2": 0.0, "seed": 7},
+             "train_set": "t", "bias": 0.0, "weights": {"3": 1.5}, **fields}
+    model["space"].update(space or {})
+    return json.dumps(model)
+
+
 def _span(**fields):
     span = {"start": 0, "end": 8, "tag": "PER", "text": "Jane Roe", **fields}
     return json.dumps({"doc_id": "d1", "spans": [span]}) + "\n"
@@ -792,6 +817,7 @@ _MASK_ANNOTATED = ["mask", "--corpus", "{corpus}", "--annotations", "{f}", "--po
                    "--output", "-"]
 _MASK_INDEXED = ["mask", "--corpus", "{corpus}", "--policy", "wikid", "--index", "{f}",
                  "--output", "-"]
+_EVAL = ["eval", "--model", "{f}", "--corpus", "{corpus}"]
 _INGEST = ["ingest", "--input", "{f}", "--output", "-"]
 _TOP_LABELS = ["coverage", "--usage", "a={f}", "--top-k", "1"]
 _TAG = ["tag", "--corpus", "{corpus}", "--gazetteer", "{f}", "--output", "{corpus}.out"]
@@ -823,8 +849,26 @@ HOSTILE = [
                  id="config-orders"),
     pytest.param(_config(features={"dimensions": 1e400}), _EXPERIMENT,
                  "features: bad 'dimensions'", id="config-dimensions"),
+    pytest.param(_config(features={"dimensions": 2**64}), _EXPERIMENT,
+                 "dimensions must be a power of two in [2, 2**63]", id="config-dimensions-2-to-64"),
     pytest.param(_config(training=[1]), _EXPERIMENT, "hostile: training",
                  id="config-training-not-an-object"),
+    pytest.param(_model(space={"dimensions": 2**64}), _EVAL, "hostile: malformed model fields",
+                 id="model-dimensions-2-to-64"),
+    pytest.param(_model(weights={"3": 10**400}), _EVAL, "hostile: malformed model fields",
+                 id="model-weight-beyond-float"),
+    pytest.param(_model(bias=10**400), _EVAL, "hostile: malformed model fields",
+                 id="model-bias-beyond-float"),
+    pytest.param(_model(weights=[1]), _EVAL, "hostile: malformed model fields",
+                 id="model-weights-a-list"),
+    pytest.param(_model(weights={"3": "1.5"}), _EVAL, "hostile: malformed model fields",
+                 id="model-weight-a-string"),
+    pytest.param(_model(weights={"3": True}), _EVAL, "hostile: malformed model fields",
+                 id="model-weight-a-bool"),
+    pytest.param(_model(bias="0.5"), _EVAL, "hostile: malformed model fields",
+                 id="model-bias-a-string"),
+    pytest.param(_model(train_set=5), _EVAL, "hostile: malformed model fields",
+                 id="model-train-set-not-a-string"),
     pytest.param(_span(start="0"), _MASK_ANNOTATED, "hostile line 1:", id="span-string-offset"),
     pytest.param(_span(end=True), _MASK_ANNOTATED, "hostile line 1:", id="span-bool-offset"),
     pytest.param('{"doc_id": "d1", "spans": ["start end tag text"]}\n', _MASK_ANNOTATED,
@@ -837,6 +881,9 @@ HOSTILE = [
                  "hostile line 2: unknown entity tag 'XYZ'", id="span-unknown-tag"),
     pytest.param(_span(start=3, end=1), _MASK_ANNOTATED, "hostile line 1: bad span offsets [3, 1)",
                  id="span-start-after-end"),
+    pytest.param(_span(end=99), _MASK_ANNOTATED, "hostile line 1:", id="span-past-text-end"),
+    pytest.param(_span(text="John Doe"), _MASK_ANNOTATED, "hostile line 1:",
+                 id="span-surface-mismatch"),
     pytest.param('{"id": "a", "text": "x", "label": "real", "source": 5}\n', _INGEST,
                  "hostile line 1: source must be a string or null",
                  id="corpus-source-not-a-string"),
@@ -879,8 +926,7 @@ HOSTILE = [
                  id="gazetteer-not-utf8"),
     pytest.param(b"token\tcount\nQ\xff\t2\n", _TOP_LABELS, "hostile line 2: not UTF-8",
                  id="usage-not-utf8"),
-    pytest.param(b'{"format_version": 1,\n "train_set": "\xff"}\n',
-                 ["eval", "--model", "{f}", "--corpus", "{corpus}"],
+    pytest.param(b'{"format_version": 1,\n "train_set": "\xff"}\n', _EVAL,
                  "hostile line 2: not UTF-8", id="model-not-utf8"),
     pytest.param(b'{"datasets": [],\n\n "split": "\xff"}', _EXPERIMENT,
                  "hostile line 3: not UTF-8", id="config-not-utf8"),

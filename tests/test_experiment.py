@@ -51,6 +51,11 @@ from helpers import (
 SMALL_SPACE = FeatureSpace(dimensions=2**16)
 
 
+def weight_bits(model):
+    """bucket -> the weight's exact bits, which tell 0.0 from -0.0."""
+    return {bucket: value.hex() for bucket, value in model.weights.items()}
+
+
 class TestFeatureSpace:
     def test_defaults(self):
         space = FeatureSpace()
@@ -67,10 +72,12 @@ class TestFeatureSpace:
             FeatureSpace(orders=(0, 1))
 
     def test_rejects_non_power_of_two_dimensions(self):
-        for bad in (0, 1, 3, 100, 2**20 + 1):
+        # bucket ids are int64, so 2**63 is the largest bucket count
+        for bad in (0, 1, 3, 100, 2**20 + 1, 2**64):
             with pytest.raises(DataError):
                 FeatureSpace(dimensions=bad)
         assert FeatureSpace(dimensions=2).dimensions == 2
+        assert FeatureSpace(dimensions=2**63).dimensions == 2**63
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(DataError):
@@ -178,8 +185,8 @@ class TestTrain:
     def test_training_is_bitwise_deterministic(self):
         a = train(SEPARABLE, SMALL_SPACE)
         b = train(SEPARABLE, SMALL_SPACE)
-        assert np.array_equal(a.weights, b.weights)
-        assert a.bias == b.bias
+        assert weight_bits(a) == weight_bits(b)
+        assert a.bias.hex() == b.bias.hex()
 
     def test_seed_changes_the_result(self):
         corpus = labeled_corpus(
@@ -188,7 +195,7 @@ class TestTrain:
         )
         a = train(corpus, SMALL_SPACE, TrainConfig(seed=7))
         b = train(corpus, SMALL_SPACE, TrainConfig(seed=8))
-        assert not (np.array_equal(a.weights, b.weights) and a.bias == b.bias)
+        assert (weight_bits(a), a.bias.hex()) != (weight_bits(b), b.bias.hex())
 
     def test_label_skew_moves_the_decision(self):
         corpus = labeled_corpus(["alpha"] * 18, ["alpha"] * 2)
@@ -214,7 +221,7 @@ class TestPredictAndEvaluate:
             space=SMALL_SPACE,
             config=TrainConfig(),
             train_set="t",
-            weights=np.zeros(SMALL_SPACE.dimensions),
+            weights={},
             bias=0.0,
         )
         assert model.predict("whatever text") is Label.REAL
@@ -224,7 +231,7 @@ class TestPredictAndEvaluate:
             space=SMALL_SPACE,
             config=TrainConfig(),
             train_set="t",
-            weights=np.zeros(SMALL_SPACE.dimensions),
+            weights={},
             bias=0.0,
         )
         test = labeled_corpus([], ["x", "y", "z"], name="all-real")
@@ -249,10 +256,11 @@ class TestPredictAndEvaluate:
 
 
 def reference_score(weights, bias, vec):
-    """The plain scalar sum: weight * count left to right from -0.0, then the bias."""
+    """The plain scalar sum: weight * count left to right from -0.0, then the
+    bias; a bucket without a weight adds a 0.0 term."""
     s = -0.0
     for idx, cnt in vec.items():
-        s += weights[idx] * cnt
+        s += weights.get(idx, 0.0) * cnt
     return bias + s
 
 
@@ -278,15 +286,14 @@ def feature_rows(draw):
 
 class TestBatchedScorer:
     @given(
-        st.lists(finite, min_size=SCORER_DIMENSIONS, max_size=SCORER_DIMENSIONS),
+        st.dictionaries(st.integers(0, SCORER_DIMENSIONS - 1), finite),
         finite,
         feature_rows(),
     )
     @settings(max_examples=200)
     def test_matches_left_to_right_sum_bit_for_bit(self, weights, bias, rows):
         expected = [reference_score(weights, bias, vec).hex() for vec in rows]
-        w = np.array(weights, dtype=np.float64)
-        batched = _score_rows(w, bias, _Rows.from_counts(rows)).tolist()
+        batched = _score_rows(weights, bias, _Rows.from_counts(rows)).tolist()
         assert [s.hex() for s in batched] == expected
         for vec, score in zip(rows, batched):
             if not vec:
@@ -357,10 +364,7 @@ class TestFitMatchesScalarTrainer:
             _Rows.from_counts(rows), labels, "t", FeatureSpace(dimensions=FIT_DIMENSIONS), config
         )
         w, bias = reference_fit(rows, labels, config)
-        expected = np.zeros(FIT_DIMENSIONS)
-        for idx, value in w.items():
-            expected[idx] = value
-        assert model.weights.tobytes() == expected.tobytes()
+        assert weight_bits(model) == {idx: value.hex() for idx, value in w.items()}
         assert model.bias.hex() == bias.hex()
 
 
@@ -370,7 +374,8 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert np.array_equal(loaded.weights, model.weights)
+        nonzero = {bucket: value.hex() for bucket, value in model.weights.items() if value}
+        assert weight_bits(loaded) == nonzero
         assert loaded.bias == model.bias
         assert loaded.train_set == model.train_set
         assert loaded.space == model.space
@@ -383,8 +388,33 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         obj = json.loads(path.read_text())
-        assert len(obj["weights"]) == int(np.count_nonzero(model.weights))
+        assert len(obj["weights"]) == sum(1 for value in model.weights.values() if value)
         assert len(obj["weights"]) < SMALL_SPACE.dimensions
+
+    def test_zero_weights_are_dropped_and_buckets_ascend(self, tmp_path):
+        model = Model(
+            space=FeatureSpace(dimensions=16),
+            config=TrainConfig(),
+            train_set="t",
+            weights={9: 0.5, 2: -0.0, 11: 0.0, 1: -2.0, 10: 3.0},
+            bias=0.0,
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        weights = json.loads(path.read_text())["weights"]
+        assert list(weights.items()) == [("1", -2.0), ("9", 0.5), ("10", 3.0)]
+
+    def test_model_at_2_to_the_40_dimensions_round_trips(self, tmp_path):
+        space = FeatureSpace(dimensions=2**40)
+        model = train(SEPARABLE, space)
+        assert all(0 <= bucket < 2**40 for bucket in model.weights)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.space == space
+        texts = ("zzz anything", "qqq anything", "unseen words")
+        assert [loaded.predict(t) for t in texts] == [model.predict(t) for t in texts]
+        assert evaluate(loaded, SEPARABLE).accuracy == 1.0
 
     def test_saving_twice_is_byte_identical(self, tmp_path):
         model = train(SEPARABLE, SMALL_SPACE)
@@ -413,7 +443,7 @@ class TestModelSerialization:
             space=FeatureSpace(dimensions=4),
             config=TrainConfig(),
             train_set="t",
-            weights=np.zeros(4),
+            weights={},
             bias=0.0,
         )
         path = tmp_path / "model.json"
