@@ -31,7 +31,7 @@ from .corpus import (
     split_by_time,
     split_random,
 )
-from .errors import DataError, at_line, not_utf8, numbered_lines
+from .errors import DataError, at_line, not_utf8, numbered_lines, prefixed
 from .experiment import (
     DatasetBundle,
     FeatureSpace,
@@ -238,6 +238,13 @@ def _field(
         raise DataError(f"{where}: bad {key!r} ({exc})") from None
 
 
+def _build(where: str, make: Callable, **fields: object) -> object:
+    """make(**fields), with a DataError it raises (a value out of range)
+    naming where (config file and section)."""
+    with prefixed(where):
+        return make(**fields)
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     where = f"experiment config {args.config}"
     try:
@@ -262,7 +269,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     split_cfg = _field(where, config, "split")
     at = f"{where}: split"
-    split = SplitSpec(
+    split = _build(
+        at,
+        SplitSpec,
         mode=_field(at, split_cfg, "mode", SplitMode),
         train_fraction=_field(at, split_cfg, "train_fraction", float, 0.8),
         boundary_date=_field(
@@ -272,14 +281,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     feat_cfg = _field(where, config, "features", default={})
     at = f"{where}: features"
-    space = FeatureSpace(
+    space = _build(
+        at,
+        FeatureSpace,
         orders=_field(at, feat_cfg, "orders", lambda raw: tuple(map(int, raw)), (1, 2)),
         dimensions=_field(at, feat_cfg, "dimensions", int, FeatureSpace().dimensions),
         hash_seed=_field(at, feat_cfg, "hash_seed", int, 0),
     )
     train_cfg = _field(where, config, "training", default={})
     at = f"{where}: training"
-    tconfig = TrainConfig(
+    tconfig = _build(
+        at,
+        TrainConfig,
         epochs=_field(at, train_cfg, "epochs", int, TrainConfig().epochs),
         learning_rate=_field(at, train_cfg, "learning_rate", float, TrainConfig().learning_rate),
         l2=_field(at, train_cfg, "l2", float, TrainConfig().l2),

@@ -53,3 +53,13 @@ def at_line(where: object, lineno: int) -> Iterator[None]:
         yield
     except DataError as exc:
         raise DataError(f"{where} line {lineno}: {exc}") from None
+
+
+@contextmanager
+def prefixed(where: object) -> Iterator[None]:
+    """Prefix a DataError raised inside with `<where>: `. (at_line formats
+    its own prefix only on an error, as it wraps every record of a file.)"""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None

@@ -12,13 +12,19 @@ test on the discordant counts b (baseline right, contender wrong) and c
 continuity-corrected chi-square with one degree of freedom. Multiple
 comparisons against the same baseline are Bonferroni-adjusted.
 
-Documents are featurized into CSR rows (numpy indptr/indices/data). A row's
-score has one definition, _score, through which training and evaluation both
-sum; no score is summed by BLAS, whose order depends on the CPU, so models and
-reports have the same bytes on every machine. A model's weights are a bucket ->
-weight map holding only the buckets its training rows (or its file) name: the
-bucket space is a hash range, not a parameter vector, and a bucket missing from
-the map weighs 0.0.
+A featurized document (a row) is the bucket -> count dict featurize returns,
+from masking to scoring. A row's score has one definition, _score, through
+which training and evaluation both sum; no score is summed by BLAS, whose order
+depends on the CPU, so models and reports have the same bytes on every machine.
+A model's weights are a bucket -> weight map holding only the buckets its
+training rows (or its file) name: the bucket space is a hash range, not a
+parameter vector, and a bucket missing from the map weighs 0.0.
+
+numpy is used only in _fit, where each row becomes a (columns, counts) array
+pair, so that an SGD update gathers and writes the row's weights in one
+vectorized operation: a pure-Python trainer took the longdoc benchmark's
+experiment stage from 0.41 to 0.72 s. Scoring a row is a plain loop over its
+dict.
 
 run_matrix ties it together: each dataset is split and its gold labels read
 once; under each policy its documents are masked and featurized once (train,
@@ -36,7 +42,6 @@ import random
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -45,7 +50,7 @@ import numpy as np
 from .analysis import extract_ngrams, tokenize
 from .annotate import AnnotatedDocument, NeSpan, NeTag
 from .corpus import Corpus, Document, Label, SplitMode, SplitSpec, split_by_time, split_random
-from .errors import DataError, not_utf8
+from .errors import DataError, not_utf8, prefixed
 # mask_corpus is unused here; perfbench's tracer test reads diamask.experiment.mask_corpus
 from .masking import MaskPolicy, apply_mask, mask_corpus  # noqa: F401
 from .wikidata import (
@@ -133,44 +138,6 @@ def _bucket_counts(text: str, space: FeatureSpace, memo: dict[str, int]) -> dict
     return vec
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """Feature vectors in CSR form: row r holds buckets
-    indices[indptr[r]:indptr[r + 1]] with counts in the same slice of data,
-    each row in its vector's key order."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    @classmethod
-    def from_counts(cls, vecs: Iterable[Mapping[int, int]]) -> "_Rows":
-        indptr = [0]
-        indices: list[int] = []
-        data: list[int] = []
-        for vec in vecs:
-            indices.extend(vec)
-            data.extend(vec.values())
-            indptr.append(len(indices))
-        return cls(
-            indptr=np.array(indptr, dtype=np.int64),
-            indices=np.array(indices, dtype=np.int64),
-            data=np.array(data, dtype=np.float64),
-        )
-
-    def take(self, rows: np.ndarray) -> "_Rows":
-        """The given rows, in the given order."""
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        src = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-        return _Rows(indptr=indptr, indices=self.indices[src], data=self.data[src])
-
-
-def _featurize_rows(texts: Iterable[str], space: FeatureSpace, memo: dict[str, int]) -> _Rows:
-    return _Rows.from_counts(_bucket_counts(text, space, memo) for text in texts)
-
-
 def _score(bias: float, terms: Iterable[float]) -> float:
     """A row's score: its terms added one at a time, left to right, from -0.0
     (the identity of float addition, so an empty row scores exactly its bias),
@@ -182,12 +149,9 @@ def _score(bias: float, terms: Iterable[float]) -> float:
     return bias + total
 
 
-def _score_rows(weights: Mapping[int, float], bias: float, rows: _Rows) -> np.ndarray:
-    """Every row's _score, with all terms weights.get(idx, 0.0) * cnt formed at once."""
-    looked_up = map(weights.get, rows.indices.tolist(), repeat(0.0))
-    terms = (np.fromiter(looked_up, np.float64, rows.indices.size) * rows.data).tolist()
-    bounds = rows.indptr.tolist()
-    return np.array([_score(bias, terms[a:b]) for a, b in zip(bounds, bounds[1:])])
+def _score_row(weights: Mapping[int, float], bias: float, row: Mapping[int, int]) -> float:
+    """A featurized row's _score under weights; a bucket they lack adds a 0.0 term."""
+    return _score(bias, [weights.get(b, 0.0) * c for b, c in row.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +168,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.l2 < 0:
-            raise DataError(f"l2 must be >= 0, got {self.l2}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DataError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise DataError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 def _sigmoid(z: float) -> float:
@@ -230,13 +194,11 @@ class Model:
     bias: float
 
     def predict(self, text: str) -> Label:
-        return self._predict_rows(_featurize_rows([text], self.space, {}))[0]
+        return self._predict_row(featurize(text, self.space))
 
-    def _predict_rows(self, rows: _Rows) -> list[Label]:
-        return [
-            Label.FAKE if _sigmoid(s) > 0.5 else Label.REAL
-            for s in _score_rows(self.weights, self.bias, rows).tolist()
-        ]
+    def _predict_row(self, row: Mapping[int, int]) -> Label:
+        score = _score_row(self.weights, self.bias, row)
+        return Label.FAKE if _sigmoid(score) > 0.5 else Label.REAL
 
 
 def train(
@@ -251,36 +213,54 @@ def train(
     coordinates of each update. Single-threaded and bitwise deterministic
     for a fixed seed, on any CPU. A corpus with only one label is an error.
     """
-    rows = _featurize_rows((doc.text for doc in corpus), space, {})
+    memo: dict[str, int] = {}
+    rows = [_bucket_counts(doc.text, space, memo) for doc in corpus]
     return _fit(rows, corpus.labels(), corpus.name, space, config)
 
 
 def _fit(
-    rows: _Rows, labels: Sequence[Label], name: str, space: FeatureSpace, config: TrainConfig
+    rows: Sequence[Mapping[int, int]],
+    labels: Sequence[Label],
+    name: str,
+    space: FeatureSpace,
+    config: TrainConfig,
 ) -> Model:
-    """train on featurized rows (labels[r] is row r's label), over their own buckets only."""
+    """train on featurized rows (labels[r] is row r's label), over their own buckets only;
+    a bucket gets the next column of w where it first appears."""
     if len(labels) == 0:
         raise DataError("cannot train on an empty corpus")
     if len(set(labels)) < 2:
         raise DataError("training corpus must contain both labels")
-    buckets, cols = np.unique(rows.indices, return_inverse=True)
-    bounds = rows.indptr.tolist()
-    feats = [(cols[a:b], rows.data[a:b]) for a, b in zip(bounds, bounds[1:])]
+    col_of: dict[int, int] = {}  # bucket -> column of w
+    feats = [
+        (
+            np.array([col_of.setdefault(b, len(col_of)) for b in row], dtype=np.int64),
+            np.array(list(row.values()), dtype=np.float64),
+        )
+        for row in rows
+    ]
     ys = [1.0 if label is Label.FAKE else 0.0 for label in labels]
-    w = np.zeros(buckets.size, dtype=np.float64)
+    w = np.zeros(len(col_of), dtype=np.float64)
     bias = 0.0
     lr, l2 = config.learning_rate, config.l2
     order = list(range(len(labels)))
     rng = random.Random(config.seed)
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        for i in order:
-            col, cnt = feats[i]
-            wi = w[col]
-            g = _sigmoid(_score(bias, (wi * cnt).tolist())) - ys[i]
-            w[col] = wi - lr * (g * cnt + l2 * wi)
-            bias -= lr * g
-    weights = dict(zip(buckets.tolist(), w.tolist()))
+    # an overflow shows as a weight or bias that is not finite, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            rng.shuffle(order)
+            for i in order:
+                col, cnt = feats[i]
+                wi = w[col]
+                g = _sigmoid(_score(bias, (wi * cnt).tolist())) - ys[i]
+                w[col] = wi - lr * (g * cnt + l2 * wi)
+                bias -= lr * g
+    if not (math.isfinite(bias) and np.isfinite(w).all()):
+        raise DataError(
+            "training diverged: a weight or the bias is not finite "
+            f"(learning_rate {lr}, l2 {l2})"
+        )
+    weights = dict(zip(col_of, w.tolist()))
     return Model(space=space, config=config, train_set=name, weights=weights, bias=bias)
 
 
@@ -301,13 +281,14 @@ class EvalCell:
 def evaluate(model: Model, test: Corpus, policy: MaskPolicy | None = None) -> EvalCell:
     """Accuracy and per-document predictions on a test corpus (order
     preserved). An empty test set is an error."""
-    rows = _featurize_rows((doc.text for doc in test), model.space, {})
+    memo: dict[str, int] = {}
+    rows = [_bucket_counts(doc.text, model.space, memo) for doc in test]
     return _evaluate_rows(model, rows, test.labels(), test.name, policy)
 
 
 def _evaluate_rows(
     model: Model,
-    rows: _Rows,
+    rows: Sequence[Mapping[int, int]],
     gold: Sequence[Label],
     test_set: str,
     policy: MaskPolicy | None,
@@ -315,7 +296,7 @@ def _evaluate_rows(
     """evaluate on featurized rows, gold[r] being row r's gold label."""
     if len(gold) == 0:
         raise DataError("cannot evaluate on an empty corpus")
-    predictions = tuple(model._predict_rows(rows))
+    predictions = tuple(map(model._predict_row, rows))
     gold = tuple(gold)
     correct = sum(p is g for p, g in zip(predictions, gold))
     return EvalCell(
@@ -356,9 +337,9 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def _json_number(value: object) -> float:
-    """A JSON number (not a bool) as a float."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
+    """A finite JSON number (not a bool) as a float."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -578,17 +559,22 @@ class MatrixReport:
 
 def _split_rows(
     bundle: DatasetBundle, split: SplitSpec
-) -> tuple[tuple[np.ndarray, list[Label]], ...]:
+) -> tuple[tuple[list[int], list[Label]], ...]:
     """(positions in bundle.docs, gold labels) of the split's train side and
-    test side, each in split order, and of the whole dataset."""
+    test side, each in split order, and of the whole dataset. A side that
+    would be empty is an error naming the dataset and the side."""
     corpus = bundle.corpus()
-    if split.mode is SplitMode.RANDOM_HOLDOUT:
-        sides = split_random(corpus, split)
-    else:
-        sides = split_by_time(corpus, split)
+    with prefixed(f"dataset {bundle.name!r}"):
+        if split.mode is SplitMode.RANDOM_HOLDOUT:
+            sides = split_random(corpus, split)
+        else:
+            sides = split_by_time(corpus, split)
+        for side, kind in zip(sides, ("training", "test")):
+            if not len(side):
+                raise DataError(f"the {kind} side of the split is empty")
     row_of = {doc.id: r for r, doc in enumerate(corpus)}
     return tuple(
-        (np.array([row_of[doc.id] for doc in side], dtype=np.int64), side.labels())
+        ([row_of[doc.id] for doc in side], side.labels())
         for side in (*sides, corpus)
     )
 
@@ -637,20 +623,22 @@ def run_matrix(
     for policy in policies:
         # name -> rows of every document of the dataset, masked under this policy
         rows = {
-            b.name: _featurize_rows(
-                (apply_mask(doc, policy, indexes.get(b.name), resolve_mode).text for doc in b.docs),
-                space,
-                memo,
-            )
+            b.name: [
+                _bucket_counts(
+                    apply_mask(doc, policy, indexes.get(b.name), resolve_mode).text, space, memo
+                )
+                for doc in b.docs
+            ]
             for b in datasets
         }
         for train_name in names:
             sel, gold = slices[train_name][0]
-            model = _fit(rows[train_name].take(sel), gold, train_name, space, config)
+            with prefixed(f"dataset {train_name!r}"):
+                model = _fit([rows[train_name][r] for r in sel], gold, train_name, space, config)
             for eval_name in names:
                 sel, gold = slices[eval_name][2 if ood_full and eval_name != train_name else 1]
                 results[(train_name, eval_name, policy)] = _evaluate_rows(
-                    model, rows[eval_name].take(sel), gold, eval_name, policy
+                    model, [rows[eval_name][r] for r in sel], gold, eval_name, policy
                 )
     has_baseline = MaskPolicy.NO_MASK in policies and len(policies) > 1
     cells = []

@@ -807,6 +807,11 @@ def _model(space=None, **fields):
     return json.dumps(model)
 
 
+def _dataset(corpus="{corpus}", **split):
+    """A config whose one dataset 'x' reads corpus, unmasked, under the given split."""
+    return _config(datasets=[{"name": "x", "corpus": corpus}], policies=["no-mask"], split=split)
+
+
 def _span(**fields):
     span = {"start": 0, "end": 8, "tag": "PER", "text": "Jane Roe", **fields}
     return json.dumps({"doc_id": "d1", "spans": [span]}) + "\n"
@@ -823,8 +828,20 @@ _TOP_LABELS = ["coverage", "--usage", "a={f}", "--top-k", "1"]
 _TAG = ["tag", "--corpus", "{corpus}", "--gazetteer", "{f}", "--output", "{corpus}.out"]
 _INDEX_DUMP = ["index-wikidata", "--dump", "{f}", "--snapshot-date", "2020-12-28",
                "--output", "{corpus}.idx"]
+_TRAIN = ["train", "--corpus", "{f}", "--output", "{corpus}.model"]
+_TWO_LABELS = ('{"id": "a", "text": "x y", "label": "real"}\n'
+               '{"id": "b", "text": "x z", "label": "fake"}\n')
+# two real documents dated 2020, then a fake one dated 2021
+_DATED = "".join(
+    json.dumps({"id": doc_id, "text": text, "label": label, "date": day}) + "\n"
+    for doc_id, text, label, day in [("e1", "a b", "real", "2020-01-01"),
+                                      ("e2", "a c", "real", "2020-02-01"),
+                                      ("e3", "a d", "fake", "2021-01-01")]
+)
 
-# (file contents, argv, what the error line must name)
+# (file contents, argv, what the error line must name); in text contents,
+# {corpus} and {dated} stand for the paths of a one-document undated corpus
+# and of _DATED
 HOSTILE = [
     pytest.param("[1]", _EXPERIMENT, "hostile: expected a JSON object", id="config-not-an-object"),
     pytest.param(_config(datasets=5), _EXPERIMENT, "hostile: bad 'datasets'",
@@ -850,7 +867,35 @@ HOSTILE = [
     pytest.param(_config(features={"dimensions": 1e400}), _EXPERIMENT,
                  "features: bad 'dimensions'", id="config-dimensions"),
     pytest.param(_config(features={"dimensions": 2**64}), _EXPERIMENT,
-                 "dimensions must be a power of two in [2, 2**63]", id="config-dimensions-2-to-64"),
+                 "features: dimensions must be a power of two in [2, 2**63]",
+                 id="config-dimensions-2-to-64"),
+    pytest.param(_config(split={"mode": "random", "train_fraction": 1.5}), _EXPERIMENT,
+                 "hostile: split: train_fraction must be in (0, 1), got 1.5",
+                 id="config-train-fraction-out-of-range"),
+    pytest.param(_config(training={"epochs": 0}), _EXPERIMENT,
+                 "hostile: training: epochs must be >= 1, got 0", id="config-epochs-zero"),
+    pytest.param(_config(training={"learning_rate": float("nan")}), _EXPERIMENT,
+                 "hostile: training: learning_rate must be finite and > 0, got nan",
+                 id="config-learning-rate-nan"),
+    pytest.param(_config(training={"l2": float("inf")}), _EXPERIMENT,
+                 "hostile: training: l2 must be finite and >= 0, got inf", id="config-l2-infinite"),
+    pytest.param(_dataset(mode="time", boundary_date="2020-06-01"), _EXPERIMENT,
+                 "dataset 'x': documents without a date cannot be time-split: d1",
+                 id="matrix-time-split-undated"),
+    pytest.param(_dataset(mode="random", train_fraction=0.5), _EXPERIMENT,
+                 "dataset 'x': the training side of the split is empty",
+                 id="matrix-empty-training-side"),
+    pytest.param(_dataset("{dated}", mode="time", boundary_date="2099-01-01"), _EXPERIMENT,
+                 "dataset 'x': the test side of the split is empty", id="matrix-empty-test-side"),
+    pytest.param(_dataset("{dated}", mode="time", boundary_date="2020-06-01"), _EXPERIMENT,
+                 "dataset 'x': training corpus must contain both labels",
+                 id="matrix-one-label-training-side"),
+    pytest.param(_TWO_LABELS, [*_TRAIN, "--learning-rate", "1e300"], "training diverged",
+                 id="train-diverging"),
+    pytest.param(_TWO_LABELS, [*_TRAIN, "--learning-rate", "nan"],
+                 "learning_rate must be finite and > 0, got nan", id="train-learning-rate-nan"),
+    pytest.param(_TWO_LABELS, [*_TRAIN, "--l2", "inf"], "l2 must be finite and >= 0, got inf",
+                 id="train-l2-infinite"),
     pytest.param(_config(training=[1]), _EXPERIMENT, "hostile: training",
                  id="config-training-not-an-object"),
     pytest.param(_model(space={"dimensions": 2**64}), _EVAL, "hostile: malformed model fields",
@@ -867,6 +912,12 @@ HOSTILE = [
                  id="model-weight-a-bool"),
     pytest.param(_model(bias="0.5"), _EVAL, "hostile: malformed model fields",
                  id="model-bias-a-string"),
+    pytest.param(_model(weights={"3": float("nan")}), _EVAL, "hostile: malformed model fields",
+                 id="model-weight-nan"),
+    pytest.param(_model(bias=float("inf")), _EVAL, "hostile: malformed model fields",
+                 id="model-bias-infinity"),
+    pytest.param(_model(config={"epochs": 1, "learning_rate": float("nan"), "l2": 0.0, "seed": 7}),
+                 _EVAL, "hostile: malformed model fields", id="model-learning-rate-nan"),
     pytest.param(_model(train_set=5), _EVAL, "hostile: malformed model fields",
                  id="model-train-set-not-a-string"),
     pytest.param(_span(start="0"), _MASK_ANNOTATED, "hostile line 1:", id="span-string-offset"),
@@ -941,10 +992,13 @@ HOSTILE = [
 def test_hostile_input_exits_1_with_one_error_line(tmp_path, capsys, contents, argv, names):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "d1", "text": "Jane Roe spoke.", "label": "real"}\n')
+    dated = tmp_path / "dated.jsonl"
+    dated.write_text(_DATED)
     hostile = tmp_path / "hostile"
     if isinstance(contents, bytes):
         hostile.write_bytes(contents)
     else:
+        contents = contents.replace("{corpus}", str(corpus)).replace("{dated}", str(dated))
         hostile.write_text(contents, encoding="utf-8")
     code = dispatch([arg.format(f=hostile, corpus=corpus) for arg in argv])
     err = capsys.readouterr().err

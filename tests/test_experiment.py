@@ -5,7 +5,6 @@ import random
 from dataclasses import replace
 from datetime import date
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +36,7 @@ from diamask import (
     synth_diachronic_corpus,
     train,
 )
-from diamask.experiment import _fit, _Rows, _score_rows
+from diamask.experiment import _fit, _score_row
 from diamask.masking import mask_corpus
 
 from helpers import (
@@ -284,7 +283,7 @@ def feature_rows(draw):
     return rows
 
 
-class TestBatchedScorer:
+class TestRowScorer:
     @given(
         st.dictionaries(st.integers(0, SCORER_DIMENSIONS - 1), finite),
         finite,
@@ -293,18 +292,11 @@ class TestBatchedScorer:
     @settings(max_examples=200)
     def test_matches_left_to_right_sum_bit_for_bit(self, weights, bias, rows):
         expected = [reference_score(weights, bias, vec).hex() for vec in rows]
-        batched = _score_rows(weights, bias, _Rows.from_counts(rows)).tolist()
-        assert [s.hex() for s in batched] == expected
-        for vec, score in zip(rows, batched):
+        scores = [_score_row(weights, bias, vec) for vec in rows]
+        assert [s.hex() for s in scores] == expected
+        for vec, score in zip(rows, scores):
             if not vec:
                 assert score.hex() == float(bias).hex()
-
-    def test_row_selection_keeps_rows_and_order(self):
-        rows = _Rows.from_counts([{3: 1}, {}, {5: 2, 1: 1}, {0: 4}])
-        picked = rows.take(np.array([2, 0, 1], dtype=np.int64))
-        assert picked.indptr.tolist() == [0, 2, 3, 3]
-        assert picked.indices.tolist() == [5, 1, 3]
-        assert picked.data.tolist() == [2.0, 1.0, 1.0]
 
 
 def reference_fit(rows, labels, config):
@@ -360,9 +352,7 @@ class TestFitMatchesScalarTrainer:
     def test_every_weight_and_the_bias_bit_for_bit(self, data, epochs, lr, l2, seed):
         rows, labels = data
         config = TrainConfig(epochs=epochs, learning_rate=lr, l2=l2, seed=seed)
-        model = _fit(
-            _Rows.from_counts(rows), labels, "t", FeatureSpace(dimensions=FIT_DIMENSIONS), config
-        )
+        model = _fit(rows, labels, "t", FeatureSpace(dimensions=FIT_DIMENSIONS), config)
         w, bias = reference_fit(rows, labels, config)
         assert weight_bits(model) == {idx: value.hex() for idx, value in w.items()}
         assert model.bias.hex() == bias.hex()

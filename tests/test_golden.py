@@ -3,9 +3,10 @@
 Each test pins the SHA-256 of an output that must stay byte-identical
 across refactors and CPUs: the experiment reports, a saved model and a saved
 index, all built from one fixed synthetic config, and a model trained on long
-rows. Comparing two runs of the same code cannot catch a change that reorders
-float sums, nor can one kind of CPU; these hashes, checked under several BLAS
-kernels, can.
+rows with `diamask eval`'s report of that model on its own corpus, which
+holds every document's prediction. Comparing two runs of the same code cannot
+catch a change that reorders float sums, nor can one kind of CPU; these
+hashes, checked under several BLAS kernels, can.
 
 A change to any of these bytes must be deliberate: update the hash in the
 same change and say why in CHANGES.md.
@@ -28,11 +29,13 @@ from diamask import (
     SplitSpec,
     TrainConfig,
     run_matrix,
+    save_corpus,
     save_index,
     save_model,
     synth_diachronic_corpus,
     train,
 )
+from diamask.cli import dispatch
 
 from helpers import SYNTH_A, SYNTH_B, SYNTH_ROLE_MAP
 
@@ -46,6 +49,7 @@ GOLDEN = {
     "model.json": "b355bc19af42b339c315cf030b7cf01326ed781fd051fba2374f42d61d6fcaf1",
     "index.idx": "0596f121947b11ab88f0178f674c7d2b060de8e967c718a759ca6d6cc551a8b9",
     "long_model.json": "7de7724249e52277e7a6a989eaa8a1b4548384ee8619031c6dbe59ffb751540e",
+    "long_eval.json": "d8283066b7e1899c693187dcc3d128cea99a7dd6f524483093a375fc7775268f",
 }
 
 
@@ -106,7 +110,8 @@ def test_saved_index_bytes(data, tmp_path):
     assert sha256(path.read_bytes()) == GOLDEN["index.idx"]
 
 
-def test_saved_long_row_model_bytes(tmp_path):
+@pytest.fixture(scope="module")
+def long_corpus():
     # 300-token documents over 40 words: most unigrams occur 3 or more times
     # in a row, where a dot product's summation order shows in the weights.
     rng = random.Random(13)
@@ -119,8 +124,21 @@ def test_saved_long_row_model_bytes(tmp_path):
         )
         for i in range(24)
     )
-    corpus = Corpus(name="long", documents=docs)
-    model = train(corpus, FeatureSpace(hash_seed=3), TrainConfig(seed=5))
+    return Corpus(name="long", documents=docs)
+
+
+def test_saved_long_row_model_bytes(long_corpus, tmp_path):
+    model = train(long_corpus, FeatureSpace(hash_seed=3), TrainConfig(seed=5))
     path = tmp_path / "model.json"
     save_model(model, path)
     assert sha256(path.read_bytes()) == GOLDEN["long_model.json"]
+
+
+def test_eval_report_of_long_row_model(long_corpus, tmp_path):
+    model_path, corpus_path = tmp_path / "model.json", tmp_path / "long.jsonl"
+    out = tmp_path / "eval.json"
+    save_model(train(long_corpus, FeatureSpace(hash_seed=3), TrainConfig(seed=5)), model_path)
+    save_corpus(long_corpus, corpus_path)
+    argv = ["eval", "--model", str(model_path), "--corpus", str(corpus_path), "--output", str(out)]
+    assert dispatch(argv) == 0
+    assert sha256(out.read_bytes()) == GOLDEN["long_eval.json"]
