@@ -202,7 +202,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     corpus = load_corpus(args.corpus)
-    cell = evaluate(model, corpus)
+    if not len(corpus):
+        raise DataError(f"{args.corpus}: cannot evaluate on an empty corpus")
+    with prefixed(args.model):  # a model whose weights overflow on a document
+        cell = evaluate(model, corpus)
     payload = {
         "train_set": cell.train_set,
         "test_set": cell.test_set,

@@ -31,12 +31,16 @@ once; under each policy its documents are masked and featurized once (train,
 test and full slices are row selections of that), then for every (training
 dataset, policy) pair it trains and evaluates in-domain and on every other
 dataset, and scores each masked policy against the no-mask baseline per cell.
+A policy that masks every dataset to the same texts as an earlier one (the
+WikiD family on a corpus with person spans only) shares that policy's
+results: the same texts give the same rows, the same rows the same model.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import random
 from dataclasses import dataclass
@@ -81,6 +85,8 @@ __all__ = [
     "SyntheticData",
     "synth_diachronic_corpus",
 ]
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +204,9 @@ class Model:
 
     def _predict_row(self, row: Mapping[int, int]) -> Label:
         score = _score_row(self.weights, self.bias, row)
+        if not math.isfinite(score):
+            # finite weights can still overflow: 1e308 * 2 is inf, and inf + -inf is nan
+            raise DataError(f"a document scores {score}, not a finite number")
         return Label.FAKE if _sigmoid(score) > 0.5 else Label.REAL
 
 
@@ -598,7 +607,11 @@ def run_matrix(
     dataset, policy) a model is trained on the training slice, then
     evaluated on the in-domain test slice and on every other dataset's test
     slice (or its full slice when ood_full is set), all under the same
-    policy. Every masked policy is McNemar-tested against the no-mask
+    policy. A policy whose masked texts equal an earlier policy's on every
+    dataset is neither featurized, trained nor evaluated: its cells take the
+    earlier policy's results, which running it would reproduce bit for bit,
+    and it is logged at info level. Only the masked texts are kept across
+    policies. Every masked policy is McNemar-tested against the no-mask
     baseline within its (train, test) cell, Bonferroni-adjusted for
     m = len(policies) - 1 comparisons. Output ordering and content are
     deterministic.
@@ -620,16 +633,26 @@ def run_matrix(
     slices = {b.name: _split_rows(b, split) for b in datasets}
     memo: dict[str, int] = {}  # phrase -> bucket, for this call's space only
     results: dict[tuple[str, str, MaskPolicy], EvalCell] = {}
+    # every dataset's masked texts -> the first policy that masked them so
+    first_masking: dict[tuple[tuple[str, ...], ...], MaskPolicy] = {}
+    source: dict[MaskPolicy, MaskPolicy] = {}  # policy -> the policy whose results it shares
     for policy in policies:
+        texts = tuple(
+            tuple(apply_mask(doc, policy, indexes.get(b.name), resolve_mode).text for doc in b.docs)
+            for b in datasets
+        )
+        source[policy] = first_masking.setdefault(texts, policy)
+        if source[policy] is not policy:
+            log.info(
+                "policy %s masks every dataset as %s does; its cells are reused",
+                policy.value,
+                source[policy].value,
+            )
+            continue
         # name -> rows of every document of the dataset, masked under this policy
         rows = {
-            b.name: [
-                _bucket_counts(
-                    apply_mask(doc, policy, indexes.get(b.name), resolve_mode).text, space, memo
-                )
-                for doc in b.docs
-            ]
-            for b in datasets
+            name: [_bucket_counts(text, space, memo) for text in dataset_texts]
+            for name, dataset_texts in zip(names, texts)
         }
         for train_name in names:
             sel, gold = slices[train_name][0]
@@ -645,10 +668,10 @@ def run_matrix(
     for train_name in names:
         for test_name in names:
             for policy in policies:
-                ev = results[(train_name, test_name, policy)]
+                ev = results[(train_name, test_name, source[policy])]
                 test_result = None
                 if has_baseline and policy is not MaskPolicy.NO_MASK:
-                    baseline = results[(train_name, test_name, MaskPolicy.NO_MASK)]
+                    baseline = results[(train_name, test_name, source[MaskPolicy.NO_MASK])]
                     test_result = mcnemar(baseline, ev, m)
                 cells.append(
                     MatrixCell(

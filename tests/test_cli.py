@@ -726,6 +726,23 @@ class TestExperiment:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_verbose_names_reused_policies_on_stderr_only(self, world):
+        # In-process pytest owns the root logger, so exercise -v end to end.
+        config = experiment_config(world, policies=["no-mask", "wikid", "wikid-del"])
+        quiet, verbose = (
+            subprocess.run(
+                [sys.executable, "-m", "diamask", *flags, "experiment", "--config", str(config)],
+                capture_output=True,
+                text=True,
+            )
+            for flags in ([], ["-v"])
+        )
+        assert quiet.returncode == verbose.returncode == 0
+        assert quiet.stderr == ""
+        assert verbose.stdout == quiet.stdout
+        reused = "policy wikid-del masks every dataset as wikid does; its cells are reused"
+        assert reused in verbose.stderr
+
     def test_missing_datasets_key_is_a_data_error(self, world, capsys):
         config = world["dir"] / "bad.json"
         config.write_text("{}")
@@ -920,6 +937,14 @@ HOSTILE = [
                  _EVAL, "hostile: malformed model fields", id="model-learning-rate-nan"),
     pytest.param(_model(train_set=5), _EVAL, "hostile: malformed model fields",
                  id="model-train-set-not-a-string"),
+    # every field finite, but the corpus document's score is not: at 2 dimensions
+    # "Jane Roe spoke." has counts {1: 3, 0: 2}, so its terms are inf and -inf
+    pytest.param(_model(space={"dimensions": 2}, weights={"1": 1e308, "0": -1e308}), _EVAL,
+                 "hostile: a document scores nan, not a finite number", id="model-scores-nan"),
+    pytest.param(_model(weights={str(b): 1e308 for b in range(16)}), _EVAL,
+                 "hostile: a document scores inf, not a finite number", id="model-scores-inf"),
+    pytest.param(_model(), ["eval", "--model", "{f}", "--corpus", "/dev/null"],
+                 "error: /dev/null: cannot evaluate on an empty corpus", id="eval-empty-corpus"),
     pytest.param(_span(start="0"), _MASK_ANNOTATED, "hostile line 1:", id="span-string-offset"),
     pytest.param(_span(end=True), _MASK_ANNOTATED, "hostile line 1:", id="span-bool-offset"),
     pytest.param('{"doc_id": "d1", "spans": ["start end tag text"]}\n', _MASK_ANNOTATED,

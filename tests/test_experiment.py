@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import random
 from dataclasses import replace
@@ -36,6 +37,7 @@ from diamask import (
     synth_diachronic_corpus,
     train,
 )
+from diamask import experiment
 from diamask.experiment import _fit, _score_row
 from diamask.masking import mask_corpus
 
@@ -612,6 +614,54 @@ def mixed_world(seed=11):
     return bundles, indexes
 
 
+WIKID_FAMILY = (MaskPolicy.WIKID, MaskPolicy.WIKID_DEL, MaskPolicy.WIKID_NER)
+
+
+def reference_matrix(bundles, indexes, policies, ood_full=False):
+    """(train, eval, policy) -> the cell public train and evaluate give on
+    mask_corpus output, and policy -> the masked texts of each dataset."""
+    expected, texts = {}, {}
+    for policy in policies:
+        masked = {
+            b.name: mask_corpus(b.docs, policy, indexes[b.name], name=b.name)[0]
+            for b in bundles
+        }
+        texts[policy] = tuple(tuple(doc.text for doc in c) for c in masked.values())
+        sides = {name: split_random(c, SPLIT) for name, c in masked.items()}
+        for train_name, (train_c, _) in sides.items():
+            model = train(train_c, SMALL_SPACE)
+            for eval_name, (_, test_c) in sides.items():
+                full = ood_full and eval_name != train_name
+                ev = evaluate(model, masked[eval_name] if full else test_c)
+                expected[(train_name, eval_name, policy)] = ev
+    return expected, texts
+
+
+def assert_cells_match(report, expected):
+    for cell in report.cells:
+        ev = expected[(cell.train_set, cell.test_set, cell.policy)]
+        assert (cell.accuracy, cell.n_test) == (ev.accuracy, ev.n)
+        if cell.policy is MaskPolicy.NO_MASK:
+            continue
+        base = expected[(cell.train_set, cell.test_set, MaskPolicy.NO_MASK)]
+        pairs = list(zip(ev.gold, base.predictions, ev.predictions))
+        b = sum(pb is g and pc is not g for g, pb, pc in pairs)
+        c = sum(pc is g and pb is not g for g, pb, pc in pairs)
+        assert (cell.mcnemar.b, cell.mcnemar.c) == (b, c)
+
+
+def count_fits(monkeypatch):
+    """The list of training set names of the _fit calls made from here on."""
+    calls = []
+
+    def counted(rows, labels, name, space, config):
+        calls.append(name)
+        return _fit(rows, labels, name, space, config)
+
+    monkeypatch.setattr(experiment, "_fit", counted)
+    return calls
+
+
 class TestRunMatrix:
     @pytest.mark.parametrize("ood_full", [False, True])
     def test_cells_match_train_and_evaluate_on_masked_corpora(self, ood_full):
@@ -620,33 +670,50 @@ class TestRunMatrix:
         report = run_matrix(
             bundles, policies, indexes, SPLIT, space=SMALL_SPACE, ood_full=ood_full
         )
-        expected = {}
-        masked_texts = set()
-        for policy in policies:
-            masked = {
-                b.name: mask_corpus(b.docs, policy, indexes[b.name], name=b.name)[0]
-                for b in bundles
-            }
-            masked_texts.add(tuple(doc.text for c in masked.values() for doc in c))
-            sides = {name: split_random(c, SPLIT) for name, c in masked.items()}
-            for train_name, (train_c, _) in sides.items():
-                model = train(train_c, SMALL_SPACE)
-                for eval_name, (_, test_c) in sides.items():
-                    full = ood_full and eval_name != train_name
-                    ev = evaluate(model, masked[eval_name] if full else test_c)
-                    expected[(train_name, eval_name, policy)] = ev
+        expected, texts = reference_matrix(bundles, indexes, policies, ood_full)
         # every policy, the WikiD family included, masks this data differently
-        assert len(masked_texts) == len(policies)
-        for cell in report.cells:
-            ev = expected[(cell.train_set, cell.test_set, cell.policy)]
-            assert (cell.accuracy, cell.n_test) == (ev.accuracy, ev.n)
-            if cell.policy is MaskPolicy.NO_MASK:
-                continue
-            base = expected[(cell.train_set, cell.test_set, MaskPolicy.NO_MASK)]
-            pairs = list(zip(ev.gold, base.predictions, ev.predictions))
-            b = sum(pb is g and pc is not g for g, pb, pc in pairs)
-            c = sum(pc is g and pb is not g for g, pb, pc in pairs)
-            assert (cell.mcnemar.b, cell.mcnemar.c) == (b, c)
+        assert len(set(texts.values())) == len(policies)
+        assert_cells_match(report, expected)
+
+    def test_policies_that_mask_every_dataset_alike_share_their_cells(self, monkeypatch, caplog):
+        _, bundles, indexes = small_world()
+        policies = tuple(MaskPolicy)
+        expected, texts = reference_matrix(bundles, indexes, policies)
+        # person spans only: the WikiD family masks every dataset alike
+        assert len({texts[p] for p in WIKID_FAMILY}) == 1
+        assert len(set(texts.values())) == 4
+        fits = count_fits(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="diamask.experiment"):
+            report = run_matrix(bundles, policies, indexes, SPLIT, space=SMALL_SPACE)
+        assert len(fits) == 4 * len(bundles)
+        assert_cells_match(report, expected)
+        for train_name in ("a", "b"):
+            for test_name in ("a", "b"):
+                family = {
+                    (c.accuracy, c.n_test, c.mcnemar)
+                    for c in (report.cell(train_name, test_name, p) for p in WIKID_FAMILY)
+                }
+                assert len(family) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"policy {p.value} masks every dataset as wikid does; its cells are reused"
+            for p in WIKID_FAMILY[1:]
+        ]
+
+    def test_policies_that_mask_one_dataset_alike_share_nothing(self, monkeypatch, caplog):
+        _, bundles, indexes = small_world()
+        mixed, _ = mixed_world()
+        # a has person spans only; b also has LOC and ORG spans
+        bundles = [bundles[0], mixed[1]]
+        policies = tuple(MaskPolicy)
+        expected, texts = reference_matrix(bundles, indexes, policies)
+        assert len({texts[p][0] for p in WIKID_FAMILY}) == 1
+        assert len({texts[p][1] for p in WIKID_FAMILY}) == 3
+        fits = count_fits(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="diamask.experiment"):
+            report = run_matrix(bundles, policies, indexes, SPLIT, space=SMALL_SPACE)
+        assert len(fits) == len(policies) * len(bundles)
+        assert_cells_match(report, expected)
+        assert caplog.records == []
 
     def test_shape_and_ordering(self):
         _, bundles, indexes = small_world()
