@@ -121,15 +121,13 @@ def compute_lmi(
     n: int = 2,
     *,
     min_count: int = 5,
-    log_base: float | None = None,
 ) -> LmiTable:
     """Score every observed (n-gram, label) pair by local mutual information.
 
     Only pairs with at least one occurrence are emitted; phrases whose total
     count across labels is below min_count are excluded (default 5, the
     conventional floor for association scores on noisy text). The logarithm
-    is natural unless log_base is given; changing the base rescales every
-    score by a positive constant and cannot change the ordering.
+    is natural.
 
     Entries are grouped by label (real first), each group sorted by lmi
     descending with ties broken lexicographically by phrase.
@@ -155,14 +153,13 @@ def compute_lmi(
     if total == 0:
         raise DataError("no phrases: every document tokenizes to fewer than n tokens")
     p_label = {label: count_l.get(label, 0) / total for label in Label}
-    scale = 1.0 if log_base is None else math.log(log_base)
     entries = []
     for (phrase, label), c_wl in count_wl.items():
         c_w = count_w[phrase]
         if c_w < min_count:
             continue
         p_lw = c_wl / c_w
-        lmi = (c_wl / total) * math.log(p_lw / p_label[label]) / scale
+        lmi = (c_wl / total) * math.log(p_lw / p_label[label])
         entries.append(
             LmiEntry(
                 phrase=phrase,

@@ -83,14 +83,6 @@ def _emit_corpus(corpus: Corpus, dest: str) -> None:
         save_corpus(corpus, dest)
 
 
-def _resolve_seed(args: argparse.Namespace, fallback: int) -> int:
-    if getattr(args, "sub_seed", None) is not None:
-        return args.sub_seed
-    if args.seed is not None:
-        return args.seed
-    return fallback
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -170,12 +162,13 @@ def _cmd_split(args: argparse.Namespace) -> int:
         mode=mode,
         train_fraction=args.train_fraction,
         boundary_date=args.boundary_date,
-        seed=_resolve_seed(args, fallback=0),
+        seed=args.seed,
     )
-    if mode is SplitMode.RANDOM_HOLDOUT:
-        train_c, test_c = split_random(corpus, spec)
-    else:
-        train_c, test_c = split_by_time(corpus, spec)
+    with prefixed(args.corpus):
+        if mode is SplitMode.RANDOM_HOLDOUT:
+            train_c, test_c = split_random(corpus, spec)
+        else:
+            train_c, test_c = split_by_time(corpus, spec)
     _emit_corpus(train_c, args.train_output)
     _emit_corpus(test_c, args.test_output)
     log.info("split %d documents into %d train / %d test", len(corpus), len(train_c), len(test_c))
@@ -191,9 +184,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         learning_rate=args.learning_rate,
         l2=args.l2,
-        seed=_resolve_seed(args, fallback=TrainConfig().seed),
+        seed=args.seed,
     )
-    model = train(corpus, space, config)
+    with prefixed(args.corpus):
+        model = train(corpus, space, config)
     save_model(model, args.output)
     log.info("trained on %d documents", len(corpus))
     return 0
@@ -241,6 +235,30 @@ def _field(
         raise DataError(f"{where}: bad {key!r} ({exc})") from None
 
 
+def _expect(kind: str, *types: type) -> Callable[[object], object]:
+    """A _field converter passing through a value of one of the JSON types
+    given and rejecting any other. The type must match exactly, so true is
+    not an integer and 1.0 is not one either."""
+
+    def check(raw: object) -> object:
+        if type(raw) not in types:
+            raise TypeError(f"expected {kind}, got {json.dumps(raw)}")
+        return raw
+
+    return check
+
+
+_STRING = _expect("a string", str)
+_INTEGER = _expect("an integer", int)
+_BOOLEAN = _expect("true or false", bool)
+_LIST = _expect("a list", list)
+_NUMBER = _expect("a number", int, float)
+
+
+def _float(raw: object) -> float:
+    return float(_NUMBER(raw))
+
+
 def _build(where: str, make: Callable, **fields: object) -> object:
     """make(**fields), with a DataError it raises (a value out of range)
     naming where (config file and section)."""
@@ -258,17 +276,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise not_utf8(where, exc) from None
     bundles = []
     indexes = {}
-    for i, entry in enumerate(_field(where, config, "datasets", tuple)):
+    for i, entry in enumerate(_field(where, config, "datasets", _LIST)):
         at = f"{where}: datasets[{i}]"
-        name = _field(at, entry, "name", str)
+        name = _field(at, entry, "name", _STRING)
         # an empty annotations or index path means none, as an absent one does
-        annotations = _field(at, entry, "annotations", str, None) or None
-        _, annotated = _load_annotated(_field(at, entry, "corpus", str), annotations, name)
+        annotations = _field(at, entry, "annotations", _STRING, None) or None
+        _, annotated = _load_annotated(_field(at, entry, "corpus", _STRING), annotations, name)
         bundles.append(DatasetBundle(name=name, docs=tuple(annotated)))
-        index = _field(at, entry, "index", str, None)
+        index = _field(at, entry, "index", _STRING, None)
         indexes[name] = load_index(index) if index else None
     policies = _field(
-        where, config, "policies", lambda raw: [MaskPolicy.parse(v) for v in raw], list(MaskPolicy)
+        where,
+        config,
+        "policies",
+        lambda raw: [MaskPolicy.parse(v) for v in _LIST(raw)],
+        list(MaskPolicy),
     )
     split_cfg = _field(where, config, "split")
     at = f"{where}: split"
@@ -276,30 +298,30 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         at,
         SplitSpec,
         mode=_field(at, split_cfg, "mode", SplitMode),
-        train_fraction=_field(at, split_cfg, "train_fraction", float, 0.8),
+        train_fraction=_field(at, split_cfg, "train_fraction", _float, 0.8),
         boundary_date=_field(
             at, split_cfg, "boundary_date", lambda raw: iso_date(raw) if raw else None, None
         ),
-        seed=_field(at, split_cfg, "seed", int, 0),
+        seed=_field(at, split_cfg, "seed", _INTEGER, 0),
     )
     feat_cfg = _field(where, config, "features", default={})
     at = f"{where}: features"
     space = _build(
         at,
         FeatureSpace,
-        orders=_field(at, feat_cfg, "orders", lambda raw: tuple(map(int, raw)), (1, 2)),
-        dimensions=_field(at, feat_cfg, "dimensions", int, FeatureSpace().dimensions),
-        hash_seed=_field(at, feat_cfg, "hash_seed", int, 0),
+        orders=_field(at, feat_cfg, "orders", lambda raw: tuple(map(_INTEGER, _LIST(raw))), (1, 2)),
+        dimensions=_field(at, feat_cfg, "dimensions", _INTEGER, FeatureSpace().dimensions),
+        hash_seed=_field(at, feat_cfg, "hash_seed", _INTEGER, 0),
     )
     train_cfg = _field(where, config, "training", default={})
     at = f"{where}: training"
     tconfig = _build(
         at,
         TrainConfig,
-        epochs=_field(at, train_cfg, "epochs", int, TrainConfig().epochs),
-        learning_rate=_field(at, train_cfg, "learning_rate", float, TrainConfig().learning_rate),
-        l2=_field(at, train_cfg, "l2", float, TrainConfig().l2),
-        seed=_field(at, train_cfg, "seed", int, TrainConfig().seed),
+        epochs=_field(at, train_cfg, "epochs", _INTEGER, TrainConfig().epochs),
+        learning_rate=_field(at, train_cfg, "learning_rate", _float, TrainConfig().learning_rate),
+        l2=_field(at, train_cfg, "l2", _float, TrainConfig().l2),
+        seed=_field(at, train_cfg, "seed", _INTEGER, TrainConfig().seed),
     )
     report = run_matrix(
         bundles,
@@ -309,7 +331,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         space=space,
         config=tconfig,
         resolve_mode=_field(where, config, "resolve_mode", ResolveMode, ResolveMode.DUMP_ORDER),
-        ood_full=_field(where, config, "ood_full", bool, False),
+        ood_full=_field(where, config, "ood_full", _BOOLEAN, False),
     )
     if args.output_json:
         _write_output(args.output_json, report.to_json())
@@ -381,10 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Audit phrase/label bias in labeled corpora and mask named entities "
         "against it using a snapshotted Wikidata role index.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="default seed for seeded stages")
-    parser.add_argument(
-        "--strict", action="store_true", help="fail on malformed dump lines instead of skipping"
-    )
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level diagnostics")
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
@@ -418,6 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--person-only", action="store_true", help="keep only instance-of-human entities"
     )
+    p.add_argument(
+        "--strict", action="store_true", help="fail on malformed dump lines instead of skipping"
+    )
     p.set_defaults(func=_cmd_index_wikidata)
 
     p = sub.add_parser("mask", help="apply a masking policy to an annotated corpus")
@@ -439,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[m.value for m in SplitMode], required=True)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--boundary-date", type=iso_date, default=None)
-    p.add_argument("--seed", dest="sub_seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-output", required=True)
     p.add_argument("--test-output", required=True)
     p.set_defaults(func=_cmd_split)
@@ -450,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=TrainConfig().epochs)
     p.add_argument("--learning-rate", type=float, default=TrainConfig().learning_rate)
     p.add_argument("--l2", type=float, default=TrainConfig().l2)
-    p.add_argument("--seed", dest="sub_seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=TrainConfig().seed)
     p.add_argument("--orders", type=_orders, default=(1, 2), help="n-gram orders, e.g. 1,2")
     p.add_argument("--dimensions", type=int, default=FeatureSpace().dimensions)
     p.add_argument("--hash-seed", type=int, default=0)

@@ -48,9 +48,6 @@ class Label(Enum):
         except (ValueError, AttributeError):
             raise DataError(f"unknown label {raw!r}; expected 'real' or 'fake'") from None
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Document:

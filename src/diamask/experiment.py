@@ -277,7 +277,6 @@ def _fit(
 class EvalCell:
     train_set: str
     test_set: str
-    policy: MaskPolicy | None
     accuracy: float
     predictions: tuple[Label, ...]
     gold: tuple[Label, ...]
@@ -287,12 +286,12 @@ class EvalCell:
         return len(self.gold)
 
 
-def evaluate(model: Model, test: Corpus, policy: MaskPolicy | None = None) -> EvalCell:
+def evaluate(model: Model, test: Corpus) -> EvalCell:
     """Accuracy and per-document predictions on a test corpus (order
     preserved). An empty test set is an error."""
     memo: dict[str, int] = {}
     rows = [_bucket_counts(doc.text, model.space, memo) for doc in test]
-    return _evaluate_rows(model, rows, test.labels(), test.name, policy)
+    return _evaluate_rows(model, rows, test.labels(), test.name)
 
 
 def _evaluate_rows(
@@ -300,7 +299,6 @@ def _evaluate_rows(
     rows: Sequence[Mapping[int, int]],
     gold: Sequence[Label],
     test_set: str,
-    policy: MaskPolicy | None,
 ) -> EvalCell:
     """evaluate on featurized rows, gold[r] being row r's gold label."""
     if len(gold) == 0:
@@ -311,7 +309,6 @@ def _evaluate_rows(
     return EvalCell(
         train_set=model.train_set,
         test_set=test_set,
-        policy=policy,
         accuracy=correct / len(gold),
         predictions=predictions,
         gold=gold,
@@ -661,7 +658,7 @@ def run_matrix(
             for eval_name in names:
                 sel, gold = slices[eval_name][2 if ood_full and eval_name != train_name else 1]
                 results[(train_name, eval_name, policy)] = _evaluate_rows(
-                    model, [rows[eval_name][r] for r in sel], gold, eval_name, policy
+                    model, [rows[eval_name][r] for r in sel], gold, eval_name
                 )
     has_baseline = MaskPolicy.NO_MASK in policies and len(policies) > 1
     cells = []

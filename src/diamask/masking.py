@@ -77,8 +77,6 @@ _DELETE = "delete"
 
 @dataclass(frozen=True)
 class MaskedDocument:
-    original_id: str
-    policy: MaskPolicy
     text: str
     replacements: tuple[tuple[NeSpan, str | None], ...]
 
@@ -177,12 +175,7 @@ def apply_mask(
     masked = "".join(pieces)
     if edited:
         masked = _collapse_junctions(masked, junctions).strip()
-    return MaskedDocument(
-        original_id=doc.document.id,
-        policy=policy,
-        text=masked,
-        replacements=tuple(replacements),
-    )
+    return MaskedDocument(text=masked, replacements=tuple(replacements))
 
 
 def mask_corpus(

@@ -145,15 +145,6 @@ class TestComputeLmi:
         ]
         assert table.entries[1].lmi == table.entries[2].lmi
 
-    def test_log_base_rescales_without_reordering(self):
-        base = compute_lmi(FIXTURE, n=2, min_count=0)
-        scaled = compute_lmi(FIXTURE, n=2, min_count=0, log_base=10)
-        assert [(e.label, e.phrase) for e in base.entries] == [
-            (e.label, e.phrase) for e in scaled.entries
-        ]
-        for e_nat, e_ten in zip(base.entries, scaled.entries):
-            assert e_ten.lmi == pytest.approx(e_nat.lmi / math.log(10), rel=1e-12)
-
     def test_no_phrases_raises(self):
         corpus = corpus_from(["one"], ["two"])
         with pytest.raises(DataError, match="no phrases"):

@@ -1,7 +1,10 @@
 import json
 import logging
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,7 @@ from diamask import (
     train,
     write_annotations,
 )
-from diamask.cli import dispatch
+from diamask.cli import build_parser, dispatch
 
 from helpers import SYNTH_A, SYNTH_B, SYNTH_ROLE_MAP, entity_line, make_entity, modi_dump_lines
 
@@ -276,7 +279,7 @@ class TestIndexWikidata:
         ]
         assert dispatch(args) == 0
         assert "1 malformed line(s)" in capsys.readouterr().err
-        assert dispatch(["--strict"] + args) == 1
+        assert dispatch(args + ["--strict"]) == 1
         assert "line 2" in capsys.readouterr().err
 
     def test_person_only_filter(self, tmp_path, capsys):
@@ -407,6 +410,18 @@ class TestMask:
         assert [d.text for d in masked] == [d.text for d in original]
 
 
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("diamask ")]
+    parsed = [build_parser().parse_args(argv) for argv in commands]
+    assert {args.command for args in parsed} == {
+        "ingest", "lmi", "tag", "index-wikidata", "mask",
+        "split", "train", "eval", "experiment", "coverage",
+    }
+
+
 class TestSplit:
     def test_random_split_sizes_and_determinism(self, world):
         train1 = world["dir"] / "train1.jsonl"
@@ -431,24 +446,22 @@ class TestSplit:
         assert train1.read_bytes() == train2.read_bytes()
         assert test1.read_bytes() == test2.read_bytes()
 
-    def test_global_seed_is_the_fallback(self, world):
-        out_a = world["dir"] / "ga.jsonl"
-        out_b = world["dir"] / "gb.jsonl"
-        junk = world["dir"] / "junk.jsonl"
-        argv = lambda seed_args, out: seed_args + [
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--strict"]])
+    def test_seed_and_strict_are_not_global_flags(self, world, capsys, flag):
+        argv = flag + [
             "split",
             "--corpus",
             str(world["corpus_a"]),
             "--mode",
             "random",
             "--train-output",
-            str(out),
+            "-",
             "--test-output",
-            str(junk),
+            "-",
         ]
-        assert dispatch(argv(["--seed", "3"], out_a)) == 0
-        assert dispatch(argv([], out_b) + ["--seed", "3"]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
+        assert dispatch(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "diamask: error:" in err
 
     def test_time_mode_requires_boundary(self, world, capsys):
         code = dispatch(
@@ -563,6 +576,15 @@ class TestTrainEval:
         )
         assert dispatch(["train", "--corpus", corpus, "--output", "-"]) == 1
         assert "both labels" in capsys.readouterr().err
+
+    def test_orders_flag(self, tmp_path, tiny_corpus, capsys):
+        model_path = tmp_path / "model.json"
+        argv = ["train", "--corpus", tiny_corpus, "--output", str(model_path), "--orders"]
+        assert dispatch([*argv, "1,x"]) == 2
+        assert "not a comma-separated int list: '1,x'" in capsys.readouterr().err
+        assert not model_path.exists()
+        assert dispatch([*argv, "1"]) == 0
+        assert json.loads(model_path.read_text())["space"]["orders"] == [1]
 
     def test_missing_model_is_a_data_error(self, tiny_corpus):
         assert dispatch(["eval", "--model", "/nope/m.json", "--corpus", tiny_corpus]) == 1
@@ -896,6 +918,23 @@ HOSTILE = [
                  id="config-learning-rate-nan"),
     pytest.param(_config(training={"l2": float("inf")}), _EXPERIMENT,
                  "hostile: training: l2 must be finite and >= 0, got inf", id="config-l2-infinite"),
+    pytest.param(_config(ood_full="false"), _EXPERIMENT,
+                 'hostile: bad \'ood_full\' (expected true or false, got "false")',
+                 id="config-ood-full-a-string"),
+    pytest.param(_config(features={"dimensions": 1024.9}), _EXPERIMENT,
+                 "features: bad 'dimensions' (expected an integer, got 1024.9)",
+                 id="config-dimensions-a-float"),
+    pytest.param(_config(features={"orders": "12"}), _EXPERIMENT,
+                 "features: bad 'orders' (expected a list, got \"12\")",
+                 id="config-orders-a-string"),
+    pytest.param(_config(training={"epochs": True}), _EXPERIMENT,
+                 "training: bad 'epochs' (expected an integer, got true)",
+                 id="config-epochs-a-bool"),
+    pytest.param(_config(split={"mode": "random", "seed": 1.7}), _EXPERIMENT,
+                 "split: bad 'seed' (expected an integer, got 1.7)", id="config-seed-a-float"),
+    pytest.param(_config(datasets=[{"name": 5, "corpus": "{corpus}"}]), _EXPERIMENT,
+                 "datasets[0]: bad 'name' (expected a string, got 5)",
+                 id="config-name-a-number"),
     pytest.param(_dataset(mode="time", boundary_date="2020-06-01"), _EXPERIMENT,
                  "dataset 'x': documents without a date cannot be time-split: d1",
                  id="matrix-time-split-undated"),
@@ -913,6 +952,14 @@ HOSTILE = [
                  "learning_rate must be finite and > 0, got nan", id="train-learning-rate-nan"),
     pytest.param(_TWO_LABELS, [*_TRAIN, "--l2", "inf"], "l2 must be finite and >= 0, got inf",
                  id="train-l2-infinite"),
+    pytest.param("", _TRAIN, "hostile: cannot train on an empty corpus",
+                 id="train-empty-corpus"),
+    pytest.param('{"id": "a", "text": "x y", "label": "real"}\n', _TRAIN,
+                 "hostile: training corpus must contain both labels",
+                 id="train-one-label-corpus"),
+    pytest.param("", ["split", "--corpus", "{f}", "--mode", "random", "--train-output", "-",
+                      "--test-output", "-"],
+                 "hostile: cannot split an empty corpus", id="split-empty-corpus"),
     pytest.param(_config(training=[1]), _EXPERIMENT, "hostile: training",
                  id="config-training-not-an-object"),
     pytest.param(_model(space={"dimensions": 2**64}), _EVAL, "hostile: malformed model fields",
@@ -953,6 +1000,8 @@ HOSTILE = [
                  id="spans-not-a-list"),
     pytest.param('{"doc_id": ["d1"]}\n', _MASK_ANNOTATED, "hostile line 1:",
                  id="doc-id-not-a-string"),
+    pytest.param('{"doc_id": "d1", "spans": []}\nnot json\n', _MASK_ANNOTATED,
+                 "hostile line 2: malformed JSON", id="annotations-malformed-json"),
     pytest.param('{"doc_id": "d1", "spans": []}\n' + _span(tag="XYZ"), _MASK_ANNOTATED,
                  "hostile line 2: unknown entity tag 'XYZ'", id="span-unknown-tag"),
     pytest.param(_span(start=3, end=1), _MASK_ANNOTATED, "hostile line 1: bad span offsets [3, 1)",
@@ -960,6 +1009,12 @@ HOSTILE = [
     pytest.param(_span(end=99), _MASK_ANNOTATED, "hostile line 1:", id="span-past-text-end"),
     pytest.param(_span(text="John Doe"), _MASK_ANNOTATED, "hostile line 1:",
                  id="span-surface-mismatch"),
+    pytest.param("[1]\n", _INGEST, "hostile line 1: expected a JSON object",
+                 id="corpus-record-not-an-object"),
+    pytest.param('{"id": "", "text": "x", "label": "real"}\n', _INGEST,
+                 "hostile line 1: id must be a non-empty string", id="corpus-empty-id"),
+    pytest.param('{"id": "a", "text": 5, "label": "real"}\n', _INGEST,
+                 "hostile line 1: text must be a string", id="corpus-text-not-a-string"),
     pytest.param('{"id": "a", "text": "x", "label": "real", "source": 5}\n', _INGEST,
                  "hostile line 1: source must be a string or null",
                  id="corpus-source-not-a-string"),
@@ -973,7 +1028,7 @@ HOSTILE = [
                  id="gazetteer-unknown-tag"),
     pytest.param("Jane Roe\tPER\n \tPER\n", _TAG,
                  "hostile line 2: gazetteer entry with empty name", id="gazetteer-empty-name"),
-    pytest.param('{"id": "Q1"}\nnot json\n', ["--strict", *_INDEX_DUMP],
+    pytest.param('{"id": "Q1"}\nnot json\n', [*_INDEX_DUMP, "--strict"],
                  "hostile line 2: Expecting value", id="dump-strict-malformed-line"),
     pytest.param(_index_file(value=5), _MASK_INDEXED, "hostile: malformed index record at line 2",
                  id="index-statement-value-not-a-qid"),
@@ -981,6 +1036,8 @@ HOSTILE = [
                  "hostile: malformed index record at line 2", id="index-compact-statement-date"),
     pytest.param(_index_file(snapshot_date="20201228"), _MASK_INDEXED,
                  "hostile: malformed index header", id="index-compact-snapshot-date"),
+    pytest.param("token\tcount\nQ1\n", _TOP_LABELS,
+                 "hostile line 2: expected 'token<TAB>count'", id="usage-no-count"),
     pytest.param("token\tcount\nQ1\t0\n", _TOP_LABELS, "hostile line 2", id="usage-zero-count"),
     pytest.param("token\tcount\nQ1\t-2\n", _TOP_LABELS, "hostile line 2",
                  id="usage-negative-count"),

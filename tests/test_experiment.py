@@ -460,18 +460,17 @@ def make_cells(b, c, both_right=5, test_set="shared"):
         gold.append(Label.REAL), base.append(Label.FAKE), cont.append(Label.REAL)
     n = len(gold)
 
-    def cell(preds, policy):
+    def cell(preds):
         correct = sum(p is g for p, g in zip(preds, gold))
         return EvalCell(
             train_set="t",
             test_set=test_set,
-            policy=policy,
             accuracy=correct / n,
             predictions=tuple(preds),
             gold=tuple(gold),
         )
 
-    return cell(base, MaskPolicy.NO_MASK), cell(cont, MaskPolicy.WIKID)
+    return cell(base), cell(cont)
 
 
 class TestMcNemar:
