@@ -217,22 +217,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 _REQUIRED = object()
 
 
-def _field(
-    where: str, container: object, key: str, convert: Callable = lambda raw: raw, default=_REQUIRED
-) -> object:
-    """convert(container[key]), or default if the key is absent or null. Any
-    problem raises DataError naming where (config file and section) and key."""
-    if not isinstance(container, dict):
-        raise DataError(f"{where}: expected a JSON object")
-    raw = container.get(key)
+def _field(obj: object, key: str, convert: Callable = lambda raw: raw, default=_REQUIRED) -> object:
+    """convert(obj[key]), or default if the key is absent or null. Any problem
+    raises DataError naming key; the caller's prefixed blocks name the config
+    file and section."""
+    if not isinstance(obj, dict):
+        raise DataError("expected a JSON object")
+    raw = obj.get(key)
     if raw is None:
         if default is _REQUIRED:
-            raise DataError(f"{where}: missing {key!r}")
+            raise DataError(f"missing {key!r}")
         return default
     try:
         return convert(raw)
     except (ValueError, TypeError, OverflowError, DataError) as exc:
-        raise DataError(f"{where}: bad {key!r} ({exc})") from None
+        raise DataError(f"bad {key!r} ({exc})") from None
 
 
 def _expect(kind: str, *types: type) -> Callable[[object], object]:
@@ -259,11 +258,55 @@ def _float(raw: object) -> float:
     return float(_NUMBER(raw))
 
 
-def _build(where: str, make: Callable, **fields: object) -> object:
-    """make(**fields), with a DataError it raises (a value out of range)
-    naming where (config file and section)."""
-    with prefixed(where):
-        return make(**fields)
+def _path(raw: object) -> str:
+    if not _STRING(raw):
+        raise ValueError('expected a non-empty string, got ""')
+    return raw
+
+
+def _section(config: object, key: str, make: type, converters: dict, default=_REQUIRED) -> object:
+    """make(**fields) from config[key]: each field converted, else make's own
+    default (required if it has none). An error inside is prefixed with key."""
+    section = _field(config, key, default=default)
+    with prefixed(key):
+        return make(**{
+            name: _field(section, name, convert, getattr(make, name, _REQUIRED))
+            for name, convert in converters.items()
+        })
+
+
+def _parse_experiment_config(config: object) -> tuple[list, list, SplitSpec, dict]:
+    """Check every value of an experiment config, reading no file. Returns
+    (name, annotations, corpus, index) per dataset, the policies, the split
+    and run_matrix's keyword arguments."""
+    datasets = []
+    for i, entry in enumerate(_field(config, "datasets", _LIST)):
+        with prefixed(f"datasets[{i}]"):
+            # an empty annotations or index path means none, as an absent one does
+            datasets.append((
+                _field(entry, "name", _STRING),
+                _field(entry, "annotations", _STRING, None) or None,
+                _field(entry, "corpus", _path),
+                _field(entry, "index", _STRING, None) or None,
+            ))
+    policies = _field(
+        config, "policies", lambda raw: [MaskPolicy.parse(v) for v in _LIST(raw)], list(MaskPolicy)
+    )
+    split = _section(config, "split", SplitSpec, {
+        "mode": SplitMode, "train_fraction": _float,
+        "boundary_date": lambda raw: iso_date(raw) if raw else None, "seed": _INTEGER,
+    })
+    return datasets, policies, split, {
+        "space": _section(config, "features", FeatureSpace, {
+            "orders": lambda raw: tuple(map(_INTEGER, _LIST(raw))),
+            "dimensions": _INTEGER, "hash_seed": _INTEGER,
+        }, {}),
+        "config": _section(config, "training", TrainConfig, {
+            "epochs": _INTEGER, "learning_rate": _float, "l2": _float, "seed": _INTEGER
+        }, {}),
+        "resolve_mode": _field(config, "resolve_mode", ResolveMode, ResolveMode.DUMP_ORDER),
+        "ood_full": _field(config, "ood_full", _BOOLEAN, False),
+    }
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -274,65 +317,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
     except UnicodeDecodeError as exc:
         raise not_utf8(where, exc) from None
-    bundles = []
-    indexes = {}
-    for i, entry in enumerate(_field(where, config, "datasets", _LIST)):
-        at = f"{where}: datasets[{i}]"
-        name = _field(at, entry, "name", _STRING)
-        # an empty annotations or index path means none, as an absent one does
-        annotations = _field(at, entry, "annotations", _STRING, None) or None
-        _, annotated = _load_annotated(_field(at, entry, "corpus", _STRING), annotations, name)
-        bundles.append(DatasetBundle(name=name, docs=tuple(annotated)))
-        index = _field(at, entry, "index", _STRING, None)
-        indexes[name] = load_index(index) if index else None
-    policies = _field(
-        where,
-        config,
-        "policies",
-        lambda raw: [MaskPolicy.parse(v) for v in _LIST(raw)],
-        list(MaskPolicy),
-    )
-    split_cfg = _field(where, config, "split")
-    at = f"{where}: split"
-    split = _build(
-        at,
-        SplitSpec,
-        mode=_field(at, split_cfg, "mode", SplitMode),
-        train_fraction=_field(at, split_cfg, "train_fraction", _float, 0.8),
-        boundary_date=_field(
-            at, split_cfg, "boundary_date", lambda raw: iso_date(raw) if raw else None, None
-        ),
-        seed=_field(at, split_cfg, "seed", _INTEGER, 0),
-    )
-    feat_cfg = _field(where, config, "features", default={})
-    at = f"{where}: features"
-    space = _build(
-        at,
-        FeatureSpace,
-        orders=_field(at, feat_cfg, "orders", lambda raw: tuple(map(_INTEGER, _LIST(raw))), (1, 2)),
-        dimensions=_field(at, feat_cfg, "dimensions", _INTEGER, FeatureSpace().dimensions),
-        hash_seed=_field(at, feat_cfg, "hash_seed", _INTEGER, 0),
-    )
-    train_cfg = _field(where, config, "training", default={})
-    at = f"{where}: training"
-    tconfig = _build(
-        at,
-        TrainConfig,
-        epochs=_field(at, train_cfg, "epochs", _INTEGER, TrainConfig().epochs),
-        learning_rate=_field(at, train_cfg, "learning_rate", _float, TrainConfig().learning_rate),
-        l2=_field(at, train_cfg, "l2", _float, TrainConfig().l2),
-        seed=_field(at, train_cfg, "seed", _INTEGER, TrainConfig().seed),
-    )
-    report = run_matrix(
-        bundles,
-        policies,
-        indexes,
-        split,
-        space=space,
-        config=tconfig,
-        resolve_mode=_field(where, config, "resolve_mode", ResolveMode, ResolveMode.DUMP_ORDER),
-        ood_full=_field(where, config, "ood_full", _BOOLEAN, False),
-    )
+    with prefixed(where):
+        datasets, policies, split, options = _parse_experiment_config(config)
+        bundles = []
+        loaded = {None: None}  # index path -> its index, each path read once
+        for i, (name, annotations, corpus, index) in enumerate(datasets):
+            with prefixed(f"datasets[{i}]"):
+                _, annotated = _load_annotated(corpus, annotations, name)
+                if index not in loaded:
+                    loaded[index] = load_index(index)
+            bundles.append(DatasetBundle(name=name, docs=tuple(annotated)))
+        indexes = {name: loaded[index] for name, _, _, index in datasets}
+        report = run_matrix(bundles, policies, indexes, split, **options)
     if args.output_json:
         _write_output(args.output_json, report.to_json())
     if args.output_text or not args.output_json:
@@ -458,9 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="split a corpus into train and test")
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=[m.value for m in SplitMode], required=True)
-    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
     p.add_argument("--boundary-date", type=iso_date, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SplitSpec.seed)
     p.add_argument("--train-output", required=True)
     p.add_argument("--test-output", required=True)
     p.set_defaults(func=_cmd_split)
@@ -468,13 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the hashed n-gram logistic classifier")
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True, help="model file")
-    p.add_argument("--epochs", type=int, default=TrainConfig().epochs)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig().learning_rate)
-    p.add_argument("--l2", type=float, default=TrainConfig().l2)
-    p.add_argument("--seed", type=int, default=TrainConfig().seed)
-    p.add_argument("--orders", type=_orders, default=(1, 2), help="n-gram orders, e.g. 1,2")
-    p.add_argument("--dimensions", type=int, default=FeatureSpace().dimensions)
-    p.add_argument("--hash-seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--l2", type=float, default=TrainConfig.l2)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument(
+        "--orders", type=_orders, default=FeatureSpace.orders, help="n-gram orders, e.g. 1,2"
+    )
+    p.add_argument("--dimensions", type=int, default=FeatureSpace.dimensions)
+    p.add_argument("--hash-seed", type=int, default=FeatureSpace.hash_seed)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model on a corpus")

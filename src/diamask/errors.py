@@ -57,9 +57,9 @@ def at_line(where: object, lineno: int) -> Iterator[None]:
 
 @contextmanager
 def prefixed(where: object) -> Iterator[None]:
-    """Prefix a DataError raised inside with `<where>: `. (at_line formats
-    its own prefix only on an error, as it wraps every record of a file.)"""
+    """Re-raise a DataError or OSError from inside as a DataError prefixed
+    `<where>: `. (at_line formats its own prefix, as it wraps every record.)"""
     try:
         yield
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         raise DataError(f"{where}: {exc}") from None

@@ -614,9 +614,9 @@ def run_matrix(
     deterministic.
     """
     if not datasets:
-        raise DataError("run_matrix needs at least one dataset")
+        raise DataError("datasets must not be empty")
     if not policies:
-        raise DataError("run_matrix needs at least one policy")
+        raise DataError("policies must not be empty")
     names = [b.name for b in datasets]
     if len(set(names)) != len(names):
         raise DataError(f"dataset names must be unique, got {names}")

@@ -10,9 +10,12 @@ import pytest
 
 from diamask import (
     DatasetBundle,
+    FeatureSpace,
     MaskPolicy,
+    ResolveMode,
     SplitMode,
     SplitSpec,
+    TrainConfig,
     evaluate,
     load_annotations,
     load_corpus,
@@ -26,7 +29,7 @@ from diamask import (
     train,
     write_annotations,
 )
-from diamask.cli import build_parser, dispatch
+from diamask.cli import _parse_experiment_config, build_parser, dispatch
 
 from helpers import SYNTH_A, SYNTH_B, SYNTH_ROLE_MAP, entity_line, make_entity, modi_dump_lines
 
@@ -776,6 +779,50 @@ class TestExperiment:
         config.write_text("{nope")
         assert dispatch(["experiment", "--config", str(config)]) == 1
 
+    def test_an_index_shared_by_datasets_is_read_once(self, world, monkeypatch):
+        # both datasets name the same index file, as in README's example config
+        calls = []
+
+        def counting_load_index(path):
+            calls.append(path)
+            return load_index(path)
+
+        monkeypatch.setattr("diamask.cli.load_index", counting_load_index)
+        config = experiment_config(world, policies=["no-mask", "wikid"])
+        assert dispatch(["experiment", "--config", str(config)]) == 0
+        assert calls == [str(world["index"])]
+
+    def test_config_is_checked_before_any_input_is_read(self, world, capsys):
+        config = experiment_config(
+            world,
+            datasets=[{"name": "a", "corpus": str(world["dir"] / "missing.jsonl")}],
+            split={"mode": "bogus"},
+        )
+        assert dispatch(["experiment", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: experiment config {config}: split: bad 'mode'")
+
+
+def test_readme_experiment_config_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```json\n(\{\n  \"datasets\".*?)^```", readme,
+                          flags=re.DOTALL | re.MULTILINE)
+    datasets, policies, split, options = _parse_experiment_config(json.loads(block))
+    assert datasets == [
+        ("period-a", "a.spans.jsonl", "a.jsonl", "entities.idx"),
+        ("period-b", "b.spans.jsonl", "b.jsonl", "entities.idx"),
+    ]
+    assert [p.value for p in policies] == [
+        "no-mask", "ne-del", "basic-ner", "wikid", "wikid-del", "wikid-ner",
+    ]
+    assert split == SplitSpec(mode=SplitMode.RANDOM_HOLDOUT, train_fraction=0.8, seed=7)
+    assert options == {
+        "space": FeatureSpace(orders=(1, 2), dimensions=1048576, hash_seed=0),
+        "config": TrainConfig(epochs=10, learning_rate=0.1, l2=1e-6, seed=7),
+        "resolve_mode": ResolveMode.DUMP_ORDER,
+        "ood_full": False,
+    }
+
 
 class TestCoverage:
     def write_usage(self, path, rows):
@@ -935,6 +982,17 @@ HOSTILE = [
     pytest.param(_config(datasets=[{"name": 5, "corpus": "{corpus}"}]), _EXPERIMENT,
                  "datasets[0]: bad 'name' (expected a string, got 5)",
                  id="config-name-a-number"),
+    pytest.param(_config(datasets=[{"name": "a", "corpus": ""}]), _EXPERIMENT,
+                 "hostile: datasets[0]: bad 'corpus' (expected a non-empty string, got \"\")",
+                 id="config-empty-corpus-path"),
+    pytest.param(_config(datasets=[{"name": "a", "corpus": "{corpus}", "index": "{corpus}.idx"}]),
+                 _EXPERIMENT, "hostile: datasets[0]: [Errno 2] No such file or directory",
+                 id="config-missing-index"),
+    pytest.param(_config(), _EXPERIMENT, "hostile: datasets must not be empty",
+                 id="config-no-datasets"),
+    pytest.param(_config(datasets=[{"name": "a", "corpus": "{corpus}"}] * 2), _EXPERIMENT,
+                 "hostile: dataset names must be unique, got ['a', 'a']",
+                 id="config-duplicate-dataset-names"),
     pytest.param(_dataset(mode="time", boundary_date="2020-06-01"), _EXPERIMENT,
                  "dataset 'x': documents without a date cannot be time-split: d1",
                  id="matrix-time-split-undated"),
