@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document
-from .errors import DataError, at_line, numbered_lines
+from .errors import DataError, json_lines, numbered_lines, prefixed
 from .wikidata import _normalize
 
 __all__ = [
@@ -127,39 +127,31 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
     path = Path(path)
     by_doc: dict[str, list[NeSpan]] = {}
     docs = {doc.id: doc for doc in corpus}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in numbered_lines(fh, path):
-            line = line.strip()
-            if not line:
-                continue
-            with at_line(path, lineno):
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"malformed JSON ({exc.msg})") from None
-                if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
-                    raise DataError("expected an object with a string 'doc_id'")
-                doc_id = record["doc_id"]
-                if doc_id not in docs:
-                    raise DataError(f"unknown document id {doc_id!r}")
-                spans = by_doc.setdefault(doc_id, [])
-                raw_spans = record.get("spans", [])
-                if not isinstance(raw_spans, list) or any(type(r) is not dict for r in raw_spans):
-                    raise DataError(f"spans for {doc_id!r} must be a list of objects")
-                for raw in raw_spans:
-                    for field in ("start", "end", "tag", "text"):
-                        if field not in raw:
-                            raise DataError(f"span for {doc_id!r} missing field {field!r}")
-                    if type(raw["start"]) is not int or type(raw["end"]) is not int:
-                        raise DataError(f"span offsets for {doc_id!r} must be integers")
-                    span = NeSpan(
-                        start=raw["start"],
-                        end=raw["end"],
-                        tag=NeTag.parse(raw["tag"]),
-                        surface=raw["text"],
-                    )
-                    span.check_against(docs[doc_id].text, doc_id)
-                    spans.append(span)
+    for lineno, record in json_lines(path):
+        with prefixed(f"{path} line {lineno}"):
+            if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
+                raise DataError("expected an object with a string 'doc_id'")
+            doc_id = record["doc_id"]
+            if doc_id not in docs:
+                raise DataError(f"unknown document id {doc_id!r}")
+            spans = by_doc.setdefault(doc_id, [])
+            raw_spans = record.get("spans", [])
+            if not isinstance(raw_spans, list) or any(type(r) is not dict for r in raw_spans):
+                raise DataError(f"spans for {doc_id!r} must be a list of objects")
+            for raw in raw_spans:
+                for field in ("start", "end", "tag", "text"):
+                    if field not in raw:
+                        raise DataError(f"span for {doc_id!r} missing field {field!r}")
+                if type(raw["start"]) is not int or type(raw["end"]) is not int:
+                    raise DataError(f"span offsets for {doc_id!r} must be integers")
+                span = NeSpan(
+                    start=raw["start"],
+                    end=raw["end"],
+                    tag=NeTag.parse(raw["tag"]),
+                    surface=raw["text"],
+                )
+                span.check_against(docs[doc_id].text, doc_id)
+                spans.append(span)
     out: list[AnnotatedDocument] = []
     total_dropped = 0
     for doc in corpus:
@@ -218,7 +210,7 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            with at_line(path, lineno):
+            with prefixed(f"{path} line {lineno}"):
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise DataError("expected 'name<TAB>tag'")

@@ -31,7 +31,7 @@ from .corpus import (
     split_by_time,
     split_random,
 )
-from .errors import DataError, at_line, not_utf8, numbered_lines, prefixed
+from .errors import DataError, not_utf8, numbered_lines, prefixed
 from .experiment import (
     DatasetBundle,
     FeatureSpace,
@@ -52,6 +52,7 @@ from .wikidata import (
     save_index,
     top_labels,
 )
+from .experiment import _check_matrix  # the matrix's checks, run before any file is read
 from .wikidata import _QID_RE  # QID shape, shared with the library
 
 log = logging.getLogger("diamask")
@@ -88,7 +89,7 @@ def _emit_corpus(corpus: Corpus, dest: str) -> None:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.input, allow_empty_text=args.allow_empty_text, name=args.name)
+    corpus = load_corpus(args.input)
     _emit_corpus(corpus, args.output)
     log.info("ingested %d documents from %s", len(corpus), args.input)
     return 0
@@ -319,6 +320,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise not_utf8(where, exc) from None
     with prefixed(where):
         datasets, policies, split, options = _parse_experiment_config(config)
+        _check_matrix(
+            [name for name, *_ in datasets], policies,
+            [name for name, _, _, index in datasets if index],
+        )
         bundles = []
         loaded = {None: None}  # index path -> its index, each path read once
         for i, (name, annotations, corpus, index) in enumerate(datasets):
@@ -343,7 +348,7 @@ def _read_usage(path: str) -> Counter[str]:
             line = line.rstrip("\n")
             if not line or (lineno == 1 and line.startswith("token\t")):
                 continue
-            with at_line(path, lineno):
+            with prefixed(f"{path} line {lineno}"):
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise DataError("expected 'token<TAB>count'")
@@ -360,29 +365,32 @@ def _read_usage(path: str) -> Counter[str]:
 def _cmd_coverage(args: argparse.Namespace) -> int:
     if len(args.usage) < 2 and not (len(args.usage) == 1 and args.top_k is not None):
         raise _UsageError("--usage must be given at least twice (NAME=PATH each)")
-    named: list[tuple[str, dict[str, int]]] = []
+    if args.index is not None and args.top_k is None:
+        raise _UsageError("--index labels the --top-k listing, so it needs --top-k")
+    named: list[tuple[str, str, dict[str, int]]] = []
     for spec in args.usage:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             raise _UsageError(f"--usage expects NAME=PATH, got {spec!r}")
         # Usage reports may contain PER/LOC/ORG/MISC placeholders; coverage
         # is over role QIDs only.
-        named.append((name, {t: c for t, c in _read_usage(path).items() if _QID_RE.match(t)}))
+        named.append((name, path, {t: c for t, c in _read_usage(path).items() if _QID_RE.match(t)}))
     lines = []
     if len(named) >= 2:
         lines.append("# coverage matrix (% of row's unique labels present in column)")
-        lines.append("dataset\t" + "\t".join(name for name, _ in named))
-        for name_a, tokens_a in named:
+        lines.append("dataset\t" + "\t".join(name for name, _, _ in named))
+        for name_a, path_a, tokens_a in named:
             row = [name_a]
-            for _, tokens_b in named:
-                row.append(f"{coverage_rate(tokens_a, tokens_b):.1f}")
+            with prefixed(path_a):  # a report with no role QID
+                for _, _, tokens_b in named:
+                    row.append(f"{coverage_rate(tokens_a, tokens_b):.1f}")
             lines.append("\t".join(row))
     if args.top_k is not None:
         index = load_index(args.index) if args.index else None
         if lines:
             lines.append("")
         lines.append(f"# top {args.top_k} labels per dataset")
-        for name, counts in named:
+        for name, _, counts in named:
             for label, count in top_labels(counts, index, args.top_k):
                 lines.append(f"{name}\t{label}\t{count}")
     _write_output(args.output, "\n".join(lines) + "\n")
@@ -405,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="load, validate, and re-emit a corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="output path, or - for stdout")
-    p.add_argument("--allow-empty-text", action="store_true")
-    p.add_argument("--name", default=None, help="corpus name (default: input file stem)")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("lmi", help="rank phrase/label associations by local mutual information")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError, at_line, numbered_lines
+from .errors import DataError, json_lines, prefixed
 
 __all__ = [
     "Label",
@@ -116,58 +116,41 @@ def iso_date(raw: object) -> Date:
     return Date.fromisoformat(raw)
 
 
-def load_corpus(
-    path: str | Path,
-    *,
-    allow_empty_text: bool = False,
-    name: str | None = None,
-) -> Corpus:
+def load_corpus(path: str | Path, *, name: str | None = None) -> Corpus:
     """Load a JSON Lines corpus, preserving document order.
 
-    Every record needs id, text, and label. Labels parse case-insensitively.
-    Empty text is rejected unless allow_empty_text is set. Malformed lines,
-    missing fields, and duplicate ids raise DataError naming the file and line.
+    Every record needs id, text, and label; text may be empty, as masking
+    can make it. Labels parse case-insensitively. Malformed lines, missing
+    fields, and duplicate ids raise DataError naming the file and line.
     """
     path = Path(path)
     docs: list[Document] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in numbered_lines(fh, path):
-            line = line.strip()
-            if not line:
-                continue
-            with at_line(path, lineno):
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"malformed JSON ({exc.msg})") from None
-                if not isinstance(record, dict):
-                    raise DataError("expected a JSON object")
-                for field in ("id", "text", "label"):
-                    if field not in record:
-                        raise DataError(f"missing field {field!r}")
-                doc_id = record["id"]
-                if not isinstance(doc_id, str) or not doc_id:
-                    raise DataError("id must be a non-empty string")
-                if doc_id in seen:
-                    raise DataError(f"duplicate document id {doc_id!r}")
-                seen.add(doc_id)
-                text = record["text"]
-                if not isinstance(text, str):
-                    raise DataError("text must be a string")
-                if not text and not allow_empty_text:
-                    raise DataError(f"empty text for document {doc_id!r}")
-                label = Label.parse(record["label"])
-                try:
-                    doc_date = None if record.get("date") is None else iso_date(record["date"])
-                except ValueError as exc:
-                    raise DataError(str(exc)) from None
-                source = record.get("source")
-                if not isinstance(source, (str, type(None))):
-                    raise DataError("source must be a string or null")
-                docs.append(
-                    Document(id=doc_id, text=text, label=label, date=doc_date, source=source)
-                )
+    for lineno, record in json_lines(path):
+        with prefixed(f"{path} line {lineno}"):
+            if not isinstance(record, dict):
+                raise DataError("expected a JSON object")
+            for field in ("id", "text", "label"):
+                if field not in record:
+                    raise DataError(f"missing field {field!r}")
+            doc_id = record["id"]
+            if not isinstance(doc_id, str) or not doc_id:
+                raise DataError("id must be a non-empty string")
+            if doc_id in seen:
+                raise DataError(f"duplicate document id {doc_id!r}")
+            seen.add(doc_id)
+            text = record["text"]
+            if not isinstance(text, str):
+                raise DataError("text must be a string")
+            label = Label.parse(record["label"])
+            try:
+                doc_date = None if record.get("date") is None else iso_date(record["date"])
+            except ValueError as exc:
+                raise DataError(str(exc)) from None
+            source = record.get("source")
+            if not isinstance(source, (str, type(None))):
+                raise DataError("source must be a string or null")
+            docs.append(Document(id=doc_id, text=text, label=label, date=doc_date, source=source))
     return Corpus(name=name or path.stem, documents=tuple(docs))
 
 

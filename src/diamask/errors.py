@@ -1,13 +1,20 @@
-"""Error type shared across the package.
+"""Error type shared across the package, and the one way to read a text input.
 
 DataError marks problems with input data (bad records, impossible requests),
 as opposed to programming errors, which stay plain ValueError/TypeError. The
 CLI maps DataError to exit status 1 and usage problems to exit status 2.
+
+numbered_lines numbers the lines of a text file, naming the line of a byte
+that is not UTF-8; json_lines decodes the non-blank lines of a JSON Lines
+file on top of it. A loader wraps each record in prefixed(f"{path} line N"),
+so every record error names the file and the line.
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterable, Iterator
 
 
@@ -45,20 +52,27 @@ def numbered_lines(lines: Iterable[str], where: object) -> Iterator[tuple[int, s
         yield lineno, line
 
 
-@contextmanager
-def at_line(where: object, lineno: int) -> Iterator[None]:
-    """Prefix a DataError raised inside with where and the line, as
-    numbered_lines does: `<where> line <lineno>: `."""
-    try:
-        yield
-    except DataError as exc:
-        raise DataError(f"{where} line {lineno}: {exc}") from None
+def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, decoded value) for each non-blank line of a UTF-8 JSON
+    Lines file. A line that is not JSON raises DataError
+    `<path> line N: malformed JSON (<reason>)`."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in numbered_lines(fh, path):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path} line {lineno}: malformed JSON ({exc.msg})") from None
+            yield lineno, value
 
 
 @contextmanager
 def prefixed(where: object) -> Iterator[None]:
     """Re-raise a DataError or OSError from inside as a DataError prefixed
-    `<where>: `. (at_line formats its own prefix, as it wraps every record.)"""
+    `<where>: `."""
     try:
         yield
     except (DataError, OSError) as exc:

@@ -563,6 +563,26 @@ class MatrixReport:
         return "\n".join(lines) + "\n"
 
 
+def _check_matrix(
+    names: list[str], policies: Sequence[MaskPolicy], indexed: Sequence[str]
+) -> None:
+    """The checks across a matrix's entries, which read no file: given the
+    dataset names, the policies and the names of the datasets that have an
+    entity index."""
+    if not names:
+        raise DataError("datasets must not be empty")
+    if not policies:
+        raise DataError("policies must not be empty")
+    if len(set(names)) != len(names):
+        raise DataError(f"dataset names must be unique, got {names}")
+    if len(set(policies)) != len(policies):
+        raise DataError("policies must be unique")
+    if any(p.requires_index for p in policies):
+        for name in names:
+            if name not in indexed:
+                raise DataError(f"dataset {name!r} has no entity index but a policy needs one")
+
+
 def _split_rows(
     bundle: DatasetBundle, split: SplitSpec
 ) -> tuple[tuple[list[int], list[Label]], ...]:
@@ -613,18 +633,8 @@ def run_matrix(
     m = len(policies) - 1 comparisons. Output ordering and content are
     deterministic.
     """
-    if not datasets:
-        raise DataError("datasets must not be empty")
-    if not policies:
-        raise DataError("policies must not be empty")
     names = [b.name for b in datasets]
-    if len(set(names)) != len(names):
-        raise DataError(f"dataset names must be unique, got {names}")
-    if len(set(policies)) != len(policies):
-        raise DataError("policies must be unique")
-    for bundle in datasets:
-        if any(p.requires_index for p in policies) and indexes.get(bundle.name) is None:
-            raise DataError(f"dataset {bundle.name!r} has no entity index but a policy needs one")
+    _check_matrix(names, policies, [n for n in names if indexes.get(n) is not None])
     m = max(1, len(policies) - 1)
     # name -> (positions, gold labels) of its train, test and full slices
     slices = {b.name: _split_rows(b, split) for b in datasets}

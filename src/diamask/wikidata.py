@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .corpus import iso_date
 from .errors import DataError, numbered_lines
@@ -272,39 +272,28 @@ def _extract_record(entity: dict) -> EntityRecord | None:
 
 
 @contextmanager
-def _open_dump(source: str | Path | BinaryIO | io.TextIOBase) -> Iterator[Iterable[str]]:
+def _open_dump(source: str | Path | io.TextIOBase) -> Iterator[Iterable[str]]:
     """The dump's lines; a stream the caller passed in is left open."""
     if isinstance(source, io.TextIOBase):
         yield source
         return
-    owned = isinstance(source, (str, Path))
-    raw: BinaryIO = open(source, "rb") if owned else source
-    buffered = raw if hasattr(raw, "peek") else io.BufferedReader(raw)
-    # peek, not read + seek: pipes such as /dev/stdin cannot seek
-    gzipped = buffered.peek(2)[:2] == b"\x1f\x8b"
-    text = io.TextIOWrapper(
-        gzip.GzipFile(fileobj=buffered) if gzipped else buffered, encoding="utf-8"
-    )
-    try:
-        yield text
-    finally:
-        # A collected wrapper closes the stream under it (a GzipFile never
-        # closes a fileobj it was given), so detach the caller's stream.
-        text.detach()
-        if owned:
-            raw.close()
-        elif buffered is not raw:
-            buffered.detach()
+    with open(source, "rb") as raw:
+        # peek, not read + seek: pipes such as /dev/stdin cannot seek
+        gzipped = raw.peek(2)[:2] == b"\x1f\x8b"
+        stream = gzip.GzipFile(fileobj=raw) if gzipped else raw
+        with io.TextIOWrapper(stream, encoding="utf-8") as text:
+            yield text
 
 
 def index_dump(
-    source: str | Path | BinaryIO | io.TextIOBase,
+    source: str | Path | io.TextIOBase,
     snapshot_date: Date,
     *,
     person_only: bool = False,
     strict: bool = False,
 ) -> EntityIndex:
-    """Stream a dump into an EntityIndex.
+    """Stream a dump into an EntityIndex. source is a path (a plain or gzip
+    file, or a pipe such as /dev/stdin) or a text stream.
 
     Retains entities with at least one P39/P106 item target and an English
     label; person_only additionally requires P31 = Q5. Malformed lines are
@@ -525,7 +514,7 @@ def coverage_rate(labels_a: Iterable[str], labels_b: Iterable[str]) -> float:
     100 * |a intersect b| / |a|. Empty a is an error."""
     set_a = set(labels_a)
     if not set_a:
-        raise DataError("coverage_rate: first label set is empty")
+        raise DataError("first label set is empty")
     set_b = set(labels_b)
     return 100.0 * len(set_a & set_b) / len(set_a)
 

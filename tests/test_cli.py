@@ -176,15 +176,16 @@ class TestIngest:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
-    def test_empty_text_needs_flag(self, tmp_path):
+    def test_empty_text_is_ingested(self, tmp_path, capsys):
         path = write_corpus_file(
             tmp_path / "c.jsonl", [{"id": "a", "text": "", "label": "real"}]
         )
-        assert dispatch(["ingest", "--input", path, "--output", "-"]) == 1
-        assert (
-            dispatch(["ingest", "--input", path, "--allow-empty-text", "--output", "-"])
-            == 0
-        )
+        assert dispatch(["ingest", "--input", path, "--output", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["text"] == ""
+
+    @pytest.mark.parametrize("flag", [["--allow-empty-text"], ["--name", "x"]])
+    def test_takes_no_options(self, tiny_corpus, flag):
+        assert dispatch(["ingest", "--input", tiny_corpus, *flag, "--output", "-"]) == 2
 
 
 class TestLmi:
@@ -684,6 +685,34 @@ class TestPipelineComposition:
         gold = {a.document.id: a.spans for a in world["data"].annotated_a}
         assert {a.document.id: a.spans for a in annotated} == gold
 
+    def test_deleting_a_whole_document_leaves_a_usable_corpus(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path / "c.jsonl", [
+            {"id": "d1", "text": "Jane Roe", "label": "real"},
+            {"id": "d2", "text": "Jane Roe spoke today", "label": "real"},
+            {"id": "d3", "text": "a fake story", "label": "fake"},
+            {"id": "d4", "text": "another fake story", "label": "fake"},
+        ])
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text(
+            '{"doc_id": "d1", "spans": [{"start": 0, "end": 8, "tag": "PER", "text": "Jane Roe"}]}\n'
+        )
+        gazetteer = tmp_path / "persons.tsv"
+        gazetteer.write_text("Jane Roe\tPER\n")
+        masked, model = tmp_path / "m.jsonl", tmp_path / "model.json"
+        assert dispatch(["mask", "--corpus", corpus, "--annotations", str(spans),
+                         "--policy", "ne-del", "--output", str(masked)]) == 0
+        assert load_corpus(masked).documents[0].text == ""
+        for argv in (
+            ["split", "--corpus", str(masked), "--mode", "random",
+             "--train-output", str(tmp_path / "tr.jsonl"), "--test-output", str(tmp_path / "te.jsonl")],
+            ["train", "--corpus", str(masked), "--output", str(model)],
+            ["eval", "--model", str(model), "--corpus", str(masked), "--output", "-"],
+            ["lmi", "--corpus", str(masked), "--min-count", "0", "--output", "-"],
+            ["tag", "--corpus", str(masked), "--gazetteer", str(gazetteer),
+             "--output", str(tmp_path / "tagged.jsonl")],
+        ):
+            assert dispatch(argv) == 0, (argv, capsys.readouterr().err)
+
 
 def experiment_config(world, **overrides):
     config = {
@@ -858,6 +887,14 @@ class TestCoverage:
         assert dispatch(["coverage", "--usage", f"a={a}"]) == 2
         assert "--usage" in capsys.readouterr().err
 
+    def test_index_without_top_k_is_a_usage_error(self, tmp_path, capsys):
+        a = self.write_usage(tmp_path / "a.tsv", [("Q101", 3)])
+        code = dispatch(
+            ["coverage", "--usage", f"a={a}", "--usage", f"b={a}", "--index", "nonexist.idx"]
+        )
+        assert code == 2
+        assert "--top-k" in capsys.readouterr().err
+
     def test_bad_name_path_syntax_is_a_usage_error(self, tmp_path):
         a = self.write_usage(tmp_path / "a.tsv", [("Q101", 3)])
         assert dispatch(["coverage", "--usage", a, "--usage", f"b={a}"]) == 2
@@ -993,6 +1030,13 @@ HOSTILE = [
     pytest.param(_config(datasets=[{"name": "a", "corpus": "{corpus}"}] * 2), _EXPERIMENT,
                  "hostile: dataset names must be unique, got ['a', 'a']",
                  id="config-duplicate-dataset-names"),
+    # the matrix's checks across entries come before any input file is read
+    pytest.param(_config(datasets=[{"name": "a", "corpus": "nonexist.jsonl"}], policies=[]),
+                 _EXPERIMENT, "hostile: policies must not be empty",
+                 id="config-no-policies-missing-corpus"),
+    pytest.param(_config(datasets=[{"name": "a", "corpus": "nonexist.jsonl"}]), _EXPERIMENT,
+                 "hostile: dataset 'a' has no entity index but a policy needs one",
+                 id="config-no-index-missing-corpus"),
     pytest.param(_dataset(mode="time", boundary_date="2020-06-01"), _EXPERIMENT,
                  "dataset 'x': documents without a date cannot be time-split: d1",
                  id="matrix-time-split-undated"),
@@ -1106,6 +1150,8 @@ HOSTILE = [
     pytest.param("token\tcount\nQ1\t2\n",
                  ["coverage", "--usage", "a={f}", "--usage", "b={f}", "--top-k", "0"],
                  "k must be >= 1", id="coverage-zero-top-k-two-reports"),
+    pytest.param("token\tcount\nPER\t2\n", ["coverage", "--usage", "a={f}", "--usage", "b={f}"],
+                 "hostile: first label set is empty", id="coverage-no-role-qid"),
     # bytes rows are written as they are: a byte that is not UTF-8, a cut gzip stream
     pytest.param(b'{"id": "a", "text": "x", "label": "real"}\n{"id": "b", "text": "\xff"}\n',
                  _INGEST, "hostile line 2: not UTF-8", id="corpus-not-utf8"),

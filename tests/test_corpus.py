@@ -141,13 +141,11 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="a"):
             load_corpus(path)
 
-    def test_empty_text_rejected_unless_allowed(self, tmp_path):
+    def test_empty_text_is_a_document(self, tmp_path):
+        # masking can delete a whole document, e.g. ne-del on a bare name
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"id": "a", "text": "", "label": "real"}])
-        with pytest.raises(DataError, match="empty text"):
-            load_corpus(path)
-        corpus = load_corpus(path, allow_empty_text=True)
-        assert corpus.documents[0].text == ""
+        assert load_corpus(path).documents[0].text == ""
 
     def test_bad_date_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
