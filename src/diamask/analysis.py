@@ -174,24 +174,26 @@ def compute_lmi(
     return LmiTable(n=n, total_phrases=total, p_label=p_label, entries=tuple(entries))
 
 
-def _format_scaled(lmi: float, scale: float) -> str:
-    return format(lmi * scale, ".6g")
+_LMI_SCALE = 1e6
+
+
+def _format_scaled(lmi: float) -> str:
+    return format(lmi * _LMI_SCALE, ".6g")
 
 
 def export_lmi_table(
     table: LmiTable,
     *,
     top_k: int = 10,
-    scale: float = 1e6,
     fmt: str = "tsv",
 ) -> str:
     """Render the top_k entries per label.
 
     fmt "tsv" emits the machine-readable table (header
     phrase/label/count_wl/count_w/p_l_given_w/lmi_scaled); fmt "text" emits
-    an aligned human-readable listing. Scores are multiplied by `scale`
-    (default 10^6, so 0.000218 prints as 218) and p(l|w) is rounded to two
-    decimals in both renderings.
+    an aligned human-readable listing. Scores are multiplied by 10^6 (so
+    0.000218 prints as 218) and p(l|w) is rounded to two decimals in both
+    renderings.
     """
     if top_k < 1:
         raise DataError(f"top_k must be >= 1, got {top_k}")
@@ -205,11 +207,11 @@ def export_lmi_table(
         for e in rows:
             lines.append(
                 f"{e.phrase}\t{e.label.value}\t{e.count_wl}\t{e.count_w}"
-                f"\t{e.p_l_given_w:.2f}\t{_format_scaled(e.lmi, scale)}"
+                f"\t{e.p_l_given_w:.2f}\t{_format_scaled(e.lmi)}"
             )
         return "\n".join(lines) + "\n"
     width = max((len(e.phrase) for e in rows), default=6)
-    lines = [f"top {top_k} {table.n}-grams per label (lmi x {scale:g})"]
+    lines = [f"top {top_k} {table.n}-grams per label (lmi x {_LMI_SCALE:g})"]
     for label in Label:
         label_rows = [e for e in rows if e.label is label]
         if not label_rows:
@@ -217,7 +219,7 @@ def export_lmi_table(
         lines.append(f"-- {label.value} --")
         for e in label_rows:
             lines.append(
-                f"{e.phrase:<{width}}  lmi={_format_scaled(e.lmi, scale):>10}"
+                f"{e.phrase:<{width}}  lmi={_format_scaled(e.lmi):>10}"
                 f"  p(l|w)={e.p_l_given_w:.2f}  count={e.count_wl}/{e.count_w}"
             )
     return "\n".join(lines) + "\n"

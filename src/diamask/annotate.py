@@ -13,7 +13,6 @@ without any statistical NER system.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document
-from .errors import DataError, json_lines, numbered_lines, prefixed
+from .errors import DataError, json_lines, numbered_lines, prefixed, write_json_lines
 from .wikidata import _normalize
 
 __all__ = [
@@ -165,18 +164,16 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
 
 def write_annotations(docs: Sequence[AnnotatedDocument], path: str | Path) -> None:
     """Write annotations in the format read by load_annotations."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for ann in docs:
-            record = {
-                "doc_id": ann.document.id,
-                "spans": [
-                    {"start": s.start, "end": s.end, "tag": s.tag.value, "text": s.surface}
-                    for s in ann.spans
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False))
-            fh.write("\n")
+    write_json_lines(path, (
+        {
+            "doc_id": ann.document.id,
+            "spans": [
+                {"start": s.start, "end": s.end, "tag": s.tag.value, "text": s.surface}
+                for s in ann.spans
+            ],
+        }
+        for ann in docs
+    ))
 
 
 @dataclass(frozen=True)

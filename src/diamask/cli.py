@@ -3,9 +3,9 @@
 Exit codes: 0 on success, 1 on domain errors (bad input data or impossible
 requests), 2 on usage errors (unknown/missing flags, unparseable flag
 values). Diagnostics go to stderr; data goes to files or stdout ('-' means
-stdout wherever an output path is taken). Subcommands never modify their
-input files, and a rerun with identical inputs and seeds produces
-byte-identical outputs.
+stdout wherever an output path is taken, and gets the file's UTF-8 bytes).
+Subcommands never modify their input files, and a rerun with identical
+inputs and seeds produces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from .corpus import (
     Corpus,
     SplitMode,
     SplitSpec,
-    document_to_record,
     iso_date,
     load_corpus,
     save_corpus,
     split_by_time,
     split_random,
 )
-from .errors import DataError, not_utf8, numbered_lines, prefixed
+from .errors import DataError, not_utf8, numbered_lines, prefixed, write_output
 from .experiment import (
     DatasetBundle,
     FeatureSpace,
@@ -69,19 +68,16 @@ def _orders(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {raw!r}") from None
 
 
-def _write_output(dest: str, payload: str) -> None:
-    if dest == "-":
-        sys.stdout.write(payload)
-    else:
-        Path(dest).write_text(payload, encoding="utf-8")
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer no smaller than low."""
 
+    def count(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-def _emit_corpus(corpus: Corpus, dest: str) -> None:
-    if dest == "-":
-        for doc in corpus:
-            sys.stdout.write(json.dumps(document_to_record(doc), ensure_ascii=False) + "\n")
-    else:
-        save_corpus(corpus, dest)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +86,7 @@ def _emit_corpus(corpus: Corpus, dest: str) -> None:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.input)
-    _emit_corpus(corpus, args.output)
+    save_corpus(corpus, args.output)
     log.info("ingested %d documents from %s", len(corpus), args.input)
     return 0
 
@@ -98,8 +94,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_lmi(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     table = compute_lmi(corpus, n=args.n, min_count=args.min_count)
-    rendered = export_lmi_table(table, top_k=args.top, scale=args.scale, fmt=args.format)
-    _write_output(args.output, rendered)
+    write_output(args.output, [export_lmi_table(table, top_k=args.top, fmt=args.format)])
     return 0
 
 
@@ -144,12 +139,10 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     masked, usage = mask_corpus(
         annotated, policy, index, ResolveMode(args.resolve_mode), name=corpus.name
     )
-    _emit_corpus(masked, args.output)
+    save_corpus(masked, args.output)
     if args.usage_report:
-        lines = ["token\tcount"]
-        for token, count in sorted(usage.items(), key=lambda kv: (-kv[1], qid_sort_key(kv[0]))):
-            lines.append(f"{token}\t{count}")
-        _write_output(args.usage_report, "\n".join(lines) + "\n")
+        ranked = sorted(usage.items(), key=lambda kv: (-kv[1], qid_sort_key(kv[0])))
+        write_output(args.usage_report, ["token\tcount\n", *(f"{t}\t{c}\n" for t, c in ranked)])
     log.info("masked %d documents with %s", len(masked), policy.value)
     return 0
 
@@ -170,8 +163,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
             train_c, test_c = split_random(corpus, spec)
         else:
             train_c, test_c = split_by_time(corpus, spec)
-    _emit_corpus(train_c, args.train_output)
-    _emit_corpus(test_c, args.test_output)
+    save_corpus(train_c, args.train_output)
+    save_corpus(test_c, args.test_output)
     log.info("split %d documents into %d train / %d test", len(corpus), len(train_c), len(test_c))
     return 0
 
@@ -211,7 +204,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             for doc, gold, pred in zip(corpus, cell.gold, cell.predictions)
         ],
     }
-    _write_output(args.output, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+    write_output(args.output, [json.dumps(payload, ensure_ascii=False, indent=2) + "\n"])
     return 0
 
 
@@ -335,9 +328,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         indexes = {name: loaded[index] for name, _, _, index in datasets}
         report = run_matrix(bundles, policies, indexes, split, **options)
     if args.output_json:
-        _write_output(args.output_json, report.to_json())
+        write_output(args.output_json, [report.to_json()])
     if args.output_text or not args.output_json:
-        _write_output(args.output_text or "-", report.to_text())
+        write_output(args.output_text or "-", [report.to_text()])
     return 0
 
 
@@ -393,7 +386,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         for name, _, counts in named:
             for label, count in top_labels(counts, index, args.top_k):
                 lines.append(f"{name}\t{label}\t{count}")
-    _write_output(args.output, "\n".join(lines) + "\n")
+    write_output(args.output, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -417,10 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lmi", help="rank phrase/label associations by local mutual information")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--n", type=int, default=2, help="n-gram order (default 2)")
-    p.add_argument("--top", type=int, default=10, help="entries per label (default 10)")
-    p.add_argument("--min-count", type=int, default=5, help="minimum phrase count (default 5)")
-    p.add_argument("--scale", type=float, default=1e6, help="score multiplier (default 1e6)")
+    p.add_argument("--n", type=_at_least(1), default=2, help="n-gram order (default 2)")
+    p.add_argument("--top", type=_at_least(1), default=10, help="entries per label (default 10)")
+    p.add_argument(
+        "--min-count", type=_at_least(0), default=5, help="minimum phrase count (default 5)"
+    )
     p.add_argument("--format", choices=("tsv", "text"), default="tsv")
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_lmi)
@@ -501,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=PATH",
         help="usage report from `mask --usage-report`; repeat per dataset",
     )
-    p.add_argument("--top-k", type=int, default=None, help="also list the top labels")
+    p.add_argument("--top-k", type=_at_least(1), default=None, help="also list the top labels")
     p.add_argument("--index", default=None, help="entity index for human-readable labels")
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_coverage)

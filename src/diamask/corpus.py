@@ -10,7 +10,6 @@ The on-disk format is JSON Lines, one object per document:
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -21,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError, json_lines, prefixed
+from .errors import DataError, json_lines, prefixed, write_json_lines
 
 __all__ = [
     "Label",
@@ -165,11 +164,7 @@ def document_to_record(doc: Document) -> dict:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus in the JSON Lines format loaded by load_corpus."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for doc in corpus:
-            fh.write(json.dumps(document_to_record(doc), ensure_ascii=False))
-            fh.write("\n")
+    write_json_lines(path, map(document_to_record, corpus))
 
 
 def split_random(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:

@@ -1,4 +1,5 @@
-"""Error type shared across the package, and the one way to read a text input.
+"""Error type shared across the package, and the one way to read a text
+input and to write an output.
 
 DataError marks problems with input data (bad records, impossible requests),
 as opposed to programming errors, which stay plain ValueError/TypeError. The
@@ -8,12 +9,17 @@ numbered_lines numbers the lines of a text file, naming the line of a byte
 that is not UTF-8; json_lines decodes the non-blank lines of a JSON Lines
 file on top of it. A loader wraps each record in prefixed(f"{path} line N"),
 so every record error names the file and the line.
+
+write_output writes text as UTF-8 to a file, or to stdout when the path is
+"-", so both get the same bytes whatever the terminal's encoding;
+write_json_lines writes one JSON record per line through it.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -67,6 +73,20 @@ def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path} line {lineno}: malformed JSON ({exc.msg})") from None
             yield lineno, value
+
+
+def write_output(dest: str | Path, chunks: Iterable[str]) -> None:
+    """Write the chunks as UTF-8 to the file dest, or to stdout if dest is "-"."""
+    if dest == "-":
+        sys.stdout.flush()  # text already printed goes out first
+    with nullcontext(sys.stdout.buffer) if dest == "-" else open(dest, "wb") as out:
+        out.writelines(chunk.encode("utf-8") for chunk in chunks)
+        out.flush()  # stdout is not closed here
+
+
+def write_json_lines(dest: str | Path, records: Iterable[object]) -> None:
+    """write_output of each record as one line of JSON, non-ASCII kept as is."""
+    write_output(dest, (json.dumps(record, ensure_ascii=False) + "\n" for record in records))
 
 
 @contextmanager

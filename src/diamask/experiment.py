@@ -54,7 +54,7 @@ import numpy as np
 from .analysis import extract_ngrams, tokenize
 from .annotate import AnnotatedDocument, NeSpan, NeTag
 from .corpus import Corpus, Document, Label, SplitMode, SplitSpec, split_by_time, split_random
-from .errors import DataError, not_utf8, prefixed
+from .errors import DataError, not_utf8, prefixed, write_json_lines
 # mask_corpus is unused here; perfbench's tracer test reads diamask.experiment.mask_corpus
 from .masking import MaskPolicy, apply_mask, mask_corpus  # noqa: F401
 from .wikidata import (
@@ -339,7 +339,7 @@ def save_model(model: Model, path: str | Path) -> None:
         "bias": model.bias,
         "weights": {str(b): w for b, w in sorted(model.weights.items()) if w},
     }
-    Path(path).write_text(json.dumps(obj, ensure_ascii=False) + "\n", encoding="utf-8")
+    write_json_lines(path, [obj])
 
 
 def _json_number(value: object) -> float:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import itertools
 import json
 import logging
 import re
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import iso_date
-from .errors import DataError, numbered_lines
+from .errors import DataError, numbered_lines, write_json_lines
 
 __all__ = [
     "RoleProperty",
@@ -353,18 +354,13 @@ def _record_to_json(record: EntityRecord) -> dict:
 
 def save_index(index: EntityIndex, path: str | Path) -> None:
     """Write the versioned single-file index format (see module docstring)."""
-    path = Path(path)
     header = {
         "format_version": FORMAT_VERSION,
         "snapshot_date": index.snapshot_date.isoformat(),
         "record_count": len(index.records),
     }
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False))
-        fh.write("\n")
-        for qid in sorted(index.records, key=qid_sort_key):
-            fh.write(json.dumps(_record_to_json(index.records[qid]), ensure_ascii=False))
-            fh.write("\n")
+    records = (index.records[qid] for qid in sorted(index.records, key=qid_sort_key))
+    write_json_lines(path, itertools.chain([header], map(_record_to_json, records)))
 
 
 def load_index(path: str | Path) -> EntityIndex:

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import re
 import shlex
 import subprocess
@@ -212,10 +213,6 @@ class TestLmi:
         )
         assert code == 0
         assert "-- fake --" in capsys.readouterr().out
-
-    def test_bad_top_is_a_data_error(self, tiny_corpus, capsys):
-        assert dispatch(["lmi", "--corpus", tiny_corpus, "--top", "0"]) == 1
-        assert "top_k" in capsys.readouterr().err
 
 
 class TestTag:
@@ -908,6 +905,107 @@ class TestCoverage:
         assert code == 1
 
 
+# -- outputs: "-" prints exactly the bytes a path gets -----------------------
+
+_MASK = ["mask", "--corpus", "{corpus_a}", "--annotations", "{ann_a}", "--policy", "wikid",
+         "--index", "{index}"]
+_SPLIT = ["split", "--corpus", "{corpus_a}", "--mode", "random"]
+_RUN_EXPERIMENT = ["experiment", "--config", "{config}"]
+
+
+@pytest.fixture()
+def outputs_world(world):
+    """world plus a usage report, a model and an experiment config."""
+    paths = {**world, "usage": world["dir"] / "usage.tsv", "model": world["dir"] / "model.json",
+             "config": experiment_config(world)}
+    for argv in (
+        _MASK + ["--output", "{dir}/masked.jsonl", "--usage-report", "{usage}"],
+        ["train", "--corpus", "{corpus_a}", "--output", "{model}"],
+    ):
+        assert dispatch([arg.format(**paths) for arg in argv]) == 0
+    return paths
+
+
+OUTPUT_FLAGS = [
+    pytest.param(["ingest", "--input", "{corpus_a}", "--output", "{out}"], id="ingest"),
+    pytest.param(["lmi", "--corpus", "{corpus_a}", "--format", "text", "--output", "{out}"],
+                 id="lmi"),
+    pytest.param(["tag", "--corpus", "{corpus_a}", "--gazetteer", "{gazetteer}",
+                  "--output", "{out}"], id="tag"),
+    pytest.param(["index-wikidata", "--dump", "{dump}", "--snapshot-date", "2020-12-28",
+                  "--output", "{out}"], id="index-wikidata"),
+    pytest.param(_MASK + ["--output", "{out}", "--usage-report", "{dir}/u.tsv"], id="mask-output"),
+    pytest.param(_MASK + ["--output", "{dir}/m.jsonl", "--usage-report", "{out}"],
+                 id="mask-usage-report"),
+    pytest.param(_SPLIT + ["--train-output", "{out}", "--test-output", "{dir}/te.jsonl"],
+                 id="split-train-output"),
+    pytest.param(_SPLIT + ["--train-output", "{dir}/tr.jsonl", "--test-output", "{out}"],
+                 id="split-test-output"),
+    pytest.param(["train", "--corpus", "{corpus_a}", "--output", "{out}"], id="train"),
+    pytest.param(["eval", "--model", "{model}", "--corpus", "{corpus_b}", "--output", "{out}"],
+                 id="eval"),
+    pytest.param(_RUN_EXPERIMENT + ["--output-json", "{out}", "--output-text", "{dir}/r.txt"],
+                 id="experiment-output-json"),
+    pytest.param(_RUN_EXPERIMENT + ["--output-json", "{dir}/r.json", "--output-text", "{out}"],
+                 id="experiment-output-text"),
+    pytest.param(["coverage", "--usage", "a={usage}", "--usage", "b={usage}", "--top-k", "2",
+                  "--index", "{index}", "--output", "{out}"], id="coverage"),
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_FLAGS)
+def test_dash_prints_the_bytes_a_path_gets(outputs_world, tmp_path, monkeypatch, capsysbinary,
+                                           argv):
+    out = tmp_path / "out"
+    assert dispatch([arg.format(out=out, **outputs_world) for arg in argv]) == 0
+    written = out.read_bytes()
+    capsysbinary.readouterr()
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert dispatch([arg.format(out="-", **outputs_world) for arg in argv]) == 0
+    assert capsysbinary.readouterr().out == written
+    assert not (cwd / "-").exists()
+
+
+def test_dash_is_utf8_whatever_the_terminal_encoding(tmp_path):
+    corpus = write_corpus_file(
+        tmp_path / "c.jsonl", [{"id": "d1", "text": "Zoë Ñúñez — 東京", "label": "real"}]
+    )
+    out = tmp_path / "out.jsonl"
+    assert dispatch(["ingest", "--input", corpus, "--output", str(out)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "diamask", "ingest", "--input", corpus, "--output", "-"],
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+
+
+COUNT_FLAGS = [
+    pytest.param(["lmi", "--corpus", "{f}", "--n", "0"], "--n", id="lmi-zero-n"),
+    pytest.param(["lmi", "--corpus", "{f}", "--top", "0"], "--top", id="lmi-zero-top"),
+    pytest.param(["lmi", "--corpus", "{f}", "--min-count", "-1"], "--min-count",
+                 id="lmi-negative-min-count"),
+    pytest.param(["coverage", "--usage", "a={f}", "--top-k", "-1"], "--top-k",
+                 id="coverage-negative-top-k-without-index"),
+    pytest.param(["coverage", "--usage", "a={f}", "--top-k", "0"], "--top-k",
+                 id="coverage-zero-top-k"),
+    pytest.param(["coverage", "--usage", "a={f}", "--usage", "b={f}", "--top-k", "0"], "--top-k",
+                 id="coverage-zero-top-k-two-reports"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", COUNT_FLAGS)
+def test_bad_count_flag_is_a_usage_error(tiny_corpus, capsys, argv, flag):
+    # no file is read: argparse rejects the value, naming the flag
+    code = dispatch([arg.format(f=tiny_corpus) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"argument {flag}: must be >= " in err
+
 # -- hostile input: one `error:` line and exit 1, never a traceback ----------
 
 def _index_file(snapshot_date="2020-12-28", **statement):
@@ -1143,13 +1241,6 @@ HOSTILE = [
     pytest.param("token\tcount\nQ1\t0\n", _TOP_LABELS, "hostile line 2", id="usage-zero-count"),
     pytest.param("token\tcount\nQ1\t-2\n", _TOP_LABELS, "hostile line 2",
                  id="usage-negative-count"),
-    pytest.param("token\tcount\nQ1\t2\n", ["coverage", "--usage", "a={f}", "--top-k", "-1"],
-                 "k must be >= 1", id="coverage-negative-top-k-without-index"),
-    pytest.param("token\tcount\nQ1\t2\n", ["coverage", "--usage", "a={f}", "--top-k", "0"],
-                 "k must be >= 1", id="coverage-zero-top-k"),
-    pytest.param("token\tcount\nQ1\t2\n",
-                 ["coverage", "--usage", "a={f}", "--usage", "b={f}", "--top-k", "0"],
-                 "k must be >= 1", id="coverage-zero-top-k-two-reports"),
     pytest.param("token\tcount\nPER\t2\n", ["coverage", "--usage", "a={f}", "--usage", "b={f}"],
                  "hostile: first label set is empty", id="coverage-no-role-qid"),
     # bytes rows are written as they are: a byte that is not UTF-8, a cut gzip stream
