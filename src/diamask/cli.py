@@ -30,7 +30,7 @@ from .corpus import (
     split_by_time,
     split_random,
 )
-from .errors import DataError, not_utf8, numbered_lines, prefixed, write_output
+from .errors import DataError, json_file, numbered_lines, prefixed, write_output
 from .experiment import (
     DatasetBundle,
     FeatureSpace,
@@ -304,14 +304,8 @@ def _parse_experiment_config(config: object) -> tuple[list, list, SplitSpec, dic
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    where = f"experiment config {args.config}"
-    try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
-    except UnicodeDecodeError as exc:
-        raise not_utf8(where, exc) from None
-    with prefixed(where):
+    config = json_file(args.config)
+    with prefixed(f"experiment config {args.config}"):
         datasets, policies, split, options = _parse_experiment_config(config)
         _check_matrix(
             [name for name, *_ in datasets], policies,

@@ -6,9 +6,11 @@ as opposed to programming errors, which stay plain ValueError/TypeError. The
 CLI maps DataError to exit status 1 and usage problems to exit status 2.
 
 numbered_lines numbers the lines of a text file, naming the line of a byte
-that is not UTF-8; json_lines decodes the non-blank lines of a JSON Lines
-file on top of it. A loader wraps each record in prefixed(f"{path} line N"),
-so every record error names the file and the line.
+that is not UTF-8. This is the one place JSON is decoded: decode_json is
+json.loads plus a check that every string encodes as UTF-8, json_lines
+applies it to each non-blank line of a JSON Lines file, and json_file to a
+file holding one value. A loader wraps each record in
+prefixed(f"{path} line N"), so every record error names the file and line.
 
 write_output writes text as UTF-8 to a file, or to stdout when the path is
 "-", so both get the same bytes whatever the terminal's encoding;
@@ -18,6 +20,7 @@ write_json_lines writes one JSON record per line through it.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -26,15 +29,6 @@ from typing import Iterable, Iterator
 
 class DataError(Exception):
     """Invalid or inconsistent input data."""
-
-
-def not_utf8(where: object, exc: UnicodeDecodeError, lines_before: int = 0) -> DataError:
-    """DataError naming the line of exc's bad byte, given that the bytes
-    exc was decoding start on line lines_before + 1. As in a file read with
-    universal newlines, each of CR LF, a bare CR and LF ends one line."""
-    head = exc.object[: exc.start]
-    line = lines_before + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-    return DataError(f"{where} line {line}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})")
 
 
 def numbered_lines(lines: Iterable[str], where: object) -> Iterator[tuple[int, str]]:
@@ -49,30 +43,58 @@ def numbered_lines(lines: Iterable[str], where: object) -> Iterator[tuple[int, s
         except StopIteration:
             return
         except UnicodeDecodeError as exc:
-            # A text file decodes a chunk ahead of the lines it hands out;
-            # the chunk starts on the line after the last one handed out.
-            raise not_utf8(where, exc, lineno) from None
+            # A text file decodes a chunk ahead of the lines it hands out; the
+            # chunk starts on the line after the last one handed out. As with
+            # universal newlines, each of CR LF, a bare CR and LF ends a line.
+            head = exc.object[: exc.start]
+            line = lineno + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise DataError(f"{where} line {line}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
         except EOFError:
             raise DataError(f"{where} line {lineno + 1}: compressed data ends early") from None
         lineno += 1
         yield lineno, line
 
 
+# group 1: the \u escape of a surrogate half, with the low half after a high one if any.
+# In text json.loads accepts, a run of "\" pairs up from its start: only an odd one ends in \u.
+_SURROGATE_ESCAPE = re.compile(r"\\(?<!\\\\)(?:\\\\)*(u[dD](?:[89abAB]..(?:\\u[dD][c-fC-F]..)?|[c-fC-F]..))")
+
+
+def decode_json(text: str, where: object, lineno: int = 1) -> object:
+    """json.loads(text), where text is where's lines from line lineno on, else
+    DataError `<where> line N: malformed JSON (<reason>)` or, for an unpaired
+    \\ud800-\\udfff escape (a string UTF-8 cannot encode), `lone surrogate`."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where} line {lineno + exc.lineno - 1}: malformed JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:  # int()'s digit limit, or nesting: no position
+        at = where if "\n" in text.rstrip() else f"{where} line {lineno}"
+        reason = "nested too deeply" if isinstance(exc, RecursionError) else "integer too long"
+        raise DataError(f"{at}: malformed JSON ({reason})") from None
+    if "\\" in text:  # a quick scan, as most text holds no escape at all
+        for match in _SURROGATE_ESCAPE.finditer(text):
+            if len(match[1]) == 5:  # one half, without the other
+                line = lineno + text.count("\n", 0, match.start())
+                raise DataError(f"{where} line {line}: lone surrogate \\{match[1].lower()} in a string")
+    return value
+
+
 def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
-    """(line number, decoded value) for each non-blank line of a UTF-8 JSON
-    Lines file. A line that is not JSON raises DataError
-    `<path> line N: malformed JSON (<reason>)`."""
+    """(line number, decode_json of the line) for each non-blank line of a
+    UTF-8 JSON Lines file."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in numbered_lines(fh, path):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path} line {lineno}: malformed JSON ({exc.msg})") from None
-            yield lineno, value
+            if line:
+                yield lineno, decode_json(line, path, lineno)
+
+
+def json_file(path: str | Path) -> object:
+    """decode_json of a UTF-8 file holding one JSON value."""
+    with open(path, encoding="utf-8") as fh:
+        return decode_json("".join(line for _, line in numbered_lines(fh, path)), path)
 
 
 def write_output(dest: str | Path, chunks: Iterable[str]) -> None:

@@ -54,7 +54,7 @@ import numpy as np
 from .analysis import extract_ngrams, tokenize
 from .annotate import AnnotatedDocument, NeSpan, NeTag
 from .corpus import Corpus, Document, Label, SplitMode, SplitSpec, split_by_time, split_random
-from .errors import DataError, not_utf8, prefixed, write_json_lines
+from .errors import DataError, json_file, prefixed, write_json_lines
 # mask_corpus is unused here; perfbench's tracer test reads diamask.experiment.mask_corpus
 from .masking import MaskPolicy, apply_mask, mask_corpus  # noqa: F401
 from .wikidata import (
@@ -349,22 +349,31 @@ def _json_number(value: object) -> float:
     return float(value)
 
 
+# the JSON types of a model's training fields; true is an int to Python, not to JSON
+_CONFIG_TYPES = {"epochs": (int,), "learning_rate": (int, float), "l2": (int, float), "seed": (int,)}
+
+
+def _typed(value: object, name: str, *types: type) -> object:
+    """value, if its type is one of types, else DataError naming the field."""
+    if type(value) not in types:
+        kind = "a number" if float in types else "an integer"
+        raise DataError(f"{name} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def load_model(path: str | Path) -> Model:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        raise DataError(f"{path}: malformed model file") from None
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
+    obj = json_file(path)
     if not isinstance(obj, dict) or obj.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format")
     try:
         space = FeatureSpace(
-            orders=tuple(obj["space"]["orders"]),
-            dimensions=obj["space"]["dimensions"],
-            hash_seed=obj["space"]["hash_seed"],
+            orders=tuple(_typed(order, "orders", int) for order in obj["space"]["orders"]),
+            dimensions=_typed(obj["space"]["dimensions"], "dimensions", int),
+            hash_seed=_typed(obj["space"]["hash_seed"], "hash_seed", int),
         )
-        config = TrainConfig(**obj["config"])
+        config = TrainConfig(**{
+            name: _typed(value, name, *_CONFIG_TYPES[name]) for name, value in obj["config"].items()
+        })
         weights = {}
         for key, value in obj["weights"].items():
             if not (key.isascii() and key.isdigit() and int(key) < space.dimensions):

@@ -23,10 +23,10 @@ The wrapped-array form is tolerated: '[' and ']' lines are skipped and a
 trailing ',' per line is dropped. Indexing is a single streaming pass;
 nothing is buffered beyond the retained records.
 
-The serialized index is a single UTF-8 NDJSON file: the first line is a
-header object {"format_version", "snapshot_date", "record_count"}, followed
-by exactly record_count record objects sorted by numeric QID. Lookup maps
-are derived data and are rebuilt on load.
+The serialized index is a single UTF-8 NDJSON file: the first non-blank
+line is a header object {"format_version", "snapshot_date", "record_count"},
+followed by exactly record_count record objects sorted by numeric QID.
+Lookup maps are derived data and are rebuilt on load.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from __future__ import annotations
 import gzip
 import io
 import itertools
-import json
 import logging
 import re
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
@@ -46,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import iso_date
-from .errors import DataError, numbered_lines, write_json_lines
+from .errors import DataError, decode_json, json_lines, numbered_lines, write_json_lines
 
 __all__ = [
     "RoleProperty",
@@ -310,16 +309,15 @@ def index_dump(
                 continue
             line = line.rstrip(",")
             try:
-                entity = json.loads(line)
+                entity = decode_json(line, where, lineno)
                 if not isinstance(entity, dict):
-                    raise DataError("not a JSON object")
+                    raise DataError(f"{where} line {lineno}: not a JSON object")
                 qid = entity.get("id")
                 if not isinstance(qid, str) or not _QID_RE.match(qid):
-                    raise DataError(f"bad entity id {qid!r}")
-            except (json.JSONDecodeError, DataError) as exc:
+                    raise DataError(f"{where} line {lineno}: bad entity id {qid!r}")
+            except DataError:
                 if strict:
-                    msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                    raise DataError(f"{where} line {lineno}: {msg}") from None
+                    raise
                 index.malformed_lines += 1
                 continue
             if entity.get("type") not in (None, "item"):
@@ -365,31 +363,24 @@ def save_index(index: EntityIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> EntityIndex:
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = numbered_lines(fh, path)
-        _, header_line = next(lines, (1, ""))
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            raise DataError(f"{path}: missing or malformed index header") from None
+    with closing(json_lines(path)) as lines:  # an early exit closes the file at once
+        _, header = next(lines, (0, None))
         if not isinstance(header, dict):
-            raise DataError(f"{path}: malformed index header")
+            raise DataError(f"{path}: missing or malformed index header")
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(
                 f"{path}: unsupported index format version {header.get('format_version')!r}"
             )
         try:
             snapshot = iso_date(header["snapshot_date"])
-            expected = int(header["record_count"])
+            expected = header["record_count"]
+            if type(expected) is not int or expected < 0:
+                raise ValueError("record_count must be an integer >= 0")
         except (KeyError, ValueError, TypeError):
             raise DataError(f"{path}: malformed index header fields") from None
         index = EntityIndex(snapshot_date=snapshot)
-        for lineno, line in lines:
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, raw in lines:
             try:
-                raw = json.loads(line)
                 qid, label, aliases = raw["qid"], raw["label"], raw["aliases"]
                 sitelinks = raw["sitelinks"]
                 statements = tuple(
@@ -420,8 +411,8 @@ def load_index(path: str | Path) -> EntityIndex:
                     statements=statements,
                     sitelink_count=sitelinks,
                 )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError, DataError):
-                raise DataError(f"{path}: malformed index record at line {lineno}") from None
+            except (KeyError, ValueError, TypeError, DataError):
+                raise DataError(f"{path} line {lineno}: malformed index record") from None
             index.add(record)
     if len(index.records) != expected:
         raise DataError(

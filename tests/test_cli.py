@@ -1008,8 +1008,8 @@ def test_bad_count_flag_is_a_usage_error(tiny_corpus, capsys, argv, flag):
 
 # -- hostile input: one `error:` line and exit 1, never a traceback ----------
 
-def _index_file(snapshot_date="2020-12-28", **statement):
-    header = {"format_version": 1, "snapshot_date": snapshot_date, "record_count": 1}
+def _index_file(snapshot_date="2020-12-28", record_count=1, **statement):
+    header = {"format_version": 1, "snapshot_date": snapshot_date, "record_count": record_count}
     statement = {"property": "P39", "value": "Q2", "start": None, "end": None, **statement}
     record = {"qid": "Q1", "label": "Jane Roe", "aliases": [], "sitelinks": 1,
               "statements": [statement]}
@@ -1020,11 +1020,12 @@ def _config(**fields):
     return json.dumps({"datasets": [], "split": {"mode": "random"}, **fields})
 
 
-def _model(space=None, **fields):
+def _model(space=None, config=None, **fields):
     model = {"format_version": 1, "space": {"orders": [1, 2], "dimensions": 16, "hash_seed": 0},
              "config": {"epochs": 1, "learning_rate": 0.1, "l2": 0.0, "seed": 7},
              "train_set": "t", "bias": 0.0, "weights": {"3": 1.5}, **fields}
     model["space"].update(space or {})
+    model["config"].update(config or {})
     return json.dumps(model)
 
 
@@ -1180,8 +1181,25 @@ HOSTILE = [
                  id="model-weight-nan"),
     pytest.param(_model(bias=float("inf")), _EVAL, "hostile: malformed model fields",
                  id="model-bias-infinity"),
-    pytest.param(_model(config={"epochs": 1, "learning_rate": float("nan"), "l2": 0.0, "seed": 7}),
-                 _EVAL, "hostile: malformed model fields", id="model-learning-rate-nan"),
+    pytest.param(_model(config={"learning_rate": float("nan")}), _EVAL,
+                 "hostile: malformed model fields", id="model-learning-rate-nan"),
+    # every model field has its JSON type; a float or a bool is not an integer
+    *(pytest.param(_model(space=space, config=config), _EVAL,
+                   f"hostile: malformed model fields ({message})", id=f"model-{name}")
+      for name, space, config, message in [
+          ("hash-seed-a-float", {"hash_seed": 1.5}, None, "hash_seed must be an integer, got 1.5"),
+          ("order-a-float", {"orders": [1.5]}, None, "orders must be an integer, got 1.5"),
+          ("order-a-bool", {"orders": [True]}, None, "orders must be an integer, got true"),
+          ("epochs-a-bool", None, {"epochs": True}, "epochs must be an integer, got true"),
+          ("epochs-a-float", None, {"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+          ("seed-a-string", None, {"seed": "x"}, 'seed must be an integer, got "x"'),
+          ("learning-rate-a-bool", None, {"learning_rate": True},
+           "learning_rate must be a number, got true"),
+      ]),
+    pytest.param('{"format_version": 1,\n "space": {oops}\n}', _EVAL,
+                 "hostile line 2: malformed JSON (Expecting property name", id="model-malformed-json"),
+    pytest.param('{"datasets": [],\n\n "split": }', _EXPERIMENT,
+                 "hostile line 3: malformed JSON (Expecting value)", id="config-malformed-json"),
     pytest.param(_model(train_set=5), _EVAL, "hostile: malformed model fields",
                  id="model-train-set-not-a-string"),
     # every field finite, but the corpus document's score is not: at 2 dimensions
@@ -1229,13 +1247,25 @@ HOSTILE = [
     pytest.param("Jane Roe\tPER\n \tPER\n", _TAG,
                  "hostile line 2: gazetteer entry with empty name", id="gazetteer-empty-name"),
     pytest.param('{"id": "Q1"}\nnot json\n', [*_INDEX_DUMP, "--strict"],
-                 "hostile line 2: Expecting value", id="dump-strict-malformed-line"),
-    pytest.param(_index_file(value=5), _MASK_INDEXED, "hostile: malformed index record at line 2",
+                 "hostile line 2: malformed JSON (Expecting value)", id="dump-strict-malformed-line"),
+    pytest.param(_index_file(value=5), _MASK_INDEXED, "hostile line 2: malformed index record",
                  id="index-statement-value-not-a-qid"),
     pytest.param(_index_file(start="20200101"), _MASK_INDEXED,
-                 "hostile: malformed index record at line 2", id="index-compact-statement-date"),
+                 "hostile line 2: malformed index record", id="index-compact-statement-date"),
     pytest.param(_index_file(snapshot_date="20201228"), _MASK_INDEXED,
                  "hostile: malformed index header", id="index-compact-snapshot-date"),
+    *(pytest.param(_index_file(record_count=count), _MASK_INDEXED,
+                   "hostile: malformed index header fields", id=f"index-record-count-{name}")
+      for name, count in [("a-bool", True), ("a-float", 1.9), ("a-string", "1"), ("negative", -1)]),
+    pytest.param("[" * 100_000, _INGEST, "hostile line 1: malformed JSON (nested too deeply)",
+                 id="corpus-nested-too-deeply"),
+    pytest.param('{"id": "a", "text": "x", "label": "real"}\n{"n": ' + "1" * 5000 + "}\n", _INGEST,
+                 "hostile line 2: malformed JSON (integer too long)", id="corpus-integer-too-long"),
+    # neither of these reasons gives a position, so in a file of many lines no line is named
+    pytest.param('{"format_version": 1,\n "bias": ' + "1" * 5000 + "\n}\n", _EVAL,
+                 "hostile: malformed JSON (integer too long)", id="model-integer-too-long"),
+    pytest.param("[\n" + "[" * 100_000, _EXPERIMENT, "hostile: malformed JSON (nested too deeply)",
+                 id="config-nested-too-deeply"),
     pytest.param("token\tcount\nQ1\n", _TOP_LABELS,
                  "hostile line 2: expected 'token<TAB>count'", id="usage-no-count"),
     pytest.param("token\tcount\nQ1\t0\n", _TOP_LABELS, "hostile line 2", id="usage-zero-count"),
@@ -1305,3 +1335,83 @@ def test_bad_byte_after_cr_line_ends_names_its_line(tmp_path, capsys, newline, n
     corpus.write_bytes(newline.join(lines) + newline)
     assert dispatch(["ingest", "--input", str(corpus), "--output", "-"]) == 1
     assert capsys.readouterr().err == f"error: {corpus} line {n_lines}: not UTF-8 (byte 0xff)\n"
+
+
+# -- JSON string escapes: a lone surrogate is an error line, a pair one character
+
+def _indented(text):
+    """A one-line JSON value, one member per line."""
+    return json.dumps(json.loads(text), indent=1)
+
+
+# line 2 holds Q3, whose label carries the string under test
+_DUMP = "".join(entity_line(make_entity(qid, label, occupations=("Q2",))) + "\n"
+                for qid, label in [("Q1", "Jane Roe"), ("Q3", "Jane @S@")])
+
+# (argv, file contents); in the contents @S@ stands for the string's JSON
+# escapes, in argv {out} for the command's output, {corpus} for a dated
+# four-document corpus and {usage} for a usage report naming Q1
+JSON_INPUTS = [
+    pytest.param(["ingest", "--input", "{f}", "--output", "{out}"],
+                 '{"id": "a", "text": "x", "label": "real"}\n'
+                 '{"id": "b", "text": "Jane @S@", "label": "fake"}\n', id="corpus"),
+    pytest.param(["mask", "--corpus", "{corpus}", "--annotations", "{f}", "--policy", "no-mask",
+                  "--output", "{out}"],
+                 '{"doc_id": "d1", "spans": []}\n' + _span(end=6, text="Jane @S@"),
+                 id="annotations"),
+    pytest.param(["coverage", "--usage", "a={usage}", "--index", "{f}", "--top-k", "1",
+                  "--output", "{out}"],
+                 _index_file().replace("Jane Roe", "Jane @S@"), id="index"),
+    pytest.param(["index-wikidata", "--dump", "{f}", "--snapshot-date", "2020-12-28", "--strict",
+                  "--output", "{out}"], _DUMP, id="dump-strict"),
+    pytest.param(["eval", "--model", "{f}", "--corpus", "{corpus}", "--output", "{out}"],
+                 _indented(_model(train_set="Jane @S@")), id="model"),
+    pytest.param(["experiment", "--config", "{f}", "--output-json", "{out}"],
+                 _indented(_config(datasets=[{"name": "Jane @S@", "corpus": "{corpus}"}],
+                                   policies=["no-mask"],
+                                   split={"mode": "time", "boundary_date": "2020-06-01"})),
+                 id="config"),
+]
+
+
+def _json_input(tmp_path, argv, contents, escapes):
+    """Write the inputs of a JSON_INPUTS case with @S@ spelled as escapes;
+    returns the file under test, the output path and the argv."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"d{i}", "text": text, "label": label, "date": day},
+                   ensure_ascii=False) + "\n"
+        for i, (text, label, day) in enumerate([("Jane 😀 spoke.", "real", "2020-01-01"),
+                                                ("a b", "fake", "2020-02-01"),
+                                                ("a c", "real", "2021-01-01"),
+                                                ("a d", "fake", "2021-02-01")], start=1)
+    ), encoding="utf-8")
+    usage = tmp_path / "usage.tsv"
+    usage.write_text("token\tcount\nQ1\t2\n")
+    tested, out = tmp_path / "tested", tmp_path / "out"
+    tested.write_text(contents.replace("@S@", escapes).replace("{corpus}", str(corpus)))
+    return tested, out, [arg.format(f=tested, out=out, corpus=corpus, usage=usage) for arg in argv]
+
+
+@pytest.mark.parametrize("argv, contents", JSON_INPUTS)
+def test_lone_surrogate_is_an_error_line_and_a_pair_one_character(tmp_path, capsys, argv,
+                                                                  contents):
+    tested, out, lone = _json_input(tmp_path, argv, contents, "\\ud800")
+    line = contents[: contents.index("@S@")].count("\n") + 1
+    assert dispatch(lone) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tested} line {line}: lone surrogate \\ud800 in a string\n"
+    )
+    assert not out.exists()
+    _, _, pair = _json_input(tmp_path, argv, contents, "\\ud83d\\ude00")
+    assert dispatch(pair) == 0
+    assert "Jane 😀".encode() in out.read_bytes()
+
+
+def test_lone_surrogate_dump_line_is_malformed_without_strict(tmp_path, capsys):
+    dump, out = tmp_path / "dump.jsonl", tmp_path / "entities.idx"
+    dump.write_text(_DUMP.replace("@S@", "\\udc00"))
+    assert dispatch(["index-wikidata", "--dump", str(dump), "--snapshot-date", "2020-12-28",
+                     "--output", str(out)]) == 0
+    assert "1 malformed line(s)" in capsys.readouterr().err
+    assert set(load_index(out).records) == {"Q1"}

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import re
 from datetime import date
 
 import pytest
@@ -235,6 +236,12 @@ class TestSaveLoad:
         with pytest.raises(DataError, match="header"):
             load_index(path)
 
+    def test_header_is_the_first_non_blank_line(self, tmp_path, modi_index):
+        path = tmp_path / "entities.idx"
+        save_index(modi_index, path)
+        path.write_text("\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert set(load_index(path).records) == set(modi_index.records)
+
     def test_non_object_header_is_rejected(self, tmp_path):
         path = tmp_path / "entities.idx"
         path.write_text("[1]\n")
@@ -295,7 +302,7 @@ class TestSaveLoad:
         record[field] = value
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=r"malformed index record at line 3$"):
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))} line 3: malformed index record$"):
             load_index(path)
 
 
