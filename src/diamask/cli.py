@@ -30,8 +30,11 @@ from .corpus import (
     split_by_time,
     split_random,
 )
-from .errors import DataError, json_file, numbered_lines, prefixed, write_output
+from .errors import DataError, fields, json_file, numbered_lines, prefixed, write_output
+from .errors import BOOLEAN, INTEGER, LIST, STRING, number  # converters for fields
 from .experiment import (
+    FEATURE_FIELDS,
+    TRAIN_FIELDS,
     DatasetBundle,
     FeatureSpace,
     TrainConfig,
@@ -208,98 +211,50 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-_REQUIRED = object()
-
-
-def _field(obj: object, key: str, convert: Callable = lambda raw: raw, default=_REQUIRED) -> object:
-    """convert(obj[key]), or default if the key is absent or null. Any problem
-    raises DataError naming key; the caller's prefixed blocks name the config
-    file and section."""
-    if not isinstance(obj, dict):
-        raise DataError("expected a JSON object")
-    raw = obj.get(key)
-    if raw is None:
-        if default is _REQUIRED:
-            raise DataError(f"missing {key!r}")
-        return default
-    try:
-        return convert(raw)
-    except (ValueError, TypeError, OverflowError, DataError) as exc:
-        raise DataError(f"bad {key!r} ({exc})") from None
-
-
-def _expect(kind: str, *types: type) -> Callable[[object], object]:
-    """A _field converter passing through a value of one of the JSON types
-    given and rejecting any other. The type must match exactly, so true is
-    not an integer and 1.0 is not one either."""
-
-    def check(raw: object) -> object:
-        if type(raw) not in types:
-            raise TypeError(f"expected {kind}, got {json.dumps(raw)}")
-        return raw
-
-    return check
-
-
-_STRING = _expect("a string", str)
-_INTEGER = _expect("an integer", int)
-_BOOLEAN = _expect("true or false", bool)
-_LIST = _expect("a list", list)
-_NUMBER = _expect("a number", int, float)
-
-
-def _float(raw: object) -> float:
-    return float(_NUMBER(raw))
-
-
 def _path(raw: object) -> str:
-    if not _STRING(raw):
+    if not STRING(raw):
         raise ValueError('expected a non-empty string, got ""')
     return raw
 
 
-def _section(config: object, key: str, make: type, converters: dict, default=_REQUIRED) -> object:
-    """make(**fields) from config[key]: each field converted, else make's own
-    default (required if it has none). An error inside is prefixed with key."""
-    section = _field(config, key, default=default)
-    with prefixed(key):
-        return make(**{
-            name: _field(section, name, convert, getattr(make, name, _REQUIRED))
-            for name, convert in converters.items()
-        })
+# an experiment config's fields, one table per object; an empty annotations or
+# index path means none, as an absent one does
+_DATASET_FIELDS = {
+    "name": STRING, "annotations": lambda raw: STRING(raw) or None,
+    "corpus": _path, "index": lambda raw: STRING(raw) or None,
+}
+_SPLIT_FIELDS = {
+    "mode": SplitMode, "train_fraction": number,
+    "boundary_date": lambda raw: iso_date(raw) if raw else None, "seed": INTEGER,
+}
+# a settings section's absent field takes its class's default (a class attribute)
+_CONFIG_FIELDS = {
+    "datasets": LIST,
+    "policies": lambda raw: [MaskPolicy.parse(v) for v in LIST(raw)],
+    "split": lambda raw: SplitSpec(**fields(raw, _SPLIT_FIELDS, vars(SplitSpec))),
+    "features": lambda raw: FeatureSpace(**fields(raw, FEATURE_FIELDS, vars(FeatureSpace))),
+    "training": lambda raw: TrainConfig(**fields(raw, TRAIN_FIELDS, vars(TrainConfig))),
+    "resolve_mode": ResolveMode,
+    "ood_full": BOOLEAN,
+}
 
 
 def _parse_experiment_config(config: object) -> tuple[list, list, SplitSpec, dict]:
     """Check every value of an experiment config, reading no file. Returns
     (name, annotations, corpus, index) per dataset, the policies, the split
     and run_matrix's keyword arguments."""
-    datasets = []
-    for i, entry in enumerate(_field(config, "datasets", _LIST)):
-        with prefixed(f"datasets[{i}]"):
-            # an empty annotations or index path means none, as an absent one does
-            datasets.append((
-                _field(entry, "name", _STRING),
-                _field(entry, "annotations", _STRING, None) or None,
-                _field(entry, "corpus", _path),
-                _field(entry, "index", _STRING, None) or None,
-            ))
-    policies = _field(
-        config, "policies", lambda raw: [MaskPolicy.parse(v) for v in _LIST(raw)], list(MaskPolicy)
-    )
-    split = _section(config, "split", SplitSpec, {
-        "mode": SplitMode, "train_fraction": _float,
-        "boundary_date": lambda raw: iso_date(raw) if raw else None, "seed": _INTEGER,
+    values = fields(config, _CONFIG_FIELDS, {
+        "policies": list(MaskPolicy), "features": FeatureSpace(), "training": TrainConfig(),
+        "resolve_mode": ResolveMode.DUMP_ORDER, "ood_full": False,
     })
-    return datasets, policies, split, {
-        "space": _section(config, "features", FeatureSpace, {
-            "orders": lambda raw: tuple(map(_INTEGER, _LIST(raw))),
-            "dimensions": _INTEGER, "hash_seed": _INTEGER,
-        }, {}),
-        "config": _section(config, "training", TrainConfig, {
-            "epochs": _INTEGER, "learning_rate": _float, "l2": _float, "seed": _INTEGER
-        }, {}),
-        "resolve_mode": _field(config, "resolve_mode", ResolveMode, ResolveMode.DUMP_ORDER),
-        "ood_full": _field(config, "ood_full", _BOOLEAN, False),
+    datasets = []
+    for i, entry in enumerate(values["datasets"]):
+        with prefixed(f"datasets[{i}]"):
+            dataset = fields(entry, _DATASET_FIELDS, {"annotations": None, "index": None})
+        datasets.append(tuple(dataset.values()))  # in _DATASET_FIELDS order
+    return datasets, values["policies"], values["split"], {
+        "space": values["features"], "config": values["training"],
+        "resolve_mode": values["resolve_mode"], "ood_full": values["ood_full"],
     }
 
 

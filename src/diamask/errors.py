@@ -12,6 +12,10 @@ applies it to each non-blank line of a JSON Lines file, and json_file to a
 file holding one value. A loader wraps each record in
 prefixed(f"{path} line N"), so every record error names the file and line.
 
+fields is the one way to read a decoded JSON object of settings (the
+experiment config, a model file and each object in them): a table maps each
+key it may hold to a converter that checks the value's JSON type.
+
 write_output writes text as UTF-8 to a file, or to stdout when the path is
 "-", so both get the same bytes whatever the terminal's encoding;
 write_json_lines writes one JSON record per line through it.
@@ -20,11 +24,12 @@ write_json_lines writes one JSON record per line through it.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class DataError(Exception):
@@ -95,6 +100,68 @@ def json_file(path: str | Path) -> object:
     """decode_json of a UTF-8 file holding one JSON value."""
     with open(path, encoding="utf-8") as fh:
         return decode_json("".join(line for _, line in numbered_lines(fh, path)), path)
+
+
+def fields(obj: object, table: Mapping[str, Callable], defaults: Mapping | None = None) -> dict:
+    """{name: convert(obj[name])} for each name -> convert of table, from a JSON
+    object holding no key that table lacks. A field absent or null takes
+    defaults[name]; without defaults (a model file) every field is required. A
+    value convert rejects is `bad '<name>' (<reason>)`; a DataError from convert
+    (a nested object, a settings class) is prefixed `<name>: `."""
+    if not isinstance(obj, dict):
+        raise DataError("expected a JSON object")
+    for key in obj:
+        if key not in table:
+            raise DataError(f"unknown key {key!r}")
+    values = {}
+    for name, convert in table.items():
+        raw = obj.get(name)
+        if raw is None:
+            if defaults is None or name not in defaults:
+                raise DataError(f"missing {name!r}")
+            values[name] = defaults[name]
+            continue
+        try:
+            values[name] = convert(raw)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise DataError(f"bad {name!r} ({exc})") from None
+        except DataError as exc:
+            raise DataError(f"{name}: {exc}") from None
+    return values
+
+
+def _expect(kind: str, *types: type) -> Callable[[object], object]:
+    """A fields converter passing through a value of one of the JSON types
+    given and rejecting any other. The type must match exactly, so true is
+    not an integer and 1.0 is not one either."""
+
+    def check(raw: object) -> object:
+        if type(raw) not in types:
+            raise TypeError(f"expected {kind}, got {json.dumps(raw)}")
+        return raw
+
+    return check
+
+
+STRING = _expect("a string", str)
+INTEGER = _expect("an integer", int)
+BOOLEAN = _expect("true or false", bool)
+LIST = _expect("a list", list)
+OBJECT = _expect("a JSON object", dict)
+_NUMBER = _expect("a number", int, float)
+
+
+def number(raw: object) -> float:
+    """A fields converter: a JSON number, an integer or a float, as a float."""
+    return float(_NUMBER(raw))
+
+
+def finite(raw: object) -> float:
+    """number, except NaN and Infinity: json.loads reads these tokens, JSON has none."""
+    value = number(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {json.dumps(raw)}")
+    return value
 
 
 def write_output(dest: str | Path, chunks: Iterable[str]) -> None:

@@ -54,7 +54,8 @@ import numpy as np
 from .analysis import extract_ngrams, tokenize
 from .annotate import AnnotatedDocument, NeSpan, NeTag
 from .corpus import Corpus, Document, Label, SplitMode, SplitSpec, split_by_time, split_random
-from .errors import DataError, json_file, prefixed, write_json_lines
+from .errors import DataError, fields, json_file, prefixed, write_json_lines
+from .errors import INTEGER, LIST, OBJECT, STRING, finite, number  # converters for fields
 # mask_corpus is unused here; perfbench's tracer test reads diamask.experiment.mask_corpus
 from .masking import MaskPolicy, apply_mask, mask_corpus  # noqa: F401
 from .wikidata import (
@@ -124,6 +125,11 @@ class FeatureSpace:
         return int.from_bytes(digest, "big") & (self.dimensions - 1)
 
 
+# FeatureSpace's fields as the experiment config and a model file hold them
+FEATURE_FIELDS = {"orders": lambda raw: tuple(map(INTEGER, LIST(raw))),
+                  "dimensions": INTEGER, "hash_seed": INTEGER}
+
+
 def featurize(text: str, space: FeatureSpace) -> dict[int, int]:
     """Sparse bucket -> occurrence-count vector for one text. Empty text (or
     text shorter than every order) gives the zero vector."""
@@ -178,6 +184,10 @@ class TrainConfig:
             raise DataError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (math.isfinite(self.l2) and self.l2 >= 0):
             raise DataError(f"l2 must be finite and >= 0, got {self.l2}")
+
+
+# TrainConfig's fields as the experiment config and a model file hold them
+TRAIN_FIELDS = {"epochs": INTEGER, "learning_rate": number, "l2": number, "seed": INTEGER}
 
 
 def _sigmoid(z: float) -> float:
@@ -324,17 +334,8 @@ def save_model(model: Model, path: str | Path) -> None:
     model.weights does, so this is lossless."""
     obj = {
         "format_version": MODEL_FORMAT_VERSION,
-        "space": {
-            "orders": list(model.space.orders),
-            "dimensions": model.space.dimensions,
-            "hash_seed": model.space.hash_seed,
-        },
-        "config": {
-            "epochs": model.config.epochs,
-            "learning_rate": model.config.learning_rate,
-            "l2": model.config.l2,
-            "seed": model.config.seed,
-        },
+        "space": {name: getattr(model.space, name) for name in FEATURE_FIELDS},
+        "config": {name: getattr(model.config, name) for name in TRAIN_FIELDS},
         "train_set": model.train_set,
         "bias": model.bias,
         "weights": {str(b): w for b, w in sorted(model.weights.items()) if w},
@@ -342,58 +343,35 @@ def save_model(model: Model, path: str | Path) -> None:
     write_json_lines(path, [obj])
 
 
-def _json_number(value: object) -> float:
-    """A finite JSON number (not a bool) as a float."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
+def _bucket(key: str) -> int:
+    if not (key.isascii() and key.isdigit()):
+        raise ValueError(f"bucket {key!r} is not an integer")
+    return int(key)
 
 
-# the JSON types of a model's training fields; true is an int to Python, not to JSON
-_CONFIG_TYPES = {"epochs": (int,), "learning_rate": (int, float), "l2": (int, float), "seed": (int,)}
-
-
-def _typed(value: object, name: str, *types: type) -> object:
-    """value, if its type is one of types, else DataError naming the field."""
-    if type(value) not in types:
-        kind = "a number" if float in types else "an integer"
-        raise DataError(f"{name} must be {kind}, got {json.dumps(value)}")
-    return value
+# a model file's fields, every one required
+_MODEL_FIELDS = {
+    "format_version": INTEGER,
+    "space": lambda raw: FeatureSpace(**fields(raw, FEATURE_FIELDS)),
+    "config": lambda raw: TrainConfig(**fields(raw, TRAIN_FIELDS)),
+    "train_set": STRING,
+    "bias": finite,
+    "weights": lambda raw: {_bucket(key): finite(value) for key, value in OBJECT(raw).items()},
+}
 
 
 def load_model(path: str | Path) -> Model:
     obj = json_file(path)
     if not isinstance(obj, dict) or obj.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format")
-    try:
-        space = FeatureSpace(
-            orders=tuple(_typed(order, "orders", int) for order in obj["space"]["orders"]),
-            dimensions=_typed(obj["space"]["dimensions"], "dimensions", int),
-            hash_seed=_typed(obj["space"]["hash_seed"], "hash_seed", int),
-        )
-        config = TrainConfig(**{
-            name: _typed(value, name, *_CONFIG_TYPES[name]) for name, value in obj["config"].items()
-        })
-        weights = {}
-        for key, value in obj["weights"].items():
-            if not (key.isascii() and key.isdigit() and int(key) < space.dimensions):
-                raise DataError(
-                    f"weight bucket {key!r} is not an integer in [0, {space.dimensions})"
-                )
-            weights[int(key)] = _json_number(value)
-        if not isinstance(obj["train_set"], str):
-            raise TypeError("train_set must be a string")
-        return Model(
-            space=space,
-            config=config,
-            train_set=obj["train_set"],
-            weights=weights,
-            bias=_json_number(obj["bias"]),
-        )
-    except DataError as exc:
-        raise DataError(f"{path}: malformed model fields ({exc})") from None
-    except (KeyError, ValueError, TypeError, AttributeError, OverflowError):
-        raise DataError(f"{path}: malformed model fields") from None
+    with prefixed(path):
+        values = fields(obj, _MODEL_FIELDS)
+        del values["format_version"]
+        model = Model(**values)
+        last, dimensions = max(model.weights, default=0), model.space.dimensions
+        if last >= dimensions:
+            raise DataError(f"bad 'weights' (bucket '{last}' is not below {dimensions})")
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -296,9 +296,10 @@ def index_dump(
     file, or a pipe such as /dev/stdin) or a text stream.
 
     Retains entities with at least one P39/P106 item target and an English
-    label; person_only additionally requires P31 = Q5. Malformed lines are
-    counted on index.malformed_lines and skipped, or raise DataError under
-    strict. An empty result is valid but logged as a warning.
+    label; person_only additionally requires P31 = Q5. A malformed line (bad
+    JSON, no QID, or a field read here, such as claims or labels, of another
+    JSON type) is counted on index.malformed_lines and skipped, or raises
+    DataError under strict. An empty result is valid but logged as a warning.
     """
     index = EntityIndex(snapshot_date=snapshot_date)
     where = source if isinstance(source, (str, Path)) else "dump"
@@ -315,16 +316,19 @@ def index_dump(
                 qid = entity.get("id")
                 if not isinstance(qid, str) or not _QID_RE.match(qid):
                     raise DataError(f"{where} line {lineno}: bad entity id {qid!r}")
+                if entity.get("type") not in (None, "item"):
+                    continue
+                try:  # a field these steps read may have another JSON type
+                    if person_only and not _is_human(entity.get("claims", {})):
+                        continue
+                    record = _extract_record(entity)
+                except (AttributeError, TypeError):
+                    raise DataError(f"{where} line {lineno}: malformed entity") from None
             except DataError:
                 if strict:
                     raise
                 index.malformed_lines += 1
                 continue
-            if entity.get("type") not in (None, "item"):
-                continue
-            if person_only and not _is_human(entity.get("claims", {})):
-                continue
-            record = _extract_record(entity)
             if record is not None:
                 index.add(record)
     if not index.records:

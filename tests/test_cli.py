@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from diamask import (
+    DataError,
     DatasetBundle,
     FeatureSpace,
     MaskPolicy,
@@ -25,6 +26,7 @@ from diamask import (
     mask_corpus,
     run_matrix,
     save_corpus,
+    save_model,
     split_random,
     synth_diachronic_corpus,
     train,
@@ -850,6 +852,29 @@ def test_readme_experiment_config_parses():
     }
 
 
+def test_readme_model_example_loads_and_saves_back(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r'^```json\n(\{"format_version": 1, "space".*?)^```', readme,
+                          flags=re.DOTALL | re.MULTILINE)
+    example = json.loads(block)
+    path = tmp_path / "model.json"
+    path.write_text(block, encoding="utf-8")
+    model = load_model(path)
+    assert model.space == FeatureSpace(orders=(1, 2), dimensions=1048576, hash_seed=0)
+    assert model.config == TrainConfig(epochs=10, learning_rate=0.1, l2=1e-6, seed=7)
+    assert (model.train_set, model.bias, model.weights) == ("train", 0.01, {6241: 0.4403})
+    save_model(model, tmp_path / "saved.json")
+    saved = json.loads((tmp_path / "saved.json").read_text(encoding="utf-8"))
+    for section in ("space", "config"):  # the same values, in the same order
+        assert list(saved[section].items()) == list(example[section].items())
+        for name in example[section]:  # and every one of them required
+            rest = {key: value for key, value in example[section].items() if key != name}
+            path.write_text(json.dumps({**example, section: rest}), encoding="utf-8")
+            with pytest.raises(DataError) as excinfo:
+                load_model(path)
+            assert str(excinfo.value) == f"{path}: {section}: missing '{name}'"
+
+
 class TestCoverage:
     def write_usage(self, path, rows):
         path.write_text(
@@ -1034,6 +1059,12 @@ def _dataset(corpus="{corpus}", **split):
     return _config(datasets=[{"name": "x", "corpus": corpus}], policies=["no-mask"], split=split)
 
 
+def _dump_entity(**fields):
+    """A dump line of an indexable entity, Q1 ("Jane Roe", occupation Q2), with fields replaced."""
+    entity = make_entity("Q1", "Jane Roe", occupations=("Q2",), sitelinks=1)
+    return entity_line({**entity, **fields}) + "\n"
+
+
 def _span(**fields):
     span = {"start": 0, "end": 8, "tag": "PER", "text": "Jane Roe", **fields}
     return json.dumps({"doc_id": "d1", "spans": [span]}) + "\n"
@@ -1163,44 +1194,83 @@ HOSTILE = [
                  "hostile: cannot split an empty corpus", id="split-empty-corpus"),
     pytest.param(_config(training=[1]), _EXPERIMENT, "hostile: training",
                  id="config-training-not-an-object"),
-    pytest.param(_model(space={"dimensions": 2**64}), _EVAL, "hostile: malformed model fields",
+    # a key no table holds is an error in every object of the config and the model
+    pytest.param(_config(ood_ful=True), _EXPERIMENT, "hostile: unknown key 'ood_ful'",
+                 id="config-unknown-key"),
+    pytest.param(_config(datasets=[{"name": "a", "corpus": "{corpus}",
+                                    "annotation": "a.spans.jsonl"}]), _EXPERIMENT,
+                 "hostile: datasets[0]: unknown key 'annotation'", id="config-dataset-unknown-key"),
+    pytest.param(_config(split={"mode": "random", "boundry": 1}), _EXPERIMENT,
+                 "hostile: split: unknown key 'boundry'", id="config-split-unknown-key"),
+    pytest.param(_config(features={"dimension": 1024}), _EXPERIMENT,
+                 "hostile: features: unknown key 'dimension'", id="config-features-unknown-key"),
+    pytest.param(_config(training={"epoch": 1, "learning_rat": 5}), _EXPERIMENT,
+                 "hostile: training: unknown key 'epoch'", id="config-training-unknown-key"),
+    pytest.param(_model(trainset="t"), _EVAL, "hostile: unknown key 'trainset'",
+                 id="model-unknown-key"),
+    pytest.param(_model(space={"hash": 0}), _EVAL, "hostile: space: unknown key 'hash'",
+                 id="model-space-unknown-key"),
+    pytest.param(_model(config={"epoch": 1}), _EVAL, "hostile: config: unknown key 'epoch'",
+                 id="model-config-unknown-key"),
+    # every model field is required; an absent training field took its default
+    pytest.param(_model().replace(', "seed": 7', ""), _EVAL, "hostile: config: missing 'seed'",
+                 id="model-config-field-missing"),
+    pytest.param(_model().replace(', "bias": 0.0', ""), _EVAL, "hostile: missing 'bias'",
+                 id="model-field-missing"),
+    pytest.param(_model(space={"dimensions": 2**64}), _EVAL,
+                 "hostile: space: dimensions must be a power of two in [2, 2**63]",
                  id="model-dimensions-2-to-64"),
-    pytest.param(_model(weights={"3": 10**400}), _EVAL, "hostile: malformed model fields",
+    pytest.param(_model(weights={"3": 10**400}), _EVAL,
+                 "hostile: bad 'weights' (int too large to convert to float)",
                  id="model-weight-beyond-float"),
-    pytest.param(_model(bias=10**400), _EVAL, "hostile: malformed model fields",
+    pytest.param(_model(bias=10**400), _EVAL,
+                 "hostile: bad 'bias' (int too large to convert to float)",
                  id="model-bias-beyond-float"),
-    pytest.param(_model(weights=[1]), _EVAL, "hostile: malformed model fields",
+    pytest.param(_model(weights=[1]), _EVAL,
+                 "hostile: bad 'weights' (expected a JSON object, got [1])",
                  id="model-weights-a-list"),
-    pytest.param(_model(weights={"3": "1.5"}), _EVAL, "hostile: malformed model fields",
+    pytest.param(_model(weights={"3": "1.5"}), _EVAL,
+                 "hostile: bad 'weights' (expected a number, got \"1.5\")",
                  id="model-weight-a-string"),
-    pytest.param(_model(weights={"3": True}), _EVAL, "hostile: malformed model fields",
+    pytest.param(_model(weights={"3": True}), _EVAL,
+                 "hostile: bad 'weights' (expected a number, got true)",
                  id="model-weight-a-bool"),
-    pytest.param(_model(bias="0.5"), _EVAL, "hostile: malformed model fields",
+    pytest.param(_model(bias="0.5"), _EVAL, "hostile: bad 'bias' (expected a number, got \"0.5\")",
                  id="model-bias-a-string"),
-    pytest.param(_model(weights={"3": float("nan")}), _EVAL, "hostile: malformed model fields",
+    pytest.param(_model(weights={"3": float("nan")}), _EVAL,
+                 "hostile: bad 'weights' (expected a finite number, got NaN)",
                  id="model-weight-nan"),
-    pytest.param(_model(bias=float("inf")), _EVAL, "hostile: malformed model fields",
+    pytest.param(_model(bias=float("inf")), _EVAL,
+                 "hostile: bad 'bias' (expected a finite number, got Infinity)",
                  id="model-bias-infinity"),
     pytest.param(_model(config={"learning_rate": float("nan")}), _EVAL,
-                 "hostile: malformed model fields", id="model-learning-rate-nan"),
+                 "hostile: config: learning_rate must be finite and > 0, got nan",
+                 id="model-learning-rate-nan"),
     # every model field has its JSON type; a float or a bool is not an integer
-    *(pytest.param(_model(space=space, config=config), _EVAL,
-                   f"hostile: malformed model fields ({message})", id=f"model-{name}")
+    *(pytest.param(_model(space=space, config=config), _EVAL, f"hostile: {message}",
+                   id=f"model-{name}")
       for name, space, config, message in [
-          ("hash-seed-a-float", {"hash_seed": 1.5}, None, "hash_seed must be an integer, got 1.5"),
-          ("order-a-float", {"orders": [1.5]}, None, "orders must be an integer, got 1.5"),
-          ("order-a-bool", {"orders": [True]}, None, "orders must be an integer, got true"),
-          ("epochs-a-bool", None, {"epochs": True}, "epochs must be an integer, got true"),
-          ("epochs-a-float", None, {"epochs": 2.5}, "epochs must be an integer, got 2.5"),
-          ("seed-a-string", None, {"seed": "x"}, 'seed must be an integer, got "x"'),
+          ("hash-seed-a-float", {"hash_seed": 1.5}, None,
+           "space: bad 'hash_seed' (expected an integer, got 1.5)"),
+          ("order-a-float", {"orders": [1.5]}, None,
+           "space: bad 'orders' (expected an integer, got 1.5)"),
+          ("order-a-bool", {"orders": [True]}, None,
+           "space: bad 'orders' (expected an integer, got true)"),
+          ("epochs-a-bool", None, {"epochs": True},
+           "config: bad 'epochs' (expected an integer, got true)"),
+          ("epochs-a-float", None, {"epochs": 2.5},
+           "config: bad 'epochs' (expected an integer, got 2.5)"),
+          ("seed-a-string", None, {"seed": "x"},
+           'config: bad \'seed\' (expected an integer, got "x")'),
           ("learning-rate-a-bool", None, {"learning_rate": True},
-           "learning_rate must be a number, got true"),
+           "config: bad 'learning_rate' (expected a number, got true)"),
       ]),
     pytest.param('{"format_version": 1,\n "space": {oops}\n}', _EVAL,
-                 "hostile line 2: malformed JSON (Expecting property name", id="model-malformed-json"),
+                 "hostile line 2: malformed JSON (Expecting property name",
+                 id="model-malformed-json"),
     pytest.param('{"datasets": [],\n\n "split": }', _EXPERIMENT,
                  "hostile line 3: malformed JSON (Expecting value)", id="config-malformed-json"),
-    pytest.param(_model(train_set=5), _EVAL, "hostile: malformed model fields",
+    pytest.param(_model(train_set=5), _EVAL, "hostile: bad 'train_set' (expected a string, got 5)",
                  id="model-train-set-not-a-string"),
     # every field finite, but the corpus document's score is not: at 2 dimensions
     # "Jane Roe spoke." has counts {1: 3, 0: 2}, so its terms are inf and -inf
@@ -1247,7 +1317,18 @@ HOSTILE = [
     pytest.param("Jane Roe\tPER\n \tPER\n", _TAG,
                  "hostile line 2: gazetteer entry with empty name", id="gazetteer-empty-name"),
     pytest.param('{"id": "Q1"}\nnot json\n', [*_INDEX_DUMP, "--strict"],
-                 "hostile line 2: malformed JSON (Expecting value)", id="dump-strict-malformed-line"),
+                 "hostile line 2: malformed JSON (Expecting value)",
+                 id="dump-strict-malformed-line"),
+    # a dump entity whose fields have another JSON type is a malformed line
+    *(pytest.param(_dump_entity(**fields), [*_INDEX_DUMP, *flags, "--strict"],
+                   "hostile line 1: malformed entity", id=f"dump-strict-{name}")
+      for name, fields, flags in [
+          ("claims-a-number", {"claims": 5}, []),
+          ("claim-list-a-number", {"claims": {"P106": 5}}, []),
+          ("labels-a-number", {"labels": 5}, []),
+          ("sitelinks-a-number", {"sitelinks": 3}, []),
+          ("instance-of-a-number", {"claims": {"P31": 5}}, ["--person-only"]),
+      ]),
     pytest.param(_index_file(value=5), _MASK_INDEXED, "hostile line 2: malformed index record",
                  id="index-statement-value-not-a-qid"),
     pytest.param(_index_file(start="20200101"), _MASK_INDEXED,

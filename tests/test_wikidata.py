@@ -159,6 +159,25 @@ class TestIndexDump:
         assert set(index.records) == {"Q9"}
         assert index.malformed_lines == 3
 
+    def test_entities_with_fields_of_another_json_type_are_counted_and_skipped(self):
+        good = make_entity("Q9", "Jane Roe", occupations=("Q2",))
+        lines = [
+            entity_line({**good, "claims": 5}),
+            entity_line({**good, "claims": {"P106": 5}}),
+            entity_line({**good, "claims": {"P106": [5]}}),
+            entity_line({**good, "labels": 5}),
+            entity_line({**good, "aliases": {"en": 5}}),
+            entity_line({**good, "sitelinks": 3}),
+            entity_line(good),
+        ]
+        index = index_of(lines)
+        assert set(index.records) == {"Q9"}
+        assert index.malformed_lines == 6
+        person = index_of([entity_line({**good, "claims": {"P31": 5}}), entity_line(good)],
+                          person_only=True)
+        assert set(person.records) == {"Q9"}
+        assert person.malformed_lines == 1
+
     def test_strict_mode_raises_with_line_number(self):
         lines = [
             entity_line(make_entity("Q9", "Jane Roe", occupations=("Q2",))),
