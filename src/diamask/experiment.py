@@ -20,11 +20,15 @@ A model's weights are a bucket -> weight map holding only the buckets its
 training rows (or its file) name: the bucket space is a hash range, not a
 parameter vector, and a bucket missing from the map weighs 0.0.
 
-numpy is used only in _fit, where each row becomes a (columns, counts) array
-pair, so that an SGD update gathers and writes the row's weights in one
-vectorized operation: a pure-Python trainer took the longdoc benchmark's
-experiment stage from 0.41 to 0.72 s. Scoring a row is a plain loop over its
-dict.
+_fit runs SGD in one of two arms, picked once per fit by the mean bucket
+count of the training rows. Below _NUMPY_ROW (40) buckets, w is a Python list
+of floats and each row a list of (column, count) pairs. At or above it, w and
+each row's columns and counts are numpy arrays, so that an update gathers and
+writes a row's weights in one operation each. An update costs the same on both
+at 32-40 buckets (measured at _NUMPY_ROW). The benchmark's matrix and index rows
+hold 7-18 buckets on average, its longdoc rows 400-480. Only the numpy arm imports
+numpy, so a run that trains on no long rows never loads it. Scoring a row is a
+plain loop over its dict.
 
 run_matrix ties it together: each dataset is split and its gold labels read
 once; under each policy its documents are masked and featurized once (train,
@@ -47,9 +51,7 @@ from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analysis import extract_ngrams, tokenize
 from .annotate import AnnotatedDocument, NeSpan, NeTag
@@ -153,8 +155,10 @@ def _bucket_counts(text: str, space: FeatureSpace, memo: dict[str, int]) -> dict
 def _score(bias: float, terms: Iterable[float]) -> float:
     """A row's score: its terms added one at a time, left to right, from -0.0
     (the identity of float addition, so an empty row scores exactly its bias),
-    then the bias. Not sum() (compensated from Python 3.12 on), reduceat
-    (pairwise) or a dot product (its order depends on the CPU's BLAS kernel)."""
+    then the bias. np.add.accumulate also adds strictly left to right, each sum
+    from the one before, so its last element is this total (-0.0 + x is x).
+    Not sum() (compensated from Python 3.12 on), reduceat or np.sum (pairwise)
+    or a dot product (its order depends on the CPU's BLAS kernel)."""
     total = -0.0
     for term in terms:
         total += term
@@ -237,6 +241,15 @@ def train(
     return _fit(rows, corpus.labels(), corpus.name, space, config)
 
 
+# A training set whose rows average at least this many buckets trains on numpy
+# arrays, a shorter one on Python lists. Per SGD update (400 rows of n buckets,
+# 10 epochs, best of 3; 2-core Xeon, Python 3.11, 3 runs), lists cost 1.8-2.4 us
+# against numpy's 6.1-7.1 at n = 4, 3.3-5.2 against 6.9-11.4 at 12, 7.0-12.3
+# against 7.2-12.9 at 32, 7.9-13.9 against 6.8-13.0 at 40, and 66-82 against
+# 16-23 at 256.
+_NUMPY_ROW = 40
+
+
 def _fit(
     rows: Sequence[Mapping[int, int]],
     labels: Sequence[Label],
@@ -245,42 +258,87 @@ def _fit(
     config: TrainConfig,
 ) -> Model:
     """train on featurized rows (labels[r] is row r's label), over their own buckets only;
-    a bucket gets the next column of w where it first appears."""
+    a bucket gets the next column of w where it first appears. Both SGD arms make the
+    same floating-point operations in the same order, so they give the same bits."""
     if len(labels) == 0:
         raise DataError("cannot train on an empty corpus")
     if len(set(labels)) < 2:
         raise DataError("training corpus must contain both labels")
+    ys = [1.0 if label is Label.FAKE else 0.0 for label in labels]
     col_of: dict[int, int] = {}  # bucket -> column of w
+    sgd = _sgd_numpy if sum(map(len, rows)) >= _NUMPY_ROW * len(rows) else _sgd_lists
+    w, bias = sgd(rows, col_of, ys, config)
+    # an overflow shows as a weight or bias that is not finite
+    if not (math.isfinite(bias) and all(map(math.isfinite, w))):
+        raise DataError(
+            "training diverged: a weight or the bias is not finite "
+            f"(learning_rate {config.learning_rate}, l2 {config.l2})"
+        )
+    weights = dict(zip(col_of, w))
+    return Model(space=space, config=config, train_set=name, weights=weights, bias=bias)
+
+
+def _columns(row: Mapping[int, int], col_of: dict[int, int]) -> list[int]:
+    """The columns of w that row's buckets take; a bucket new to col_of takes the next one."""
+    return [col_of.setdefault(b, len(col_of)) for b in row]
+
+
+def _sgd_order(n: int, config: TrainConfig) -> Iterator[int]:
+    """Row indices in update order: every epoch reshuffles them from one seeded PRNG stream."""
+    order = list(range(n))
+    rng = random.Random(config.seed)
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        yield from order
+
+
+def _sgd_lists(
+    rows: Sequence[Mapping[int, int]], col_of: dict[int, int], ys: list[float],
+    config: TrainConfig,
+) -> tuple[list[float], float]:
+    """_fit's SGD on Python floats: w is a list, and each row a list of (column, count) pairs."""
+    feats = [list(zip(_columns(row, col_of), map(float, row.values()))) for row in rows]
+    w = [0.0] * len(col_of)
+    bias = 0.0
+    lr, l2 = config.learning_rate, config.l2
+    for i in _sgd_order(len(ys), config):
+        pairs = feats[i]
+        g = _sigmoid(_score(bias, [w[c] * k for c, k in pairs])) - ys[i]
+        for c, k in pairs:
+            wc = w[c]
+            w[c] = wc - lr * (g * k + l2 * wc)
+        bias -= lr * g
+    return w, bias
+
+
+def _sgd_numpy(
+    rows: Sequence[Mapping[int, int]], col_of: dict[int, int], ys: list[float],
+    config: TrainConfig,
+) -> tuple[list[float], float]:
+    """_sgd_lists on numpy arrays: an update gathers and writes a row's weights in one
+    operation each, and np.add.accumulate's last element is _score's sum of the terms."""
+    import numpy as np  # only here, so that a run that never takes this arm never loads it
+
     feats = [
         (
-            np.array([col_of.setdefault(b, len(col_of)) for b in row], dtype=np.int64),
+            np.array(_columns(row, col_of), dtype=np.int64),
             np.array(list(row.values()), dtype=np.float64),
         )
         for row in rows
     ]
-    ys = [1.0 if label is Label.FAKE else 0.0 for label in labels]
-    w = np.zeros(len(col_of), dtype=np.float64)
+    w = np.zeros(len(col_of))
     bias = 0.0
     lr, l2 = config.learning_rate, config.l2
-    order = list(range(len(labels)))
-    rng = random.Random(config.seed)
-    # an overflow shows as a weight or bias that is not finite, checked below
+    # _fit checks for the overflow these warnings would report
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
-            rng.shuffle(order)
-            for i in order:
-                col, cnt = feats[i]
-                wi = w[col]
-                g = _sigmoid(_score(bias, (wi * cnt).tolist())) - ys[i]
-                w[col] = wi - lr * (g * cnt + l2 * wi)
-                bias -= lr * g
-    if not (math.isfinite(bias) and np.isfinite(w).all()):
-        raise DataError(
-            "training diverged: a weight or the bias is not finite "
-            f"(learning_rate {lr}, l2 {l2})"
-        )
-    weights = dict(zip(col_of, w.tolist()))
-    return Model(space=space, config=config, train_set=name, weights=weights, bias=bias)
+        for i in _sgd_order(len(ys), config):
+            col, cnt = feats[i]
+            wi = w[col]
+            # [-1:] is empty for an empty row, which then scores its bias as _score's does
+            g = _sigmoid(_score(bias, np.add.accumulate(wi * cnt)[-1:].tolist())) - ys[i]
+            w[col] = wi - lr * (g * cnt + l2 * wi)
+            bias -= lr * g
+    return w.tolist(), bias
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import iso_date
-from .errors import DataError, decode_json, json_lines, numbered_lines, write_json_lines
+from .errors import OBJECT, DataError, decode_json, json_lines, numbered_lines, write_json_lines
 
 __all__ = [
     "RoleProperty",
@@ -267,7 +267,7 @@ def _extract_record(entity: dict) -> EntityRecord | None:
         primary_label=label,
         aliases=aliases,
         statements=tuple(statements),
-        sitelink_count=len(entity.get("sitelinks", {})),
+        sitelink_count=len(OBJECT(entity.get("sitelinks", {}))),
     )
 
 
@@ -371,9 +371,10 @@ def load_index(path: str | Path) -> EntityIndex:
         _, header = next(lines, (0, None))
         if not isinstance(header, dict):
             raise DataError(f"{path}: missing or malformed index header")
-        if header.get("format_version") != FORMAT_VERSION:
+        version = header.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:  # not true or 1.0
             raise DataError(
-                f"{path}: unsupported index format version {header.get('format_version')!r}"
+                f"{path}: unsupported index format version {version!r}"
             )
         try:
             snapshot = iso_date(header["snapshot_date"])
@@ -417,6 +418,8 @@ def load_index(path: str | Path) -> EntityIndex:
                 )
             except (KeyError, ValueError, TypeError, DataError):
                 raise DataError(f"{path} line {lineno}: malformed index record") from None
+            if qid in index.records:  # index.add would replace the earlier record
+                raise DataError(f"{path} line {lineno}: duplicate record {qid!r}")
             index.add(record)
     if len(index.records) != expected:
         raise DataError(

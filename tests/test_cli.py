@@ -592,6 +592,14 @@ class TestTrainEval:
     def test_missing_model_is_a_data_error(self, tiny_corpus):
         assert dispatch(["eval", "--model", "/nope/m.json", "--corpus", tiny_corpus]) == 1
 
+    def test_training_on_short_rows_never_loads_numpy(self, tmp_path, tiny_corpus):
+        # in a fresh process: pytest's own has numpy loaded already
+        argv = ["train", "--corpus", tiny_corpus, "--output", str(tmp_path / "model.json")]
+        script = ("import sys\nfrom diamask.cli import dispatch\n"
+                  "code = dispatch(sys.argv[1:])\nsys.exit(code or 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
 
 class TestPipelineComposition:
     def test_stepwise_cli_matches_run_matrix_cell(self, world):
@@ -1033,12 +1041,17 @@ def test_bad_count_flag_is_a_usage_error(tiny_corpus, capsys, argv, flag):
 
 # -- hostile input: one `error:` line and exit 1, never a traceback ----------
 
-def _index_file(snapshot_date="2020-12-28", record_count=1, **statement):
-    header = {"format_version": 1, "snapshot_date": snapshot_date, "record_count": record_count}
+def _index_file(snapshot_date="2020-12-28", record_count=1, format_version=1, **statement):
+    header = {"format_version": format_version, "snapshot_date": snapshot_date,
+              "record_count": record_count}
+    return json.dumps(header) + "\n" + _index_record("Q1", **statement)
+
+
+def _index_record(qid, label="Jane Roe", **statement):
+    """An index record line: qid, called label, holds position Q2 with the statement fields."""
     statement = {"property": "P39", "value": "Q2", "start": None, "end": None, **statement}
-    record = {"qid": "Q1", "label": "Jane Roe", "aliases": [], "sitelinks": 1,
-              "statements": [statement]}
-    return json.dumps(header) + "\n" + json.dumps(record) + "\n"
+    record = {"qid": qid, "label": label, "aliases": [], "sitelinks": 1, "statements": [statement]}
+    return json.dumps(record) + "\n"
 
 
 def _config(**fields):
@@ -1327,6 +1340,8 @@ HOSTILE = [
           ("claim-list-a-number", {"claims": {"P106": 5}}, []),
           ("labels-a-number", {"labels": 5}, []),
           ("sitelinks-a-number", {"sitelinks": 3}, []),
+          ("sitelinks-a-string", {"sitelinks": "abc"}, []),
+          ("sitelinks-a-list", {"sitelinks": ["enwiki"]}, []),
           ("instance-of-a-number", {"claims": {"P31": 5}}, ["--person-only"]),
       ]),
     pytest.param(_index_file(value=5), _MASK_INDEXED, "hostile line 2: malformed index record",
@@ -1338,6 +1353,13 @@ HOSTILE = [
     *(pytest.param(_index_file(record_count=count), _MASK_INDEXED,
                    "hostile: malformed index header fields", id=f"index-record-count-{name}")
       for name, count in [("a-bool", True), ("a-float", 1.9), ("a-string", "1"), ("negative", -1)]),
+    *(pytest.param(_index_file(format_version=version), _MASK_INDEXED,
+                   f"hostile: unsupported index format version {text}",
+                   id=f"index-format-version-{name}")
+      for name, version, text in [("a-bool", True, "True"), ("a-float", 1.0, "1.0")]),
+    # the header counts 2 records, and Q1's second record would replace its first
+    pytest.param(_index_file(record_count=2) + _index_record("Q2") + _index_record("Q1", "Jo Doe"),
+                 _MASK_INDEXED, "hostile line 4: duplicate record 'Q1'", id="index-duplicate-qid"),
     pytest.param("[" * 100_000, _INGEST, "hostile line 1: malformed JSON (nested too deeply)",
                  id="corpus-nested-too-deeply"),
     pytest.param('{"id": "a", "text": "x", "label": "real"}\n{"n": ' + "1" * 5000 + "}\n", _INGEST,

@@ -360,6 +360,92 @@ class TestFitMatchesScalarTrainer:
         assert model.bias.hex() == bias.hex()
 
 
+NUMPY_ROW = experiment._NUMPY_ROW
+ARMS = ("_sgd_lists", "_sgd_numpy")
+
+
+def fit_recording_arm(rows, labels, config, called):
+    """_fit's model on rows; the names of the SGD arms it calls are appended to called."""
+    with pytest.MonkeyPatch.context() as mp:
+        for arm in ARMS:
+            real = getattr(experiment, arm)
+            mp.setattr(experiment, arm,
+                       lambda *a, arm=arm, real=real: called.append(arm) or real(*a))
+        return _fit(rows, labels, "t", FeatureSpace(dimensions=FIT_DIMENSIONS), config)
+
+
+@st.composite
+def rows_of(draw, sizes):
+    """Rows of the drawn sizes of distinct buckets with counts 1-9, one empty row among
+    them, and both labels."""
+    rows = [
+        draw(st.dictionaries(st.integers(0, FIT_DIMENSIONS - 1), st.integers(1, 9),
+                             min_size=size, max_size=size))
+        for size in draw(sizes)
+    ]
+    rows.insert(draw(st.integers(0, len(rows))), {})
+    labels = [Label.FAKE, Label.REAL] + draw(
+        st.lists(st.sampled_from(Label), min_size=len(rows) - 2, max_size=len(rows) - 2)
+    )
+    draw(st.randoms(use_true_random=False)).shuffle(labels)
+    return rows, labels
+
+
+# rows below the threshold even without the empty row, and rows whose mean with it is above
+SHORT_ROWS = rows_of(st.lists(st.integers(0, NUMPY_ROW - 1), min_size=1, max_size=40))
+LONG_ROWS = rows_of(st.lists(st.integers(2 * NUMPY_ROW, 300), min_size=1, max_size=6))
+
+
+def assert_fit_matches_reference(rows, labels, config, arm):
+    called = []
+    model = fit_recording_arm(rows, labels, config, called)
+    assert called == [arm]
+    w, bias = reference_fit(rows, labels, config)
+    assert weight_bits(model) == {idx: value.hex() for idx, value in w.items()}
+    assert model.bias.hex() == bias.hex()
+
+
+class TestFitArms:
+    """Both SGD arms of _fit give reference_fit's bits; the mean bucket count picks one."""
+
+    @given(SHORT_ROWS, st.integers(1, 3), st.sampled_from([0.5, 0.1, 0.003]),
+           st.sampled_from([0.0, 1e-6, 0.01]), st.integers(0, 2**32))
+    @settings(max_examples=40)
+    def test_short_rows_train_on_lists(self, data, epochs, lr, l2, seed):
+        rows, labels = data
+        assert sum(map(len, rows)) < NUMPY_ROW * len(rows)
+        config = TrainConfig(epochs=epochs, learning_rate=lr, l2=l2, seed=seed)
+        assert_fit_matches_reference(rows, labels, config, "_sgd_lists")
+
+    @given(LONG_ROWS, st.integers(1, 3), st.sampled_from([0.5, 0.1, 0.003]),
+           st.sampled_from([0.0, 1e-6, 0.01]), st.integers(0, 2**32))
+    @settings(max_examples=30)
+    def test_long_rows_train_on_numpy(self, data, epochs, lr, l2, seed):
+        rows, labels = data
+        assert sum(map(len, rows)) >= NUMPY_ROW * len(rows)
+        config = TrainConfig(epochs=epochs, learning_rate=lr, l2=l2, seed=seed)
+        assert_fit_matches_reference(rows, labels, config, "_sgd_numpy")
+
+    @pytest.mark.parametrize("extra, arm", [(0, "_sgd_numpy"), (-1, "_sgd_lists")])
+    def test_a_mean_at_the_threshold_trains_on_numpy_and_below_it_on_lists(self, extra, arm):
+        # an empty row and a row of 2 * NUMPY_ROW + extra buckets
+        rows = [{}, {b: 1 + b % 3 for b in range(2 * NUMPY_ROW + extra)}]
+        config = TrainConfig(epochs=3, learning_rate=0.5, seed=1)
+        assert_fit_matches_reference(rows, [Label.FAKE, Label.REAL], config, arm)
+
+    @pytest.mark.parametrize("size, arm", [(2, "_sgd_lists"), (NUMPY_ROW, "_sgd_numpy")])
+    def test_divergence_is_the_same_error_in_each_arm(self, size, arm):
+        rows = [{b: 2 for b in range(size)}, {b: 3 for b in range(1, size + 1)}]
+        config = TrainConfig(learning_rate=1e300)
+        called = []
+        with pytest.raises(DataError) as raised:
+            fit_recording_arm(rows, [Label.FAKE, Label.REAL], config, called)
+        assert called == [arm]
+        assert str(raised.value) == (
+            "training diverged: a weight or the bias is not finite (learning_rate 1e+300, l2 1e-06)"
+        )
+
+
 class TestModelSerialization:
     def test_round_trip_preserves_predictions_and_weights(self, tmp_path):
         model = train(SEPARABLE, SMALL_SPACE)

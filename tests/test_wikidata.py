@@ -178,6 +178,16 @@ class TestIndexDump:
         assert set(person.records) == {"Q9"}
         assert person.malformed_lines == 1
 
+    def test_sitelinks_that_are_not_an_object_make_a_malformed_line(self):
+        # len() of a string or a list is not a sitelink count
+        good = make_entity("Q9", "Jane Roe", occupations=("Q2",))
+        lines = [entity_line({**good, "sitelinks": "abc"}),
+                 entity_line({**good, "sitelinks": ["enwiki"]}),
+                 entity_line({**good, "id": "Q8"})]
+        index = index_of(lines)
+        assert set(index.records) == {"Q8"}
+        assert index.malformed_lines == 2
+
     def test_strict_mode_raises_with_line_number(self):
         lines = [
             entity_line(make_entity("Q9", "Jane Roe", occupations=("Q2",))),
