@@ -2,9 +2,11 @@
 
 Each test pins the SHA-256 of an output that must stay byte-identical
 across refactors and CPUs: the experiment reports, a saved model and a saved
-index, all built from one fixed synthetic config, and a model trained on long
+index, all built from one fixed synthetic config, a model trained on long
 rows with `diamask eval`'s report of that model on its own corpus, which
-holds every document's prediction. Comparing two runs of the same code cannot
+holds every document's prediction, and the `lmi` and `tag` outputs of
+`cli.dispatch` on the synthetic corpora with punctuation and mixed case
+around their words. Comparing two runs of the same code cannot
 catch a change that reorders float sums, nor can one kind of CPU; these
 hashes, checked under several BLAS kernels, can.
 
@@ -14,6 +16,7 @@ same change and say why in CHANGES.md.
 
 import hashlib
 import random
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -142,3 +145,61 @@ def test_eval_report_of_long_row_model(long_corpus, tmp_path):
     argv = ["eval", "--model", str(model_path), "--corpus", str(corpus_path), "--output", str(out)]
     assert dispatch(argv) == 0
     assert sha256(out.read_bytes()) == GOLDEN["long_eval.json"]
+
+
+CLI_GOLDEN = {
+    "lmi.tsv": "33345689b3380fc2056bc8089ce05b27eeb18739266dd5e5eeb4dba87fe31244",
+    "lmi.txt": "65eb39f015c6776e756af7d0dcd4de19a8db9f524ea4038140471cf64de1e1a9",
+    "tags.jsonl": "b7f1162d42fec68121d480f5f212623038538fb72b74bd420554ccf2cde42496",
+}
+
+# Marks around the synthetic texts' words, so that the tokenizer's edge rules
+# (sigils, a kept trailing '.', stripped runs) and the tagger's word
+# boundaries show in the bytes; "" is most likely, so phrases still repeat.
+_PREFIXES = ("",) * 6 + ("@", "#", '"', "(", "¡")
+_SUFFIXES = ("",) * 6 + (".", ",", "!", "...", ")", "'s", "-19", "²")
+_EXTRA_WORDS = ("no.", "u.s.", "Straße", "İstanbul", "x²", "café!", "--", "GOV.", "@", "ß")
+# Person names of both periods, their shared first names, a three-word key
+# no text holds, and keys the extra words and a casefold reach.
+_GAZETTEER = (
+    [(name, "PER") for name in SYNTH_A[:6] + SYNTH_B[:6]]
+    + [(name.split()[0], "MISC") for name in SYNTH_A[:6]]
+    + [("Alan Pryce Junior", "PER"), ("strasse", "LOC"), ("İstanbul", "LOC"), ("u.s", "LOC"),
+       ("budget summit", "ORG"), ("BUDGET", "MISC")]
+)
+
+
+def _punctuated(doc, rng):
+    words = []
+    for word in doc.text.split():
+        if rng.random() < 0.1:
+            word = word.upper()
+        words.append(rng.choice(_PREFIXES) + word + rng.choice(_SUFFIXES))
+        if rng.random() < 0.15:
+            words.append(rng.choice(_EXTRA_WORDS))
+    return replace(doc, text=" ".join(words))
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(data, tmp_path_factory):
+    """The lmi (TSV and text) and tag outputs of the CLI on both synthetic periods."""
+    rng = random.Random(17)
+    docs = tuple(_punctuated(doc, rng) for doc in data.corpus_a.documents + data.corpus_b.documents)
+    tmp = tmp_path_factory.mktemp("cli")
+    corpus, gazetteer = tmp / "corpus.jsonl", tmp / "gazetteer.tsv"
+    save_corpus(Corpus(name="both", documents=docs), corpus)
+    gazetteer.write_text("".join(f"{name}\t{tag}\n" for name, tag in _GAZETTEER), encoding="utf-8")
+    runs = {
+        "lmi.tsv": ["lmi", "--corpus", str(corpus)],
+        "lmi.txt": ["lmi", "--corpus", str(corpus), "--n", "1", "--top", "15",
+                    "--min-count", "3", "--format", "text"],
+        "tags.jsonl": ["tag", "--corpus", str(corpus), "--gazetteer", str(gazetteer)],
+    }
+    for name, argv in runs.items():
+        assert dispatch([*argv, "--output", str(tmp / name)]) == 0
+    return tmp
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_output_bytes(cli_outputs, name):
+    assert sha256((cli_outputs / name).read_bytes()) == CLI_GOLDEN[name]
