@@ -71,12 +71,17 @@ def tokenize(text: str) -> list[str]:
     """Casefold, split on whitespace, and normalize each chunk.
 
     See _clean_token for the edge-punctuation rules; empty results are
-    dropped, so every returned token is non-empty and casefolded.
+    dropped, so every returned token is non-empty and casefolded. A chunk
+    for which str.isalnum() holds is its own token without a call to
+    _clean_token: isalnum is true exactly when the chunk is non-empty and
+    every character passes _clean_token's per-character isalnum test, so
+    nothing is stripped and no sigil is split off.
     """
     tokens = []
     for raw in text.casefold().split():
-        tok = _clean_token(raw)
-        if tok:
+        if raw.isalnum():
+            tokens.append(raw)
+        elif tok := _clean_token(raw):
             tokens.append(tok)
     return tokens
 
@@ -85,11 +90,14 @@ def extract_ngrams(tokens: list[str], n: int) -> list[str]:
     """All contiguous n-token windows, in order, joined by single spaces.
 
     Returns len(tokens) - n + 1 phrases (empty list when the sequence is
-    shorter than n).
+    shorter than n). zip over the n shifted copies of tokens stops at the
+    shortest, tokens[n - 1:], so it yields exactly those windows in order.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    if n > len(tokens):
+        return []
+    return list(map(" ".join, zip(*[tokens[i:] for i in range(n)])))
 
 
 @dataclass(frozen=True)
@@ -132,44 +140,46 @@ def compute_lmi(
     Entries are grouped by label (real first), each group sorted by lmi
     descending with ties broken lexicographically by phrase.
 
+    Occurrences are counted per label, one Counter each, filled in C by
+    Counter.update; count(w) and count(l) are sums of those counters. A
+    phrase appears once per label, so the sort key is total and the table
+    does not depend on the order in which entries are built.
+
     Raises DataError("no phrases") when no document yields a single n-gram.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if min_count < 0:
         raise ValueError(f"min_count must be >= 0, got {min_count}")
-    count_wl: Counter[tuple[str, Label]] = Counter()
-    count_w: Counter[str] = Counter()
-    count_l: Counter[Label] = Counter()
+    grams_of: dict[Label, Counter[str]] = {label: Counter() for label in Label}
     for doc in corpus:
-        grams = extract_ngrams(tokenize(doc.text), n)
-        if not grams:
-            continue
-        count_l[doc.label] += len(grams)
-        for gram in grams:
-            count_wl[(gram, doc.label)] += 1
-            count_w[gram] += 1
+        grams_of[doc.label].update(extract_ngrams(tokenize(doc.text), n))
+    count_l = {label: grams.total() for label, grams in grams_of.items()}
     total = sum(count_l.values())
     if total == 0:
         raise DataError("no phrases: every document tokenizes to fewer than n tokens")
-    p_label = {label: count_l.get(label, 0) / total for label in Label}
+    p_label = {label: count_l[label] / total for label in Label}
+    count_w: Counter[str] = Counter()
+    for grams in grams_of.values():
+        count_w.update(grams)
     entries = []
-    for (phrase, label), c_wl in count_wl.items():
-        c_w = count_w[phrase]
-        if c_w < min_count:
-            continue
-        p_lw = c_wl / c_w
-        lmi = (c_wl / total) * math.log(p_lw / p_label[label])
-        entries.append(
-            LmiEntry(
-                phrase=phrase,
-                label=label,
-                count_wl=c_wl,
-                count_w=c_w,
-                p_l_given_w=p_lw,
-                lmi=lmi,
+    for label, grams in grams_of.items():
+        for phrase, c_wl in grams.items():
+            c_w = count_w[phrase]
+            if c_w < min_count:
+                continue
+            p_lw = c_wl / c_w
+            lmi = (c_wl / total) * math.log(p_lw / p_label[label])
+            entries.append(
+                LmiEntry(
+                    phrase=phrase,
+                    label=label,
+                    count_wl=c_wl,
+                    count_w=c_w,
+                    p_l_given_w=p_lw,
+                    lmi=lmi,
+                )
             )
-        )
     entries.sort(key=lambda e: (_LABEL_ORDER[e.label], -e.lmi, e.phrase))
     return LmiTable(n=n, total_phrases=total, p_label=p_label, entries=tuple(entries))
 

@@ -191,6 +191,12 @@ class Gazetteer:
     def max_tokens(self) -> int:
         return max((key.count(" ") + 1 for key in self.entries), default=0)
 
+    @cached_property
+    def heads(self) -> frozenset[str]:
+        """The first token of every key: a window of words can match a key only
+        if its first word, casefolded, is one of these."""
+        return frozenset(key.split(" ", 1)[0] for key in self.entries)
+
 
 def _gazetteer_key(name: str) -> str:
     key = _normalize(name)
@@ -229,29 +235,32 @@ def tag_with_gazetteer(document: Document, gazetteer: Gazetteer) -> AnnotatedDoc
     span, and scanning resumes after it. Matching is case-insensitive and
     whitespace-insensitive; the stored surface is the original slice. The
     input document is not modified.
+
+    Each word is casefolded once, and windows are tried only at a word in
+    gazetteer.heads. That skips no match: a word holds no whitespace and no
+    code point casefolds to whitespace, so a window's first word is the first
+    token of its joined key.
     """
-    words = [(m.start(), m.end(), m.group(0)) for m in _WORD_RE.finditer(document.text)]
-    max_tokens = gazetteer.max_tokens
+    text = document.text
+    bounds = [(m.start(), m.end()) for m in _WORD_RE.finditer(text)]
+    folded = [text[start:end].casefold() for start, end in bounds]
+    entries, heads, max_tokens = gazetteer.entries, gazetteer.heads, gazetteer.max_tokens
     spans: list[NeSpan] = []
     i = 0
-    while i < len(words):
+    while i < len(folded):
         match_len = 0
         match_tag: NeTag | None = None
-        limit = min(max_tokens, len(words) - i)
-        for k in range(limit, 0, -1):
-            window = words[i : i + k]
-            key = " ".join(w[2].casefold() for w in window)
-            tag = gazetteer.entries.get(key)
-            if tag is not None:
-                match_len, match_tag = k, tag
-                break
+        if folded[i] in heads:
+            for k in range(min(max_tokens, len(folded) - i), 0, -1):
+                tag = entries.get(" ".join(folded[i : i + k]))
+                if tag is not None:
+                    match_len, match_tag = k, tag
+                    break
         if match_tag is None:
             i += 1
             continue
-        start = words[i][0]
-        end = words[i + match_len - 1][1]
-        spans.append(
-            NeSpan(start=start, end=end, tag=match_tag, surface=document.text[start:end])
-        )
+        start = bounds[i][0]
+        end = bounds[i + match_len - 1][1]
+        spans.append(NeSpan(start=start, end=end, tag=match_tag, surface=text[start:end]))
         i += match_len
     return AnnotatedDocument(document=document, spans=tuple(spans))

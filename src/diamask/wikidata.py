@@ -384,6 +384,7 @@ def load_index(path: str | Path) -> EntityIndex:
         except (KeyError, ValueError, TypeError):
             raise DataError(f"{path}: malformed index header fields") from None
         index = EntityIndex(snapshot_date=snapshot)
+        last = -1
         for lineno, raw in lines:
             try:
                 qid, label, aliases = raw["qid"], raw["label"], raw["aliases"]
@@ -418,8 +419,15 @@ def load_index(path: str | Path) -> EntityIndex:
                 )
             except (KeyError, ValueError, TypeError, DataError):
                 raise DataError(f"{path} line {lineno}: malformed index record") from None
-            if qid in index.records:  # index.add would replace the earlier record
-                raise DataError(f"{path} line {lineno}: duplicate record {qid!r}")
+            # save_index writes records by rising numeric QID; only a record that does not
+            # rise can repeat a QID, which index.add would let replace the earlier record
+            number = int(qid[1:])
+            if number <= last:
+                if qid in index.records:
+                    raise DataError(f"{path} line {lineno}: duplicate record {qid!r}")
+                if number < last:  # an equal number is a leading-zero spelling ("Q01")
+                    raise DataError(f"{path} line {lineno}: record {qid!r} out of QID order")
+            last = number
             index.add(record)
     if len(index.records) != expected:
         raise DataError(

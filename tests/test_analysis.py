@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from diamask import (
     extract_ngrams,
     tokenize,
 )
-from diamask.analysis import LMI_TSV_HEADER
+from diamask.analysis import _LABEL_ORDER, LMI_TSV_HEADER
 
 from helpers import lmi_oracle, random_corpus
 
@@ -255,3 +256,112 @@ class TestExport:
         out = export_lmi_table(table, top_k=3, fmt="tsv")
         assert out.startswith(LMI_TSV_HEADER)
         assert out.endswith("\n")
+
+
+# -- the text kernels give what their plain forms gave ------------------------
+
+
+def reference_clean_token(raw):
+    """_clean_token as it was before tokenize's isalnum shortcut."""
+    sigil = ""
+    if raw[:1] in ("@", "#"):
+        sigil, raw = raw[0], raw[1:]
+    start = 0
+    while start < len(raw) and not raw[start].isalnum():
+        start += 1
+    end = len(raw)
+    while end > start:
+        ch = raw[end - 1]
+        if ch.isalnum():
+            break
+        if ch == "." and end - 1 > start and raw[end - 2].isalnum():
+            break
+        end -= 1
+    core = raw[start:end]
+    return sigil + core if core else ""
+
+
+def reference_tokenize(text):
+    """Every chunk through reference_clean_token, the empty results dropped."""
+    return [tok for tok in map(reference_clean_token, text.casefold().split()) if tok]
+
+
+def reference_extract_ngrams(tokens, n):
+    return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
+def reference_lmi(corpus, n, min_count):
+    """compute_lmi counting one (phrase, label) pair at a time in Python."""
+    count_wl, count_w, count_l = Counter(), Counter(), Counter()
+    for doc in corpus:
+        grams = reference_extract_ngrams(reference_tokenize(doc.text), n)
+        count_l[doc.label] += len(grams)
+        for gram in grams:
+            count_wl[(gram, doc.label)] += 1
+            count_w[gram] += 1
+    total = sum(count_l.values())
+    if total == 0:
+        raise DataError("no phrases")
+    p_label = {label: count_l.get(label, 0) / total for label in Label}
+    entries = []
+    for (phrase, label), c_wl in count_wl.items():
+        c_w = count_w[phrase]
+        if c_w < min_count:
+            continue
+        p_lw = c_wl / c_w
+        lmi = (c_wl / total) * math.log(p_lw / p_label[label])
+        entries.append(LmiEntry(phrase, label, c_wl, c_w, p_lw, lmi))
+    entries.sort(key=lambda e: (_LABEL_ORDER[e.label], -e.lmi, e.phrase))
+    return LmiTable(n=n, total_phrases=total, p_label=p_label, entries=tuple(entries))
+
+
+# Pieces that reach every branch of the edge rules: sigils, edge marks, a kept
+# trailing '.', internal marks, alphanumerics outside ASCII ("ß" casefolds to
+# "ss", "İ" to "i" plus a combining dot that is not alphanumeric, "²" and "٣"
+# are numeric), a combining accent, and whitespace other than a space.
+PIECES = ("@", "#", ".", "...", "no.", "u.s.", "'", "-", "covid-19", "clinton's", "(", ")!",
+          '"', "a", "B", "7", "ß", "²", "İ", "٣", "ﬁ", "Σ", "e\u0301", "\u00a0", "\u3000")
+chunks = st.lists(st.one_of(st.sampled_from(PIECES), st.text(max_size=3)), max_size=5).map("".join)
+edge_text = st.one_of(
+    st.text(max_size=40),
+    st.builds(str.join, st.sampled_from((" ", "\t", "\n  ")), st.lists(chunks, max_size=12)),
+)
+
+
+class TestKernelsMatchReference:
+    @given(edge_text)
+    @settings(max_examples=300)
+    def test_tokenize(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @given(st.lists(st.sampled_from(("a", "b", "c d", "ß")), max_size=8), st.integers(1, 10))
+    def test_extract_ngrams(self, tokens, n):
+        assert extract_ngrams(tokens, n) == reference_extract_ngrams(tokens, n)
+
+    def test_huge_n_is_no_phrase(self):
+        assert extract_ngrams(["a", "b"], 10**12) == []
+
+
+class TestLmiMatchesReference:
+    @given(
+        st.lists(st.tuples(edge_text, st.sampled_from(Label)), min_size=1, max_size=8),
+        st.integers(1, 4),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150)
+    def test_every_entry_and_probability(self, docs, n, min_count):
+        corpus = Corpus(name="c", documents=tuple(
+            Document(id=f"d{i}", text=text, label=label) for i, (text, label) in enumerate(docs)
+        ))
+        try:
+            expected = reference_lmi(corpus, n, min_count)
+        except DataError:
+            with pytest.raises(DataError, match="no phrases"):
+                compute_lmi(corpus, n, min_count=min_count)
+            return
+        table = compute_lmi(corpus, n, min_count=min_count)
+        assert table == expected
+        # == takes -0.0 for 0.0; the table's floats must have the same bits
+        assert [(e.p_l_given_w.hex(), e.lmi.hex()) for e in table.entries] == [
+            (e.p_l_given_w.hex(), e.lmi.hex()) for e in expected.entries
+        ]

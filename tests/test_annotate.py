@@ -2,7 +2,7 @@ import json
 import logging
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamask import (
@@ -19,7 +19,7 @@ from diamask import (
     tag_with_gazetteer,
     write_annotations,
 )
-from diamask.annotate import resolve_overlaps
+from diamask.annotate import _WORD_RE, resolve_overlaps
 
 
 def doc(doc_id, text):
@@ -289,3 +289,54 @@ class TestTagWithGazetteer:
             assert document.text[s.start : s.end] == s.surface
             assert " ".join(s.surface.casefold().split()) in gaz.entries
             prev_end = s.end
+
+
+# -- the tagger gives what trying every window at every word gave ------------
+
+
+def reference_tag(document, gazetteer):
+    """tag_with_gazetteer's spans, each window's key casefolded and looked up in turn."""
+    words = [(m.start(), m.end(), m.group(0)) for m in _WORD_RE.finditer(document.text)]
+    spans = []
+    i = 0
+    while i < len(words):
+        match_len, match_tag = 0, None
+        for k in range(min(gazetteer.max_tokens, len(words) - i), 0, -1):
+            key = " ".join(w[2].casefold() for w in words[i : i + k])
+            if key in gazetteer.entries:
+                match_len, match_tag = k, gazetteer.entries[key]
+                break
+        if match_tag is None:
+            i += 1
+            continue
+        start, end = words[i][0], words[i + match_len - 1][1]
+        spans.append(NeSpan(start=start, end=end, tag=match_tag, surface=document.text[start:end]))
+        i += match_len
+    return tuple(spans)
+
+
+# Words that casefold alike ("ß", "SS", "ss") or to more than one character
+# ("İ"), and separators that end a word or join two into one ("al-bo").
+WORDS = ("al", "Al", "AL", "bo", "ß", "SS", "ss", "İ", "i̇", "x", "covid-19")
+SEPARATORS = (" ", "  ", ", ", ". ", "-", "'", "\n", "!", " ")
+names = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+
+
+class TestTaggerMatchesReference:
+    @given(
+        st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(SEPARATORS)), max_size=16),
+        # several keys of one head word: "al", "al bo", "al bo x", ...
+        st.lists(st.tuples(names, st.sampled_from(NeTag)), max_size=8),
+    )
+    @settings(max_examples=300)
+    def test_same_spans(self, pieces, pairs):
+        gazetteer = Gazetteer.from_pairs(pairs)
+        document = doc("d", "".join(word + sep for word, sep in pieces))
+        assert tag_with_gazetteer(document, gazetteer).spans == reference_tag(document, gazetteer)
+
+    def test_heads_are_the_keys_first_tokens(self):
+        gazetteer = Gazetteer.from_pairs(
+            [("Al Bo", NeTag.PER), ("al", NeTag.MISC), ("al bo x", NeTag.ORG), ("Straße", NeTag.LOC)]
+        )
+        assert gazetteer.heads == {"al", "strasse"}
+        assert Gazetteer.from_pairs([]).heads == frozenset()

@@ -1360,6 +1360,10 @@ HOSTILE = [
     # the header counts 2 records, and Q1's second record would replace its first
     pytest.param(_index_file(record_count=2) + _index_record("Q2") + _index_record("Q1", "Jo Doe"),
                  _MASK_INDEXED, "hostile line 4: duplicate record 'Q1'", id="index-duplicate-qid"),
+    # save_index writes records by rising numeric QID, so Q10 before Q9 is no file it wrote
+    pytest.param(_index_file(record_count=3) + _index_record("Q10") + _index_record("Q9", "Jo Doe"),
+                 _MASK_INDEXED, "hostile line 4: record 'Q9' out of QID order",
+                 id="index-qid-out-of-order"),
     pytest.param("[" * 100_000, _INGEST, "hostile line 1: malformed JSON (nested too deeply)",
                  id="corpus-nested-too-deeply"),
     pytest.param('{"id": "a", "text": "x", "label": "real"}\n{"n": ' + "1" * 5000 + "}\n", _INGEST,

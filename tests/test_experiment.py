@@ -325,14 +325,17 @@ def reference_fit(rows, labels, config):
 
 
 FIT_DIMENSIONS = 2**10
+NUMPY_ROW = experiment._NUMPY_ROW
 
 
 @st.composite
 def long_rows(draw):
-    """2-8 rows of 0-500 distinct buckets with counts 3-9, and both labels."""
+    """2-8 rows of NUMPY_ROW-500 distinct buckets with counts 3-9, and both labels; the
+    mean bucket count is at least NUMPY_ROW, so _fit trains them on its numpy arm."""
     n_rows = draw(st.integers(2, 8))
     rows = [
-        draw(st.dictionaries(st.integers(0, FIT_DIMENSIONS - 1), st.integers(3, 9), max_size=500))
+        draw(st.dictionaries(st.integers(0, FIT_DIMENSIONS - 1), st.integers(3, 9),
+                             min_size=NUMPY_ROW, max_size=500))
         for _ in range(n_rows)
     ]
     labels = [Label.FAKE, Label.REAL] + draw(
@@ -353,6 +356,7 @@ class TestFitMatchesScalarTrainer:
     @settings(max_examples=40, deadline=None)
     def test_every_weight_and_the_bias_bit_for_bit(self, data, epochs, lr, l2, seed):
         rows, labels = data
+        assert sum(map(len, rows)) >= NUMPY_ROW * len(rows)
         config = TrainConfig(epochs=epochs, learning_rate=lr, l2=l2, seed=seed)
         model = _fit(rows, labels, "t", FeatureSpace(dimensions=FIT_DIMENSIONS), config)
         w, bias = reference_fit(rows, labels, config)
@@ -360,7 +364,6 @@ class TestFitMatchesScalarTrainer:
         assert model.bias.hex() == bias.hex()
 
 
-NUMPY_ROW = experiment._NUMPY_ROW
 ARMS = ("_sgd_lists", "_sgd_numpy")
 
 

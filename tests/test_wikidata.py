@@ -259,6 +259,20 @@ class TestSaveLoad:
         }
         assert [json.loads(l)["qid"] for l in lines[1:]] == ["Q42", "Q76", "Q1165"]
 
+    def test_qids_of_one_number_load_in_the_order_saved(self, tmp_path):
+        # "Q7" and "Q07" are two QIDs of one number; save_index's sort keeps them
+        # in insertion order, and load_index must take back either order
+        for qids in (["Q07", "Q7", "Q8"], ["Q7", "Q07", "Q8"]):
+            index = EntityIndex(snapshot_date=date(2020, 12, 28))
+            for qid in qids:
+                index.add(person(qid, f"name {qid}"))
+            path = tmp_path / "entities.idx"
+            save_index(index, path)
+            saved = path.read_bytes()
+            assert list(load_index(path).records) == qids
+            save_index(load_index(path), path)
+            assert path.read_bytes() == saved
+
     def test_missing_header_is_rejected(self, tmp_path):
         path = tmp_path / "entities.idx"
         path.write_text("")
