@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import re
+import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -199,9 +200,19 @@ class Gazetteer:
 
 
 def _gazetteer_key(name: str) -> str:
+    """name's lookup key, if tagging can ever match it.
+
+    Tagging joins casefolded _WORD_RE words, and casefolding a word character
+    gives word characters and combining marks (category Mn) only, so a key
+    token that, without its marks, is not one _WORD_RE word can never match.
+    """
     key = _normalize(name)
     if not key:
         raise DataError("gazetteer entry with empty name")
+    for token in key.split(" "):
+        bare = "".join(ch for ch in token if unicodedata.category(ch) != "Mn")
+        if not _WORD_RE.fullmatch(bare):
+            raise DataError(f"gazetteer name {name!r} can never match: {token!r} is not one word")
     return key
 
 

@@ -18,7 +18,10 @@ key it may hold to a converter that checks the value's JSON type.
 
 write_output writes text as UTF-8 to a file, or to stdout when the path is
 "-", so both get the same bytes whatever the terminal's encoding;
-write_json_lines writes one JSON record per line through it.
+write_json_lines writes one JSON record per line through it. It encodes
+every record with one shared json.JSONEncoder(ensure_ascii=False), the very
+encoder json.dumps(record, ensure_ascii=False) builds anew on each call, so
+the bytes are the same; an encoder keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -173,9 +176,13 @@ def write_output(dest: str | Path, chunks: Iterable[str]) -> None:
         out.flush()  # stdout is not closed here
 
 
+# the encoder json.dumps(record, ensure_ascii=False) builds anew on every call
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_json_lines(dest: str | Path, records: Iterable[object]) -> None:
     """write_output of each record as one line of JSON, non-ASCII kept as is."""
-    write_output(dest, (json.dumps(record, ensure_ascii=False) + "\n" for record in records))
+    write_output(dest, (_JSON_LINE.encode(record) + "\n" for record in records))
 
 
 @contextmanager

@@ -25,8 +25,23 @@ nothing is buffered beyond the retained records.
 
 The serialized index is a single UTF-8 NDJSON file: the first non-blank
 line is a header object {"format_version", "snapshot_date", "record_count"},
-followed by exactly record_count record objects sorted by numeric QID.
-Lookup maps are derived data and are rebuilt on load.
+read through errors.fields, followed by exactly record_count record objects
+sorted by numeric QID. Lookup maps are derived data and are rebuilt on load.
+
+Build, save and load do their work once per record or statement, so each
+skips work that leaves no trace, in ways that give exactly what the plain
+code gave:
+- The property goes through plain maps of RoleProperty's own members, where
+  RoleProperty(pid) and prop.value run Enum code. A pid the map lacks is a
+  KeyError, and load_index turns it into "malformed index record", as it
+  did the Enum's ValueError.
+- load_index checks a statement's QID as it builds the statement, not in a
+  second pass; both reject the record, so only the pass is saved.
+- EntityIndex.add creates a posting list holding its first QID. It does not
+  make an empty list for every name and token and throw it away when the
+  key is already there.
+- index_dump reads a claim's qualifiers once for both dates: the two reads
+  gave the same object, or both raised the same error.
 """
 
 from __future__ import annotations
@@ -45,7 +60,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import iso_date
-from .errors import OBJECT, DataError, decode_json, json_lines, numbered_lines, write_json_lines
+from .errors import (INTEGER, OBJECT, DataError, decode_json, fields, json_lines, numbered_lines,
+                     prefixed, write_json_lines)
 
 __all__ = [
     "RoleProperty",
@@ -67,6 +83,18 @@ log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 
+
+def _record_count(raw: object) -> int:
+    if INTEGER(raw) < 0:
+        raise ValueError(f"expected an integer >= 0, got {raw}")
+    return raw
+
+
+# the index header's keys, every one required
+_HEADER_FIELDS = {
+    "format_version": INTEGER, "snapshot_date": iso_date, "record_count": _record_count
+}
+
 HUMAN_QID = "Q5"
 INSTANCE_OF = "P31"
 
@@ -76,6 +104,12 @@ FALLBACK_PERSON_TOKEN = "PER"
 class RoleProperty(Enum):
     POSITION_HELD = "P39"
     OCCUPATION = "P106"
+
+
+# in place of RoleProperty(pid) and prop.value (see the module docstring);
+# _ROLE_BY_PID keeps the Enum's order, P39 first
+_ROLE_BY_PID = {prop.value: prop for prop in RoleProperty}
+_PID_BY_ROLE = {prop: pid for pid, prop in _ROLE_BY_PID.items()}
 
 
 class ResolveMode(Enum):
@@ -137,19 +171,24 @@ class EntityIndex:
         if old is not None:
             self._unpost(old)
         self.records[qid] = record
+        by_name, by_token = self.by_name, self.by_token
         # A QID is appended only during its own add, so a key repeated
         # within this record finds it at the end of the list.
         for name in (record.primary_label, *record.aliases):
             key = _normalize(name)
             if not key:
                 continue
-            bucket = self.by_name.setdefault(key, [])
-            if not bucket or bucket[-1] != qid:
+            bucket = by_name.get(key)
+            if not bucket:
+                by_name[key] = [qid]
+            elif bucket[-1] != qid:
                 bucket.append(qid)
             for token in key.split(" "):
-                tbucket = self.by_token.setdefault(token, [])
-                if not tbucket or tbucket[-1] != qid:
-                    tbucket.append(qid)
+                bucket = by_token.get(token)
+                if not bucket:
+                    by_token[token] = [qid]
+                elif bucket[-1] != qid:
+                    bucket.append(qid)
         self._resolved.clear()
 
     def _unpost(self, record: EntityRecord) -> None:
@@ -199,8 +238,8 @@ def _parse_time_value(value: dict) -> Date | None:
         return None
 
 
-def _qualifier_date(claim: dict, prop: str) -> Date | None:
-    for snak in claim.get("qualifiers", {}).get(prop, []):
+def _qualifier_date(qualifiers: dict, prop: str) -> Date | None:
+    for snak in qualifiers.get(prop, []):
         if snak.get("snaktype") != "value":
             continue
         dv = snak.get("datavalue", {})
@@ -234,23 +273,17 @@ def _extract_record(entity: dict) -> EntityRecord | None:
     (no P39/P106 targets, or no English label to match surfaces against)."""
     claims = entity.get("claims", {})
     statements: list[Statement] = []
-    for prop in RoleProperty:
-        for claim in claims.get(prop.value, []):
+    for pid, prop in _ROLE_BY_PID.items():
+        for claim in claims.get(pid, []):
             target = _claim_target(claim)
             if target is None:
                 continue
-            start = _qualifier_date(claim, "P580")
-            end = _qualifier_date(claim, "P582")
+            qualifiers = claim.get("qualifiers", {})
+            start = _qualifier_date(qualifiers, "P580")
+            end = _qualifier_date(qualifiers, "P582")
             if start and end and start > end:
                 start = end = None  # dump noise; keep the statement undated
-            statements.append(
-                Statement(
-                    property=prop,
-                    value_qid=target,
-                    start_date=start,
-                    end_date=end,
-                )
-            )
+            statements.append(Statement(prop, target, start, end))
     if not statements:
         return None
     label_obj = entity.get("labels", {}).get("en")
@@ -263,11 +296,7 @@ def _extract_record(entity: dict) -> EntityRecord | None:
         if isinstance(a, dict) and isinstance(a.get("value"), str) and a["value"]
     )
     return EntityRecord(
-        qid=entity["id"],
-        primary_label=label,
-        aliases=aliases,
-        statements=tuple(statements),
-        sitelink_count=len(OBJECT(entity.get("sitelinks", {}))),
+        entity["id"], label, aliases, tuple(statements), len(OBJECT(entity.get("sitelinks", {})))
     )
 
 
@@ -344,7 +373,7 @@ def _record_to_json(record: EntityRecord) -> dict:
         "sitelinks": record.sitelink_count,
         "statements": [
             {
-                "property": s.property.value,
+                "property": _PID_BY_ROLE[s.property],
                 "value": s.value_qid,
                 "start": s.start_date.isoformat() if s.start_date else None,
                 "end": s.end_date.isoformat() if s.end_date else None,
@@ -365,39 +394,38 @@ def save_index(index: EntityIndex, path: str | Path) -> None:
     write_json_lines(path, itertools.chain([header], map(_record_to_json, records)))
 
 
+def _load_statement(raw: dict) -> Statement:
+    """A saved statement; KeyError, ValueError, TypeError or DataError if it is
+    none that save_index writes."""
+    value, start, end = raw["value"], raw["start"], raw["end"]
+    if not _QID_RE.match(value):  # TypeError on a non-string
+        raise ValueError(f"bad statement value {value!r}")
+    return Statement(
+        _ROLE_BY_PID[raw["property"]],
+        value,
+        None if start is None else iso_date(start),
+        None if end is None else iso_date(end),
+    )
+
+
 def load_index(path: str | Path) -> EntityIndex:
     path = Path(path)
     with closing(json_lines(path)) as lines:  # an early exit closes the file at once
         _, header = next(lines, (0, None))
-        if not isinstance(header, dict):
-            raise DataError(f"{path}: missing or malformed index header")
-        version = header.get("format_version")
-        if type(version) is not int or version != FORMAT_VERSION:  # not true or 1.0
-            raise DataError(
-                f"{path}: unsupported index format version {version!r}"
-            )
-        try:
-            snapshot = iso_date(header["snapshot_date"])
-            expected = header["record_count"]
-            if type(expected) is not int or expected < 0:
-                raise ValueError("record_count must be an integer >= 0")
-        except (KeyError, ValueError, TypeError):
-            raise DataError(f"{path}: malformed index header fields") from None
-        index = EntityIndex(snapshot_date=snapshot)
+        # a version that equals 1 but is no integer (true, 1.0) is left to fields
+        version = header.get("format_version") if isinstance(header, dict) else FORMAT_VERSION
+        if version != FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported index format version {version!r}")
+        with prefixed(f"{path}: malformed index header"):
+            header = fields(header, _HEADER_FIELDS)
+        expected = header["record_count"]
+        index = EntityIndex(snapshot_date=header["snapshot_date"])
         last = -1
         for lineno, raw in lines:
             try:
                 qid, label, aliases = raw["qid"], raw["label"], raw["aliases"]
                 sitelinks = raw["sitelinks"]
-                statements = tuple(
-                    Statement(
-                        property=RoleProperty(s["property"]),
-                        value_qid=s["value"],
-                        start_date=None if s["start"] is None else iso_date(s["start"]),
-                        end_date=None if s["end"] is None else iso_date(s["end"]),
-                    )
-                    for s in raw["statements"]
-                )
+                statements = tuple([_load_statement(s) for s in raw["statements"]])
                 # _QID_RE.match raises TypeError on a non-string, as wanted
                 if not (
                     _QID_RE.match(qid)
@@ -407,16 +435,9 @@ def load_index(path: str | Path) -> EntityIndex:
                     and label
                     and isinstance(aliases, list)
                     and all(isinstance(a, str) for a in aliases)
-                    and all(_QID_RE.match(s.value_qid) for s in statements)
                 ):
                     raise ValueError("bad record fields")
-                record = EntityRecord(
-                    qid=qid,
-                    primary_label=label,
-                    aliases=tuple(aliases),
-                    statements=statements,
-                    sitelink_count=sitelinks,
-                )
+                record = EntityRecord(qid, label, tuple(aliases), statements, sitelinks)
             except (KeyError, ValueError, TypeError, DataError):
                 raise DataError(f"{path} line {lineno}: malformed index record") from None
             # save_index writes records by rising numeric QID; only a record that does not

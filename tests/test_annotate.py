@@ -1,5 +1,8 @@
 import json
 import logging
+import re
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +221,35 @@ class TestGazetteer:
         path.write_text("name\tGPE\n")
         with pytest.raises(DataError, match="GPE"):
             load_gazetteer(path)
+
+    @pytest.mark.parametrize("name, token", [("U.S.", "u.s."), ("AT&T Inc", "at&t"),
+                                             ("-Jo", "-jo"), ("Jo--Ann", "jo--ann"), ("#1", "#1")])
+    def test_a_name_no_word_can_match_is_rejected(self, name, token):
+        with pytest.raises(DataError, match=f"^gazetteer name {re.escape(repr(name))} can never "
+                                            f"match: {re.escape(repr(token))} is not one word$"):
+            Gazetteer.from_pairs([(name, NeTag.ORG)])
+
+    def test_a_name_some_words_match_is_kept(self):
+        # "İ" casefolds to "i" and a combining dot above, which is no word character
+        names = ["U.S", "o'brien", "covid-19", "İstanbul", "Straße", "x_y", "١٢"]
+        gazetteer = Gazetteer.from_pairs([(name, NeTag.LOC) for name in names])
+        text = " ".join(names) + "."
+        assert [s.surface for s in tag_with_gazetteer(doc("d", text), gazetteer).spans] == names
+
+    def test_casefolded_word_characters_are_word_characters_and_marks(self):
+        # what _gazetteer_key's rule rests on: no word character casefolds to anything
+        # but word characters, at least one, and the combining marks below
+        word = re.compile(r"\w").fullmatch
+        marks = set()
+        for code in range(sys.maxunicode + 1):
+            if word(char := chr(code)):
+                folded = char.casefold()
+                assert any(map(word, folded)), hex(code)
+                marks.update(c for c in folded if not word(c))
+        assert sorted(map(ord, marks)) == [0x300, 0x301, 0x307, 0x308, 0x30A, 0x30C, 0x313, 0x331,
+                                           0x342]
+        assert {unicodedata.category(mark) for mark in marks} == {"Mn"}
+        assert _WORD_RE.pattern == r"\w+(?:['\-.]\w+)*"  # a word is \w runs joined by ' - .
 
 
 class TestTagWithGazetteer:

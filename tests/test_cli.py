@@ -1329,6 +1329,13 @@ HOSTILE = [
                  id="gazetteer-unknown-tag"),
     pytest.param("Jane Roe\tPER\n \tPER\n", _TAG,
                  "hostile line 2: gazetteer entry with empty name", id="gazetteer-empty-name"),
+    # no word _WORD_RE finds ends in "." or holds "&", so tagging could never match these
+    pytest.param("Jane Roe\tPER\nU.S.\tLOC\n", _TAG,
+                 "hostile line 2: gazetteer name 'U.S.' can never match: 'u.s.' is not one word",
+                 id="gazetteer-name-ends-in-a-dot"),
+    pytest.param("AT&T\tORG\n", _TAG,
+                 "hostile line 1: gazetteer name 'AT&T' can never match: 'at&t' is not one word",
+                 id="gazetteer-name-holds-an-ampersand"),
     pytest.param('{"id": "Q1"}\nnot json\n', [*_INDEX_DUMP, "--strict"],
                  "hostile line 2: malformed JSON (Expecting value)",
                  id="dump-strict-malformed-line"),
@@ -1351,12 +1358,21 @@ HOSTILE = [
     pytest.param(_index_file(snapshot_date="20201228"), _MASK_INDEXED,
                  "hostile: malformed index header", id="index-compact-snapshot-date"),
     *(pytest.param(_index_file(record_count=count), _MASK_INDEXED,
-                   "hostile: malformed index header fields", id=f"index-record-count-{name}")
-      for name, count in [("a-bool", True), ("a-float", 1.9), ("a-string", "1"), ("negative", -1)]),
+                   f"hostile: malformed index header: bad 'record_count' (expected {text})",
+                   id=f"index-record-count-{name}")
+      for name, count, text in [("a-bool", True, "an integer, got true"),
+                                ("a-float", 1.9, "an integer, got 1.9"),
+                                ("a-string", "1", 'an integer, got "1"'),
+                                ("negative", -1, "an integer >= 0, got -1")]),
     *(pytest.param(_index_file(format_version=version), _MASK_INDEXED,
-                   f"hostile: unsupported index format version {text}",
+                   f"hostile: malformed index header: bad 'format_version' (expected an integer, got {text})",
                    id=f"index-format-version-{name}")
-      for name, version, text in [("a-bool", True, "True"), ("a-float", 1.0, "1.0")]),
+      for name, version, text in [("a-bool", True, "true"), ("a-float", 1.0, "1.0")]),
+    pytest.param(_index_file(format_version=2), _MASK_INDEXED,
+                 "hostile: unsupported index format version 2", id="index-format-version-2"),
+    pytest.param(_index_file().replace('"record_count"', '"records": 1, "record_count"', 1),
+                 _MASK_INDEXED, "hostile: malformed index header: unknown key 'records'",
+                 id="index-header-unknown-key"),
     # the header counts 2 records, and Q1's second record would replace its first
     pytest.param(_index_file(record_count=2) + _index_record("Q2") + _index_record("Q1", "Jo Doe"),
                  _MASK_INDEXED, "hostile line 4: duplicate record 'Q1'", id="index-duplicate-qid"),

@@ -1,13 +1,18 @@
+import copy
+import functools
 import gzip
 import io
 import json
 import logging
+import operator
 import os
 import re
 from datetime import date
 
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamask import (
@@ -25,7 +30,10 @@ from diamask import (
     save_index,
     top_labels,
 )
-from diamask.wikidata import FALLBACK_PERSON_TOKEN, qid_sort_key
+from diamask import wikidata
+from diamask.corpus import iso_date
+from diamask.errors import OBJECT
+from diamask.wikidata import FALLBACK_PERSON_TOKEN, _parse_time_value, qid_sort_key
 
 from helpers import entity_line, make_entity, modi_dump_lines
 
@@ -629,3 +637,332 @@ def test_lookup_and_memoized_resolve_match_reference(records, surfaces):
                 expected = fresh_resolve(model, surface, mode)
                 assert resolve_person_label(index, surface, mode) == expected
                 assert resolve_person_label(index, surface, mode) == expected
+
+
+# -- the index kernels give what the plain record path gave ----------------
+#
+# The reference_* functions are the record path as it was before its per-record
+# shortcuts: Enum calls for the property, a separate pass over statement QIDs,
+# and each claim's qualifiers read once per date.
+
+
+def reference_qualifier_date(claim, prop):
+    for snak in claim.get("qualifiers", {}).get(prop, []):
+        if snak.get("snaktype") != "value":
+            continue
+        dv = snak.get("datavalue", {})
+        if dv.get("type") != "time":
+            continue
+        parsed = _parse_time_value(dv.get("value", {}))
+        if parsed is not None:
+            return parsed
+    return None
+
+
+def reference_claim_target(claim):
+    snak = claim.get("mainsnak", {})
+    if snak.get("snaktype") != "value":
+        return None
+    dv = snak.get("datavalue", {})
+    if dv.get("type") != "wikibase-entityid":
+        return None
+    target = dv.get("value", {}).get("id")
+    if isinstance(target, str) and re.match(r"^Q\d+$", target):
+        return target
+    return None
+
+
+def reference_is_human(claims):
+    return any(reference_claim_target(c) == "Q5" for c in claims.get("P31", []))
+
+
+def reference_extract_record(entity):
+    claims = entity.get("claims", {})
+    statements = []
+    for prop in RoleProperty:
+        for claim in claims.get(prop.value, []):
+            target = reference_claim_target(claim)
+            if target is None:
+                continue
+            start = reference_qualifier_date(claim, "P580")
+            end = reference_qualifier_date(claim, "P582")
+            if start and end and start > end:
+                start = end = None
+            statements.append(
+                Statement(property=prop, value_qid=target, start_date=start, end_date=end)
+            )
+    if not statements:
+        return None
+    label_obj = entity.get("labels", {}).get("en")
+    label = label_obj.get("value") if isinstance(label_obj, dict) else None
+    if not label or not isinstance(label, str):
+        return None
+    aliases = tuple(
+        a["value"]
+        for a in entity.get("aliases", {}).get("en", [])
+        if isinstance(a, dict) and isinstance(a.get("value"), str) and a["value"]
+    )
+    return EntityRecord(
+        qid=entity["id"],
+        primary_label=label,
+        aliases=aliases,
+        statements=tuple(statements),
+        sitelink_count=len(OBJECT(entity.get("sitelinks", {}))),
+    )
+
+
+def reference_load_index(path):
+    """load_index's record loop, after a header taken as it is."""
+    # split("\n"): a label may hold a line separator such as U+0085, which JSON leaves as it is
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n") if line]
+    header = lines[0]
+    index = EntityIndex(snapshot_date=date.fromisoformat(header["snapshot_date"]))
+    last = -1
+    for lineno, raw in enumerate(lines[1:], start=2):  # the files below have no blank line
+        try:
+            qid, label, aliases = raw["qid"], raw["label"], raw["aliases"]
+            sitelinks = raw["sitelinks"]
+            statements = tuple(
+                Statement(
+                    property=RoleProperty(s["property"]),
+                    value_qid=s["value"],
+                    start_date=None if s["start"] is None else iso_date(s["start"]),
+                    end_date=None if s["end"] is None else iso_date(s["end"]),
+                )
+                for s in raw["statements"]
+            )
+            if not (
+                re.match(r"^Q\d+$", qid)
+                and type(sitelinks) is int
+                and sitelinks >= 0
+                and isinstance(label, str)
+                and label
+                and isinstance(aliases, list)
+                and all(isinstance(a, str) for a in aliases)
+                and all(re.match(r"^Q\d+$", s.value_qid) for s in statements)
+            ):
+                raise ValueError("bad record fields")
+            record = EntityRecord(
+                qid=qid,
+                primary_label=label,
+                aliases=tuple(aliases),
+                statements=statements,
+                sitelink_count=sitelinks,
+            )
+        except (KeyError, ValueError, TypeError, DataError):
+            raise DataError(f"{path} line {lineno}: malformed index record") from None
+        number = int(qid[1:])
+        if number <= last:
+            if qid in index.records:
+                raise DataError(f"{path} line {lineno}: duplicate record {qid!r}")
+            if number < last:
+                raise DataError(f"{path} line {lineno}: record {qid!r} out of QID order")
+        last = number
+        index.add(record)
+    if len(index.records) != header["record_count"]:
+        raise DataError(
+            f"{path}: header promises {header['record_count']} records, found {len(index.records)}"
+        )
+    return index
+
+
+def _paths(value, path=()):
+    """The path of value and of every part of it, as keys and list positions."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+# a value of another JSON type than any key holds in a valid file
+_RETYPED = st.sampled_from([None, True, 0, -1, 2.5, "", "x", [], [None], {}])
+# in place of an object or list: what reading it with `or {}` would let through
+_FALSY = st.sampled_from([None, False, 0, "", []])
+
+
+@st.composite
+def _mutated(draw, value, wrong, counts=(0, 1, 2, 3)):
+    """A copy of value with some of its parts (one of counts), at any depth,
+    dropped or replaced: by a value of another JSON type, or by one that
+    wrong, which maps a key to a strategy, gives for that key (a falsy one for
+    an object or list that wrong does not name). Each key (or list position)
+    is as likely to be picked as any other, however often it occurs."""
+    value = copy.deepcopy(value)
+    # uniform picks: Hypothesis's own choices favor the first items by far
+    pick = draw(st.randoms(use_true_random=True)).choice
+    for _ in range(pick(counts)):
+        paths = list(_paths(value))[1:]
+        if not paths:
+            break
+        key = pick(sorted({path[-1] for path in paths}, key=str))
+        *head, last = pick([path for path in paths if path[-1] == key])
+        parent = functools.reduce(operator.getitem, head, value)
+        how = pick(["drop", "retype", "wrong"])
+        if how == "drop":
+            del parent[last]
+        else:
+            wrong_here = wrong.get(last, _FALSY if isinstance(parent[last], (dict, list)) else _RETYPED)
+            parent[last] = draw(wrong_here if how == "wrong" else _RETYPED)
+    return value
+
+
+_QIDS = st.sampled_from(["Q1", "Q2", "Q5", "Q10"])
+_ISO_DAYS = st.sampled_from([None, "1999-12-31", "2009-01-20", "2017-01-20"])
+# values of the right JSON type that the build must skip or count as malformed
+_DUMP_WRONG = {
+    "id": st.sampled_from(["Q", "Q5", "P31", "q1", "Q1x", "Q01"]),
+    "type": st.sampled_from(["property", "item", "time", "wikibase-entityid"]),
+    "snaktype": st.sampled_from(["novalue", "somevalue"]),
+    "time": st.sampled_from(["+1990-00-00T00:00:00Z", "-0044-03-15T00:00:00Z",
+                             "+2009-02-30T00:00:00Z", "+0000-01-01T00:00:00Z", "2009-01-20"]),
+    "value": st.sampled_from(["", "Jo"]),
+}
+
+
+def _claim(target, start=None, end=None):
+    """A claim holding only the keys the build reads, the dates as qualifiers."""
+    claim = {"mainsnak": {"snaktype": "value",
+                          "datavalue": {"type": "wikibase-entityid", "value": {"id": target}}}}
+    qualifiers = {
+        pid: [{"snaktype": "value", "datavalue": {"type": "time", "value": {"time": f"+{day}T00:00:00Z"}}}]
+        for pid, day in (("P580", start), ("P582", end))
+        if day
+    }
+    if qualifiers:
+        claim["qualifiers"] = qualifiers
+    return claim
+
+
+@st.composite
+def _entity(draw):
+    """A dump entity holding only the keys the build reads."""
+    claims = {"P31": [_claim(draw(st.sampled_from(["Q5", "Q6"])))]}
+    for pid in ("P39", "P106"):
+        claims[pid] = [_claim(draw(_QIDS), draw(_ISO_DAYS), draw(_ISO_DAYS))
+                       for _ in range(draw(st.integers(0, 2)))]
+    aliases = draw(st.lists(st.sampled_from(["", "Jo", "J. Roe"]), max_size=2))
+    return {
+        "id": draw(st.sampled_from(["Q1", "Q2", "Q3", "Q04"])),
+        "type": "item",
+        "claims": claims,
+        "labels": {"en": {"value": draw(st.sampled_from(["Jane Roe", "Jo Ann Roe"]))}},
+        "aliases": {"en": [{"value": alias} for alias in aliases]},
+        "sitelinks": {"enwiki": {}} if draw(st.booleans()) else {},
+    }
+
+
+@st.composite
+def _dump_lines(draw):
+    lines = [json.dumps(draw(_mutated(entity, _DUMP_WRONG))) + draw(st.sampled_from(["", ","]))
+             for entity in draw(st.lists(_entity(), min_size=1, max_size=4))]
+    extras = st.sampled_from(["", "[", "]", "not json", "5", '{"id": 5}'])
+    for extra in draw(st.lists(extras, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return lines
+
+
+def _build_or_error(lines, **flags):
+    try:
+        return index_dump(io.StringIO("\n".join(lines) + "\n"), SNAPSHOT, **flags)
+    except DataError as exc:
+        return str(exc)
+
+
+def _load_or_error(load, path):
+    try:
+        return load(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def _same_index(got, want):
+    """Both are the same error message, or indexes with the same content."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.snapshot_date == want.snapshot_date
+    assert list(got.records.items()) == list(want.records.items())
+    assert got.malformed_lines == want.malformed_lines
+    assert got.by_name == want.by_name and got.by_token == want.by_token
+
+
+_DAYS = st.sampled_from([None, date(1999, 12, 31), date(2009, 1, 20), date(2017, 1, 20)])
+_LABELS = st.text(st.characters(blacklist_categories=["Cs"]), min_size=1, max_size=8)
+
+
+@st.composite
+def _saved_records(draw):
+    """Records as save_index writes them: unique QIDs, statements with ordered dates."""
+    records = []
+    for number in sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=5))):
+        statements = []
+        for _ in range(draw(st.integers(1, 3))):
+            start, end = draw(_DAYS), draw(_DAYS)
+            if start and end and start > end:
+                start, end = end, start
+            statements.append(Statement(draw(st.sampled_from(list(RoleProperty))), draw(_QIDS),
+                                        start, end))
+        label = draw(_LABELS)
+        aliases = draw(st.lists(st.one_of(st.just(label), st.just(""), _LABELS), max_size=3))
+        records.append(EntityRecord(f"Q{number}", label, tuple(aliases), tuple(statements),
+                                    draw(st.integers(0, 3))))
+    return records
+
+
+def _saved(records, path):
+    index = EntityIndex(snapshot_date=SNAPSHOT)
+    for record in records:
+        index.add(record)
+    save_index(index, path)
+    return path.read_text(encoding="utf-8").split("\n")[:-1]
+
+
+# values of the right JSON type that load_index must reject, or that make dates inverted
+_INDEX_WRONG = {
+    "qid": st.sampled_from(["Q", "q1", "Q2x", "Q٣", "Q01", "Q0"]),
+    "label": st.sampled_from(["", " "]),
+    "sitelinks": st.sampled_from([-1, 0, 7]),
+    "property": st.sampled_from(["P40", "P31", "p39", " P39"]),
+    "value": st.sampled_from(["Q", "q1", "Q2x", "P39"]),
+    "start": st.sampled_from(["2020-13-01", "20200101", "1999-12-31", "2009-01-20", "2017-01-20"]),
+    "end": st.sampled_from(["2020-13-01", "20200101", "1999-12-31", "2009-01-20", "2017-01-20"]),
+}
+
+
+@pytest.fixture(scope="module")
+def scratch_index(tmp_path_factory):
+    return tmp_path_factory.mktemp("kernels") / "entities.idx"
+
+
+class TestIndexKernelsMatchReference:
+    @given(_dump_lines(), st.booleans(), st.booleans())
+    @settings(max_examples=500)
+    def test_build(self, lines, person_only, strict):
+        got = _build_or_error(lines, person_only=person_only, strict=strict)
+        with mock.patch.multiple(wikidata, _extract_record=reference_extract_record,
+                                 _is_human=reference_is_human):
+            want = _build_or_error(lines, person_only=person_only, strict=strict)
+        _same_index(got, want)
+
+    @given(_saved_records(), st.data())
+    @settings(max_examples=300)
+    def test_load(self, scratch_index, records, data):
+        header, *lines = _saved(records, scratch_index)
+        at = data.draw(st.integers(0, len(lines) - 1))  # one broken line hides no other
+        lines[at] = json.dumps(data.draw(_mutated(json.loads(lines[at]), _INDEX_WRONG, (1,))),
+                               ensure_ascii=False)
+        if data.draw(st.booleans()):  # repeat a line, or put it after the next one
+            at = data.draw(st.integers(0, len(lines) - 1))
+            lines.insert(data.draw(st.integers(at, len(lines))), lines[at])
+        scratch_index.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        got = _load_or_error(load_index, scratch_index)
+        _same_index(got, _load_or_error(reference_load_index, scratch_index))
+
+    @given(_saved_records())
+    def test_round_trip(self, scratch_index, records):
+        _saved(records, scratch_index)
+        saved = scratch_index.read_bytes()
+        loaded = load_index(scratch_index)
+        assert list(loaded.records.values()) == records
+        save_index(loaded, scratch_index)
+        assert scratch_index.read_bytes() == saved
