@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import re
-import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -199,19 +198,24 @@ class Gazetteer:
         return frozenset(key.split(" ", 1)[0] for key in self.entries)
 
 
+# The only characters other than word characters that casefolding a word
+# character gives: nine combining marks (category Mn), as a test checks over
+# every code point. A translate table that drops them.
+_FOLD_MARKS = dict.fromkeys(map(ord, "\u0300\u0301\u0307\u0308\u030a\u030c\u0313\u0331\u0342"))
+
+
 def _gazetteer_key(name: str) -> str:
     """name's lookup key, if tagging can ever match it.
 
-    Tagging joins casefolded _WORD_RE words, and casefolding a word character
-    gives word characters and combining marks (category Mn) only, so a key
-    token that, without its marks, is not one _WORD_RE word can never match.
+    Tagging joins casefolded _WORD_RE words, and each such word, with
+    _FOLD_MARKS dropped, is again one _WORD_RE word; so a key token that,
+    with them dropped, is not one word can never match.
     """
     key = _normalize(name)
     if not key:
         raise DataError("gazetteer entry with empty name")
     for token in key.split(" "):
-        bare = "".join(ch for ch in token if unicodedata.category(ch) != "Mn")
-        if not _WORD_RE.fullmatch(bare):
+        if not _WORD_RE.fullmatch(token.translate(_FOLD_MARKS)):
             raise DataError(f"gazetteer name {name!r} can never match: {token!r} is not one word")
     return key
 

@@ -36,7 +36,8 @@ code gave:
   KeyError, and load_index turns it into "malformed index record", as it
   did the Enum's ValueError.
 - load_index checks a statement's QID as it builds the statement, not in a
-  second pass; both reject the record, so only the pass is saved.
+  second pass, and starts no pass over an empty alias list; a bad value
+  rejects the record either way, so only the passes are saved.
 - EntityIndex.add creates a posting list holding its first QID. It does not
   make an empty list for every name and token and throw it away when the
   key is already there.
@@ -434,7 +435,7 @@ def load_index(path: str | Path) -> EntityIndex:
                     and isinstance(label, str)
                     and label
                     and isinstance(aliases, list)
-                    and all(isinstance(a, str) for a in aliases)
+                    and (not aliases or all(isinstance(a, str) for a in aliases))
                 ):
                     raise ValueError("bad record fields")
                 record = EntityRecord(qid, label, tuple(aliases), statements, sitelinks)
