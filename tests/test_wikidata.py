@@ -769,7 +769,10 @@ def reference_load_index(path):
 def _paths(value, path=()):
     """The path of value and of every part of it, as keys and list positions."""
     yield path
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+    else:
+        items = ()
     for key, item in items:
         yield from _paths(item, (*path, key))
 
@@ -892,7 +895,8 @@ _LABELS = st.text(st.characters(blacklist_categories=["Cs"]), min_size=1, max_si
 
 @st.composite
 def _saved_records(draw):
-    """Records as save_index writes them: unique QIDs, statements with ordered dates."""
+    """Records as save_index writes them: unique QIDs, statements with ordered
+    dates (at least one, for a mutation to reach)."""
     records = []
     for number in sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=5))):
         statements = []
@@ -951,9 +955,12 @@ class TestIndexKernelsMatchReference:
         at = data.draw(st.integers(0, len(lines) - 1))  # one broken line hides no other
         lines[at] = json.dumps(data.draw(_mutated(json.loads(lines[at]), _INDEX_WRONG, (1,))),
                                ensure_ascii=False)
-        if data.draw(st.booleans()):  # repeat a line, or put it after the next one
+        if data.draw(st.booleans()):  # repeat a line further down
             at = data.draw(st.integers(0, len(lines) - 1))
             lines.insert(data.draw(st.integers(at, len(lines))), lines[at])
+        if data.draw(st.booleans()):  # swap two lines
+            i, j = data.draw(st.integers(0, len(lines) - 1)), data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
         scratch_index.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
         got = _load_or_error(load_index, scratch_index)
         _same_index(got, _load_or_error(reference_load_index, scratch_index))
