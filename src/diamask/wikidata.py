@@ -28,21 +28,20 @@ line is a header object {"format_version", "snapshot_date", "record_count"},
 read through errors.fields, followed by exactly record_count record objects
 sorted by numeric QID. Lookup maps are derived data and are rebuilt on load.
 
-Build, save and load do their work once per record or statement, so each
-skips work that leaves no trace, in ways that give exactly what the plain
-code gave:
-- The property goes through plain maps of RoleProperty's own members, where
-  RoleProperty(pid) and prop.value run Enum code. A pid the map lacks is a
-  KeyError, and load_index turns it into "malformed index record", as it
-  did the Enum's ValueError.
-- load_index checks a statement's QID as it builds the statement, not in a
-  second pass, and starts no pass over an empty alias list; a bad value
-  rejects the record either way, so only the passes are saved.
-- EntityIndex.add creates a posting list holding its first QID. It does not
-  make an empty list for every name and token and throw it away when the
-  key is already there.
-- index_dump reads a claim's qualifiers once for both dates: the two reads
-  gave the same object, or both raised the same error.
+Build, save and load run once per record or statement, so they skip work
+that leaves no trace. Each shortcut is exact:
+- The property goes through plain maps of RoleProperty's own members, not
+  RoleProperty(pid) or prop.value, which run Enum code. A pid the map lacks
+  raises KeyError, which load_index reports as "malformed index record", as
+  it would the Enum's ValueError.
+- load_index checks a statement's QID while it builds the statement, and
+  walks no empty alias list: a bad value still rejects the whole record,
+  with the same message.
+- EntityIndex.add creates a posting list with its first QID in it, so a key
+  already present costs no empty list. No list in the maps is empty, as
+  _unpost deletes a list it empties.
+- index_dump reads a claim's qualifiers once for both dates; a second read
+  of the same key would give the same object, or the same error.
 """
 
 from __future__ import annotations
