@@ -6,7 +6,10 @@ index, all built from one fixed synthetic config, a model trained on long
 rows with `diamask eval`'s report of that model on its own corpus, which
 holds every document's prediction, and the `lmi` and `tag` outputs of
 `cli.dispatch` on the synthetic corpora with punctuation and mixed case
-around their words. Comparing two runs of the same code cannot
+around their words, and its `index-wikidata` (plain and gzip'd dump, with
+and without --person-only) and `coverage --top-k` outputs on a dump whose
+names hold quotes, backslashes, control characters and line separators.
+Comparing two runs of the same code cannot
 catch a change that reorders float sums, nor can one kind of CPU; these
 hashes, checked under several BLAS kernels, can.
 
@@ -14,7 +17,9 @@ A change to any of these bytes must be deliberate: update the hash in the
 same change and say why in CHANGES.md.
 """
 
+import gzip
 import hashlib
+import json
 import random
 from dataclasses import replace
 from datetime import date
@@ -40,7 +45,7 @@ from diamask import (
 )
 from diamask.cli import dispatch
 
-from helpers import SYNTH_A, SYNTH_B, SYNTH_ROLE_MAP
+from helpers import SYNTH_A, SYNTH_B, SYNTH_ROLE_MAP, entity_line, make_entity
 
 ALL_POLICIES = tuple(MaskPolicy)
 
@@ -151,6 +156,12 @@ CLI_GOLDEN = {
     "lmi.tsv": "33345689b3380fc2056bc8089ce05b27eeb18739266dd5e5eeb4dba87fe31244",
     "lmi.txt": "65eb39f015c6776e756af7d0dcd4de19a8db9f524ea4038140471cf64de1e1a9",
     "tags.jsonl": "b7f1162d42fec68121d480f5f212623038538fb72b74bd420554ccf2cde42496",
+    # the plain and the gzip'd dump hold the same entities, so each pair is one hash
+    "index.idx": "29d0f0e1a0908c1cc7af3d2f2956952dc83075497a00d4300eb475d9bd45eb24",
+    "index_gz.idx": "29d0f0e1a0908c1cc7af3d2f2956952dc83075497a00d4300eb475d9bd45eb24",
+    "index_person.idx": "f4c9b49db65320bcd36364bfbb8b0e44d419bbcc69ce53314e99e42f8bbfa6a8",
+    "index_gz_person.idx": "f4c9b49db65320bcd36364bfbb8b0e44d419bbcc69ce53314e99e42f8bbfa6a8",
+    "coverage.tsv": "057dea955d2d38150f0ffc99ddbd104a33700ea4bc13b76906b85d4ffaa88424",
 }
 
 # Marks around the synthetic texts' words, so that the tokenizer's edge rules
@@ -180,16 +191,74 @@ def _punctuated(doc, rng):
     return replace(doc, text=" ".join(words))
 
 
+# Names the index writer must escape, or must keep as they are: a quote, a
+# backslash, control characters, line separators JSON leaves unescaped
+# (U+2028, U+0085), an astral character and a non-ASCII letter.
+_HARD_NAMES = ('Jo "JJ" Roe', "C:\\dir\\Ann", "Tab\tBell\x07Nul\x00Esc\x1b Del\x7f",
+               "Line\u2028Sep", "Next\x85Line", "Astral \U0001d538 Roe", "Zoë Ångström")
+
+
+def _dump_lines():
+    """Dump lines for index-wikidata: the synthetic persons with dated roles,
+    the hard names as labels and aliases, non-human entities, entities the
+    build skips or counts as malformed, a re-added QID, and QIDs whose text
+    order is not their numeric order."""
+    rng = random.Random(23)
+    days = (None, "1999-12-31", "2009-01-20", "2017-01-20", "1990-00-00")
+    entities = []
+    for i, name in enumerate(SYNTH_A + SYNTH_B):
+        role = SYNTH_ROLE_MAP[name]
+        positions = [(role, rng.choice(days), rng.choice(days)) for _ in range(rng.randint(0, 3))]
+        entities.append(make_entity(f"Q{rng.randint(1, 10**rng.randint(1, 7))}", name,
+                                    aliases=tuple(rng.sample(_HARD_NAMES, rng.randint(0, 2))),
+                                    positions=tuple(positions),
+                                    occupations=(f"Q{200 + i}",) * rng.randint(0, 2),
+                                    sitelinks=rng.randint(0, 4), human=i % 5 != 0))
+    for i, name in enumerate(_HARD_NAMES):
+        entities.append(make_entity(f"Q{9 + 10**i}", name, aliases=_HARD_NAMES[i + 1:i + 3] + ("",),
+                                    positions=(("Q300", "2001-02-03", None),), sitelinks=i))
+    entities += [
+        make_entity("Q7", "Seven Roe", occupations=("Q301",)),
+        make_entity("Q07", "Leading Zero", occupations=("Q302",)),
+        make_entity("Q11", "No Role"),
+        make_entity("Q12", None, occupations=("Q303",)),
+        make_entity("Q10", "Re Added", occupations=("Q304",), sitelinks=2),
+    ]
+    lines = [entity_line(e) if i % 2 else json.dumps(e) for i, e in enumerate(entities)]
+    lines += ['{"id": "P39", "type": "property"}', "not json", '{"id": 5}', '{"id": "Q13", "claims": []}']
+    return lines
+
+
 @pytest.fixture(scope="module")
 def cli_outputs(data, tmp_path_factory):
-    """The lmi (TSV and text) and tag outputs of the CLI on both synthetic periods."""
+    """The lmi (TSV and text) and tag outputs of the CLI on both synthetic
+    periods; index-wikidata on a dump (plain, and gzip'd in the wrapped-array
+    form), with and without --person-only; and coverage over two usage
+    reports, labeled through the index."""
     rng = random.Random(17)
     docs = tuple(_punctuated(doc, rng) for doc in data.corpus_a.documents + data.corpus_b.documents)
     tmp = tmp_path_factory.mktemp("cli")
     corpus, gazetteer = tmp / "corpus.jsonl", tmp / "gazetteer.tsv"
     save_corpus(Corpus(name="both", documents=docs), corpus)
     gazetteer.write_text("".join(f"{name}\t{tag}\n" for name, tag in _GAZETTEER), encoding="utf-8")
+    dump, dump_gz = tmp / "dump.ndjson", tmp / "dump.json.gz"
+    lines = _dump_lines()
+    dump.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    dump_gz.write_bytes(gzip.compress(
+        "[\n{}\n]\n".format(",\n".join(lines)).encode("utf-8"), mtime=0))
+    usage_a, usage_b = tmp / "usage_a.tsv", tmp / "usage_b.tsv"
+    # QIDs of records with hard names, so that the listing shows their labels
+    usage_a.write_text("token\tcount\nQ300\t4\nQ19\t4\nQ109\t2\nPER\t9\nQ7\t1\nQ1000009\t3\n",
+                       encoding="utf-8")
+    usage_b.write_text("token\tcount\nQ1009\t3\nQ300\t1\nQ10009\t7\nQ100009\t3\n", encoding="utf-8")
+    snapshot = ["--snapshot-date", "2020-12-28"]
     runs = {
+        "index.idx": ["index-wikidata", "--dump", str(dump), *snapshot],
+        "index_person.idx": ["index-wikidata", "--dump", str(dump), *snapshot, "--person-only"],
+        "index_gz.idx": ["index-wikidata", "--dump", str(dump_gz), *snapshot],
+        "index_gz_person.idx": ["index-wikidata", "--dump", str(dump_gz), *snapshot, "--person-only"],
+        "coverage.tsv": ["coverage", "--usage", f"a={usage_a}", "--usage", f"b={usage_b}",
+                         "--top-k", "3", "--index", str(tmp / "index.idx")],
         "lmi.tsv": ["lmi", "--corpus", str(corpus)],
         "lmi.txt": ["lmi", "--corpus", str(corpus), "--n", "1", "--top", "15",
                     "--min-count", "3", "--format", "text"],
