@@ -316,7 +316,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
             raise _UsageError(f"--usage expects NAME=PATH, got {spec!r}")
         # Usage reports may contain PER/LOC/ORG/MISC placeholders; coverage
         # is over role QIDs only.
-        named.append((name, path, {t: c for t, c in _read_usage(path).items() if _QID_RE.match(t)}))
+        tokens = {t: c for t, c in _read_usage(path).items() if _QID_RE.fullmatch(t)}
+        named.append((name, path, tokens))
     lines = []
     if len(named) >= 2:
         lines.append("# coverage matrix (% of row's unique labels present in column)")

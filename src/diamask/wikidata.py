@@ -41,7 +41,21 @@ that leaves no trace. Each shortcut is exact:
   already present costs no empty list. No list in the maps is empty, as
   _unpost deletes a list it empties.
 - index_dump reads a claim's qualifiers once for both dates; a second read
-  of the same key would give the same object, or the same error.
+  of the same key would give the same object, or the same error. A claim
+  with no "qualifiers" key skips both lookups, which would read an empty
+  object and find no date. The key's absence is told by a sentinel's
+  identity, so a present [] or null still makes the line malformed.
+- One index_dump call builds each distinct statement once: a dict local to
+  the call maps (pid, target, start, end) to the Statement first built for
+  it. A Statement is frozen, so sharing one changes no value or equality.
+- save_index writes each record line from one template, which is what
+  json.dumps(record_object, ensure_ascii=False) writes. Every string goes
+  through json.encoder.encode_basestring, the function that encoder applies
+  to a str. A date's isoformat holds only digits and "-", so it needs no
+  escape. Separators and key order are the encoder's defaults and the
+  object's order. A count is written by int's str, as the encoder writes an
+  int; save_index checks first that it is one. Records sort by int(q[1:]),
+  which is qid_sort_key's order for every QID _QID_RE admits.
 """
 
 from __future__ import annotations
@@ -56,12 +70,13 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import iso_date
-from .errors import (INTEGER, OBJECT, DataError, decode_json, fields, json_lines, numbered_lines,
-                     prefixed, write_json_lines)
+from .errors import (_JSON_LINE, INTEGER, OBJECT, DataError, decode_json, fields, json_lines,
+                     numbered_lines, prefixed, write_output)
 
 __all__ = [
     "RoleProperty",
@@ -209,7 +224,9 @@ def _normalize(name: str) -> str:
     return " ".join(name.casefold().split())
 
 
-_QID_RE = re.compile(r"^Q\d+$")
+# used with fullmatch: "$" would also match before a final "\n", and "\d" any
+# Unicode decimal digit, which int() reads as another spelling of a number
+_QID_RE = re.compile(r"Q[0-9]+")
 # Wikidata time values look like "+2009-01-20T00:00:00Z"; low-precision
 # values zero out month/day.
 _TIME_RE = re.compile(r"^\+(\d{1,16})-(\d{2})-(\d{2})T")
@@ -217,7 +234,7 @@ _TIME_RE = re.compile(r"^\+(\d{1,16})-(\d{2})-(\d{2})T")
 
 def qid_sort_key(token: str) -> tuple[int, object]:
     """QIDs order numerically; anything else sorts after them, textually."""
-    if _QID_RE.match(token):
+    if _QID_RE.fullmatch(token):
         return (0, int(token[1:]))
     return (1, token)
 
@@ -259,18 +276,27 @@ def _claim_target(claim: dict) -> str | None:
     if dv.get("type") != "wikibase-entityid":
         return None
     target = dv.get("value", {}).get("id")
-    if isinstance(target, str) and _QID_RE.match(target):
+    if isinstance(target, str) and _QID_RE.fullmatch(target):
         return target
     return None
 
 
 def _is_human(claims: dict) -> bool:
-    return any(_claim_target(c) == HUMAN_QID for c in claims.get(INSTANCE_OF, []))
+    for claim in claims.get(INSTANCE_OF, []):
+        if _claim_target(claim) == HUMAN_QID:
+            return True
+    return False
 
 
-def _extract_record(entity: dict) -> EntityRecord | None:
+# what a claim without a "qualifiers" key reads; a present [] or null is malformed
+_NO_QUALIFIERS = object()
+
+
+def _extract_record(entity: dict, shared: dict) -> EntityRecord | None:
     """Build an EntityRecord, or None when the entity is not indexable
-    (no P39/P106 targets, or no English label to match surfaces against)."""
+    (no P39/P106 targets, or no English label to match surfaces against).
+    shared maps (pid, target, start, end) to the Statement built for it
+    before, and gains each one built here."""
     claims = entity.get("claims", {})
     statements: list[Statement] = []
     for pid, prop in _ROLE_BY_PID.items():
@@ -278,12 +304,19 @@ def _extract_record(entity: dict) -> EntityRecord | None:
             target = _claim_target(claim)
             if target is None:
                 continue
-            qualifiers = claim.get("qualifiers", {})
-            start = _qualifier_date(qualifiers, "P580")
-            end = _qualifier_date(qualifiers, "P582")
-            if start and end and start > end:
-                start = end = None  # dump noise; keep the statement undated
-            statements.append(Statement(prop, target, start, end))
+            qualifiers = claim.get("qualifiers", _NO_QUALIFIERS)
+            if qualifiers is _NO_QUALIFIERS:
+                start = end = None
+            else:
+                start = _qualifier_date(qualifiers, "P580")
+                end = _qualifier_date(qualifiers, "P582")
+                if start and end and start > end:
+                    start = end = None  # dump noise; keep the statement undated
+            key = (pid, target, start, end)
+            statement = shared.get(key)
+            if statement is None:
+                statement = shared[key] = Statement(prop, target, start, end)
+            statements.append(statement)
     if not statements:
         return None
     label_obj = entity.get("labels", {}).get("en")
@@ -332,6 +365,7 @@ def index_dump(
     """
     index = EntityIndex(snapshot_date=snapshot_date)
     where = source if isinstance(source, (str, Path)) else "dump"
+    shared: dict[tuple, Statement] = {}  # equal statements, one object (see _extract_record)
     with _open_dump(source) as lines:
         for lineno, line in numbered_lines(lines, where):
             line = line.strip()
@@ -343,14 +377,14 @@ def index_dump(
                 if not isinstance(entity, dict):
                     raise DataError(f"{where} line {lineno}: not a JSON object")
                 qid = entity.get("id")
-                if not isinstance(qid, str) or not _QID_RE.match(qid):
+                if not isinstance(qid, str) or not _QID_RE.fullmatch(qid):
                     raise DataError(f"{where} line {lineno}: bad entity id {qid!r}")
                 if entity.get("type") not in (None, "item"):
                     continue
                 try:  # a field these steps read may have another JSON type
                     if person_only and not _is_human(entity.get("claims", {})):
                         continue
-                    record = _extract_record(entity)
+                    record = _extract_record(entity, shared)
                 except (AttributeError, TypeError):
                     raise DataError(f"{where} line {lineno}: malformed entity") from None
             except DataError:
@@ -365,40 +399,51 @@ def index_dump(
     return index
 
 
-def _record_to_json(record: EntityRecord) -> dict:
-    return {
-        "qid": record.qid,
-        "label": record.primary_label,
-        "aliases": list(record.aliases),
-        "sitelinks": record.sitelink_count,
-        "statements": [
-            {
-                "property": _PID_BY_ROLE[s.property],
-                "value": s.value_qid,
-                "start": s.start_date.isoformat() if s.start_date else None,
-                "end": s.end_date.isoformat() if s.end_date else None,
-            }
-            for s in record.statements
-        ],
-    }
+def _json_date(day: Date | None) -> str:
+    return "null" if day is None else f'"{day.isoformat()}"'
+
+
+def _record_line(record: EntityRecord) -> str:
+    """The line json.dumps(..., ensure_ascii=False) writes for the record's
+    object (see the module docstring)."""
+    statements = ", ".join([
+        f'{{"property": "{_PID_BY_ROLE[s.property]}", "value": {encode_basestring(s.value_qid)}, '
+        f'"start": {_json_date(s.start_date)}, "end": {_json_date(s.end_date)}}}'
+        for s in record.statements
+    ])
+    return (
+        f'{{"qid": {encode_basestring(record.qid)}, '
+        f'"label": {encode_basestring(record.primary_label)}, '
+        f'"aliases": [{", ".join(map(encode_basestring, record.aliases))}], '
+        f'"sitelinks": {record.sitelink_count}, "statements": [{statements}]}}\n'
+    )
 
 
 def save_index(index: EntityIndex, path: str | Path) -> None:
-    """Write the versioned single-file index format (see module docstring)."""
+    """Write the versioned single-file index format (see module docstring).
+    A sitelink count that is not an integer >= 0 (True, say, which the
+    record's constructor lets through) is a DataError before anything is
+    written, as load_index would reject the record."""
+    # every indexed QID matches _QID_RE, so int(q[1:]) is qid_sort_key's order
+    records = [index.records[qid] for qid in sorted(index.records, key=lambda q: int(q[1:]))]
+    for record in records:
+        count = record.sitelink_count
+        if type(count) is not int or count < 0:
+            raise DataError(f"record {record.qid!r}: bad sitelink count {count!r}")
     header = {
         "format_version": FORMAT_VERSION,
         "snapshot_date": index.snapshot_date.isoformat(),
         "record_count": len(index.records),
     }
-    records = (index.records[qid] for qid in sorted(index.records, key=qid_sort_key))
-    write_json_lines(path, itertools.chain([header], map(_record_to_json, records)))
+    lines = map(_record_line, records)  # streamed: the file is never one string
+    write_output(path, itertools.chain([_JSON_LINE.encode(header) + "\n"], lines))
 
 
 def _load_statement(raw: dict) -> Statement:
     """A saved statement; KeyError, ValueError, TypeError or DataError if it is
     none that save_index writes."""
     value, start, end = raw["value"], raw["start"], raw["end"]
-    if not _QID_RE.match(value):  # TypeError on a non-string
+    if not _QID_RE.fullmatch(value):  # TypeError on a non-string
         raise ValueError(f"bad statement value {value!r}")
     return Statement(
         _ROLE_BY_PID[raw["property"]],
@@ -426,9 +471,9 @@ def load_index(path: str | Path) -> EntityIndex:
                 qid, label, aliases = raw["qid"], raw["label"], raw["aliases"]
                 sitelinks = raw["sitelinks"]
                 statements = tuple([_load_statement(s) for s in raw["statements"]])
-                # _QID_RE.match raises TypeError on a non-string, as wanted
+                # _QID_RE.fullmatch raises TypeError on a non-string, as wanted
                 if not (
-                    _QID_RE.match(qid)
+                    _QID_RE.fullmatch(qid)
                     and type(sitelinks) is int
                     and sitelinks >= 0
                     and isinstance(label, str)

@@ -1380,6 +1380,15 @@ HOSTILE = [
     pytest.param(_index_file(record_count=3) + _index_record("Q10") + _index_record("Q9", "Jo Doe"),
                  _MASK_INDEXED, "hostile line 4: record 'Q9' out of QID order",
                  id="index-qid-out-of-order"),
+    # a QID is "Q" and ASCII digits, whole: no final newline, no other script's digit
+    *(pytest.param(_index_file().replace('"Q1"', json.dumps(qid), 1), _MASK_INDEXED,
+                   "hostile line 2: malformed index record", id=f"index-qid-{name}")
+      for name, qid in [("ends-in-a-newline", "Q1\n"), ("an-arabic-indic-digit", "Q\u0663")]),
+    pytest.param(_index_file(value="Q2\n"), _MASK_INDEXED, "hostile line 2: malformed index record",
+                 id="index-statement-value-ends-in-a-newline"),
+    *(pytest.param(_dump_entity(id=qid), [*_INDEX_DUMP, "--strict"],
+                   f"hostile line 1: bad entity id {qid!r}", id=f"dump-entity-id-{name}")
+      for name, qid in [("ends-in-a-newline", "Q1\n"), ("an-arabic-indic-digit", "Q\u0663")]),
     pytest.param("[" * 100_000, _INGEST, "hostile line 1: malformed JSON (nested too deeply)",
                  id="corpus-nested-too-deeply"),
     pytest.param('{"id": "a", "text": "x", "label": "real"}\n{"n": ' + "1" * 5000 + "}\n", _INGEST,

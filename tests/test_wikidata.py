@@ -2,6 +2,7 @@ import copy
 import functools
 import gzip
 import io
+import itertools
 import json
 import logging
 import operator
@@ -32,7 +33,7 @@ from diamask import (
 )
 from diamask import wikidata
 from diamask.corpus import iso_date
-from diamask.errors import OBJECT
+from diamask.errors import OBJECT, write_json_lines
 from diamask.wikidata import FALLBACK_PERSON_TOKEN, _parse_time_value, qid_sort_key
 
 from helpers import entity_line, make_entity, modi_dump_lines
@@ -137,6 +138,28 @@ class TestIndexDump:
         statement = index.records["Q9"].statements[0]
         assert statement.start_date is None
         assert statement.end_date is None
+
+    def test_qualifiers_of_another_json_type_make_a_malformed_line(self):
+        # only an absent key skips the date lookups; [] and null are no qualifier object
+        good = make_entity("Q9", "Jane Roe", positions=(("Q3",),))
+        lines = []
+        for qualifiers in ([], None, {}):
+            entity = copy.deepcopy(good)
+            entity["claims"]["P39"][0]["qualifiers"] = qualifiers
+            lines.append(entity_line(entity))
+        index = index_of(lines)
+        assert index.malformed_lines == 2
+        assert index.records["Q9"].statements == (Statement(RoleProperty.POSITION_HELD, "Q3", None, None),)
+
+    def test_equal_statements_are_one_object_within_one_build(self):
+        lines = [entity_line(make_entity(f"Q{n}", f"Jane Roe{n}", positions=(("Q3", "2009-01-20"),),
+                                         occupations=("Q2",))) for n in (8, 9)]
+        first, second = index_of(lines), index_of(lines)
+        a, b = first.records["Q8"].statements, first.records["Q9"].statements
+        assert a == b and all(x is y for x, y in zip(a, b))
+        # the table lives for one call: another build makes its own statements
+        assert second.records["Q8"].statements == a
+        assert not any(x is y for x, y in zip(second.records["Q8"].statements, a))
 
     def test_bce_dates_are_unusable(self):
         entity = make_entity("Q9", "Julius", positions=(("Q3",),))
@@ -280,6 +303,16 @@ class TestSaveLoad:
             assert list(load_index(path).records) == qids
             save_index(load_index(path), path)
             assert path.read_bytes() == saved
+
+    @pytest.mark.parametrize("count", [True, -1, 2.0])
+    def test_a_sitelink_count_load_index_would_reject_is_an_error(self, tmp_path, count):
+        record = EntityRecord("Q1", "Jane Roe", (), (), count)
+        index = EntityIndex(snapshot_date=SNAPSHOT)
+        index.add(record)
+        path = tmp_path / "entities.idx"
+        with pytest.raises(DataError, match=f"record 'Q1': bad sitelink count {count!r}"):
+            save_index(index, path)
+        assert not path.exists()  # checked before anything is written
 
     def test_missing_header_is_rejected(self, tmp_path):
         path = tmp_path / "entities.idx"
@@ -643,7 +676,12 @@ def test_lookup_and_memoized_resolve_match_reference(records, surfaces):
 #
 # The reference_* functions are the record path as it was before its per-record
 # shortcuts: Enum calls for the property, a separate pass over statement QIDs,
-# and each claim's qualifiers read once per date.
+# each claim's qualifiers read once per date, a new Statement for each claim,
+# and each record written through json.dumps. They take a QID as "Q" and ASCII
+# digits, in full (_QID), as the library does: "^Q\d+$" also let through a
+# final "\n" and any Unicode digit, such as "Q٣".
+
+_QID = re.compile(r"Q[0-9]+")
 
 
 def reference_qualifier_date(claim, prop):
@@ -667,7 +705,7 @@ def reference_claim_target(claim):
     if dv.get("type") != "wikibase-entityid":
         return None
     target = dv.get("value", {}).get("id")
-    if isinstance(target, str) and re.match(r"^Q\d+$", target):
+    if isinstance(target, str) and _QID.fullmatch(target):
         return target
     return None
 
@@ -732,14 +770,14 @@ def reference_load_index(path):
                 for s in raw["statements"]
             )
             if not (
-                re.match(r"^Q\d+$", qid)
+                _QID.fullmatch(qid)
                 and type(sitelinks) is int
                 and sitelinks >= 0
                 and isinstance(label, str)
                 and label
                 and isinstance(aliases, list)
                 and all(isinstance(a, str) for a in aliases)
-                and all(re.match(r"^Q\d+$", s.value_qid) for s in statements)
+                and all(_QID.fullmatch(s.value_qid) for s in statements)
             ):
                 raise ValueError("bad record fields")
             record = EntityRecord(
@@ -764,6 +802,35 @@ def reference_load_index(path):
             f"{path}: header promises {header['record_count']} records, found {len(index.records)}"
         )
     return index
+
+
+def reference_record_to_json(record):
+    return {
+        "qid": record.qid,
+        "label": record.primary_label,
+        "aliases": list(record.aliases),
+        "sitelinks": record.sitelink_count,
+        "statements": [
+            {
+                "property": s.property.value,
+                "value": s.value_qid,
+                "start": s.start_date.isoformat() if s.start_date else None,
+                "end": s.end_date.isoformat() if s.end_date else None,
+            }
+            for s in record.statements
+        ],
+    }
+
+
+def reference_save_index(index, path):
+    """save_index as json.dumps(..., ensure_ascii=False) of each record's object."""
+    header = {
+        "format_version": 1,
+        "snapshot_date": index.snapshot_date.isoformat(),
+        "record_count": len(index.records),
+    }
+    records = (index.records[qid] for qid in sorted(index.records, key=qid_sort_key))
+    write_json_lines(path, itertools.chain([header], map(reference_record_to_json, records)))
 
 
 def _paths(value, path=()):
@@ -813,7 +880,7 @@ _QIDS = st.sampled_from(["Q1", "Q2", "Q5", "Q10"])
 _ISO_DAYS = st.sampled_from([None, "1999-12-31", "2009-01-20", "2017-01-20"])
 # values of the right JSON type that the build must skip or count as malformed
 _DUMP_WRONG = {
-    "id": st.sampled_from(["Q", "Q5", "P31", "q1", "Q1x", "Q01"]),
+    "id": st.sampled_from(["Q", "Q5", "P31", "q1", "Q1x", "Q01", "Q1\n", "Q٣"]),
     "type": st.sampled_from(["property", "item", "time", "wikibase-entityid"]),
     "snaktype": st.sampled_from(["novalue", "somevalue"]),
     "time": st.sampled_from(["+1990-00-00T00:00:00Z", "-0044-03-15T00:00:00Z",
@@ -913,6 +980,32 @@ def _saved_records(draw):
     return records
 
 
+_ANY_TEXT = st.text(st.characters(blacklist_categories=["Cs"]), max_size=12)
+_ANY_DAYS = st.one_of(st.none(), st.dates(min_value=date(1, 1, 1), max_value=date(9999, 12, 31)))
+
+
+@st.composite
+def _written_records(draw):
+    """Records of every shape the writer takes: QIDs (some spelled with leading
+    zeros) in any order, any labels, aliases and statement values outside the
+    surrogates, empty aliases, dates from year 1 to 9999, 0-3 statements."""
+    qids = draw(st.lists(st.tuples(st.integers(0, 10**12), st.integers(0, 2)).map(
+        lambda nz: "Q" + "0" * nz[1] + str(nz[0])), unique=True, max_size=5))
+    records = []
+    for qid in qids:
+        statements = []
+        for _ in range(draw(st.integers(0, 3))):
+            start, end = draw(_ANY_DAYS), draw(_ANY_DAYS)
+            if start and end and start > end:
+                start, end = end, start
+            value = draw(st.one_of(_QIDS, _ANY_TEXT))
+            statements.append(Statement(draw(st.sampled_from(list(RoleProperty))), value, start, end))
+        aliases = draw(st.lists(st.one_of(st.just(""), _ANY_TEXT), max_size=3))
+        records.append(EntityRecord(qid, draw(_ANY_TEXT), tuple(aliases), tuple(statements),
+                                    draw(st.integers(0, 2**70))))
+    return records
+
+
 def _saved(records, path):
     index = EntityIndex(snapshot_date=SNAPSHOT)
     for record in records:
@@ -923,14 +1016,25 @@ def _saved(records, path):
 
 # values of the right JSON type that load_index must reject, or that make dates inverted
 _INDEX_WRONG = {
-    "qid": st.sampled_from(["Q", "q1", "Q2x", "Q٣", "Q01", "Q0"]),
+    "qid": st.sampled_from(["Q", "q1", "Q2x", "Q٣", "Q01", "Q0", "Q1\n"]),
     "label": st.sampled_from(["", " "]),
     "sitelinks": st.sampled_from([-1, 0, 7]),
     "property": st.sampled_from(["P40", "P31", "p39", " P39"]),
-    "value": st.sampled_from(["Q", "q1", "Q2x", "P39"]),
+    "value": st.sampled_from(["Q", "q1", "Q2x", "P39", "Q2\n", "Q٣"]),
     "start": st.sampled_from(["2020-13-01", "20200101", "1999-12-31", "2009-01-20", "2017-01-20"]),
     "end": st.sampled_from(["2020-13-01", "20200101", "1999-12-31", "2009-01-20", "2017-01-20"]),
 }
+
+
+def _json_values(path):
+    """Each line's JSON value, told apart by type as well (true is not 1, 1.0 is not 1).
+
+    save_index(load_index(x)) needs no normalization to match x here: load_index
+    takes only YYYY-MM-DD dates, integer counts and records in the order
+    save_index writes them. The mutations add no key; one that did would need
+    one, as load_index reads a record's five keys and ignores any other."""
+    return [json.dumps(json.loads(line), sort_keys=True)
+            for line in path.read_text(encoding="utf-8").split("\n") if line]
 
 
 @pytest.fixture(scope="module")
@@ -943,8 +1047,9 @@ class TestIndexKernelsMatchReference:
     @settings(max_examples=500)
     def test_build(self, lines, person_only, strict):
         got = _build_or_error(lines, person_only=person_only, strict=strict)
-        with mock.patch.multiple(wikidata, _extract_record=reference_extract_record,
-                                 _is_human=reference_is_human):
+        # the reference builds each statement anew; sharing them changes no record's value
+        with mock.patch.multiple(wikidata, _is_human=reference_is_human,
+                                 _extract_record=lambda entity, shared: reference_extract_record(entity)):
             want = _build_or_error(lines, person_only=person_only, strict=strict)
         _same_index(got, want)
 
@@ -964,6 +1069,21 @@ class TestIndexKernelsMatchReference:
         scratch_index.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
         got = _load_or_error(load_index, scratch_index)
         _same_index(got, _load_or_error(reference_load_index, scratch_index))
+        if not isinstance(got, str):  # a file load_index accepts is one save_index could write
+            resaved = scratch_index.with_name("resaved.idx")
+            save_index(got, resaved)
+            assert _json_values(resaved) == _json_values(scratch_index)
+
+    @given(_written_records(), st.dates())
+    @settings(max_examples=300)
+    def test_save(self, scratch_index, records, snapshot):
+        index = EntityIndex(snapshot_date=snapshot)
+        for record in records:
+            index.add(record)
+        save_index(index, scratch_index)
+        reference = scratch_index.with_name("reference.idx")
+        reference_save_index(index, reference)
+        assert scratch_index.read_bytes() == reference.read_bytes()
 
     @given(_saved_records())
     def test_round_trip(self, scratch_index, records):
