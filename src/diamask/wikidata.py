@@ -75,8 +75,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import iso_date
-from .errors import (_JSON_LINE, INTEGER, OBJECT, DataError, decode_json, fields, json_lines,
-                     numbered_lines, prefixed, write_output)
+from .errors import (_JSON_LINE, INTEGER, LIST, OBJECT, DataError, decode_json, fields,
+                     json_lines, numbered_lines, prefixed, write_output)
 
 __all__ = [
     "RoleProperty",
@@ -470,7 +470,8 @@ def load_index(path: str | Path) -> EntityIndex:
             try:
                 qid, label, aliases = raw["qid"], raw["label"], raw["aliases"]
                 sitelinks = raw["sitelinks"]
-                statements = tuple([_load_statement(s) for s in raw["statements"]])
+                # LIST: "" or {} would iterate as no statements, which save_index writes as []
+                statements = tuple([_load_statement(s) for s in LIST(raw["statements"])])
                 # _QID_RE.fullmatch raises TypeError on a non-string, as wanted
                 if not (
                     _QID_RE.fullmatch(qid)

@@ -1047,10 +1047,14 @@ def _index_file(snapshot_date="2020-12-28", record_count=1, format_version=1, **
     return json.dumps(header) + "\n" + _index_record("Q1", **statement)
 
 
+def _index_statement(**fields):
+    return {"property": "P39", "value": "Q2", "start": None, "end": None, **fields}
+
+
 def _index_record(qid, label="Jane Roe", **statement):
     """An index record line: qid, called label, holds position Q2 with the statement fields."""
-    statement = {"property": "P39", "value": "Q2", "start": None, "end": None, **statement}
-    record = {"qid": qid, "label": label, "aliases": [], "sitelinks": 1, "statements": [statement]}
+    record = {"qid": qid, "label": label, "aliases": [], "sitelinks": 1,
+              "statements": [_index_statement(**statement)]}
     return json.dumps(record) + "\n"
 
 
@@ -1386,6 +1390,10 @@ HOSTILE = [
       for name, qid in [("ends-in-a-newline", "Q1\n"), ("an-arabic-indic-digit", "Q\u0663")]),
     pytest.param(_index_file(value="Q2\n"), _MASK_INDEXED, "hostile line 2: malformed index record",
                  id="index-statement-value-ends-in-a-newline"),
+    # either would load as no statements, which save_index writes as []
+    *(pytest.param(_index_file().replace(f"[{json.dumps(_index_statement())}]", empty), _MASK_INDEXED,
+                   "hostile line 2: malformed index record", id=f"index-statements-{name}")
+      for name, empty in [("an-empty-string", '""'), ("an-empty-object", "{}")]),
     *(pytest.param(_dump_entity(id=qid), [*_INDEX_DUMP, "--strict"],
                    f"hostile line 1: bad entity id {qid!r}", id=f"dump-entity-id-{name}")
       for name, qid in [("ends-in-a-newline", "Q1\n"), ("an-arabic-indic-digit", "Q\u0663")]),
