@@ -8,7 +8,9 @@ holds every document's prediction, and the `lmi` and `tag` outputs of
 `cli.dispatch` on the synthetic corpora with punctuation and mixed case
 around their words, and its `index-wikidata` (plain and gzip'd dump, with
 and without --person-only) and `coverage --top-k` outputs on a dump whose
-names hold quotes, backslashes, control characters and line separators.
+names hold quotes, backslashes, control characters and line separators, and
+its `experiment --config` reports on two mirrored periods and a third dataset
+that also holds LOC and ORG spans.
 Comparing two runs of the same code cannot
 catch a change that reorders float sums, nor can one kind of CPU; these
 hashes, checked under several BLAS kernels, can.
@@ -27,12 +29,15 @@ from datetime import date
 import pytest
 
 from diamask import (
+    AnnotatedDocument,
     Corpus,
     DatasetBundle,
     Document,
     FeatureSpace,
     Label,
     MaskPolicy,
+    NeSpan,
+    NeTag,
     SplitMode,
     SplitSpec,
     TrainConfig,
@@ -42,6 +47,7 @@ from diamask import (
     save_model,
     synth_diachronic_corpus,
     train,
+    write_annotations,
 )
 from diamask.cli import dispatch
 
@@ -162,6 +168,8 @@ CLI_GOLDEN = {
     "index_person.idx": "f4c9b49db65320bcd36364bfbb8b0e44d419bbcc69ce53314e99e42f8bbfa6a8",
     "index_gz_person.idx": "f4c9b49db65320bcd36364bfbb8b0e44d419bbcc69ce53314e99e42f8bbfa6a8",
     "coverage.tsv": "057dea955d2d38150f0ffc99ddbd104a33700ea4bc13b76906b85d4ffaa88424",
+    "experiment.json": "1d12d0f9ecd599fb4deb3e70796ebff05787d57e0cc896e038c49ec8bd3702b7",
+    "experiment.txt": "4b3cb9f11e702a66588dd170777b4378c2f08c05de9c9efc08a120457451bc02",
 }
 
 # Marks around the synthetic texts' words, so that the tokenizer's edge rules
@@ -229,12 +237,62 @@ def _dump_lines():
     return lines
 
 
+def _with_places(docs, rng):
+    """docs under new ids, each with a LOC and an ORG span appended that lean
+    toward its label, and an unindexed person (the PER fallback) appended to
+    some: the masking policies then mask them all differently."""
+    names = {NeTag.LOC: {Label.FAKE: "Oslo", Label.REAL: "Lima"},
+             NeTag.ORG: {Label.FAKE: "Acme Corp", Label.REAL: "Globex"}}
+    out = []
+    for ann in docs:
+        doc, spans, text = ann.document, list(ann.spans), ann.document.text
+        appended = [(tag, by_label[doc.label if rng.random() < 0.8 else rng.choice(list(Label))])
+                    for tag, by_label in names.items()]
+        if rng.random() < 0.3:
+            appended.append((NeTag.PER, "Zed Nobody"))
+        for tag, surface in appended:
+            text += " near "
+            spans.append(NeSpan(start=len(text), end=len(text) + len(surface), tag=tag,
+                                surface=surface))
+            text += surface
+        doc = replace(doc, id="c" + doc.id[1:], text=text, source="synth-c")
+        out.append(AnnotatedDocument(document=doc, spans=tuple(spans)))
+    return out
+
+
+def _experiment_config(data, tmp):
+    """An experiment config over three datasets: the mirrored periods, which
+    every policy but no-mask masks to the same texts (so their models and
+    evaluations are shared), and the periods' persons with places and
+    organizations around them, which no other dataset matches."""
+    index = tmp / "synth.idx"
+    save_index(data.index, index)
+    annotated = {"period-a": data.annotated_a, "period-b": data.annotated_b,
+                 "places": _with_places(data.annotated_a, random.Random(29))}
+    datasets = []
+    for name, docs in annotated.items():
+        corpus, annotations = tmp / f"{name}.jsonl", tmp / f"{name}.ann.jsonl"
+        save_corpus(Corpus(name=name, documents=tuple(a.document for a in docs)), corpus)
+        write_annotations(docs, annotations)
+        datasets.append({"name": name, "corpus": str(corpus), "annotations": str(annotations),
+                         "index": str(index)})
+    config = tmp / "experiment_config.json"
+    config.write_text(json.dumps({
+        "datasets": datasets,
+        "split": {"mode": "random", "train_fraction": 0.75, "seed": 6},
+        "features": {"dimensions": 2**18, "hash_seed": 3},
+        "training": {"epochs": 6, "seed": 2},
+        "ood_full": True,
+    }), encoding="utf-8")
+    return config
+
+
 @pytest.fixture(scope="module")
 def cli_outputs(data, tmp_path_factory):
     """The lmi (TSV and text) and tag outputs of the CLI on both synthetic
     periods; index-wikidata on a dump (plain, and gzip'd in the wrapped-array
-    form), with and without --person-only; and coverage over two usage
-    reports, labeled through the index."""
+    form), with and without --person-only; coverage over two usage reports,
+    labeled through the index; and experiment's JSON and text reports."""
     rng = random.Random(17)
     docs = tuple(_punctuated(doc, rng) for doc in data.corpus_a.documents + data.corpus_b.documents)
     tmp = tmp_path_factory.mktemp("cli")
@@ -266,6 +324,9 @@ def cli_outputs(data, tmp_path_factory):
     }
     for name, argv in runs.items():
         assert dispatch([*argv, "--output", str(tmp / name)]) == 0
+    assert dispatch(["experiment", "--config", str(_experiment_config(data, tmp)),
+                     "--output-json", str(tmp / "experiment.json"),
+                     "--output-text", str(tmp / "experiment.txt")]) == 0
     return tmp
 
 
