@@ -31,13 +31,17 @@ numpy, so a run that trains on no long rows never loads it. Scoring a row is a
 plain loop over its dict.
 
 run_matrix ties it together: each dataset is split and its gold labels read
-once; under each policy its documents are masked and featurized once (train,
-test and full slices are row selections of that), then for every (training
-dataset, policy) pair it trains and evaluates in-domain and on every other
-dataset, and scores each masked policy against the no-mask baseline per cell.
-A policy that masks every dataset to the same texts as an earlier one (the
+once; under each policy its documents are masked, and each distinct masked
+text featurized once (train, test and full slices are row selections of
+that), then for every (training dataset, policy) pair it trains and evaluates
+in-domain and on every other dataset, and scores each masked policy against
+the no-mask baseline per cell. The same texts give the same rows, and the
+same rows and labels the same model, so work is shared at two levels. A
+policy that masks every dataset to the same texts as an earlier one (the
 WikiD family on a corpus with person spans only) shares that policy's
-results: the same texts give the same rows, the same rows the same model.
+results. Within a policy, datasets whose training slices hold the same texts
+and labels (mirrored periods once their persons are masked) share one model,
+which scores each distinct slice once.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date as Date, timedelta
 from functools import cached_property
 from pathlib import Path
@@ -404,17 +408,33 @@ def save_model(model: Model, path: str | Path) -> None:
 def _bucket(key: str) -> int:
     if not (key.isascii() and key.isdigit()):
         raise ValueError(f"bucket {key!r} is not an integer")
+    if key[0] == "0" and key != "0":  # save_model writes none: "01" would be bucket "1" too
+        raise ValueError(f"bucket {key!r} has a leading zero")
     return int(key)
+
+
+def _weight(raw: object) -> float:
+    value = finite(raw)
+    if not value:  # save_model drops it: a bucket the file omits weighs 0.0
+        raise ValueError(f"expected a nonzero weight, got {json.dumps(raw)}")
+    return value
+
+
+def _model_space(raw: object) -> FeatureSpace:
+    space = FeatureSpace(**fields(raw, FEATURE_FIELDS))
+    if list(space.orders) != raw["orders"]:  # FeatureSpace sorts them, and drops repeats
+        raise DataError(f"bad 'orders' (expected ascending distinct orders, got {raw['orders']})")
+    return space
 
 
 # a model file's fields, every one required
 _MODEL_FIELDS = {
     "format_version": INTEGER,
-    "space": lambda raw: FeatureSpace(**fields(raw, FEATURE_FIELDS)),
+    "space": _model_space,
     "config": lambda raw: TrainConfig(**fields(raw, TRAIN_FIELDS)),
     "train_set": STRING,
     "bias": finite,
-    "weights": lambda raw: {_bucket(key): finite(value) for key, value in OBJECT(raw).items()},
+    "weights": lambda raw: {_bucket(key): _weight(value) for key, value in OBJECT(raw).items()},
 }
 
 
@@ -630,7 +650,7 @@ def _check_matrix(
 
 def _split_rows(
     bundle: DatasetBundle, split: SplitSpec
-) -> tuple[tuple[list[int], list[Label]], ...]:
+) -> tuple[tuple[list[int], tuple[Label, ...]], ...]:
     """(positions in bundle.docs, gold labels) of the split's train side and
     test side, each in split order, and of the whole dataset. A side that
     would be empty is an error naming the dataset and the side."""
@@ -645,7 +665,7 @@ def _split_rows(
                 raise DataError(f"the {kind} side of the split is empty")
     row_of = {doc.id: r for r, doc in enumerate(corpus)}
     return tuple(
-        ([row_of[doc.id] for doc in side], side.labels())
+        ([row_of[doc.id] for doc in side], tuple(side.labels()))
         for side in (*sides, corpus)
     )
 
@@ -664,17 +684,26 @@ def run_matrix(
     """Full evaluation matrix over datasets x policies.
 
     Every dataset is split once. For every policy, each dataset is masked
-    (always with its own index) and featurized once; its train, test and
-    full slices are row selections of those features. For every (train
-    dataset, policy) a model is trained on the training slice, then
-    evaluated on the in-domain test slice and on every other dataset's test
-    slice (or its full slice when ood_full is set), all under the same
-    policy. A policy whose masked texts equal an earlier policy's on every
+    (always with its own index) and each distinct masked text featurized
+    once; a dataset's train, test and full slices are row selections of
+    those features. For every (train dataset, policy) a model is trained on
+    the training slice, then evaluated on the in-domain test slice and on
+    every other dataset's test slice (or its full slice when ood_full is
+    set), all under the same policy.
+
+    Work whose result is known is not redone; the shared results are the
+    ones running it would reproduce bit for bit, so every report keeps its
+    bytes. A policy whose masked texts equal an earlier policy's on every
     dataset is neither featurized, trained nor evaluated: its cells take the
-    earlier policy's results, which running it would reproduce bit for bit,
-    and it is logged at info level. Only the masked texts are kept across
-    policies. Every masked policy is McNemar-tested against the no-mask
-    baseline within its (train, test) cell, Bonferroni-adjusted for
+    earlier policy's results, and it is logged at info level. Within a
+    policy, datasets whose training slices hold the same texts and gold
+    labels train one model, named after (and, on an error, failing as) the
+    first of them; each later one is logged at info level. That model is
+    evaluated once per distinct (texts, gold labels) slice, and every cell
+    still names its own training and test dataset. Only the masked texts are
+    kept across policies; one policy's rows and one model are alive at a
+    time. Every masked policy is McNemar-tested against the no-mask baseline
+    within its (train, test) cell, Bonferroni-adjusted for
     m = len(policies) - 1 comparisons. Output ordering and content are
     deterministic.
     """
@@ -701,20 +730,41 @@ def run_matrix(
                 source[policy].value,
             )
             continue
-        # name -> rows of every document of the dataset, masked under this policy
-        rows = {
-            name: [_bucket_counts(text, space, memo) for text in dataset_texts]
+        # masked text -> its row, under this policy only: equal texts share one row
+        row_of = dict.fromkeys(text for dataset_texts in texts for text in dataset_texts)
+        for text in row_of:
+            row_of[text] = _bucket_counts(text, space, memo)
+        # name -> (texts, gold labels) of its train, test and full slices under this policy
+        masked = {
+            name: [(tuple(dataset_texts[r] for r in sel), gold) for sel, gold in slices[name]]
             for name, dataset_texts in zip(names, texts)
         }
-        for train_name in names:
-            sel, gold = slices[train_name][0]
-            with prefixed(f"dataset {train_name!r}"):
-                model = _fit([rows[train_name][r] for r in sel], gold, train_name, space, config)
-            for eval_name in names:
-                sel, gold = slices[eval_name][2 if ood_full and eval_name != train_name else 1]
-                results[(train_name, eval_name, policy)] = _evaluate_rows(
-                    model, [rows[eval_name][r] for r in sel], gold, eval_name
-                )
+        # a training slice -> the datasets that train on it, in dataset order
+        trained_on: dict[tuple[tuple[str, ...], tuple[Label, ...]], list[str]] = {}
+        for name in names:
+            trained_on.setdefault(masked[name][0], []).append(name)
+        for (train_texts, train_gold), members in trained_on.items():
+            first = members[0]
+            with prefixed(f"dataset {first!r}"):
+                model = _fit([row_of[t] for t in train_texts], train_gold, first, space, config)
+            evals: dict[tuple[tuple[str, ...], tuple[Label, ...]], EvalCell] = {}  # by slice
+            for train_name in members:
+                if train_name != first:
+                    log.info(
+                        "policy %s masks dataset %s's training slice as %s's; its model is reused",
+                        policy.value,
+                        train_name,
+                        first,
+                    )
+                for eval_name in names:
+                    key = masked[eval_name][2 if ood_full and eval_name != train_name else 1]
+                    if key not in evals:
+                        evals[key] = _evaluate_rows(
+                            model, [row_of[t] for t in key[0]], key[1], eval_name
+                        )
+                    results[(train_name, eval_name, policy)] = replace(
+                        evals[key], train_set=train_name, test_set=eval_name
+                    )
     has_baseline = MaskPolicy.NO_MASK in policies and len(policies) > 1
     cells = []
     for train_name in names:

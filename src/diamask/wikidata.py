@@ -26,7 +26,11 @@ nothing is buffered beyond the retained records.
 The serialized index is a single UTF-8 NDJSON file: the first non-blank
 line is a header object {"format_version", "snapshot_date", "record_count"},
 read through errors.fields, followed by exactly record_count record objects
-sorted by numeric QID. Lookup maps are derived data and are rebuilt on load.
+sorted by numeric QID. A record or statement holding a key that save_index
+does not write is malformed, as a save after the load would drop it; records
+are not read through errors.fields, which costs too much per record, but
+counted against their five keys (statements their four) after the reads.
+Lookup maps are derived data and are rebuilt on load.
 
 Build, save and load run once per record or statement, so they skip work
 that leaves no trace. Each shortcut is exact:
@@ -445,6 +449,8 @@ def _load_statement(raw: dict) -> Statement:
     value, start, end = raw["value"], raw["start"], raw["end"]
     if not _QID_RE.fullmatch(value):  # TypeError on a non-string
         raise ValueError(f"bad statement value {value!r}")
+    if len(raw) != 4:  # a key besides the four read here
+        raise ValueError("unknown statement key")
     return Statement(
         _ROLE_BY_PID[raw["property"]],
         value,
@@ -474,7 +480,8 @@ def load_index(path: str | Path) -> EntityIndex:
                 statements = tuple([_load_statement(s) for s in LIST(raw["statements"])])
                 # _QID_RE.fullmatch raises TypeError on a non-string, as wanted
                 if not (
-                    _QID_RE.fullmatch(qid)
+                    len(raw) == 5
+                    and _QID_RE.fullmatch(qid)
                     and type(sitelinks) is int
                     and sitelinks >= 0
                     and isinstance(label, str)

@@ -8,9 +8,14 @@ possible.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
+import operator
 import random
+
+from hypothesis import strategies as st
 
 from diamask.analysis import tokenize
 from diamask.corpus import Corpus, Document, Label
@@ -259,3 +264,54 @@ def make_sample_annotated():
         span("Modi", NeTag.PER),
     )
     return AnnotatedDocument(document=doc, spans=spans)
+
+
+# ---------------------------------------------------------------------------
+# mutated JSON values, for the loaders' properties
+
+
+def _paths(value, path=()):
+    """The path of value and of every part of it, as keys and list positions."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+    else:
+        items = ()
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+# a value of another JSON type than any key holds in a valid file
+_RETYPED = st.sampled_from([None, True, 0, -1, 2.5, "", "x", [], [None], {}])
+# in place of an object or list: what reading it with `or {}` would let through
+_FALSY = st.sampled_from([None, False, 0, "", []])
+
+
+@st.composite
+def mutated(draw, value, wrong, counts=(0, 1, 2, 3)):
+    """A copy of value with some of its parts (one of counts), at any depth,
+    dropped or replaced: by a value of another JSON type, or by one that
+    wrong, which maps a key to a strategy, gives for that key (a falsy one for
+    an object or list that wrong does not name). Each key (or list position)
+    is as likely to be picked as any other, however often it occurs."""
+    value = copy.deepcopy(value)
+    # uniform picks: Hypothesis's own choices favor the first items by far, and
+    # a true random source (st.randoms(use_true_random=True)) makes a replay
+    # draw differently, which Hypothesis reports as FlakyStrategyDefinition
+    pick = random.Random(draw(st.integers(0, 2**64 - 1))).choice
+    for _ in range(pick(counts)):
+        paths = list(_paths(value))[1:]
+        if not paths:
+            break
+        key = pick(sorted({path[-1] for path in paths}, key=str))
+        *head, last = pick([path for path in paths if path[-1] == key])
+        parent = functools.reduce(operator.getitem, head, value)
+        how = pick(["drop", "retype", "wrong"])
+        if how == "drop":
+            del parent[last]
+        else:
+            wrong_here = wrong.get(last, _FALSY if isinstance(parent[last], (dict, list)) else _RETYPED)
+            # a copy: sampled_from hands out one object, which a later pick could
+            # mutate, in this example and in every one after it
+            parent[last] = copy.deepcopy(draw(wrong_here if how == "wrong" else _RETYPED))
+    return value

@@ -1252,6 +1252,17 @@ HOSTILE = [
     pytest.param(_model(weights={"3": True}), _EVAL,
                  "hostile: bad 'weights' (expected a number, got true)",
                  id="model-weight-a-bool"),
+    # save_model writes no zero weight and no bucket with a leading zero
+    *(pytest.param(_model(weights={"3": zero}), _EVAL,
+                   f"hostile: bad 'weights' (expected a nonzero weight, got {text})",
+                   id=f"model-weight-{name}")
+      for name, zero, text in [("zero", 0, "0"), ("negative-zero", -0.0, "-0.0")]),
+    pytest.param(_model(weights={"1": 1.5, "01": 2.5}), _EVAL,
+                 "hostile: bad 'weights' (bucket '01' has a leading zero)",
+                 id="model-bucket-leading-zero"),
+    pytest.param(_model(space={"orders": [2, 1]}), _EVAL,
+                 "hostile: space: bad 'orders' (expected ascending distinct orders, got [2, 1])",
+                 id="model-orders-descending"),
     pytest.param(_model(bias="0.5"), _EVAL, "hostile: bad 'bias' (expected a number, got \"0.5\")",
                  id="model-bias-a-string"),
     pytest.param(_model(weights={"3": float("nan")}), _EVAL,
@@ -1390,6 +1401,11 @@ HOSTILE = [
       for name, qid in [("ends-in-a-newline", "Q1\n"), ("an-arabic-indic-digit", "Q\u0663")]),
     pytest.param(_index_file(value="Q2\n"), _MASK_INDEXED, "hostile line 2: malformed index record",
                  id="index-statement-value-ends-in-a-newline"),
+    # a key save_index never writes, which a save after the load would drop
+    pytest.param(_index_file().replace('"qid"', '"extra": 5, "qid"', 1), _MASK_INDEXED,
+                 "hostile line 2: malformed index record", id="index-record-unknown-key"),
+    pytest.param(_index_file(note="x"), _MASK_INDEXED, "hostile line 2: malformed index record",
+                 id="index-statement-unknown-key"),
     # either would load as no statements, which save_index writes as []
     *(pytest.param(_index_file().replace(f"[{json.dumps(_index_statement())}]", empty), _MASK_INDEXED,
                    "hostile line 2: malformed index record", id=f"index-statements-{name}")

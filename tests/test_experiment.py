@@ -47,6 +47,7 @@ from helpers import (
     SYNTH_ROLE_MAP,
     chi2_tail_1df,
     exact_mcnemar_p,
+    mutated,
 )
 
 SMALL_SPACE = FeatureSpace(dimensions=2**16)
@@ -449,7 +450,78 @@ class TestFitArms:
         )
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _models(draw):
+    """Models of every shape save_model takes, over 16 buckets."""
+    space = FeatureSpace(orders=tuple(draw(st.sets(st.integers(1, 3), min_size=1))),
+                         dimensions=16, hash_seed=draw(st.integers(0, 2**64 - 1)))
+    config = TrainConfig(epochs=draw(st.integers(1, 20)),
+                         learning_rate=draw(_FINITE.filter(lambda x: x > 0)),
+                         l2=draw(_FINITE.filter(lambda x: x >= 0)), seed=draw(st.integers(0, 2**32)))
+    weights = draw(st.dictionaries(st.integers(0, 15), _FINITE.filter(bool), min_size=1, max_size=5))
+    return Model(space=space, config=config,
+                 train_set=draw(st.text(st.characters(blacklist_categories=["Cs"]), max_size=6)),
+                 weights=weights, bias=draw(_FINITE))
+
+
+# values of the right JSON type that load_model must reject
+_MODEL_WRONG = {
+    "format_version": st.sampled_from([0, 2, 1.0]),
+    "orders": st.sampled_from([[2, 1], [1, 1], [0]]),
+    "dimensions": st.sampled_from([1, 3, 8, 2**64]),
+    "hash_seed": st.sampled_from([-1, 2**64]),
+    "epochs": st.just(0),
+    "learning_rate": st.sampled_from([0, -0.5]),
+    "l2": st.just(-1e-6),
+    "bias": st.just(1e309),
+    **{str(b): st.sampled_from([0, -0.0]) for b in range(16)},  # a weight
+}
+
+
+def _model_values(path):
+    """A model file's JSON value, told apart by type (true is not 1), except
+    that the numbers load_model reads as floats (bias, weights, learning_rate
+    and l2) are made floats, as an integer there loads and saves as the equal
+    float. Key order aside, that is the only normalization save_model(
+    load_model(x)) needs to match x: load_model takes no zero weight, no bucket
+    with a leading zero, orders only ascending and distinct, and no key besides
+    those save_model writes."""
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["bias"] = float(obj["bias"])
+    obj["weights"] = {key: float(value) for key, value in obj["weights"].items()}
+    for name in ("learning_rate", "l2"):
+        obj["config"][name] = float(obj["config"][name])
+    return json.dumps(obj, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def scratch_model(tmp_path_factory):
+    return tmp_path_factory.mktemp("models") / "model.json"
+
+
 class TestModelSerialization:
+    @given(_models(), st.data())
+    @settings(max_examples=500)
+    def test_a_model_file_loads_only_as_save_model_writes_it(self, scratch_model, model, data):
+        save_model(model, scratch_model)
+        obj = json.loads(scratch_model.read_text(encoding="utf-8"))
+        if data.draw(st.integers(0, 3)) == 3:  # the same bucket, with a leading zero
+            key = data.draw(st.sampled_from(sorted(obj["weights"])))
+            obj["weights"]["0" + key] = obj["weights"].pop(key)
+        else:
+            obj = data.draw(mutated(obj, _MODEL_WRONG, (1,)))
+        scratch_model.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+        try:
+            loaded = load_model(scratch_model)
+        except DataError:
+            return
+        resaved = scratch_model.with_name("resaved.json")
+        save_model(loaded, resaved)
+        assert _model_values(resaved) == _model_values(scratch_model)
+
     def test_round_trip_preserves_predictions_and_weights(self, tmp_path):
         model = train(SEPARABLE, SMALL_SPACE)
         path = tmp_path / "model.json"
@@ -517,7 +589,8 @@ class TestModelSerialization:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "key", ["-1", "4", "1.5", "one"], ids=["negative", "too-large", "fraction", "word"]
+        "key", ["-1", "4", "1.5", "one", "01"],
+        ids=["negative", "too-large", "fraction", "word", "leading-zero"],
     )
     def test_bad_weight_bucket_is_rejected(self, tmp_path, key):
         model = Model(
@@ -738,6 +811,37 @@ def assert_cells_match(report, expected):
         assert (cell.mcnemar.b, cell.mcnemar.c) == (b, c)
 
 
+def unindexed_world():
+    """small_world plus a dataset c that repeats a's documents with persons the
+    index does not hold: NE Del and Basic NER mask c as they mask a, while the
+    WikiD family gives c's persons the PER fallback where a's get their roles."""
+    _, bundles, indexes = small_world()
+    # no token of these names is in the index, so no token fallback resolves them
+    nobodies = ("Wren Nobody", "Xavi Nobody", "Yuri Nobody", "Zoe Nobody")
+    roles = {**SYNTH_ROLE_MAP, **{n: SYNTH_ROLE_MAP[a] for a, n in zip(SYNTH_A, nobodies)}}
+    c = synth_diachronic_corpus(seed=5, n_docs=100, period_a_persons=SYNTH_A[:4],
+                                period_b_persons=nobodies, role_map=roles)
+    bundles.append(DatasetBundle(name="c", docs=c.annotated_b))
+    return bundles, {**indexes, "c": indexes["a"]}
+
+
+def distinct_fits(bundles, indexes, policies):
+    """The fits a matrix needs: the distinct (every dataset's masked texts, a
+    training slice's texts and labels) over the policies and datasets."""
+    keys = set()
+    for policy in policies:
+        masked = [mask_corpus(b.docs, policy, indexes[b.name], name=b.name)[0] for b in bundles]
+        every = tuple(tuple(doc.text for doc in c) for c in masked)
+        for c in masked:
+            side = split_random(c, SPLIT)[0]
+            keys.add((every, tuple(doc.text for doc in side), tuple(side.labels())))
+    return keys
+
+
+def model_reused(policy, name, first):
+    return f"policy {policy.value} masks dataset {name}'s training slice as {first}'s; its model is reused"
+
+
 def count_fits(monkeypatch):
     """The list of training set names of the _fit calls made from here on."""
     calls = []
@@ -773,7 +877,8 @@ class TestRunMatrix:
         fits = count_fits(monkeypatch)
         with caplog.at_level(logging.INFO, logger="diamask.experiment"):
             report = run_matrix(bundles, policies, indexes, SPLIT, space=SMALL_SPACE)
-        assert len(fits) == 4 * len(bundles)
+        # no-mask trains a and b apart; every other masking gives b a's training slice
+        assert len(fits) == len(distinct_fits(bundles, indexes, policies)) == 5
         assert_cells_match(report, expected)
         for train_name in ("a", "b"):
             for test_name in ("a", "b"):
@@ -783,8 +888,9 @@ class TestRunMatrix:
                 }
                 assert len(family) == 1
         assert [r.getMessage() for r in caplog.records] == [
-            f"policy {p.value} masks every dataset as wikid does; its cells are reused"
-            for p in WIKID_FAMILY[1:]
+            *(model_reused(p, "b", "a") for p in policies[1:4]),
+            *(f"policy {p.value} masks every dataset as wikid does; its cells are reused"
+              for p in WIKID_FAMILY[1:]),
         ]
 
     def test_policies_that_mask_one_dataset_alike_share_nothing(self, monkeypatch, caplog):
@@ -799,9 +905,51 @@ class TestRunMatrix:
         fits = count_fits(monkeypatch)
         with caplog.at_level(logging.INFO, logger="diamask.experiment"):
             report = run_matrix(bundles, policies, indexes, SPLIT, space=SMALL_SPACE)
-        assert len(fits) == len(policies) * len(bundles)
+        assert len(fits) == len(distinct_fits(bundles, indexes, policies)) == len(policies) * 2
         assert_cells_match(report, expected)
         assert caplog.records == []
+
+    @pytest.mark.parametrize("ood_full", [False, True])
+    def test_datasets_alike_under_some_policies_share_their_models_there(
+        self, monkeypatch, caplog, ood_full
+    ):
+        bundles, indexes = unindexed_world()
+        policies = tuple(MaskPolicy)
+        expected, texts = reference_matrix(bundles, indexes, policies, ood_full)
+        # c is a under NE Del and Basic NER, and apart from a and b under the rest
+        for p in policies:
+            assert (texts[p][2] == texts[p][0]) is (p in (MaskPolicy.NE_DEL, MaskPolicy.BASIC_NER))
+        fits = count_fits(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="diamask.experiment"):
+            report = run_matrix(
+                bundles, policies, indexes, SPLIT, space=SMALL_SPACE, ood_full=ood_full
+            )
+        # no-mask trains three models, NE Del and Basic NER one each, the WikiD family two
+        assert len(fits) == len(distinct_fits(bundles, indexes, policies)) == 7
+        keys = [(c.train_set, c.test_set, c.policy) for c in report.cells]
+        assert len(keys) == len(expected) and set(keys) == set(expected)
+        assert_cells_match(report, expected)
+        assert [r.getMessage() for r in caplog.records] == [
+            model_reused(MaskPolicy.NE_DEL, "b", "a"),
+            model_reused(MaskPolicy.NE_DEL, "c", "a"),
+            model_reused(MaskPolicy.BASIC_NER, "b", "a"),
+            model_reused(MaskPolicy.BASIC_NER, "c", "a"),
+            model_reused(MaskPolicy.WIKID, "b", "a"),
+            *(f"policy {p.value} masks every dataset as wikid does; its cells are reused"
+              for p in WIKID_FAMILY[1:]),
+        ]
+
+    def test_a_shared_fit_fails_as_the_first_dataset_of_its_group(self):
+        _, bundles, indexes = small_world()
+        # every document real, and b listed first: under NE Del a trains on b's slice
+        one_label = [
+            DatasetBundle(name=b.name, docs=tuple(
+                replace(ann, document=replace(ann.document, label=Label.REAL)) for ann in b.docs))
+            for b in reversed(bundles)
+        ]
+        with pytest.raises(DataError) as raised:
+            run_matrix(one_label, (MaskPolicy.NE_DEL,), indexes, SPLIT, space=SMALL_SPACE)
+        assert str(raised.value) == "dataset 'b': training corpus must contain both labels"
 
     def test_shape_and_ordering(self):
         _, bundles, indexes = small_world()

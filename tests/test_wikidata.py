@@ -1,13 +1,10 @@
 import copy
-import functools
 import gzip
 import io
 import itertools
 import json
 import logging
-import operator
 import os
-import random
 import re
 from datetime import date
 
@@ -37,7 +34,7 @@ from diamask.corpus import iso_date
 from diamask.errors import OBJECT, write_json_lines
 from diamask.wikidata import FALLBACK_PERSON_TOKEN, _parse_time_value, qid_sort_key
 
-from helpers import entity_line, make_entity, modi_dump_lines
+from helpers import entity_line, make_entity, modi_dump_lines, mutated
 
 SNAPSHOT = date(2020, 12, 28)
 
@@ -763,6 +760,12 @@ def reference_load_index(path):
             sitelinks = raw["sitelinks"]
             if not isinstance(raw["statements"], list):
                 raise TypeError("statements")
+            # save_index writes these keys and no other
+            if set(raw) != {"qid", "label", "aliases", "sitelinks", "statements"}:
+                raise ValueError("record keys")
+            for s in raw["statements"]:
+                if set(s) != {"property", "value", "start", "end"}:
+                    raise ValueError("statement keys")
             statements = tuple(
                 Statement(
                     property=RoleProperty(s["property"]),
@@ -836,53 +839,6 @@ def reference_save_index(index, path):
     write_json_lines(path, itertools.chain([header], map(reference_record_to_json, records)))
 
 
-def _paths(value, path=()):
-    """The path of value and of every part of it, as keys and list positions."""
-    yield path
-    if isinstance(value, (dict, list)):
-        items = value.items() if isinstance(value, dict) else enumerate(value)
-    else:
-        items = ()
-    for key, item in items:
-        yield from _paths(item, (*path, key))
-
-
-# a value of another JSON type than any key holds in a valid file
-_RETYPED = st.sampled_from([None, True, 0, -1, 2.5, "", "x", [], [None], {}])
-# in place of an object or list: what reading it with `or {}` would let through
-_FALSY = st.sampled_from([None, False, 0, "", []])
-
-
-@st.composite
-def _mutated(draw, value, wrong, counts=(0, 1, 2, 3)):
-    """A copy of value with some of its parts (one of counts), at any depth,
-    dropped or replaced: by a value of another JSON type, or by one that
-    wrong, which maps a key to a strategy, gives for that key (a falsy one for
-    an object or list that wrong does not name). Each key (or list position)
-    is as likely to be picked as any other, however often it occurs."""
-    value = copy.deepcopy(value)
-    # uniform picks: Hypothesis's own choices favor the first items by far, and
-    # a true random source (st.randoms(use_true_random=True)) makes a replay
-    # draw differently, which Hypothesis reports as FlakyStrategyDefinition
-    pick = random.Random(draw(st.integers(0, 2**64 - 1))).choice
-    for _ in range(pick(counts)):
-        paths = list(_paths(value))[1:]
-        if not paths:
-            break
-        key = pick(sorted({path[-1] for path in paths}, key=str))
-        *head, last = pick([path for path in paths if path[-1] == key])
-        parent = functools.reduce(operator.getitem, head, value)
-        how = pick(["drop", "retype", "wrong"])
-        if how == "drop":
-            del parent[last]
-        else:
-            wrong_here = wrong.get(last, _FALSY if isinstance(parent[last], (dict, list)) else _RETYPED)
-            # a copy: sampled_from hands out one object, which a later pick could
-            # mutate, in this example and in every one after it
-            parent[last] = copy.deepcopy(draw(wrong_here if how == "wrong" else _RETYPED))
-    return value
-
-
 _QIDS = st.sampled_from(["Q1", "Q2", "Q5", "Q10"])
 _ISO_DAYS = st.sampled_from([None, "1999-12-31", "2009-01-20", "2017-01-20"])
 # values of the right JSON type that the build must skip or count as malformed
@@ -930,7 +886,7 @@ def _entity(draw):
 
 @st.composite
 def _dump_lines(draw):
-    lines = [json.dumps(draw(_mutated(entity, _DUMP_WRONG))) + draw(st.sampled_from(["", ","]))
+    lines = [json.dumps(draw(mutated(entity, _DUMP_WRONG))) + draw(st.sampled_from(["", ","]))
              for entity in draw(st.lists(_entity(), min_size=1, max_size=4))]
     extras = st.sampled_from(["", "[", "]", "not json", "5", '{"id": 5}'])
     for extra in draw(st.lists(extras, max_size=2)):
@@ -1037,10 +993,8 @@ def _json_values(path):
     """Each line's JSON value, told apart by type as well (true is not 1, 1.0 is not 1).
 
     save_index(load_index(x)) needs no normalization to match x here: load_index
-    takes only YYYY-MM-DD dates, integer counts, statements in a list and
-    records in the order save_index writes them. The mutations add no key; one
-    that did would need one, as load_index reads a record's five keys and
-    ignores any other."""
+    takes only YYYY-MM-DD dates, integer counts, statements in a list, records in
+    the order save_index writes them, and no key besides those save_index writes."""
     return [json.dumps(json.loads(line), sort_keys=True)
             for line in path.read_text(encoding="utf-8").split("\n") if line]
 
@@ -1066,8 +1020,16 @@ class TestIndexKernelsMatchReference:
     def test_load(self, scratch_index, records, data):
         header, *lines = _saved(records, scratch_index)
         at = data.draw(st.integers(0, len(lines) - 1))  # one broken line hides no other
-        lines[at] = json.dumps(data.draw(_mutated(json.loads(lines[at]), _INDEX_WRONG, (1,))),
+        lines[at] = json.dumps(data.draw(mutated(json.loads(lines[at]), _INDEX_WRONG, (1,))),
                                ensure_ascii=False)
+        if data.draw(st.integers(0, 3)) == 3:  # a key save_index never writes, anywhere in a line
+            at = data.draw(st.integers(0, len(lines) - 1))
+            record = json.loads(lines[at])
+            statements = record.get("statements")
+            objects = [record, *(s for s in statements if isinstance(s, dict))] \
+                if isinstance(statements, list) else [record]
+            data.draw(st.sampled_from(objects))["note"] = data.draw(st.sampled_from([None, 5, "x"]))
+            lines[at] = json.dumps(record, ensure_ascii=False)
         if data.draw(st.booleans()):  # repeat a line further down
             at = data.draw(st.integers(0, len(lines) - 1))
             lines.insert(data.draw(st.integers(at, len(lines))), lines[at])
