@@ -39,6 +39,12 @@ class Label(Enum):
     REAL = "real"
     FAKE = "fake"
 
+    # Enum.__hash__ is a Python function (hash of the member name), and run_matrix
+    # hashes tuples of thousands of gold labels as dict keys. Members are singletons
+    # that compare by identity, so the identity hash agrees with ==; no output
+    # iterates a set of labels, whose order would follow it.
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, raw: str) -> "Label":
         """Parse a label case-insensitively ("FAKE" -> Label.FAKE)."""

@@ -31,17 +31,20 @@ numpy, so a run that trains on no long rows never loads it. Scoring a row is a
 plain loop over its dict.
 
 run_matrix ties it together: each dataset is split and its gold labels read
-once; under each policy its documents are masked, and each distinct masked
-text featurized once (train, test and full slices are row selections of
-that), then for every (training dataset, policy) pair it trains and evaluates
-in-domain and on every other dataset, and scores each masked policy against
-the no-mask baseline per cell. The same texts give the same rows, and the
-same rows and labels the same model, so work is shared at two levels. A
-policy that masks every dataset to the same texts as an earlier one (the
-WikiD family on a corpus with person spans only) shares that policy's
-results. Within a policy, datasets whose training slices hold the same texts
-and labels (mirrored periods once their persons are masked) share one model,
-which scores each distinct slice once.
+once; under each policy its documents are masked to text alone (mask_text,
+no replacement log), and each distinct masked text featurized once (train,
+test and full slices are row selections of that), then for every (training
+dataset, policy) pair it trains and evaluates in-domain and on every other
+dataset, and scores each masked policy against the no-mask baseline per
+cell. The same texts give the same rows, and the same rows and labels the
+same model, so work is shared at two levels. A policy that masks every
+dataset to the same texts as an earlier one (the WikiD family on a corpus
+with person spans only) shares that policy's results. Within a policy,
+datasets whose training slices hold the same texts and labels (mirrored
+periods once their persons are masked) share one model, which scores each
+distinct slice once. The SGD order depends only on the training size and the
+config, so every fit of one size in a call takes the same order, shuffled
+once.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .corpus import Corpus, Document, Label, SplitMode, SplitSpec, split_by_time
 from .errors import DataError, fields, json_file, prefixed, write_json_lines
 from .errors import INTEGER, LIST, OBJECT, STRING, finite, number  # converters for fields
 # mask_corpus is unused here; perfbench's tracer test reads diamask.experiment.mask_corpus
-from .masking import MaskPolicy, apply_mask, mask_corpus  # noqa: F401
+from .masking import MaskPolicy, mask_corpus, mask_text  # noqa: F401
 from .wikidata import (
     EntityIndex,
     EntityRecord,
@@ -260,18 +263,23 @@ def _fit(
     name: str,
     space: FeatureSpace,
     config: TrainConfig,
+    order: Iterable[int] | None = None,
 ) -> Model:
     """train on featurized rows (labels[r] is row r's label), over their own buckets only;
     a bucket gets the next column of w where it first appears. Both SGD arms make the
-    same floating-point operations in the same order, so they give the same bits."""
+    same floating-point operations in the same order, so they give the same bits.
+    order is _sgd_order(len(rows), config), passed in by a caller that fits many
+    training sets of one size; without it, it is drawn here."""
     if len(labels) == 0:
         raise DataError("cannot train on an empty corpus")
     if len(set(labels)) < 2:
         raise DataError("training corpus must contain both labels")
     ys = [1.0 if label is Label.FAKE else 0.0 for label in labels]
     col_of: dict[int, int] = {}  # bucket -> column of w
+    if order is None:
+        order = _sgd_order(len(ys), config)
     sgd = _sgd_numpy if sum(map(len, rows)) >= _NUMPY_ROW * len(rows) else _sgd_lists
-    w, bias = sgd(rows, col_of, ys, config)
+    w, bias = sgd(rows, col_of, ys, config, order)
     # an overflow shows as a weight or bias that is not finite
     if not (math.isfinite(bias) and all(map(math.isfinite, w))):
         raise DataError(
@@ -298,14 +306,14 @@ def _sgd_order(n: int, config: TrainConfig) -> Iterator[int]:
 
 def _sgd_lists(
     rows: Sequence[Mapping[int, int]], col_of: dict[int, int], ys: list[float],
-    config: TrainConfig,
+    config: TrainConfig, order: Iterable[int],
 ) -> tuple[list[float], float]:
     """_fit's SGD on Python floats: w is a list, and each row a list of (column, count) pairs."""
     feats = [list(zip(_columns(row, col_of), map(float, row.values()))) for row in rows]
     w = [0.0] * len(col_of)
     bias = 0.0
     lr, l2 = config.learning_rate, config.l2
-    for i in _sgd_order(len(ys), config):
+    for i in order:
         pairs = feats[i]
         g = _sigmoid(_score(bias, [w[c] * k for c, k in pairs])) - ys[i]
         for c, k in pairs:
@@ -317,7 +325,7 @@ def _sgd_lists(
 
 def _sgd_numpy(
     rows: Sequence[Mapping[int, int]], col_of: dict[int, int], ys: list[float],
-    config: TrainConfig,
+    config: TrainConfig, order: Iterable[int],
 ) -> tuple[list[float], float]:
     """_sgd_lists on numpy arrays: an update gathers and writes a row's weights in one
     operation each, and np.add.accumulate's last element is _score's sum of the terms."""
@@ -335,7 +343,7 @@ def _sgd_numpy(
     lr, l2 = config.learning_rate, config.l2
     # _fit checks for the overflow these warnings would report
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in _sgd_order(len(ys), config):
+        for i in order:
             col, cnt = feats[i]
             wi = w[col]
             # [-1:] is empty for an empty row, which then scores its bias as _score's does
@@ -683,13 +691,13 @@ def run_matrix(
 ) -> MatrixReport:
     """Full evaluation matrix over datasets x policies.
 
-    Every dataset is split once. For every policy, each dataset is masked
-    (always with its own index) and each distinct masked text featurized
-    once; a dataset's train, test and full slices are row selections of
-    those features. For every (train dataset, policy) a model is trained on
-    the training slice, then evaluated on the in-domain test slice and on
-    every other dataset's test slice (or its full slice when ood_full is
-    set), all under the same policy.
+    Every dataset is split once. For every policy, each dataset is masked to
+    text alone (always with its own index) and each distinct masked text
+    featurized once; a dataset's train, test and full slices are row
+    selections of those features. For every (train dataset, policy) a model
+    is trained on the training slice, then evaluated on the in-domain test
+    slice and on every other dataset's test slice (or its full slice when
+    ood_full is set), all under the same policy.
 
     Work whose result is known is not redone; the shared results are the
     ones running it would reproduce bit for bit, so every report keeps its
@@ -702,7 +710,9 @@ def run_matrix(
     evaluated once per distinct (texts, gold labels) slice, and every cell
     still names its own training and test dataset. Only the masked texts are
     kept across policies; one policy's rows and one model are alive at a
-    time. Every masked policy is McNemar-tested against the no-mask baseline
+    time. Fits of one training size share one SGD order, drawn once per call
+    (not cached across calls, so each call costs what a one-shot run does).
+    Every masked policy is McNemar-tested against the no-mask baseline
     within its (train, test) cell, Bonferroni-adjusted for
     m = len(policies) - 1 comparisons. Output ordering and content are
     deterministic.
@@ -713,13 +723,14 @@ def run_matrix(
     # name -> (positions, gold labels) of its train, test and full slices
     slices = {b.name: _split_rows(b, split) for b in datasets}
     memo: dict[str, int] = {}  # phrase -> bucket, for this call's space only
+    sgd_orders: dict[int, list[int]] = {}  # training size -> _sgd_order, for this call's config
     results: dict[tuple[str, str, MaskPolicy], EvalCell] = {}
     # every dataset's masked texts -> the first policy that masked them so
     first_masking: dict[tuple[tuple[str, ...], ...], MaskPolicy] = {}
     source: dict[MaskPolicy, MaskPolicy] = {}  # policy -> the policy whose results it shares
     for policy in policies:
         texts = tuple(
-            tuple(apply_mask(doc, policy, indexes.get(b.name), resolve_mode).text for doc in b.docs)
+            tuple(mask_text(doc, policy, indexes.get(b.name), resolve_mode) for doc in b.docs)
             for b in datasets
         )
         source[policy] = first_masking.setdefault(texts, policy)
@@ -745,8 +756,12 @@ def run_matrix(
             trained_on.setdefault(masked[name][0], []).append(name)
         for (train_texts, train_gold), members in trained_on.items():
             first = members[0]
+            n = len(train_gold)
+            if n not in sgd_orders:
+                sgd_orders[n] = list(_sgd_order(n, config))
             with prefixed(f"dataset {first!r}"):
-                model = _fit([row_of[t] for t in train_texts], train_gold, first, space, config)
+                model = _fit([row_of[t] for t in train_texts], train_gold, first, space, config,
+                             sgd_orders[n])
             evals: dict[tuple[tuple[str, ...], tuple[Label, ...]], EvalCell] = {}  # by slice
             for train_name in members:
                 if train_name != first:

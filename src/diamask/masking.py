@@ -14,6 +14,10 @@ Replacement tokens are bare strings spliced into the text. After any edit,
 whitespace runs created by deletions collapse to a single space and edge
 whitespace is trimmed; spacing elsewhere is preserved byte for byte. A
 document with no spans always comes back unchanged.
+
+mask_text is the one splice: it gives a document's masked text and, when
+handed a list, logs the token spliced in for each span. apply_mask and
+mask_corpus keep that log; run_matrix needs the text only and builds none.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "MaskedDocument",
     "apply_mask",
     "mask_corpus",
+    "mask_text",
 ]
 
 
@@ -129,6 +134,54 @@ def _collapse_junctions(text: str, junctions: list[int]) -> str:
     return text
 
 
+def mask_text(
+    doc: AnnotatedDocument,
+    policy: MaskPolicy,
+    index: EntityIndex | None = None,
+    resolve_mode: ResolveMode = ResolveMode.DUMP_ORDER,
+    replacements: list[tuple[NeSpan, str | None]] | None = None,
+) -> str:
+    """The masked text of one document, as apply_mask's .text.
+
+    Spans are processed left to right. Given a replacements list, it gets
+    apply_mask's log appended: every span paired with the token spliced in
+    for it. Without one, no log is built, which is all run_matrix needs.
+    """
+    if index is None and policy.requires_index:
+        raise DataError(f"policy {policy.value!r} requires an entity index")
+    text = doc.document.text
+    pieces: list[str] = []
+    out_len = 0
+    junctions: list[int] = []
+    edited = False
+    cursor = 0
+    for span in doc.spans:
+        chunk = text[cursor:span.start]
+        pieces.append(chunk)
+        out_len += len(chunk)
+        action = _span_action(span, policy, index, resolve_mode)
+        token = None
+        if action == _KEEP:
+            pieces.append(span.surface)
+            out_len += len(span.surface)
+        elif action == _DELETE:
+            junctions.append(out_len)
+            edited = True
+        else:
+            pieces.append(action)
+            out_len += len(action)
+            token = action
+            edited = True
+        if replacements is not None:
+            replacements.append((span, token))
+        cursor = span.end
+    pieces.append(text[cursor:])
+    masked = "".join(pieces)
+    if edited:
+        masked = _collapse_junctions(masked, junctions).strip()
+    return masked
+
+
 def apply_mask(
     doc: AnnotatedDocument,
     policy: MaskPolicy,
@@ -137,45 +190,14 @@ def apply_mask(
 ) -> MaskedDocument:
     """Mask one document.
 
-    Spans are processed left to right. The replacement log pairs every input
-    span with the token spliced in for it (None for spans kept verbatim or
-    deleted), so len(replacements) == len(spans) always. WikiD-family
-    policies need an entity index; person spans that resolve to nothing
-    still get the generic "PER" token.
+    The replacement log pairs every input span with the token spliced in
+    for it (None for spans kept verbatim or deleted), so len(replacements)
+    == len(spans) always. WikiD-family policies need an entity index;
+    person spans that resolve to nothing still get the generic "PER" token.
     """
-    if policy.requires_index and index is None:
-        raise DataError(f"policy {policy.value!r} requires an entity index")
-    text = doc.document.text
-    pieces: list[str] = []
-    out_len = 0
-    junctions: list[int] = []
     replacements: list[tuple[NeSpan, str | None]] = []
-    edited = False
-    cursor = 0
-    for span in doc.spans:
-        chunk = text[cursor:span.start]
-        pieces.append(chunk)
-        out_len += len(chunk)
-        action = _span_action(span, policy, index, resolve_mode)
-        if action == _KEEP:
-            pieces.append(span.surface)
-            out_len += len(span.surface)
-            replacements.append((span, None))
-        elif action == _DELETE:
-            junctions.append(out_len)
-            replacements.append((span, None))
-            edited = True
-        else:
-            pieces.append(action)
-            out_len += len(action)
-            replacements.append((span, action))
-            edited = True
-        cursor = span.end
-    pieces.append(text[cursor:])
-    masked = "".join(pieces)
-    if edited:
-        masked = _collapse_junctions(masked, junctions).strip()
-    return MaskedDocument(text=masked, replacements=tuple(replacements))
+    text = mask_text(doc, policy, index, resolve_mode, replacements)
+    return MaskedDocument(text=text, replacements=tuple(replacements))
 
 
 def mask_corpus(

@@ -15,7 +15,7 @@ shared list, so building or loading is linear in the number of postings.
 Re-adding a QID first withdraws the postings of the record it replaces.
 Posting order carries no meaning: lookup_by_name sorts its candidates by
 sitelink count descending, then numeric QID. resolve_person_label memoizes
-its answer on the index per (normalized surface, mode); every add clears
+its answer on the index per (surface as written, mode); every add clears
 that memo, so a resolve always reflects the records present at the time.
 
 The dump is read as newline-delimited JSON entities, optionally gzipped.
@@ -124,6 +124,11 @@ class RoleProperty(Enum):
     POSITION_HELD = "P39"
     OCCUPATION = "P106"
 
+    # Enum.__hash__ is a Python function (hash of the member name), and save_index
+    # looks one up per statement. Members are singletons that compare by identity,
+    # so the identity hash agrees with ==; no output iterates a set of them.
+    __hash__ = object.__hash__
+
 
 # in place of RoleProperty(pid) and prop.value (see the module docstring);
 # _ROLE_BY_PID keeps the Enum's order, P39 first
@@ -134,6 +139,9 @@ _PID_BY_ROLE = {prop: pid for pid, prop in _ROLE_BY_PID.items()}
 class ResolveMode(Enum):
     DUMP_ORDER = "dump-order"
     TEMPORAL = "temporal"
+
+    # the resolve memo hashes one per span; as for RoleProperty
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -173,7 +181,7 @@ class EntityIndex:
     by_name: dict[str, list[str]] = field(default_factory=dict)
     by_token: dict[str, list[str]] = field(default_factory=dict)
     malformed_lines: int = 0
-    # resolve_person_label results per (normalized surface, mode); add clears it
+    # resolve_person_label results per (surface as written, mode); add clears it
     _resolved: dict[tuple[str, ResolveMode], ResolvedLabel] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -553,12 +561,13 @@ def resolve_person_label(
     snapshot date (open-ended ranges count; the latest start wins, dump
     order breaking ties) and falls back to the full DUMP_ORDER cascade when
     none is valid. Unresolvable surfaces yield the generic person token.
-    Results are memoized on the index per normalized surface and mode.
+    Results are memoized on the index per surface as written and mode, so
+    lookup_by_name normalizes a surface only the first time it is resolved.
     """
-    key = (_normalize(surface), mode)
+    key = (surface, mode)
     resolved = index._resolved.get(key)
     if resolved is None:
-        resolved = index._resolved[key] = _resolve(index, key[0], mode)
+        resolved = index._resolved[key] = _resolve(index, surface, mode)
     return resolved
 
 

@@ -772,6 +772,16 @@ class TestExperiment:
         text = out_text.read_text()
         assert "train=a" in text and "WikiD" in text
 
+    def test_a_matrix_on_short_rows_never_loads_numpy(self, world):
+        # in a fresh process, as for train: every fit here trains on Python lists
+        config = experiment_config(world, policies=[p.value for p in MaskPolicy])
+        argv = ["experiment", "--config", str(config), "--output-json", str(world["dir"] / "r.json")]
+        script = ("import sys\nfrom diamask.cli import dispatch\n"
+                  "code = dispatch(sys.argv[1:])\nsys.exit(code or 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(json.loads((world["dir"] / "r.json").read_text())["cells"]) == 24
+
     def test_text_goes_to_stdout_by_default(self, world, capsys):
         config = experiment_config(world, policies=["no-mask"])
         assert dispatch(["experiment", "--config", str(config)]) == 0

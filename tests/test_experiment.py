@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from datetime import date
 
@@ -846,9 +847,9 @@ def count_fits(monkeypatch):
     """The list of training set names of the _fit calls made from here on."""
     calls = []
 
-    def counted(rows, labels, name, space, config):
+    def counted(rows, labels, name, *args, **kwargs):
         calls.append(name)
-        return _fit(rows, labels, name, space, config)
+        return _fit(rows, labels, name, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "_fit", counted)
     return calls
@@ -938,6 +939,19 @@ class TestRunMatrix:
             *(f"policy {p.value} masks every dataset as wikid does; its cells are reused"
               for p in WIKID_FAMILY[1:]),
         ]
+
+    def test_fits_of_one_training_size_shuffle_one_sgd_order(self, monkeypatch):
+        bundles, indexes = unindexed_world()
+        shuffled = []  # the length of every list a random.Random shuffles
+        real = random.Random.shuffle
+        monkeypatch.setattr(random.Random, "shuffle",
+                            lambda rng, x: shuffled.append(len(x)) or real(rng, x))
+        fits = count_fits(monkeypatch)
+        run_matrix(bundles, tuple(MaskPolicy), indexes, SPLIT, space=SMALL_SPACE)
+        # each random split shuffles its dataset's 100 documents once; the seven fits,
+        # each on 80 rows, share one SGD order, which reshuffles once per epoch
+        assert len(fits) == 7
+        assert Counter(shuffled) == {100: len(bundles), 80: TrainConfig().epochs}
 
     def test_a_shared_fit_fails_as_the_first_dataset_of_its_group(self):
         _, bundles, indexes = small_world()

@@ -4,7 +4,7 @@ from collections import Counter
 from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamask import (
@@ -15,10 +15,12 @@ from diamask import (
     MaskPolicy,
     NeSpan,
     NeTag,
+    ResolveMode,
     apply_mask,
     index_dump,
     mask_corpus,
 )
+from diamask.masking import _DELETE, _KEEP, _collapse_junctions, _span_action, mask_text
 
 from helpers import make_sample_annotated, modi_dump_lines
 
@@ -276,3 +278,83 @@ def test_word_aligned_masking_invariants(words, mask_positions, policy):
         assert masked.text == masked.text.strip()
     for token in masked.emitted_tokens():
         assert _QID_OR_TAG.match(token)
+
+
+# -- mask_text's splice against the apply_mask it was taken from --------------
+
+
+def reference_apply_mask(doc, policy, index, resolve_mode):
+    """apply_mask as it was before mask_text: (masked text, replacement log)."""
+    text = doc.document.text
+    pieces, junctions, replacements = [], [], []
+    out_len = 0
+    edited = False
+    cursor = 0
+    for span in doc.spans:
+        chunk = text[cursor:span.start]
+        pieces.append(chunk)
+        out_len += len(chunk)
+        action = _span_action(span, policy, index, resolve_mode)
+        if action == _KEEP:
+            pieces.append(span.surface)
+            out_len += len(span.surface)
+            replacements.append((span, None))
+        elif action == _DELETE:
+            junctions.append(out_len)
+            replacements.append((span, None))
+            edited = True
+        else:
+            pieces.append(action)
+            out_len += len(action)
+            replacements.append((span, action))
+            edited = True
+        cursor = span.end
+    pieces.append(text[cursor:])
+    masked = "".join(pieces)
+    if edited:
+        masked = _collapse_junctions(masked, junctions).strip()
+    return masked, tuple(replacements)
+
+
+MODI_INDEX = index_dump(io.StringIO("\n".join(modi_dump_lines()) + "\n"), SNAPSHOT)
+# whitespace runs, punctuation and nothing at all (so spans can touch)
+GAPS = ("", "", " ", "   ", "\t", " \n ", ",", ", ", " . ", "'s ", " (", ") ", "said")
+SURFACES = {
+    # "Wren Nobody" shares no token with the index, so it takes the PER fallback
+    NeTag.PER: ("Modi", "Narendra Modi", "MODI", "Barack Obama", "Douglas Adams", "Wren Nobody"),
+    NeTag.LOC: ("US", "New Delhi"),
+    NeTag.ORG: ("UN",),
+    NeTag.MISC: ("Olympics",),
+}
+SPAN = st.sampled_from(list(NeTag)).flatmap(
+    lambda tag: st.sampled_from(SURFACES[tag]).map(lambda surface: (surface, tag))
+)
+
+
+@st.composite
+def spliced_docs(draw):
+    """A document of gaps and spans in any order: spans at either edge, next to
+    each other, and next to punctuation and whitespace runs."""
+    text, spans = "", []
+    for part in draw(st.lists(st.one_of(st.sampled_from(GAPS), SPAN), max_size=12)):
+        if isinstance(part, str):
+            text += part
+        else:
+            surface, tag = part
+            spans.append(NeSpan(start=len(text), end=len(text) + len(surface), tag=tag,
+                                surface=surface))
+            text += surface
+    return AnnotatedDocument(document=Document(id="d", text=text, label=Label.REAL),
+                             spans=tuple(spans))
+
+
+@given(spliced_docs(), st.sampled_from(list(MaskPolicy)), st.sampled_from(list(ResolveMode)))
+@settings(max_examples=300)
+def test_mask_text_splices_as_apply_mask_did(doc, policy, mode):
+    text, log = reference_apply_mask(doc, policy, MODI_INDEX, mode)
+    assert mask_text(doc, policy, MODI_INDEX, mode) == text
+    replacements = []
+    assert mask_text(doc, policy, MODI_INDEX, mode, replacements) == text
+    assert tuple(replacements) == log
+    masked = apply_mask(doc, policy, MODI_INDEX, mode)
+    assert (masked.text, masked.replacements) == (text, log)
