@@ -10,7 +10,8 @@ around their words, and its `index-wikidata` (plain and gzip'd dump, with
 and without --person-only) and `coverage --top-k` outputs on a dump whose
 names hold quotes, backslashes, control characters and line separators, and
 its `experiment --config` reports on two mirrored periods and a third dataset
-that also holds LOC and ORG spans.
+that also holds LOC and ORG spans, and its `mask` corpus and usage report
+under NE Del, Basic NER and WikiD NER on the tagged, punctuated corpus.
 Comparing two runs of the same code cannot
 catch a change that reorders float sums, nor can one kind of CPU; these
 hashes, checked under several BLAS kernels, can.
@@ -170,6 +171,12 @@ CLI_GOLDEN = {
     "coverage.tsv": "057dea955d2d38150f0ffc99ddbd104a33700ea4bc13b76906b85d4ffaa88424",
     "experiment.json": "1d12d0f9ecd599fb4deb3e70796ebff05787d57e0cc896e038c49ec8bd3702b7",
     "experiment.txt": "4b3cb9f11e702a66588dd170777b4378c2f08c05de9c9efc08a120457451bc02",
+    "mask_ne-del.jsonl": "7ca594f9444c5fc1d99bfead6421bd0c80135bb95e265923a7f04f7bdba2cbef",
+    "mask_ne-del_usage.tsv": "49ae4b7592978656021c2243843cfb3b4dfa16bd8d626c08ff9e861d5a57539c",
+    "mask_basic-ner.jsonl": "2b5e76c32e202253e268695dcf33f8dc869120f8f0207aed9b8b85814575144c",
+    "mask_basic-ner_usage.tsv": "5a1852a207b937b76e58841568cbd465ba179e110876151cb0da553a5c291800",
+    "mask_wikid-ner.jsonl": "eaac673025b7a1becd5a4109dfbfb72729e528f93cf68b47ece8a77e584b794e",
+    "mask_wikid-ner_usage.tsv": "07d2c0042e0d969485bba312cfac090d8996c14dd8cdba6497ec0245f5b2aa1a",
 }
 
 # Marks around the synthetic texts' words, so that the tokenizer's edge rules
@@ -292,7 +299,8 @@ def cli_outputs(data, tmp_path_factory):
     """The lmi (TSV and text) and tag outputs of the CLI on both synthetic
     periods; index-wikidata on a dump (plain, and gzip'd in the wrapped-array
     form), with and without --person-only; coverage over two usage reports,
-    labeled through the index; and experiment's JSON and text reports."""
+    labeled through the index; mask's corpus and usage report under three
+    policies on the tagged corpus; and experiment's JSON and text reports."""
     rng = random.Random(17)
     docs = tuple(_punctuated(doc, rng) for doc in data.corpus_a.documents + data.corpus_b.documents)
     tmp = tmp_path_factory.mktemp("cli")
@@ -324,6 +332,13 @@ def cli_outputs(data, tmp_path_factory):
     }
     for name, argv in runs.items():
         assert dispatch([*argv, "--output", str(tmp / name)]) == 0
+    # the tagged spans lie next to punctuation and line ends; wikid-ner resolves
+    # the indexed persons and gives the others, and MISC and LOC, their tags
+    for policy in ("ne-del", "basic-ner", "wikid-ner"):
+        assert dispatch(["mask", "--corpus", str(corpus), "--annotations", str(tmp / "tags.jsonl"),
+                         "--policy", policy, "--index", str(tmp / "index.idx"),
+                         "--output", str(tmp / f"mask_{policy}.jsonl"),
+                         "--usage-report", str(tmp / f"mask_{policy}_usage.tsv")]) == 0
     assert dispatch(["experiment", "--config", str(_experiment_config(data, tmp)),
                      "--output-json", str(tmp / "experiment.json"),
                      "--output-text", str(tmp / "experiment.txt")]) == 0
