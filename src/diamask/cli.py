@@ -294,10 +294,9 @@ def _read_usage(path: str) -> Counter[str]:
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise DataError("expected 'token<TAB>count'")
-                try:
-                    count = int(parts[1])
-                except ValueError:
-                    raise DataError(f"bad count {parts[1]!r}") from None
+                if not (parts[1].isascii() and parts[1].isdigit()):  # what mask writes
+                    raise DataError(f"bad count {parts[1]!r}")
+                count = int(parts[1])
                 if count < 1:
                     raise DataError(f"count must be positive, got {count}")
                 counts[parts[0]] += count

@@ -32,19 +32,19 @@ plain loop over its dict.
 
 run_matrix ties it together: each dataset is split and its gold labels read
 once; under each policy its documents are masked to text alone (mask_text,
-no replacement log), and each distinct masked text featurized once (train,
-test and full slices are row selections of that), then for every (training
-dataset, policy) pair it trains and evaluates in-domain and on every other
-dataset, and scores each masked policy against the no-mask baseline per
-cell. The same texts give the same rows, and the same rows and labels the
-same model, so work is shared at two levels. A policy that masks every
-dataset to the same texts as an earlier one (the WikiD family on a corpus
-with person spans only) shares that policy's results. Within a policy,
-datasets whose training slices hold the same texts and labels (mirrored
-periods once their persons are masked) share one model, which scores each
-distinct slice once. The SGD order depends only on the training size and the
-config, so every fit of one size in a call takes the same order, shuffled
-once.
+no replacement log), then for every (training dataset, policy) pair it trains
+and evaluates in-domain and on every other dataset, and scores each masked
+policy against the no-mask baseline per cell. The same texts give the same
+rows, and the same rows and labels the same model and predictions, so one
+rule shares the work: each (training slice, scored slice) pair, a slice being
+masked texts and gold labels, is evaluated once per call, whichever policies
+and datasets meet it. That covers a policy that masks every dataset as an
+earlier one did (the WikiD family on a corpus with person spans only), which
+fits nothing, and datasets whose training slices are alike under a policy
+(mirrored periods once their persons are masked), which share one model.
+Masked texts are featurized on first need, once per policy. The SGD order
+depends only on the training size and the config, so every fit of one size
+in a call takes the same order, shuffled once.
 """
 
 from __future__ import annotations
@@ -678,6 +678,23 @@ def _split_rows(
     )
 
 
+# a dataset's masked texts and gold labels on one side of its split, in split order
+_Slice = tuple[tuple[str, ...], tuple[Label, ...]]
+
+
+def _rows(
+    texts: Sequence[str],
+    row_of: dict[str, dict[int, int]],
+    space: FeatureSpace,
+    memo: dict[str, int],
+) -> list[dict[int, int]]:
+    """The rows of texts, each featurized on its first need and kept in row_of."""
+    for text in texts:
+        if text not in row_of:
+            row_of[text] = _bucket_counts(text, space, memo)
+    return [row_of[text] for text in texts]
+
+
 def run_matrix(
     datasets: Sequence[DatasetBundle],
     policies: Sequence[MaskPolicy],
@@ -692,25 +709,22 @@ def run_matrix(
     """Full evaluation matrix over datasets x policies.
 
     Every dataset is split once. For every policy, each dataset is masked to
-    text alone (always with its own index) and each distinct masked text
-    featurized once; a dataset's train, test and full slices are row
-    selections of those features. For every (train dataset, policy) a model
-    is trained on the training slice, then evaluated on the in-domain test
-    slice and on every other dataset's test slice (or its full slice when
+    text alone (always with its own index). For every (train dataset, policy)
+    a model is trained on the training slice, then evaluated on the in-domain
+    test slice and on every other dataset's test slice (or its full slice when
     ood_full is set), all under the same policy.
 
-    Work whose result is known is not redone; the shared results are the
-    ones running it would reproduce bit for bit, so every report keeps its
-    bytes. A policy whose masked texts equal an earlier policy's on every
-    dataset is neither featurized, trained nor evaluated: its cells take the
-    earlier policy's results, and it is logged at info level. Within a
-    policy, datasets whose training slices hold the same texts and gold
-    labels train one model, named after (and, on an error, failing as) the
-    first of them; each later one is logged at info level. That model is
-    evaluated once per distinct (texts, gold labels) slice, and every cell
-    still names its own training and test dataset. Only the masked texts are
-    kept across policies; one policy's rows and one model are alive at a
-    time. Fits of one training size share one SGD order, drawn once per call
+    Equal slices (masked texts and gold labels) give equal rows, models and
+    predictions, so each (training slice, scored slice) pair is evaluated once
+    per call, and every cell of that pair, under any policy, takes its result;
+    reports keep their bytes. Within a policy, datasets with one training slice
+    share one model, fitted on the group's first new pair and named after (and,
+    on an error, failing as) the first of them. A masked text is featurized on
+    its first need. One policy's rows and one model are alive at a time, so a
+    training slice met again with a new scored slice is fitted again; a policy
+    with no new pair featurizes, fits and evaluates nothing. Each policy that
+    reuses a cell logs at info level how many it reuses and how many models it
+    fits. Fits of one training size share one SGD order, drawn once per call
     (not cached across calls, so each call costs what a one-shot run does).
     Every masked policy is McNemar-tested against the no-mask baseline
     within its (train, test) cell, Bonferroni-adjusted for
@@ -724,71 +738,54 @@ def run_matrix(
     slices = {b.name: _split_rows(b, split) for b in datasets}
     memo: dict[str, int] = {}  # phrase -> bucket, for this call's space only
     sgd_orders: dict[int, list[int]] = {}  # training size -> _sgd_order, for this call's config
+    evals: dict[tuple[_Slice, _Slice], EvalCell] = {}  # (training slice, scored slice) -> its cell
     results: dict[tuple[str, str, MaskPolicy], EvalCell] = {}
-    # every dataset's masked texts -> the first policy that masked them so
-    first_masking: dict[tuple[tuple[str, ...], ...], MaskPolicy] = {}
-    source: dict[MaskPolicy, MaskPolicy] = {}  # policy -> the policy whose results it shares
     for policy in policies:
-        texts = tuple(
-            tuple(mask_text(doc, policy, indexes.get(b.name), resolve_mode) for doc in b.docs)
-            for b in datasets
-        )
-        source[policy] = first_masking.setdefault(texts, policy)
-        if source[policy] is not policy:
-            log.info(
-                "policy %s masks every dataset as %s does; its cells are reused",
-                policy.value,
-                source[policy].value,
-            )
-            continue
-        # masked text -> its row, under this policy only: equal texts share one row
-        row_of = dict.fromkeys(text for dataset_texts in texts for text in dataset_texts)
-        for text in row_of:
-            row_of[text] = _bucket_counts(text, space, memo)
-        # name -> (texts, gold labels) of its train, test and full slices under this policy
-        masked = {
-            name: [(tuple(dataset_texts[r] for r in sel), gold) for sel, gold in slices[name]]
-            for name, dataset_texts in zip(names, texts)
-        }
+        # name -> its train, test and full slices under this policy
+        masked: dict[str, list[_Slice]] = {}
+        for b in datasets:
+            texts = [mask_text(doc, policy, indexes.get(b.name), resolve_mode) for doc in b.docs]
+            masked[b.name] = [(tuple(texts[r] for r in sel), gold) for sel, gold in slices[b.name]]
+        row_of: dict[str, dict[int, int]] = {}  # masked text -> its row, under this policy only
         # a training slice -> the datasets that train on it, in dataset order
-        trained_on: dict[tuple[tuple[str, ...], tuple[Label, ...]], list[str]] = {}
+        trained_on: dict[_Slice, list[str]] = {}
         for name in names:
             trained_on.setdefault(masked[name][0], []).append(name)
-        for (train_texts, train_gold), members in trained_on.items():
-            first = members[0]
-            n = len(train_gold)
-            if n not in sgd_orders:
-                sgd_orders[n] = list(_sgd_order(n, config))
-            with prefixed(f"dataset {first!r}"):
-                model = _fit([row_of[t] for t in train_texts], train_gold, first, space, config,
-                             sgd_orders[n])
-            evals: dict[tuple[tuple[str, ...], tuple[Label, ...]], EvalCell] = {}  # by slice
+        known, fits = len(evals), 0
+        for train, members in trained_on.items():
+            model = None  # fitted on the group's first new pair
             for train_name in members:
-                if train_name != first:
-                    log.info(
-                        "policy %s masks dataset %s's training slice as %s's; its model is reused",
-                        policy.value,
-                        train_name,
-                        first,
-                    )
                 for eval_name in names:
-                    key = masked[eval_name][2 if ood_full and eval_name != train_name else 1]
-                    if key not in evals:
-                        evals[key] = _evaluate_rows(
-                            model, [row_of[t] for t in key[0]], key[1], eval_name
+                    scored = masked[eval_name][2 if ood_full and eval_name != train_name else 1]
+                    cell = evals.get((train, scored))
+                    if cell is None:
+                        if model is None:
+                            n = len(train[1])
+                            if n not in sgd_orders:
+                                sgd_orders[n] = list(_sgd_order(n, config))
+                            with prefixed(f"dataset {members[0]!r}"):
+                                model = _fit(_rows(train[0], row_of, space, memo), train[1],
+                                             members[0], space, config, sgd_orders[n])
+                            fits += 1
+                        cell = evals[train, scored] = _evaluate_rows(
+                            model, _rows(scored[0], row_of, space, memo), scored[1], eval_name
                         )
                     results[(train_name, eval_name, policy)] = replace(
-                        evals[key], train_set=train_name, test_set=eval_name
+                        cell, train_set=train_name, test_set=eval_name
                     )
+        reused = len(names) ** 2 - (len(evals) - known)
+        if reused:
+            log.info("policy %s reuses %d of its %d cells and fits %d model%s", policy.value,
+                     reused, len(names) ** 2, fits, "" if fits == 1 else "s")
     has_baseline = MaskPolicy.NO_MASK in policies and len(policies) > 1
     cells = []
     for train_name in names:
         for test_name in names:
             for policy in policies:
-                ev = results[(train_name, test_name, source[policy])]
+                ev = results[(train_name, test_name, policy)]
                 test_result = None
                 if has_baseline and policy is not MaskPolicy.NO_MASK:
-                    baseline = results[(train_name, test_name, source[MaskPolicy.NO_MASK])]
+                    baseline = results[(train_name, test_name, MaskPolicy.NO_MASK)]
                     test_result = mcnemar(baseline, ev, m)
                 cells.append(
                     MatrixCell(

@@ -811,8 +811,11 @@ class TestExperiment:
         assert quiet.returncode == verbose.returncode == 0
         assert quiet.stderr == ""
         assert verbose.stdout == quiet.stdout
-        reused = "policy wikid-del masks every dataset as wikid does; its cells are reused"
-        assert reused in verbose.stderr
+        # the periods share wikid's model, and wikid-del masks them as wikid does
+        assert verbose.stderr.splitlines() == [
+            "INFO diamask.experiment: policy wikid reuses 2 of its 4 cells and fits 1 model",
+            "INFO diamask.experiment: policy wikid-del reuses 4 of its 4 cells and fits 0 models",
+        ]
 
     def test_missing_datasets_key_is_a_data_error(self, world, capsys):
         config = world["dir"] / "bad.json"
@@ -1437,6 +1440,11 @@ HOSTILE = [
     pytest.param("token\tcount\nQ1\t0\n", _TOP_LABELS, "hostile line 2", id="usage-zero-count"),
     pytest.param("token\tcount\nQ1\t-2\n", _TOP_LABELS, "hostile line 2",
                  id="usage-negative-count"),
+    # int() reads each of these, but a count is ASCII digits only, as mask writes it
+    *(pytest.param(f"token\tcount\nQ1\t{count}\n", _TOP_LABELS,
+                   f"hostile line 2: bad count {count!r}", id=f"usage-count-{name}")
+      for name, count in [("with-an-underscore", "1_0"), ("with-a-plus-sign", "+3"),
+                          ("with-a-leading-space", " 3"), ("in-arabic-indic-digits", "\u0663")]),
     pytest.param("token\tcount\nPER\t2\n", ["coverage", "--usage", "a={f}", "--usage", "b={f}"],
                  "hostile: first label set is empty", id="coverage-no-role-qid"),
     # bytes rows are written as they are: a byte that is not UTF-8, a cut gzip stream

@@ -39,7 +39,7 @@ from diamask import (
     train,
 )
 from diamask import experiment
-from diamask.experiment import _fit, _score_row
+from diamask.experiment import _evaluate_rows, _fit, _score_row
 from diamask.masking import mask_corpus
 
 from helpers import (
@@ -839,8 +839,24 @@ def distinct_fits(bundles, indexes, policies):
     return keys
 
 
-def model_reused(policy, name, first):
-    return f"policy {policy.value} masks dataset {name}'s training slice as {first}'s; its model is reused"
+def distinct_evals(bundles, indexes, policies, ood_full=False):
+    """The evaluations a matrix needs: the distinct (training slice, scored
+    slice) pairs over the policies, a slice being its masked texts and labels."""
+    keys = set()
+    for policy in policies:
+        masked = [mask_corpus(b.docs, policy, indexes[b.name], name=b.name)[0] for b in bundles]
+        sides = [split_random(c, SPLIT) for c in masked]
+        for i, (train_c, _) in enumerate(sides):
+            for j, (full_c, (_, test_c)) in enumerate(zip(masked, sides)):
+                scored = full_c if ood_full and i != j else test_c
+                keys.add(tuple((tuple(doc.text for doc in c), tuple(c.labels()))
+                               for c in (train_c, scored)))
+    return keys
+
+
+def reuses(policy, reused, cells, fits):
+    return f"policy {policy.value} reuses {reused} of its {cells} cells and fits {fits} model" + (
+        "" if fits == 1 else "s")
 
 
 def count_fits(monkeypatch):
@@ -852,6 +868,18 @@ def count_fits(monkeypatch):
         return _fit(rows, labels, name, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "_fit", counted)
+    return calls
+
+
+def count_evals(monkeypatch):
+    """The list of test set names of the _evaluate_rows calls made from here on."""
+    calls = []
+
+    def counted(model, rows, gold, test_set):
+        calls.append(test_set)
+        return _evaluate_rows(model, rows, gold, test_set)
+
+    monkeypatch.setattr(experiment, "_evaluate_rows", counted)
     return calls
 
 
@@ -888,13 +916,16 @@ class TestRunMatrix:
                     for c in (report.cell(train_name, test_name, p) for p in WIKID_FAMILY)
                 }
                 assert len(family) == 1
+        # b's training slice and both test slices are a's under every policy but no-mask,
+        # and the WikiD family's later policies find all their cells made by wikid
         assert [r.getMessage() for r in caplog.records] == [
-            *(model_reused(p, "b", "a") for p in policies[1:4]),
-            *(f"policy {p.value} masks every dataset as wikid does; its cells are reused"
-              for p in WIKID_FAMILY[1:]),
+            *(reuses(p, 3, 4, 1) for p in policies[1:4]),
+            *(reuses(p, 4, 4, 0) for p in WIKID_FAMILY[1:]),
         ]
 
-    def test_policies_that_mask_one_dataset_alike_share_nothing(self, monkeypatch, caplog):
+    def test_policies_that_mask_one_dataset_alike_share_its_in_domain_cell(
+        self, monkeypatch, caplog
+    ):
         _, bundles, indexes = small_world()
         mixed, _ = mixed_world()
         # a has person spans only; b also has LOC and ORG spans
@@ -908,7 +939,11 @@ class TestRunMatrix:
             report = run_matrix(bundles, policies, indexes, SPLIT, space=SMALL_SPACE)
         assert len(fits) == len(distinct_fits(bundles, indexes, policies)) == len(policies) * 2
         assert_cells_match(report, expected)
-        assert caplog.records == []
+        # a's model still scores b's slice, which the family masks apart, but
+        # its in-domain cell is wikid's
+        assert [r.getMessage() for r in caplog.records] == [
+            reuses(p, 1, 4, 2) for p in WIKID_FAMILY[1:]
+        ]
 
     @pytest.mark.parametrize("ood_full", [False, True])
     def test_datasets_alike_under_some_policies_share_their_models_there(
@@ -930,15 +965,27 @@ class TestRunMatrix:
         keys = [(c.train_set, c.test_set, c.policy) for c in report.cells]
         assert len(keys) == len(expected) and set(keys) == set(expected)
         assert_cells_match(report, expected)
+        # under NE Del and Basic NER every test slice is alike, and so is every
+        # full slice; under wikid, c's slices are its Basic NER slices
+        shared = 7 if ood_full else 8
         assert [r.getMessage() for r in caplog.records] == [
-            model_reused(MaskPolicy.NE_DEL, "b", "a"),
-            model_reused(MaskPolicy.NE_DEL, "c", "a"),
-            model_reused(MaskPolicy.BASIC_NER, "b", "a"),
-            model_reused(MaskPolicy.BASIC_NER, "c", "a"),
-            model_reused(MaskPolicy.WIKID, "b", "a"),
-            *(f"policy {p.value} masks every dataset as wikid does; its cells are reused"
-              for p in WIKID_FAMILY[1:]),
+            reuses(MaskPolicy.NE_DEL, shared, 9, 1),
+            reuses(MaskPolicy.BASIC_NER, shared, 9, 1),
+            reuses(MaskPolicy.WIKID, shared - 2, 9, 2),
+            *(reuses(p, 9, 9, 0) for p in WIKID_FAMILY[1:]),
         ]
+
+    @pytest.mark.parametrize("ood_full", [False, True])
+    def test_each_training_and_scored_slice_pair_is_evaluated_once(self, monkeypatch, ood_full):
+        bundles, indexes = unindexed_world()
+        policies = tuple(MaskPolicy)
+        evals, fits = count_evals(monkeypatch), count_fits(monkeypatch)
+        run_matrix(bundles, policies, indexes, SPLIT, space=SMALL_SPACE, ood_full=ood_full)
+        # c's WikiD slices are its Basic NER slices, so wikid meets Basic NER's
+        # (training slice, test slice) pair again
+        assert len(evals) == len(distinct_evals(bundles, indexes, policies, ood_full))
+        assert len(evals) == (17 if ood_full else 14)
+        assert len(fits) == 7
 
     def test_fits_of_one_training_size_shuffle_one_sgd_order(self, monkeypatch):
         bundles, indexes = unindexed_world()
