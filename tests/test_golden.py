@@ -177,6 +177,13 @@ CLI_GOLDEN = {
     "mask_basic-ner_usage.tsv": "5a1852a207b937b76e58841568cbd465ba179e110876151cb0da553a5c291800",
     "mask_wikid-ner.jsonl": "eaac673025b7a1becd5a4109dfbfb72729e528f93cf68b47ece8a77e584b794e",
     "mask_wikid-ner_usage.tsv": "07d2c0042e0d969485bba312cfac090d8996c14dd8cdba6497ec0245f5b2aa1a",
+    "mask_no-mask.jsonl": "4848dc93fa5a4a3d6410f9fc7d513d571973dcdc0ccc2cb8f4eef24f1c30647e",
+    "mask_no-mask_usage.tsv": "49ae4b7592978656021c2243843cfb3b4dfa16bd8d626c08ff9e861d5a57539c",
+    "mask_wikid.jsonl": "25a1ed1c690bff9289db8d66949e027226f297aae1163d7fb423e2be80fed231",
+    "mask_wikid_usage.tsv": "fe4aa602e06eaef811c991f65e2f5bd98606301834d9a3155e023e861654fc72",
+    "mask_wikid-del.jsonl": "b780fb70b7d60285c69e6d5f93251626c91321836c57a2859a941d9acbaf7cce",
+    "mask_wikid-del_usage.tsv": "fe4aa602e06eaef811c991f65e2f5bd98606301834d9a3155e023e861654fc72",
+    "mask_wikid_temporal.jsonl": "cc22f787d0de936273637dcb4e14797cb10d57a3a12380b8ca4c145db37e8abb",
 }
 
 # Marks around the synthetic texts' words, so that the tokenizer's edge rules
@@ -244,6 +251,28 @@ def _dump_lines():
     return lines
 
 
+def _temporal_dump_lines():
+    """Dump lines for mask's temporal row: the tagged persons, each holding
+    dated positions. One in three held its first-listed position from 2001 to
+    2005 and has held another since 2010; one in three holds three open-ended
+    positions, the last two from the same later start; and one in three held
+    a position that ended in 2005 and has an occupation. At the snapshot,
+    temporal resolution takes the since-2010 one and the first of the later
+    two, and falls back to dump order where no position is still held."""
+    entities = []
+    for i, name in enumerate(SYNTH_A[:6] + SYNTH_B[:6]):
+        early, late = f"Q{100 + i}", f"Q{200 + i}"
+        positions, occupations = {
+            0: (((early, "2001-01-01", "2005-12-31"), (late, "2010-01-01", None)), ()),
+            1: (((early, "2005-06-01", None), (late, "2012-03-04", None),
+                 (f"Q{250 + i}", "2012-03-04", None)), ()),
+            2: (((early, "2001-01-01", "2005-12-31"),), (f"Q{300 + i}",)),
+        }[i % 3]
+        entities.append(make_entity(f"Q{1000 + i}", name, positions=positions,
+                                    occupations=occupations))
+    return [entity_line(e) for e in entities]
+
+
 def _with_places(docs, rng):
     """docs under new ids, each with a LOC and an ORG span appended that lean
     toward its label, and an unindexed person (the PER fallback) appended to
@@ -299,8 +328,10 @@ def cli_outputs(data, tmp_path_factory):
     """The lmi (TSV and text) and tag outputs of the CLI on both synthetic
     periods; index-wikidata on a dump (plain, and gzip'd in the wrapped-array
     form), with and without --person-only; coverage over two usage reports,
-    labeled through the index; mask's corpus and usage report under three
-    policies on the tagged corpus; and experiment's JSON and text reports."""
+    labeled through the index; mask's corpus and usage report under every
+    policy on the tagged corpus, and its corpus under wikid in both resolve
+    modes through an index of persons whose roles changed over time; and
+    experiment's JSON and text reports."""
     rng = random.Random(17)
     docs = tuple(_punctuated(doc, rng) for doc in data.corpus_a.documents + data.corpus_b.documents)
     tmp = tmp_path_factory.mktemp("cli")
@@ -334,11 +365,21 @@ def cli_outputs(data, tmp_path_factory):
         assert dispatch([*argv, "--output", str(tmp / name)]) == 0
     # the tagged spans lie next to punctuation and line ends; wikid-ner resolves
     # the indexed persons and gives the others, and MISC and LOC, their tags
-    for policy in ("ne-del", "basic-ner", "wikid-ner"):
-        assert dispatch(["mask", "--corpus", str(corpus), "--annotations", str(tmp / "tags.jsonl"),
-                         "--policy", policy, "--index", str(tmp / "index.idx"),
+    mask = ["mask", "--corpus", str(corpus), "--annotations", str(tmp / "tags.jsonl")]
+    for policy in ("no-mask", "ne-del", "basic-ner", "wikid", "wikid-del", "wikid-ner"):
+        assert dispatch([*mask, "--policy", policy, "--index", str(tmp / "index.idx"),
                          "--output", str(tmp / f"mask_{policy}.jsonl"),
                          "--usage-report", str(tmp / f"mask_{policy}_usage.tsv")]) == 0
+    # persons whose roles changed over time: temporal and dump order differ
+    temporal_dump = tmp / "temporal_dump.ndjson"
+    temporal_dump.write_text("".join(f"{line}\n" for line in _temporal_dump_lines()),
+                             encoding="utf-8")
+    assert dispatch(["index-wikidata", "--dump", str(temporal_dump), *snapshot,
+                     "--output", str(tmp / "temporal.idx")]) == 0
+    for mode in ("temporal", "dump-order"):
+        assert dispatch([*mask, "--policy", "wikid", "--index", str(tmp / "temporal.idx"),
+                         "--resolve-mode", mode,
+                         "--output", str(tmp / f"mask_wikid_{mode}.jsonl")]) == 0
     assert dispatch(["experiment", "--config", str(_experiment_config(data, tmp)),
                      "--output-json", str(tmp / "experiment.json"),
                      "--output-text", str(tmp / "experiment.txt")]) == 0
@@ -348,3 +389,8 @@ def cli_outputs(data, tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
 def test_cli_output_bytes(cli_outputs, name):
     assert sha256((cli_outputs / name).read_bytes()) == CLI_GOLDEN[name]
+
+
+def test_temporal_mask_row_differs_from_dump_order(cli_outputs):
+    temporal = (cli_outputs / "mask_wikid_temporal.jsonl").read_bytes()
+    assert temporal != (cli_outputs / "mask_wikid_dump-order.jsonl").read_bytes()
