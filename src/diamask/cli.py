@@ -294,12 +294,11 @@ def _read_usage(path: str) -> Counter[str]:
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise DataError("expected 'token<TAB>count'")
-                if not (parts[1].isascii() and parts[1].isdigit()):  # what mask writes
-                    raise DataError(f"bad count {parts[1]!r}")
-                count = int(parts[1])
-                if count < 1:
-                    raise DataError(f"count must be positive, got {count}")
-                counts[parts[0]] += count
+                token, count = parts
+                # as mask writes it: positive, ASCII digits, no leading zero ("01" reads 1)
+                if not (count.isascii() and count.isdigit()) or count[0] == "0":
+                    raise DataError(f"bad count {count!r}")
+                counts[token] += int(count)
     return counts
 
 

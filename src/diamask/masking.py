@@ -1,23 +1,18 @@
 """Entity masking policies.
 
-Six policies trade off how much entity identity survives in the text:
+Six policies trade off how much entity identity survives in the text. Each
+is one row of _RULES: its display name, what a person span becomes and what
+any other span becomes. A span is kept, deleted, replaced by its tag name
+(PER/LOC/ORG/MISC) or, for persons under the WikiD family, replaced by the
+role QID resolved from an entity index. No Mask keeps every span.
 
-  no-mask    leave the text untouched (baseline)
-  ne-del     delete every entity span
-  basic-ner  replace every span with its tag name (PER/LOC/ORG/MISC)
-  wikid      replace person spans with their resolved role QID token,
-             leave other spans verbatim
-  wikid-del  person spans -> role QID, all other spans deleted
-  wikid-ner  person spans -> role QID, all other spans -> tag name
-
-Replacement tokens are bare strings spliced into the text. After any edit,
-whitespace runs created by deletions collapse to a single space and edge
-whitespace is trimmed; spacing elsewhere is preserved byte for byte. A
-document with no spans always comes back unchanged.
-
-mask_text is the one splice: it gives a document's masked text and, when
-handed a list, logs the token spliced in for each span. apply_mask and
-mask_corpus keep that log; run_matrix needs the text only and builds none.
+Masking is two steps: _tokens picks each span's token from the table, and
+_splice puts the tokens into the text. mask_text returns the text alone, as
+run_matrix needs; apply_mask also logs each span's token, and mask_corpus
+counts them. After any edit, whitespace runs created by deletions collapse
+to a single space and edge whitespace is trimmed; spacing elsewhere is
+preserved byte for byte. A document with no spans always comes back
+unchanged.
 """
 
 from __future__ import annotations
@@ -59,25 +54,25 @@ class MaskPolicy(Enum):
 
     @property
     def requires_index(self) -> bool:
-        return self in (MaskPolicy.WIKID, MaskPolicy.WIKID_DEL, MaskPolicy.WIKID_NER)
+        return _RULES[self][1] == _ROLE
 
     @property
     def display_name(self) -> str:
-        return _DISPLAY_NAMES[self]
+        return _RULES[self][0]
 
 
-_DISPLAY_NAMES = {
-    MaskPolicy.NO_MASK: "No Mask",
-    MaskPolicy.NE_DEL: "NE Del",
-    MaskPolicy.BASIC_NER: "Basic NER",
-    MaskPolicy.WIKID: "WikiD",
-    MaskPolicy.WIKID_DEL: "WikiD+Del",
-    MaskPolicy.WIKID_NER: "WikiD+NER",
+# what a span becomes: itself, nothing, its tag, or its person's role
+_KEEP, _DELETE, _TAG, _ROLE = "keep", "delete", "tag", "role"
+
+# policy -> (display name, rule for a PER span, rule for any other span)
+_RULES = {
+    MaskPolicy.NO_MASK: ("No Mask", _KEEP, _KEEP),
+    MaskPolicy.NE_DEL: ("NE Del", _DELETE, _DELETE),
+    MaskPolicy.BASIC_NER: ("Basic NER", _TAG, _TAG),
+    MaskPolicy.WIKID: ("WikiD", _ROLE, _KEEP),
+    MaskPolicy.WIKID_DEL: ("WikiD+Del", _ROLE, _DELETE),
+    MaskPolicy.WIKID_NER: ("WikiD+NER", _ROLE, _TAG),
 }
-
-# span action markers
-_KEEP = "keep"
-_DELETE = "delete"
 
 
 @dataclass(frozen=True)
@@ -89,27 +84,29 @@ class MaskedDocument:
         return [token for _, token in self.replacements if token is not None]
 
 
-def _span_action(
-    span: NeSpan,
+def _tokens(
+    doc: AnnotatedDocument,
     policy: MaskPolicy,
     index: EntityIndex | None,
     resolve_mode: ResolveMode,
-) -> str:
-    """What to splice in for one span: _KEEP, _DELETE, or a replacement."""
-    if policy is MaskPolicy.NO_MASK:
-        return _KEEP
-    if policy is MaskPolicy.NE_DEL:
-        return _DELETE
-    if policy is MaskPolicy.BASIC_NER:
-        return span.tag.value
-    assert index is not None
-    if span.tag is NeTag.PER:
-        return resolve_person_label(index, span.surface, resolve_mode).token
-    if policy is MaskPolicy.WIKID:
-        return _KEEP
-    if policy is MaskPolicy.WIKID_DEL:
-        return _DELETE
-    return span.tag.value  # wikid-ner
+) -> list[str | None]:
+    """One entry per span: None keeps it, "" deletes it, and any other string
+    is the token spliced in for it (no tag or role token is empty)."""
+    _, per_rule, other_rule = _RULES[policy]
+    if per_rule == _ROLE and index is None:
+        raise DataError(f"policy {policy.value!r} requires an entity index")
+    tokens: list[str | None] = []
+    for span in doc.spans:
+        rule = per_rule if span.tag is NeTag.PER else other_rule
+        if rule == _KEEP:
+            tokens.append(None)
+        elif rule == _DELETE:
+            tokens.append("")
+        elif rule == _TAG:
+            tokens.append(span.tag.value)
+        else:
+            tokens.append(resolve_person_label(index, span.surface, resolve_mode).token)
+    return tokens
 
 
 def _collapse_junctions(text: str, junctions: list[int]) -> str:
@@ -134,52 +131,39 @@ def _collapse_junctions(text: str, junctions: list[int]) -> str:
     return text
 
 
+def _splice(doc: AnnotatedDocument, tokens: list[str | None]) -> str:
+    """doc's text with each span's token spliced in, left to right."""
+    text = doc.document.text
+    pieces: list[str] = []
+    out_len = 0
+    junctions: list[int] = []
+    cursor = 0
+    for span, token in zip(doc.spans, tokens):
+        chunk = text[cursor:span.start]
+        pieces.append(chunk)
+        out_len += len(chunk)
+        if token is None:
+            token = span.surface
+        elif not token:
+            junctions.append(out_len)
+        pieces.append(token)
+        out_len += len(token)
+        cursor = span.end
+    pieces.append(text[cursor:])
+    masked = "".join(pieces)
+    if tokens.count(None) < len(tokens):  # some span was edited
+        masked = _collapse_junctions(masked, junctions).strip()
+    return masked
+
+
 def mask_text(
     doc: AnnotatedDocument,
     policy: MaskPolicy,
     index: EntityIndex | None = None,
     resolve_mode: ResolveMode = ResolveMode.DUMP_ORDER,
-    replacements: list[tuple[NeSpan, str | None]] | None = None,
 ) -> str:
-    """The masked text of one document, as apply_mask's .text.
-
-    Spans are processed left to right. Given a replacements list, it gets
-    apply_mask's log appended: every span paired with the token spliced in
-    for it. Without one, no log is built, which is all run_matrix needs.
-    """
-    if index is None and policy.requires_index:
-        raise DataError(f"policy {policy.value!r} requires an entity index")
-    text = doc.document.text
-    pieces: list[str] = []
-    out_len = 0
-    junctions: list[int] = []
-    edited = False
-    cursor = 0
-    for span in doc.spans:
-        chunk = text[cursor:span.start]
-        pieces.append(chunk)
-        out_len += len(chunk)
-        action = _span_action(span, policy, index, resolve_mode)
-        token = None
-        if action == _KEEP:
-            pieces.append(span.surface)
-            out_len += len(span.surface)
-        elif action == _DELETE:
-            junctions.append(out_len)
-            edited = True
-        else:
-            pieces.append(action)
-            out_len += len(action)
-            token = action
-            edited = True
-        if replacements is not None:
-            replacements.append((span, token))
-        cursor = span.end
-    pieces.append(text[cursor:])
-    masked = "".join(pieces)
-    if edited:
-        masked = _collapse_junctions(masked, junctions).strip()
-    return masked
+    """The masked text of one document, as apply_mask's .text, with no log."""
+    return _splice(doc, _tokens(doc, policy, index, resolve_mode))
 
 
 def apply_mask(
@@ -195,9 +179,9 @@ def apply_mask(
     == len(spans) always. WikiD-family policies need an entity index;
     person spans that resolve to nothing still get the generic "PER" token.
     """
-    replacements: list[tuple[NeSpan, str | None]] = []
-    text = mask_text(doc, policy, index, resolve_mode, replacements)
-    return MaskedDocument(text=text, replacements=tuple(replacements))
+    tokens = _tokens(doc, policy, index, resolve_mode)
+    log = tuple((span, token or None) for span, token in zip(doc.spans, tokens))
+    return MaskedDocument(text=_splice(doc, tokens), replacements=log)
 
 
 def mask_corpus(
@@ -217,12 +201,13 @@ def mask_corpus(
     usage: Counter[str] = Counter()
     for ann in docs:
         try:
-            masked = apply_mask(ann, policy, index, resolve_mode)
+            tokens = _tokens(ann, policy, index, resolve_mode)
         except DataError as exc:
             raise DataError(f"document {ann.document.id!r}: {exc}") from None
-        usage.update(masked.emitted_tokens())
+        usage.update(filter(None, tokens))  # neither kept (None) nor deleted ("")
         src = ann.document
         masked_docs.append(
-            Document(id=src.id, text=masked.text, label=src.label, date=src.date, source=src.source)
+            Document(id=src.id, text=_splice(ann, tokens), label=src.label, date=src.date,
+                     source=src.source)
         )
     return Corpus(name=name or policy.value, documents=tuple(masked_docs)), usage

@@ -1440,11 +1440,13 @@ HOSTILE = [
     pytest.param("token\tcount\nQ1\t0\n", _TOP_LABELS, "hostile line 2", id="usage-zero-count"),
     pytest.param("token\tcount\nQ1\t-2\n", _TOP_LABELS, "hostile line 2",
                  id="usage-negative-count"),
-    # int() reads each of these, but a count is ASCII digits only, as mask writes it
+    # int() reads each of these, but a count is ASCII digits with no leading
+    # zero only, as mask writes it
     *(pytest.param(f"token\tcount\nQ1\t{count}\n", _TOP_LABELS,
                    f"hostile line 2: bad count {count!r}", id=f"usage-count-{name}")
       for name, count in [("with-an-underscore", "1_0"), ("with-a-plus-sign", "+3"),
-                          ("with-a-leading-space", " 3"), ("in-arabic-indic-digits", "\u0663")]),
+                          ("with-a-leading-space", " 3"), ("in-arabic-indic-digits", "\u0663"),
+                          ("with-a-leading-zero", "01")]),
     pytest.param("token\tcount\nPER\t2\n", ["coverage", "--usage", "a={f}", "--usage", "b={f}"],
                  "hostile: first label set is empty", id="coverage-no-role-qid"),
     # bytes rows are written as they are: a byte that is not UTF-8, a cut gzip stream

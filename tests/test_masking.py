@@ -20,7 +20,8 @@ from diamask import (
     index_dump,
     mask_corpus,
 )
-from diamask.masking import _DELETE, _KEEP, _collapse_junctions, _span_action, mask_text
+from diamask.masking import _collapse_junctions, mask_text
+from diamask.wikidata import resolve_person_label
 
 from helpers import make_sample_annotated, modi_dump_lines
 
@@ -280,7 +281,29 @@ def test_word_aligned_masking_invariants(words, mask_positions, policy):
         assert _QID_OR_TAG.match(token)
 
 
-# -- mask_text's splice against the apply_mask it was taken from --------------
+# -- mask_text, apply_mask and mask_corpus against the branch chain they replaced
+
+
+_KEEP, _DELETE = object(), object()
+
+
+def reference_span_action(span, policy, index, resolve_mode):
+    """What apply_mask spliced in for one span before the rule table: _KEEP,
+    _DELETE, or a replacement, one branch per policy."""
+    if policy is MaskPolicy.NO_MASK:
+        return _KEEP
+    if policy is MaskPolicy.NE_DEL:
+        return _DELETE
+    if policy is MaskPolicy.BASIC_NER:
+        return span.tag.value
+    assert index is not None
+    if span.tag is NeTag.PER:
+        return resolve_person_label(index, span.surface, resolve_mode).token
+    if policy is MaskPolicy.WIKID:
+        return _KEEP
+    if policy is MaskPolicy.WIKID_DEL:
+        return _DELETE
+    return span.tag.value  # wikid-ner
 
 
 def reference_apply_mask(doc, policy, index, resolve_mode):
@@ -294,12 +317,12 @@ def reference_apply_mask(doc, policy, index, resolve_mode):
         chunk = text[cursor:span.start]
         pieces.append(chunk)
         out_len += len(chunk)
-        action = _span_action(span, policy, index, resolve_mode)
-        if action == _KEEP:
+        action = reference_span_action(span, policy, index, resolve_mode)
+        if action is _KEEP:
             pieces.append(span.surface)
             out_len += len(span.surface)
             replacements.append((span, None))
-        elif action == _DELETE:
+        elif action is _DELETE:
             junctions.append(out_len)
             replacements.append((span, None))
             edited = True
@@ -353,8 +376,8 @@ def spliced_docs(draw):
 def test_mask_text_splices_as_apply_mask_did(doc, policy, mode):
     text, log = reference_apply_mask(doc, policy, MODI_INDEX, mode)
     assert mask_text(doc, policy, MODI_INDEX, mode) == text
-    replacements = []
-    assert mask_text(doc, policy, MODI_INDEX, mode, replacements) == text
-    assert tuple(replacements) == log
     masked = apply_mask(doc, policy, MODI_INDEX, mode)
     assert (masked.text, masked.replacements) == (text, log)
+    corpus, usage = mask_corpus([doc], policy, MODI_INDEX, mode)
+    assert corpus.documents[0].text == text
+    assert usage == Counter(token for _, token in log if token is not None)
