@@ -10,9 +10,10 @@ around their words, and its `index-wikidata` (plain and gzip'd dump, with
 and without --person-only) and `coverage --top-k` outputs on a dump whose
 names hold quotes, backslashes, control characters and line separators, and
 its `experiment --config` reports on two mirrored periods and a third dataset
-that also holds LOC and ORG spans, and its `mask` corpus and usage report
-under NE Del, Basic NER and WikiD NER on the tagged, punctuated corpus.
-Comparing two runs of the same code cannot
+that also holds LOC and ORG spans, its `mask` corpus and usage report under
+every policy on the tagged, punctuated corpus, and its `ingest`, `split`
+(random and time), `train` (every flag off its default) and `eval` outputs
+on that corpus. Comparing two runs of the same code cannot
 catch a change that reorders float sums, nor can one kind of CPU; these
 hashes, checked under several BLAS kernels, can.
 
@@ -184,6 +185,14 @@ CLI_GOLDEN = {
     "mask_wikid-del.jsonl": "b780fb70b7d60285c69e6d5f93251626c91321836c57a2859a941d9acbaf7cce",
     "mask_wikid-del_usage.tsv": "fe4aa602e06eaef811c991f65e2f5bd98606301834d9a3155e023e861654fc72",
     "mask_wikid_temporal.jsonl": "cc22f787d0de936273637dcb4e14797cb10d57a3a12380b8ca4c145db37e8abb",
+    # ingest re-emits the corpus as mask under no-mask does: one hash
+    "ingest.jsonl": "4848dc93fa5a4a3d6410f9fc7d513d571973dcdc0ccc2cb8f4eef24f1c30647e",
+    "split_random_train.jsonl": "7005399d4e47b3be5dbe80eb9ece2703f0887003c70dab757e287c7a01a775fc",
+    "split_random_test.jsonl": "741d70644a1bac6bfd23a9aac3312f160241a7960f73b09cd0e2c4009b587e05",
+    "split_time_train.jsonl": "845e249702b06270cfc05f544e456d9d2578245a771e5f84a835540513a78bf3",
+    "split_time_test.jsonl": "68b117351940c474f1588c44179b26bd7d6d2aad8207a72496953a21cf9e8200",
+    "train_model.json": "3d59726707a338b58bf7aabc01ba25521b013c7095c287eb5247a8958eeadb39",
+    "eval.json": "d6869a327b54a72fc53fccd41da4d7906306e4f8e147c7cde66044bcf130c230",
 }
 
 # Marks around the synthetic texts' words, so that the tokenizer's edge rules
@@ -330,8 +339,10 @@ def cli_outputs(data, tmp_path_factory):
     form), with and without --person-only; coverage over two usage reports,
     labeled through the index; mask's corpus and usage report under every
     policy on the tagged corpus, and its corpus under wikid in both resolve
-    modes through an index of persons whose roles changed over time; and
-    experiment's JSON and text reports."""
+    modes through an index of persons whose roles changed over time;
+    experiment's JSON and text reports; and ingest, split in both modes (the
+    period-A documents are dated 2015, the period-B ones 2020), train on the
+    random split's train side and eval of that model on its test side."""
     rng = random.Random(17)
     docs = tuple(_punctuated(doc, rng) for doc in data.corpus_a.documents + data.corpus_b.documents)
     tmp = tmp_path_factory.mktemp("cli")
@@ -360,6 +371,7 @@ def cli_outputs(data, tmp_path_factory):
         "lmi.txt": ["lmi", "--corpus", str(corpus), "--n", "1", "--top", "15",
                     "--min-count", "3", "--format", "text"],
         "tags.jsonl": ["tag", "--corpus", str(corpus), "--gazetteer", str(gazetteer)],
+        "ingest.jsonl": ["ingest", "--input", str(corpus)],
     }
     for name, argv in runs.items():
         assert dispatch([*argv, "--output", str(tmp / name)]) == 0
@@ -383,6 +395,18 @@ def cli_outputs(data, tmp_path_factory):
     assert dispatch(["experiment", "--config", str(_experiment_config(data, tmp)),
                      "--output-json", str(tmp / "experiment.json"),
                      "--output-text", str(tmp / "experiment.txt")]) == 0
+    for mode, flags in (("random", ["--train-fraction", "0.75", "--seed", "5"]),
+                        ("time", ["--boundary-date", "2018-01-01"])):
+        assert dispatch(["split", "--corpus", str(corpus), "--mode", mode, *flags,
+                         "--train-output", str(tmp / f"split_{mode}_train.jsonl"),
+                         "--test-output", str(tmp / f"split_{mode}_test.jsonl")]) == 0
+    assert dispatch(["train", "--corpus", str(tmp / "split_random_train.jsonl"),
+                     "--epochs", "4", "--learning-rate", "0.05", "--l2", "1e-5", "--seed", "3",
+                     "--orders", "1,3", "--dimensions", "65536", "--hash-seed", "9",
+                     "--output", str(tmp / "train_model.json")]) == 0
+    assert dispatch(["eval", "--model", str(tmp / "train_model.json"),
+                     "--corpus", str(tmp / "split_random_test.jsonl"),
+                     "--output", str(tmp / "eval.json")]) == 0
     return tmp
 
 
