@@ -27,8 +27,6 @@ from .corpus import (
     iso_date,
     load_corpus,
     save_corpus,
-    split_by_time,
-    split_random,
 )
 from .errors import DataError, fields, json_file, numbered_lines, prefixed, write_output
 from .errors import BOOLEAN, INTEGER, LIST, STRING, number  # converters for fields
@@ -50,7 +48,6 @@ from .wikidata import (
     coverage_rate,
     index_dump,
     load_index,
-    qid_sort_key,
     save_index,
     top_labels,
 )
@@ -144,7 +141,7 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     )
     save_corpus(masked, args.output)
     if args.usage_report:
-        ranked = sorted(usage.items(), key=lambda kv: (-kv[1], qid_sort_key(kv[0])))
+        ranked = top_labels(usage, None, len(usage)) if usage else []
         write_output(args.usage_report, ["token\tcount\n", *(f"{t}\t{c}\n" for t, c in ranked)])
     log.info("masked %d documents with %s", len(masked), policy.value)
     return 0
@@ -155,17 +152,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
     mode = SplitMode(args.mode)
     if mode is SplitMode.TIME_BASED and args.boundary_date is None:
         raise _UsageError("--boundary-date is required for --mode time")
-    spec = SplitSpec(
-        mode=mode,
-        train_fraction=args.train_fraction,
-        boundary_date=args.boundary_date,
-        seed=args.seed,
-    )
+    # a settings flag's dest is its field's name (test_step_flags_are_settings_fields)
+    spec = SplitSpec(**{n: getattr(args, n) for n in _SPLIT_FIELDS} | {"mode": mode})
     with prefixed(args.corpus):
-        if mode is SplitMode.RANDOM_HOLDOUT:
-            train_c, test_c = split_random(corpus, spec)
-        else:
-            train_c, test_c = split_by_time(corpus, spec)
+        train_c, test_c = spec.apply(corpus)
     save_corpus(train_c, args.train_output)
     save_corpus(test_c, args.test_output)
     log.info("split %d documents into %d train / %d test", len(corpus), len(train_c), len(test_c))
@@ -174,15 +164,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    space = FeatureSpace(
-        orders=args.orders, dimensions=args.dimensions, hash_seed=args.hash_seed
-    )
-    config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        l2=args.l2,
-        seed=args.seed,
-    )
+    # a settings flag's dest is its field's name (test_step_flags_are_settings_fields)
+    space = FeatureSpace(**{n: getattr(args, n) for n in FEATURE_FIELDS})
+    config = TrainConfig(**{n: getattr(args, n) for n in TRAIN_FIELDS})
     with prefixed(args.corpus):
         model = train(corpus, space, config)
     save_model(model, args.output)
@@ -469,10 +453,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

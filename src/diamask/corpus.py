@@ -109,6 +109,11 @@ class SplitSpec:
         if self.mode is SplitMode.TIME_BASED and self.boundary_date is None:
             raise DataError("time-based split requires a boundary_date")
 
+    def apply(self, corpus: Corpus) -> tuple[Corpus, Corpus]:
+        """(train, test) of corpus: split_random or split_by_time, as mode says."""
+        split = split_random if self.mode is SplitMode.RANDOM_HOLDOUT else split_by_time
+        return split(corpus, self)
+
 
 _ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 

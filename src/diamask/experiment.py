@@ -30,6 +30,12 @@ hold 7-18 buckets on average, its longdoc rows 400-480. Only the numpy arm impor
 numpy, so a run that trains on no long rows never loads it. Scoring a row is a
 plain loop over its dict.
 
+The step commands (split, train, eval) and run_matrix take one path through
+each step: a corpus is split by SplitSpec.apply, texts become rows through
+_rows (each distinct text featurized once), rows and labels become a model
+through _fit, which always takes its SGD order (_sgd_order), and a model
+scores rows through _evaluate_rows.
+
 run_matrix ties it together: each dataset is split and its gold labels read
 once; under each policy its documents are masked to text alone (mask_text,
 no replacement log), then for every (training dataset, policy) pair it trains
@@ -62,7 +68,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analysis import extract_ngrams, tokenize
 from .annotate import AnnotatedDocument, NeSpan, NeTag
-from .corpus import Corpus, Document, Label, SplitMode, SplitSpec, split_by_time, split_random
+from .corpus import Corpus, Document, Label, SplitSpec
 from .errors import DataError, fields, json_file, prefixed, write_json_lines
 from .errors import INTEGER, LIST, OBJECT, STRING, finite, number  # converters for fields
 # mask_corpus is unused here; perfbench's tracer test reads diamask.experiment.mask_corpus
@@ -159,6 +165,19 @@ def _bucket_counts(text: str, space: FeatureSpace, memo: dict[str, int]) -> dict
     return vec
 
 
+def _rows(
+    texts: Sequence[str],
+    row_of: dict[str, dict[int, int]],
+    space: FeatureSpace,
+    memo: dict[str, int],
+) -> list[dict[int, int]]:
+    """The rows of texts, each featurized on its first need and kept in row_of."""
+    for text in texts:
+        if text not in row_of:
+            row_of[text] = _bucket_counts(text, space, memo)
+    return [row_of[text] for text in texts]
+
+
 def _score(bias: float, terms: Iterable[float]) -> float:
     """A row's score: its terms added one at a time, left to right, from -0.0
     (the identity of float addition, so an empty row scores exactly its bias),
@@ -242,10 +261,11 @@ def train(
     from one PRNG stream), fixed learning rate, L2 applied to the touched
     coordinates of each update. Single-threaded and bitwise deterministic
     for a fixed seed, on any CPU. A corpus with only one label is an error.
+    The corpus is featurized and fitted as run_matrix does a training slice
+    (_rows, then _fit with _sgd_order), so both give the same weights.
     """
-    memo: dict[str, int] = {}
-    rows = [_bucket_counts(doc.text, space, memo) for doc in corpus]
-    return _fit(rows, corpus.labels(), corpus.name, space, config)
+    rows = _rows([doc.text for doc in corpus], {}, space, {})
+    return _fit(rows, corpus.labels(), corpus.name, space, config, _sgd_order(len(rows), config))
 
 
 # A training set whose rows average at least this many buckets trains on numpy
@@ -263,21 +283,19 @@ def _fit(
     name: str,
     space: FeatureSpace,
     config: TrainConfig,
-    order: Iterable[int] | None = None,
+    order: Iterable[int],
 ) -> Model:
     """train on featurized rows (labels[r] is row r's label), over their own buckets only;
     a bucket gets the next column of w where it first appears. Both SGD arms make the
     same floating-point operations in the same order, so they give the same bits.
-    order is _sgd_order(len(rows), config), passed in by a caller that fits many
-    training sets of one size; without it, it is drawn here."""
+    order is _sgd_order(len(rows), config): train draws it per call, and run_matrix
+    once per training size, for all the fits of that size."""
     if len(labels) == 0:
         raise DataError("cannot train on an empty corpus")
     if len(set(labels)) < 2:
         raise DataError("training corpus must contain both labels")
     ys = [1.0 if label is Label.FAKE else 0.0 for label in labels]
     col_of: dict[int, int] = {}  # bucket -> column of w
-    if order is None:
-        order = _sgd_order(len(ys), config)
     sgd = _sgd_numpy if sum(map(len, rows)) >= _NUMPY_ROW * len(rows) else _sgd_lists
     w, bias = sgd(rows, col_of, ys, config, order)
     # an overflow shows as a weight or bias that is not finite
@@ -369,8 +387,7 @@ class EvalCell:
 def evaluate(model: Model, test: Corpus) -> EvalCell:
     """Accuracy and per-document predictions on a test corpus (order
     preserved). An empty test set is an error."""
-    memo: dict[str, int] = {}
-    rows = [_bucket_counts(doc.text, model.space, memo) for doc in test]
+    rows = _rows([doc.text for doc in test], {}, model.space, {})
     return _evaluate_rows(model, rows, test.labels(), test.name)
 
 
@@ -664,10 +681,7 @@ def _split_rows(
     would be empty is an error naming the dataset and the side."""
     corpus = bundle.corpus()
     with prefixed(f"dataset {bundle.name!r}"):
-        if split.mode is SplitMode.RANDOM_HOLDOUT:
-            sides = split_random(corpus, split)
-        else:
-            sides = split_by_time(corpus, split)
+        sides = split.apply(corpus)
         for side, kind in zip(sides, ("training", "test")):
             if not len(side):
                 raise DataError(f"the {kind} side of the split is empty")
@@ -680,19 +694,6 @@ def _split_rows(
 
 # a dataset's masked texts and gold labels on one side of its split, in split order
 _Slice = tuple[tuple[str, ...], tuple[Label, ...]]
-
-
-def _rows(
-    texts: Sequence[str],
-    row_of: dict[str, dict[int, int]],
-    space: FeatureSpace,
-    memo: dict[str, int],
-) -> list[dict[int, int]]:
-    """The rows of texts, each featurized on its first need and kept in row_of."""
-    for text in texts:
-        if text not in row_of:
-            row_of[text] = _bucket_counts(text, space, memo)
-    return [row_of[text] for text in texts]
 
 
 def run_matrix(

@@ -32,7 +32,8 @@ from diamask import (
     train,
     write_annotations,
 )
-from diamask.cli import _parse_experiment_config, build_parser, dispatch
+from diamask.cli import _SPLIT_FIELDS, _parse_experiment_config, build_parser, dispatch
+from diamask.experiment import FEATURE_FIELDS, TRAIN_FIELDS
 
 from helpers import SYNTH_A, SYNTH_B, SYNTH_ROLE_MAP, entity_line, make_entity, modi_dump_lines
 
@@ -423,6 +424,22 @@ def test_readme_commands_parse():
         "ingest", "lmi", "tag", "index-wikidata", "mask",
         "split", "train", "eval", "experiment", "coverage",
     }
+
+
+def test_step_flags_are_settings_fields():
+    # split and train pass their flags to SplitSpec, FeatureSpace and TrainConfig by the
+    # field tables' names: each flag's dest is its field's name, its default the class's
+    parser = build_parser()
+    parsed = {
+        "train": vars(parser.parse_args(["train", "--corpus", "c", "--output", "m"])),
+        "split": vars(parser.parse_args(["split", "--corpus", "c", "--mode", "random",
+                                         "--train-output", "a", "--test-output", "b"])),
+    }
+    tables = [("train", FeatureSpace, FEATURE_FIELDS), ("train", TrainConfig, TRAIN_FIELDS),
+              ("split", SplitSpec, _SPLIT_FIELDS.keys() - {"mode"})]
+    for command, cls, names in tables:
+        flags = parsed[command]
+        assert {n: flags.get(n, "missing") for n in names} == {n: getattr(cls, n) for n in names}
 
 
 class TestSplit:

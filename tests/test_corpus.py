@@ -347,3 +347,12 @@ class TestSplitByTime:
         )
         with pytest.raises(DataError, match="nodate-1.*nodate-2"):
             split_by_time(Corpus(name="c", documents=docs), spec)
+
+
+@pytest.mark.parametrize("spec, split", [
+    (SplitSpec(mode=SplitMode.RANDOM_HOLDOUT, train_fraction=0.7, seed=5), split_random),
+    (SplitSpec(mode=SplitMode.TIME_BASED, boundary_date=date(2015, 12, 31)), split_by_time),
+])
+def test_apply_splits_as_its_mode_says(spec, split):
+    corpus = corpus_of(10, dated=True)
+    assert spec.apply(corpus) == split(corpus, spec)

@@ -39,7 +39,7 @@ from diamask import (
     train,
 )
 from diamask import experiment
-from diamask.experiment import _evaluate_rows, _fit, _score_row
+from diamask.experiment import _evaluate_rows, _fit, _score_row, _sgd_order
 from diamask.masking import mask_corpus
 
 from helpers import (
@@ -360,7 +360,8 @@ class TestFitMatchesScalarTrainer:
         rows, labels = data
         assert sum(map(len, rows)) >= NUMPY_ROW * len(rows)
         config = TrainConfig(epochs=epochs, learning_rate=lr, l2=l2, seed=seed)
-        model = _fit(rows, labels, "t", FeatureSpace(dimensions=FIT_DIMENSIONS), config)
+        model = _fit(rows, labels, "t", FeatureSpace(dimensions=FIT_DIMENSIONS), config,
+                     _sgd_order(len(rows), config))
         w, bias = reference_fit(rows, labels, config)
         assert weight_bits(model) == {idx: value.hex() for idx, value in w.items()}
         assert model.bias.hex() == bias.hex()
@@ -376,7 +377,8 @@ def fit_recording_arm(rows, labels, config, called):
             real = getattr(experiment, arm)
             mp.setattr(experiment, arm,
                        lambda *a, arm=arm, real=real: called.append(arm) or real(*a))
-        return _fit(rows, labels, "t", FeatureSpace(dimensions=FIT_DIMENSIONS), config)
+        return _fit(rows, labels, "t", FeatureSpace(dimensions=FIT_DIMENSIONS), config,
+                    _sgd_order(len(rows), config))
 
 
 @st.composite
