@@ -718,15 +718,17 @@ def run_matrix(
     Equal slices (masked texts and gold labels) give equal rows, models and
     predictions, so each (training slice, scored slice) pair is evaluated once
     per call, and every cell of that pair, under any policy, takes its result;
-    reports keep their bytes. Within a policy, datasets with one training slice
-    share one model, fitted on the group's first new pair and named after (and,
-    on an error, failing as) the first of them. A masked text is featurized on
-    its first need. One policy's rows and one model are alive at a time, so a
-    training slice met again with a new scored slice is fitted again; a policy
-    with no new pair featurizes, fits and evaluates nothing. Each policy that
-    reuses a cell logs at info level how many it reuses and how many models it
-    fits. Fits of one training size share one SGD order, drawn once per call
-    (not cached across calls, so each call costs what a one-shot run does).
+    reports keep their bytes. Each slice is hashed once per (policy, dataset),
+    to a small integer, and the cache is keyed by pairs of those. Within a
+    policy, datasets with one training slice share one model, fitted on the
+    group's first new pair and named after (and, on an error, failing as) the
+    first of them. A masked text is featurized on its first need. One policy's
+    rows and one model are alive at a time, so a training slice met again with
+    a new scored slice is fitted again; a policy with no new pair featurizes,
+    fits and evaluates nothing. Each policy that reuses a cell logs at info
+    level how many it reuses and how many models it fits. Fits of one training
+    size share one SGD order, drawn once per call (not cached across calls, so
+    each call costs what a one-shot run does).
     Every masked policy is McNemar-tested against the no-mask baseline
     within its (train, test) cell, Bonferroni-adjusted for
     m = len(policies) - 1 comparisons. Output ordering and content are
@@ -739,26 +741,31 @@ def run_matrix(
     slices = {b.name: _split_rows(b, split) for b in datasets}
     memo: dict[str, int] = {}  # phrase -> bucket, for this call's space only
     sgd_orders: dict[int, list[int]] = {}  # training size -> _sgd_order, for this call's config
-    evals: dict[tuple[_Slice, _Slice], EvalCell] = {}  # (training slice, scored slice) -> its cell
+    slice_ids: dict[_Slice, int] = {}  # each distinct slice -> a small integer, for this call
+    evals: dict[tuple[int, int], EvalCell] = {}  # (training, scored) slice ids -> their cell
     results: dict[tuple[str, str, MaskPolicy], EvalCell] = {}
     for policy in policies:
         # name -> its train, test and full slices under this policy
         masked: dict[str, list[_Slice]] = {}
+        ids: dict[str, list[int]] = {}  # name -> the ids of its train, test and full slices
         for b in datasets:
             texts = [mask_text(doc, policy, indexes.get(b.name), resolve_mode) for doc in b.docs]
             masked[b.name] = [(tuple(texts[r] for r in sel), gold) for sel, gold in slices[b.name]]
+            ids[b.name] = [slice_ids.setdefault(s, len(slice_ids)) for s in masked[b.name]]
         row_of: dict[str, dict[int, int]] = {}  # masked text -> its row, under this policy only
-        # a training slice -> the datasets that train on it, in dataset order
-        trained_on: dict[_Slice, list[str]] = {}
+        # a training slice's id -> the datasets that train on it, in dataset order
+        trained_on: dict[int, list[str]] = {}
         for name in names:
-            trained_on.setdefault(masked[name][0], []).append(name)
+            trained_on.setdefault(ids[name][0], []).append(name)
         known, fits = len(evals), 0
-        for train, members in trained_on.items():
+        for train_id, members in trained_on.items():
+            train = masked[members[0]][0]
             model = None  # fitted on the group's first new pair
             for train_name in members:
                 for eval_name in names:
-                    scored = masked[eval_name][2 if ood_full and eval_name != train_name else 1]
-                    cell = evals.get((train, scored))
+                    side = 2 if ood_full and eval_name != train_name else 1
+                    key = (train_id, ids[eval_name][side])
+                    cell = evals.get(key)
                     if cell is None:
                         if model is None:
                             n = len(train[1])
@@ -768,7 +775,8 @@ def run_matrix(
                                 model = _fit(_rows(train[0], row_of, space, memo), train[1],
                                              members[0], space, config, sgd_orders[n])
                             fits += 1
-                        cell = evals[train, scored] = _evaluate_rows(
+                        scored = masked[eval_name][side]
+                        cell = evals[key] = _evaluate_rows(
                             model, _rows(scored[0], row_of, space, memo), scored[1], eval_name
                         )
                     results[(train_name, eval_name, policy)] = replace(

@@ -9,14 +9,15 @@ aliases are casefolded into two lookup maps, one keyed by the full
 normalized name and one by each individual name token, so both
 "narendra modi" and the bare "modi" can reach the same record.
 
-Each posting list holds a QID once, in the order the records were added;
-adding a record appends to the lists of its own names and never scans a
-shared list, so building or loading is linear in the number of postings.
-Re-adding a QID first withdraws the postings of the record it replaces.
-Posting order carries no meaning: lookup_by_name sorts its candidates by
-sitelink count descending, then numeric QID. resolve_person_label memoizes
-its answer on the index per (surface as written, mode); every add clears
-that memo, so a resolve always reflects the records present at the time.
+The maps are derived data: EntityIndex.add only inserts the record, and the
+first read of a map after an add builds both in one pass over the records,
+each posting list holding a QID once. So a build that only saves or counts
+the index never makes them. load_index builds them before it returns, as a
+loaded index is there to resolve names. Posting order carries no meaning:
+lookup_by_name sorts its candidates by sitelink count descending, then
+numeric QID. resolve_person_label memoizes its answer on the index per
+(surface as written, mode); every add clears that memo, so a resolve always
+reflects the records present at the time.
 
 The dump is read as newline-delimited JSON entities, optionally gzipped.
 The wrapped-array form is tolerated: '[' and ']' lines are skipped and a
@@ -41,9 +42,8 @@ that leaves no trace. Each shortcut is exact:
 - load_index checks a statement's QID while it builds the statement, and
   walks no empty alias list: a bad value still rejects the whole record,
   with the same message.
-- EntityIndex.add creates a posting list with its first QID in it, so a key
-  already present costs no empty list. No list in the maps is empty, as
-  _unpost deletes a list it empties.
+- The map build creates a posting list with its first QID in it, so a key
+  already present costs no empty list, and no list in the maps is empty.
 - index_dump reads a claim's qualifiers once for both dates; a second read
   of the same key would give the same object, or the same error. A claim
   with no "qualifiers" key skips both lookups, which would read an empty
@@ -52,6 +52,10 @@ that leaves no trace. Each shortcut is exact:
 - One index_dump call builds each distinct statement once: a dict local to
   the call maps (pid, target, start, end) to the Statement first built for
   it. A Statement is frozen, so sharing one changes no value or equality.
+- One index_dump call parses each distinct qualifier time string once: a
+  dict local to the call maps the raw "time" string to what
+  _parse_time_value gives for it, a None included. That function reads
+  nothing but the string, so the table changes no date.
 - save_index writes each record line from one template, which is what
   json.dumps(record_object, ensure_ascii=False) writes. Every string goes
   through json.encoder.encode_basestring, the function that encoder applies
@@ -176,57 +180,59 @@ class EntityRecord:
 
 @dataclass
 class EntityIndex:
+    """Records by QID, and the lookup maps derived from them: by_name maps a
+    normalized full name, by_token each of its tokens, to the QIDs holding it.
+    The maps are read-only properties, built on their first read after an add;
+    they are no constructor arguments, and equality ignores them."""
+
     snapshot_date: Date
     records: dict[str, EntityRecord] = field(default_factory=dict)
-    by_name: dict[str, list[str]] = field(default_factory=dict)
-    by_token: dict[str, list[str]] = field(default_factory=dict)
     malformed_lines: int = 0
+    # (by_name, by_token) as of the last add, or None until the next read
+    _maps: tuple[dict, dict] | None = field(default=None, init=False, compare=False, repr=False)
     # resolve_person_label results per (surface as written, mode); add clears it
     _resolved: dict[tuple[str, ResolveMode], ResolvedLabel] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
     def add(self, record: EntityRecord) -> None:
-        """Insert a record, replacing any earlier one with the same QID.
-
-        The QID must have the form Q<digits>, as index_dump and load_index
-        ensure. It is appended once to the posting list of each distinct
-        name key and token of this record; shared lists are never scanned.
-        """
-        qid = record.qid
-        old = self.records.get(qid)
-        if old is not None:
-            self._unpost(old)
-        self.records[qid] = record
-        by_name, by_token = self.by_name, self.by_token
-        # A QID is appended only during its own add, so a key repeated
-        # within this record finds it at the end of the list.
-        for name in (record.primary_label, *record.aliases):
-            key = _normalize(name)
-            if not key:
-                continue
-            bucket = by_name.get(key)
-            if not bucket:
-                by_name[key] = [qid]
-            elif bucket[-1] != qid:
-                bucket.append(qid)
-            for token in key.split(" "):
-                bucket = by_token.get(token)
-                if not bucket:
-                    by_token[token] = [qid]
-                elif bucket[-1] != qid:
-                    bucket.append(qid)
+        """Insert a record, replacing any earlier one with the same QID. The
+        QID must have the form Q<digits>, as index_dump and load_index ensure."""
+        self.records[record.qid] = record
+        self._maps = None
         self._resolved.clear()
 
-    def _unpost(self, record: EntityRecord) -> None:
-        names = {_normalize(n) for n in (record.primary_label, *record.aliases)} - {""}
-        tokens = {token for name in names for token in name.split(" ")}
-        for postings, keys in ((self.by_name, names), (self.by_token, tokens)):
-            for key in keys:
-                bucket = postings[key]
-                bucket.remove(record.qid)
-                if not bucket:
-                    del postings[key]
+    @property
+    def by_name(self) -> dict[str, list[str]]:
+        return (self._maps or self._build_maps())[0]
+
+    @property
+    def by_token(self) -> dict[str, list[str]]:
+        return (self._maps or self._build_maps())[1]
+
+    def _build_maps(self) -> tuple[dict, dict]:
+        by_name: dict[str, list[str]] = {}
+        by_token: dict[str, list[str]] = {}
+        # a QID is appended only while its own record is walked, so a key
+        # repeated within the record finds it at the end of the list
+        for qid, record in self.records.items():
+            for name in (record.primary_label, *record.aliases):
+                key = _normalize(name)
+                if not key:
+                    continue
+                bucket = by_name.get(key)
+                if bucket is None:
+                    by_name[key] = [qid]
+                elif bucket[-1] != qid:
+                    bucket.append(qid)
+                for token in key.split(" "):
+                    bucket = by_token.get(token)
+                    if bucket is None:
+                        by_token[token] = [qid]
+                    elif bucket[-1] != qid:
+                        bucket.append(qid)
+        self._maps = (by_name, by_token)
+        return self._maps
 
     def __len__(self) -> int:
         return len(self.records)
@@ -267,14 +273,24 @@ def _parse_time_value(value: dict) -> Date | None:
         return None
 
 
-def _qualifier_date(qualifiers: dict, prop: str) -> Date | None:
+def _qualifier_date(qualifiers: dict, prop: str, dates: dict[str, Date | None]) -> Date | None:
+    """The first usable date among the qualifier's time values. dates maps
+    each raw "time" string to its _parse_time_value, and gains the ones
+    parsed here."""
     for snak in qualifiers.get(prop, []):
         if snak.get("snaktype") != "value":
             continue
         dv = snak.get("datavalue", {})
         if dv.get("type") != "time":
             continue
-        parsed = _parse_time_value(dv.get("value", {}))
+        value = dv.get("value", {})
+        raw = value.get("time")
+        if not isinstance(raw, str):
+            continue  # _parse_time_value's None
+        try:
+            parsed = dates[raw]
+        except KeyError:
+            parsed = dates[raw] = _parse_time_value(value)
         if parsed is not None:
             return parsed
     return None
@@ -304,11 +320,11 @@ def _is_human(claims: dict) -> bool:
 _NO_QUALIFIERS = object()
 
 
-def _extract_record(entity: dict, shared: dict) -> EntityRecord | None:
+def _extract_record(entity: dict, shared: dict, dates: dict) -> EntityRecord | None:
     """Build an EntityRecord, or None when the entity is not indexable
     (no P39/P106 targets, or no English label to match surfaces against).
     shared maps (pid, target, start, end) to the Statement built for it
-    before, and gains each one built here."""
+    before, and gains each one built here; dates is _qualifier_date's table."""
     claims = entity.get("claims", {})
     statements: list[Statement] = []
     for pid, prop in _ROLE_BY_PID.items():
@@ -320,8 +336,8 @@ def _extract_record(entity: dict, shared: dict) -> EntityRecord | None:
             if qualifiers is _NO_QUALIFIERS:
                 start = end = None
             else:
-                start = _qualifier_date(qualifiers, "P580")
-                end = _qualifier_date(qualifiers, "P582")
+                start = _qualifier_date(qualifiers, "P580", dates)
+                end = _qualifier_date(qualifiers, "P582", dates)
                 if start and end and start > end:
                     start = end = None  # dump noise; keep the statement undated
             key = (pid, target, start, end)
@@ -378,6 +394,7 @@ def index_dump(
     index = EntityIndex(snapshot_date=snapshot_date)
     where = source if isinstance(source, (str, Path)) else "dump"
     shared: dict[tuple, Statement] = {}  # equal statements, one object (see _extract_record)
+    dates: dict[str, Date | None] = {}  # raw qualifier time -> its date (see _qualifier_date)
     with _open_dump(source) as lines:
         for lineno, line in numbered_lines(lines, where):
             line = line.strip()
@@ -396,7 +413,7 @@ def index_dump(
                 try:  # a field these steps read may have another JSON type
                     if person_only and not _is_human(entity.get("claims", {})):
                         continue
-                    record = _extract_record(entity, shared)
+                    record = _extract_record(entity, shared, dates)
                 except (AttributeError, TypeError):
                     raise DataError(f"{where} line {lineno}: malformed entity") from None
             except DataError:
@@ -515,6 +532,7 @@ def load_index(path: str | Path) -> EntityIndex:
         raise DataError(
             f"{path}: header promises {expected} records, found {len(index.records)}"
         )
+    index._build_maps()  # a loaded index is there to resolve names
     return index
 
 
@@ -529,10 +547,11 @@ def lookup_by_name(index: EntityIndex, surface: str) -> list[str]:
     key = _normalize(surface)
     if not key:
         return []
-    candidates = list(index.by_name.get(key, ()))
+    by_name, by_token = index._maps or index._build_maps()  # as the properties read them
+    candidates = list(by_name.get(key, ()))
     if not candidates:
         candidates = list(
-            dict.fromkeys(q for token in key.split(" ") for q in index.by_token.get(token, ()))
+            dict.fromkeys(q for token in key.split(" ") for q in by_token.get(token, ()))
         )
     records = index.records
     # every indexed QID matches _QID_RE, so int(q[1:]) is qid_sort_key's order

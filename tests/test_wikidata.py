@@ -616,9 +616,9 @@ def _statements(draw):
 
 
 @st.composite
-def _records(draw):
-    label = draw(_NAMES)
-    aliases = draw(st.lists(st.one_of(st.just(label), _NAMES), max_size=3))
+def _records(draw, names=_NAMES):
+    label = draw(names)
+    aliases = draw(st.lists(st.one_of(st.just(label), names), max_size=3))
     return EntityRecord(
         qid=f"Q{draw(st.integers(1, 6))}",  # small range: re-adds are common
         primary_label=label,
@@ -674,8 +674,9 @@ def test_lookup_and_memoized_resolve_match_reference(records, surfaces):
 #
 # The reference_* functions are the record path as it was before its per-record
 # shortcuts: Enum calls for the property, a separate pass over statement QIDs,
-# each claim's qualifiers read once per date, a new Statement for each claim,
-# and each record written through json.dumps. They take a QID as "Q" and ASCII
+# each claim's qualifiers read once per date, each time value parsed anew, a new
+# Statement for each claim, lookup maps kept up to date on every add, and each
+# record written through json.dumps. They take a QID as "Q" and ASCII
 # digits, in full (_QID), as the library does: "^Q\d+$" also let through a
 # final "\n" and any Unicode digit, such as "Q٣".
 
@@ -745,6 +746,50 @@ def reference_extract_record(entity):
         statements=tuple(statements),
         sitelink_count=len(OBJECT(entity.get("sitelinks", {}))),
     )
+
+
+class ReferencePostingIndex:
+    """EntityIndex's maps as add kept them before they were derived: each add
+    withdraws the postings of the record it replaces, then appends the QID to
+    the lists of the new record's names. lookup_by_name and wikidata._resolve
+    read only records, the maps and snapshot_date, so they run on it."""
+
+    def __init__(self):
+        self.snapshot_date = SNAPSHOT
+        self.records, self.by_name, self.by_token = {}, {}, {}
+        self._maps = (self.by_name, self.by_token)  # where lookup_by_name reads the maps
+
+    def add(self, record):
+        qid = record.qid
+        old = self.records.get(qid)
+        if old is not None:
+            self._unpost(old)
+        self.records[qid] = record
+        for name in (record.primary_label, *record.aliases):
+            key = _norm(name)
+            if not key:
+                continue
+            bucket = self.by_name.get(key)
+            if not bucket:
+                self.by_name[key] = [qid]
+            elif bucket[-1] != qid:
+                bucket.append(qid)
+            for token in key.split(" "):
+                bucket = self.by_token.get(token)
+                if not bucket:
+                    self.by_token[token] = [qid]
+                elif bucket[-1] != qid:
+                    bucket.append(qid)
+
+    def _unpost(self, record):
+        names = {_norm(n) for n in (record.primary_label, *record.aliases)} - {""}
+        tokens = {token for name in names for token in name.split(" ")}
+        for postings, keys in ((self.by_name, names), (self.by_token, tokens)):
+            for key in keys:
+                bucket = postings[key]
+                bucket.remove(record.qid)
+                if not bucket:
+                    del postings[key]
 
 
 def reference_load_index(path):
@@ -1009,9 +1054,12 @@ class TestIndexKernelsMatchReference:
     @settings(max_examples=500)
     def test_build(self, lines, person_only, strict):
         got = _build_or_error(lines, person_only=person_only, strict=strict)
-        # the reference builds each statement anew; sharing them changes no record's value
-        with mock.patch.multiple(wikidata, _is_human=reference_is_human,
-                                 _extract_record=lambda entity, shared: reference_extract_record(entity)):
+        # the reference builds each statement and parses each date anew; sharing
+        # either changes no record's value
+        with mock.patch.multiple(
+            wikidata, _is_human=reference_is_human,
+            _extract_record=lambda entity, shared, dates: reference_extract_record(entity),
+        ):
             want = _build_or_error(lines, person_only=person_only, strict=strict)
         _same_index(got, want)
 
@@ -1063,3 +1111,68 @@ class TestIndexKernelsMatchReference:
         assert list(loaded.records.values()) == records
         save_index(loaded, scratch_index)
         assert scratch_index.read_bytes() == saved
+
+    @given(st.lists(st.one_of(
+        _records(st.one_of(_NAMES, st.sampled_from(["", " ", "\t \n"]))).map(lambda r: ("add", r)),
+        st.one_of(_NAMES, _NAMES.map(lambda n: f"  {n.upper()} "), st.just(" ")).map(
+            lambda surface: ("ask", surface)),
+    ), min_size=1, max_size=12))
+    @settings(max_examples=300)
+    def test_maps(self, steps):
+        """Maps derived on first read answer as the maps kept up to date on every add."""
+        index, reference = EntityIndex(snapshot_date=SNAPSHOT), ReferencePostingIndex()
+
+        def postings(maps):  # each key's QIDs; sorted, so a QID held twice shows
+            return {key: sorted(qids) for key, qids in maps.items()}
+
+        for kind, value in steps:
+            if kind == "add":
+                index.add(value)
+                reference.add(value)
+                continue
+            assert lookup_by_name(index, value) == lookup_by_name(reference, value)
+            for mode in ResolveMode:
+                assert resolve_person_label(index, value, mode) == wikidata._resolve(reference, value, mode)
+            assert postings(index.by_name) == postings(reference.by_name)
+            assert postings(index.by_token) == postings(reference.by_token)
+        assert postings(index.by_name) == postings(reference.by_name)
+        assert postings(index.by_token) == postings(reference.by_token)
+
+    def test_dates(self):
+        """Repeated time strings, rejected ones among them, give the reference's
+        records, and each distinct string is parsed once per build."""
+        times = ["+2009-02-30T00:00:00Z", "-0044-03-15T00:00:00Z", "+1990-00-00T00:00:00Z",
+                 20090120, "+2017-01-20T00:00:00Z", "+2009-01-20T00:00:00Z"]
+
+        def qualifier(*raws):
+            return [{"snaktype": "value", "datavalue": {"type": "time", "value": {"time": raw}}}
+                    for raw in raws]
+
+        entities = []
+        for number, (a, b) in enumerate(itertools.product(times, repeat=2), start=1):
+            claim = _claim("Q2")
+            claim["qualifiers"] = {"P580": qualifier(a, b), "P582": qualifier(b)}
+            other = _claim("Q3")
+            other["qualifiers"] = {"P580": qualifier(a), "P582": qualifier(a, b)}
+            entities.append({"id": f"Q{number}", "claims": {"P39": [claim], "P106": [other]},
+                             "labels": {"en": {"value": "Jane Roe"}}})
+        lines = [json.dumps(entity) for entity in entities]
+        with mock.patch.object(wikidata, "_parse_time_value", wraps=_parse_time_value) as parse:
+            got = index_of(lines)
+            assert parse.call_count == len({raw for raw in times if isinstance(raw, str)})
+            index_of(lines)  # the table lives for one call
+            assert parse.call_count == 2 * len({raw for raw in times if isinstance(raw, str)})
+        want = {entity["id"]: reference_extract_record(entity) for entity in entities}
+        assert got.records == want
+        assert {s.start_date for r in want.values() for s in r.statements} >= {
+            None, date(1990, 1, 1), date(2009, 1, 20), date(2017, 1, 20)}
+
+    @given(st.lists(_entity(), min_size=1, max_size=4))
+    def test_loaded_index_looks_up_as_built(self, scratch_index, entities):
+        built = index_of([json.dumps(entity) for entity in entities])
+        save_index(built, scratch_index)
+        loaded = load_index(scratch_index)
+        assert built._maps is None and loaded._maps is not None  # only a load builds them at once
+        keys = {*built.by_name, *built.by_token, *loaded.by_name, *loaded.by_token}
+        for key in keys:
+            assert lookup_by_name(loaded, key) == lookup_by_name(built, key)
