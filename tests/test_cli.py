@@ -738,20 +738,22 @@ class TestPipelineComposition:
             assert dispatch(argv) == 0, (argv, capsys.readouterr().err)
 
 
-def experiment_config(world, **overrides):
+def experiment_config(world, indexed=True, **overrides):
+    # without a wikid policy, nothing reads an index: indexed=False names none
+    index = {"index": str(world["index"])} if indexed else {}
     config = {
         "datasets": [
             {
                 "name": "a",
                 "corpus": str(world["corpus_a"]),
                 "annotations": str(world["ann_a"]),
-                "index": str(world["index"]),
+                **index,
             },
             {
                 "name": "b",
                 "corpus": str(world["corpus_b"]),
                 "annotations": str(world["ann_b"]),
-                "index": str(world["index"]),
+                **index,
             },
         ],
         "policies": ["no-mask", "wikid"],
@@ -800,7 +802,7 @@ class TestExperiment:
         assert len(json.loads((world["dir"] / "r.json").read_text())["cells"]) == 24
 
     def test_text_goes_to_stdout_by_default(self, world, capsys):
-        config = experiment_config(world, policies=["no-mask"])
+        config = experiment_config(world, indexed=False, policies=["no-mask"])
         assert dispatch(["experiment", "--config", str(config)]) == 0
         assert "train=a" in capsys.readouterr().out
 

@@ -338,7 +338,8 @@ def cli_outputs(data, tmp_path_factory):
     periods; index-wikidata on a dump (plain, and gzip'd in the wrapped-array
     form), with and without --person-only; coverage over two usage reports,
     labeled through the index; mask's corpus and usage report under every
-    policy on the tagged corpus, and its corpus under wikid in both resolve
+    policy on the tagged corpus (only the wikid ones read, and are given, the
+    index), and its corpus under wikid in both resolve
     modes through an index of persons whose roles changed over time;
     experiment's JSON and text reports; and ingest, split in both modes (the
     period-A documents are dated 2015, the period-B ones 2020), train on the
@@ -378,10 +379,11 @@ def cli_outputs(data, tmp_path_factory):
     # the tagged spans lie next to punctuation and line ends; wikid-ner resolves
     # the indexed persons and gives the others, and MISC and LOC, their tags
     mask = ["mask", "--corpus", str(corpus), "--annotations", str(tmp / "tags.jsonl")]
-    for policy in ("no-mask", "ne-del", "basic-ner", "wikid", "wikid-del", "wikid-ner"):
-        assert dispatch([*mask, "--policy", policy, "--index", str(tmp / "index.idx"),
-                         "--output", str(tmp / f"mask_{policy}.jsonl"),
-                         "--usage-report", str(tmp / f"mask_{policy}_usage.tsv")]) == 0
+    for policy in ALL_POLICIES:
+        index = ["--index", str(tmp / "index.idx")] if policy.requires_index else []
+        assert dispatch([*mask, "--policy", policy.value, *index,
+                         "--output", str(tmp / f"mask_{policy.value}.jsonl"),
+                         "--usage-report", str(tmp / f"mask_{policy.value}_usage.tsv")]) == 0
     # persons whose roles changed over time: temporal and dump order differ
     temporal_dump = tmp / "temporal_dump.ndjson"
     temporal_dump.write_text("".join(f"{line}\n" for line in _temporal_dump_lines()),
