@@ -80,6 +80,32 @@ def _at_least(low: int) -> Callable[[str], int]:
     return count
 
 
+def _refuse_unread(reader: str, given: dict[str, object], error: type[Exception]) -> None:
+    """Raise error(`<reader> does not read <names>`) if a setting of given (its
+    name -> its value, None when not given) is given: reader reads none of them."""
+    unread = [name for name, value in given.items() if value is not None]
+    if unread:
+        raise error(f"{reader} does not read {', '.join(unread)}")
+
+
+# split mode -> the SplitSpec fields its split reads
+_SPLIT_READS = {
+    SplitMode.RANDOM_HOLDOUT: ("train_fraction", "seed"),
+    SplitMode.TIME_BASED: ("boundary_date",),
+}
+
+
+def _split_spec(
+    mode: SplitMode, given: dict[str, object], error: type[Exception], spell: Callable[[str], str]
+) -> SplitSpec:
+    """SplitSpec of mode and given (a field's name -> its value, None when not
+    given, so that the class default stands). A field given that mode's split
+    does not read raises error, naming the field as spell spells it."""
+    unread = {spell(n): v for n, v in given.items() if n not in _SPLIT_READS[mode]}
+    _refuse_unread(f"a {mode.value} split", unread, error)
+    return SplitSpec(mode=mode, **{n: v for n, v in given.items() if v is not None})
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -132,13 +158,15 @@ def _load_annotated(
 
 def _cmd_mask(args: argparse.Namespace) -> int:
     policy = MaskPolicy(args.policy)
-    if policy.requires_index and args.index is None:
+    if not policy.requires_index:
+        given = {"--index": args.index, "--resolve-mode": args.resolve_mode}
+        _refuse_unread(f"policy {policy.value!r}", given, _UsageError)
+    elif not args.index:  # an empty path names no index
         raise _UsageError(f"--index is required for policy {policy.value!r}")
     corpus, annotated = _load_annotated(args.corpus, args.annotations)
     index = load_index(args.index) if args.index else None
-    masked, usage = mask_corpus(
-        annotated, policy, index, ResolveMode(args.resolve_mode), name=corpus.name
-    )
+    mode = ResolveMode(args.resolve_mode or ResolveMode.DUMP_ORDER.value)
+    masked, usage = mask_corpus(annotated, policy, index, mode, name=corpus.name)
     save_corpus(masked, args.output)
     if args.usage_report:
         ranked = top_labels(usage, None, len(usage)) if usage else []
@@ -148,12 +176,13 @@ def _cmd_mask(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
     mode = SplitMode(args.mode)
     if mode is SplitMode.TIME_BASED and args.boundary_date is None:
         raise _UsageError("--boundary-date is required for --mode time")
     # a settings flag's dest is its field's name (test_step_flags_are_settings_fields)
-    spec = SplitSpec(**{n: getattr(args, n) for n in _SPLIT_FIELDS} | {"mode": mode})
+    given = {n: getattr(args, n) for n in _SPLIT_FIELDS if n != "mode"}
+    spec = _split_spec(mode, given, _UsageError, lambda n: "--" + n.replace("_", "-"))
+    corpus = load_corpus(args.corpus)
     with prefixed(args.corpus):
         train_c, test_c = spec.apply(corpus)
     save_corpus(train_c, args.train_output)
@@ -211,11 +240,19 @@ _SPLIT_FIELDS = {
     "mode": SplitMode, "train_fraction": number,
     "boundary_date": lambda raw: iso_date(raw) if raw else None, "seed": INTEGER,
 }
+
+
+def _split_section(raw: object) -> SplitSpec:
+    """The config's split: a field absent or null is not given (_split_spec)."""
+    given = fields(raw, _SPLIT_FIELDS, dict.fromkeys(_SPLIT_FIELDS.keys() - {"mode"}))
+    return _split_spec(given.pop("mode"), given, DataError, repr)
+
+
 # a settings section's absent field takes its class's default (a class attribute)
 _CONFIG_FIELDS = {
     "datasets": LIST,
     "policies": lambda raw: [MaskPolicy.parse(v) for v in LIST(raw)],
-    "split": lambda raw: SplitSpec(**fields(raw, _SPLIT_FIELDS, vars(SplitSpec))),
+    "split": _split_section,
     "features": lambda raw: FeatureSpace(**fields(raw, FEATURE_FIELDS, vars(FeatureSpace))),
     "training": lambda raw: TrainConfig(**fields(raw, TRAIN_FIELDS, vars(TrainConfig))),
     "resolve_mode": ResolveMode,
@@ -226,19 +263,25 @@ _CONFIG_FIELDS = {
 def _parse_experiment_config(config: object) -> tuple[list, list, SplitSpec, dict]:
     """Check every value of an experiment config, reading no file. Returns
     (name, annotations, corpus, index) per dataset, the policies, the split
-    and run_matrix's keyword arguments."""
+    and run_matrix's keyword arguments. Only a matrix with a WikiD policy
+    reads resolve_mode and the datasets' indexes."""
     values = fields(config, _CONFIG_FIELDS, {
         "policies": list(MaskPolicy), "features": FeatureSpace(), "training": TrainConfig(),
-        "resolve_mode": ResolveMode.DUMP_ORDER, "ood_full": False,
+        "resolve_mode": None, "ood_full": False,
     })
     datasets = []
     for i, entry in enumerate(values["datasets"]):
         with prefixed(f"datasets[{i}]"):
             dataset = fields(entry, _DATASET_FIELDS, {"annotations": None, "index": None})
         datasets.append(tuple(dataset.values()))  # in _DATASET_FIELDS order
+    if not any(p.requires_index for p in values["policies"]):
+        given = {"'resolve_mode'": values["resolve_mode"]}
+        given |= {f"datasets[{i}] 'index'": index for i, (*_, index) in enumerate(datasets)}
+        _refuse_unread("a matrix with no WikiD policy", given, DataError)
     return datasets, values["policies"], values["split"], {
         "space": values["features"], "config": values["training"],
-        "resolve_mode": values["resolve_mode"], "ood_full": values["ood_full"],
+        "resolve_mode": values["resolve_mode"] or ResolveMode.DUMP_ORDER,
+        "ood_full": values["ood_full"],
     }
 
 
@@ -373,11 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--annotations", default=None, help="span file (default: no spans)")
     p.add_argument("--policy", required=True, choices=[pol.value for pol in MaskPolicy])
-    p.add_argument("--index", default=None, help="entity index (required for wikid policies)")
+    # only a wikid policy reads --index and --resolve-mode, and any other refuses them
+    p.add_argument("--index", default=None, help="wikid policies only, and required there")
     p.add_argument(
         "--resolve-mode",
         choices=[m.value for m in ResolveMode],
-        default=ResolveMode.DUMP_ORDER.value,
+        help=f"wikid policies only (default {ResolveMode.DUMP_ORDER.value})",
     )
     p.add_argument("--output", required=True)
     p.add_argument("--usage-report", default=None, help="write replacement-token counts (TSV)")
@@ -386,9 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="split a corpus into train and test")
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=[m.value for m in SplitMode], required=True)
-    p.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
-    p.add_argument("--boundary-date", type=iso_date, default=None)
-    p.add_argument("--seed", type=int, default=SplitSpec.seed)
+    # a flag not given is None, and one its mode does not read is refused (_split_spec)
+    p.add_argument("--train-fraction", type=float,
+                   help=f"--mode random only (default {SplitSpec.train_fraction})")
+    p.add_argument("--boundary-date", type=iso_date,
+                   help="--mode time only, and required there: the last training date")
+    p.add_argument("--seed", type=int, help=f"--mode random only (default {SplitSpec.seed})")
     p.add_argument("--train-output", required=True)
     p.add_argument("--test-output", required=True)
     p.set_defaults(func=_cmd_split)

@@ -60,7 +60,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import date as Date, timedelta
 from functools import cached_property
 from pathlib import Path
@@ -609,15 +609,8 @@ class MatrixReport:
                     "mcnemar": (
                         None
                         if cell.mcnemar is None
-                        else {
-                            "b": cell.mcnemar.b,
-                            "c": cell.mcnemar.c,
-                            "statistic": cell.mcnemar.statistic,
-                            "p_raw": cell.mcnemar.p_raw,
-                            "p_adjusted": cell.mcnemar.p_adjusted,
-                            "m": cell.mcnemar.m,
-                            "significant": cell.mcnemar.significant,
-                        }
+                        # asdict keeps McNemarResult's field order
+                        else {**asdict(cell.mcnemar), "significant": cell.mcnemar.significant}
                     ),
                 }
                 for cell in self.cells

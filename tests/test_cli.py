@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,9 @@ from diamask import (
     train,
     write_annotations,
 )
-from diamask.cli import _SPLIT_FIELDS, _parse_experiment_config, build_parser, dispatch
+from diamask.cli import (
+    _SPLIT_FIELDS, _parse_experiment_config, _split_spec, build_parser, dispatch,
+)
 from diamask.experiment import FEATURE_FIELDS, TRAIN_FIELDS
 
 from helpers import SYNTH_A, SYNTH_B, SYNTH_ROLE_MAP, entity_line, make_entity, modi_dump_lines
@@ -349,6 +352,13 @@ class TestMask:
         assert code == 2
         assert "--index" in capsys.readouterr().err
 
+    def test_wikid_with_an_empty_index_path_is_a_usage_error(self, world, capsys):
+        # "" names no index, as an absent --index does
+        argv = ["mask", "--corpus", str(world["corpus_a"]), "--policy", "wikid", "--index", "",
+                "--output", "-"]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr() == ("", "usage error: --index is required for policy 'wikid'\n")
+
     def test_unknown_policy_is_a_usage_error(self, world):
         code = dispatch(
             [
@@ -428,18 +438,29 @@ def test_readme_commands_parse():
 
 def test_step_flags_are_settings_fields():
     # split and train pass their flags to SplitSpec, FeatureSpace and TrainConfig by the
-    # field tables' names: each flag's dest is its field's name, its default the class's
+    # field tables' names: each flag's dest is its field's name, and a flag not given
+    # leaves the class's default. A train flag defaults to it; a split flag not given
+    # is None, so that one its mode does not read can be refused, and _split_spec
+    # leaves the default
     parser = build_parser()
-    parsed = {
-        "train": vars(parser.parse_args(["train", "--corpus", "c", "--output", "m"])),
-        "split": vars(parser.parse_args(["split", "--corpus", "c", "--mode", "random",
-                                         "--train-output", "a", "--test-output", "b"])),
-    }
-    tables = [("train", FeatureSpace, FEATURE_FIELDS), ("train", TrainConfig, TRAIN_FIELDS),
-              ("split", SplitSpec, _SPLIT_FIELDS.keys() - {"mode"})]
-    for command, cls, names in tables:
-        flags = parsed[command]
+    flags = vars(parser.parse_args(["train", "--corpus", "c", "--output", "m"]))
+    for cls, names in [(FeatureSpace, FEATURE_FIELDS), (TrainConfig, TRAIN_FIELDS)]:
         assert {n: flags.get(n, "missing") for n in names} == {n: getattr(cls, n) for n in names}
+    split = ["split", "--corpus", "c", "--mode", "random", "--train-output", "a",
+             "--test-output", "b"]
+    names = _SPLIT_FIELDS.keys() - {"mode"}
+    flags = vars(parser.parse_args(split))
+    assert {n: flags.get(n, "missing") for n in names} == dict.fromkeys(names)
+    given = ["--train-fraction", "0.5", "--seed", "3", "--boundary-date", "2020-01-02"]
+    flags = vars(parser.parse_args(split + given))
+    assert {n: flags.get(n, "missing") for n in names} == {
+        "train_fraction": 0.5, "seed": 3, "boundary_date": date(2020, 1, 2)}
+    random_mode, time_mode = SplitMode.RANDOM_HOLDOUT, SplitMode.TIME_BASED
+    absent = dict.fromkeys(names)
+    assert _split_spec(random_mode, absent, DataError, str) == SplitSpec(mode=random_mode)
+    boundary = {**absent, "boundary_date": date(2020, 1, 2)}
+    assert _split_spec(time_mode, boundary, DataError, str) == SplitSpec(
+        mode=time_mode, boundary_date=date(2020, 1, 2))
 
 
 class TestSplit:
@@ -519,8 +540,6 @@ class TestSplit:
             ]
         )
         assert code == 0
-        from datetime import date
-
         assert all(d.date <= date(2015, 2, 15) for d in load_corpus(train))
         assert all(d.date > date(2015, 2, 15) for d in load_corpus(test))
 
@@ -892,6 +911,20 @@ def test_readme_experiment_config_parses():
     }
 
 
+def test_config_null_is_absent_for_a_setting_the_run_does_not_read():
+    config = {
+        "datasets": [{"name": "a", "corpus": "a.jsonl", "index": None}],
+        "policies": ["no-mask", "ne-del"],
+        "split": {"mode": "time", "boundary_date": "2020-01-02", "train_fraction": None,
+                  "seed": None},
+        "resolve_mode": None,
+    }
+    datasets, _, split, options = _parse_experiment_config(config)
+    assert datasets == [("a", None, "a.jsonl", None)]
+    assert split == SplitSpec(mode=SplitMode.TIME_BASED, boundary_date=date(2020, 1, 2))
+    assert options["resolve_mode"] is ResolveMode.DUMP_ORDER
+
+
 def test_readme_model_example_loads_and_saves_back(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r'^```json\n(\{"format_version": 1, "space".*?)^```', readme,
@@ -1108,6 +1141,15 @@ def _dataset(corpus="{corpus}", **split):
     return _config(datasets=[{"name": "x", "corpus": corpus}], policies=["no-mask"], split=split)
 
 
+def _unread(index=None, split=None, **fields):
+    """A config whose one dataset reads a corpus that does not exist, under no-mask
+    and ne-del, with index (if not None) as its index path, a random split unless
+    split is given and the fields."""
+    dataset = {"name": "x", "corpus": "nonexist.jsonl", "index": index}
+    return _config(datasets=[dataset], policies=["no-mask", "ne-del"],
+                   split=split or {"mode": "random"}, **fields)
+
+
 def _dump_entity(**fields):
     """A dump line of an indexable entity, Q1 ("Jane Roe", occupation Q2), with fields replaced."""
     entity = make_entity("Q1", "Jane Roe", occupations=("Q2",), sitelinks=1)
@@ -1216,6 +1258,23 @@ HOSTILE = [
     pytest.param(_config(datasets=[{"name": "a", "corpus": "nonexist.jsonl"}]), _EXPERIMENT,
                  "hostile: dataset 'a' has no entity index but a policy needs one",
                  id="config-no-index-missing-corpus"),
+    # a setting the run does not read is refused, before any input file is read
+    pytest.param(_unread(split={"mode": "time", "boundary_date": "2020-06-01",
+                                "train_fraction": 0.5}), _EXPERIMENT,
+                 "hostile: split: a time split does not read 'train_fraction'",
+                 id="config-time-split-train-fraction"),
+    pytest.param(_unread(split={"mode": "time", "boundary_date": "2020-06-01", "seed": 9,
+                                "train_fraction": None}), _EXPERIMENT,
+                 "hostile: split: a time split does not read 'seed'", id="config-time-split-seed"),
+    pytest.param(_unread(split={"mode": "random", "boundary_date": "2019-01-01"}), _EXPERIMENT,
+                 "hostile: split: a random split does not read 'boundary_date'",
+                 id="config-random-split-boundary-date"),
+    pytest.param(_unread(resolve_mode="temporal"), _EXPERIMENT,
+                 "hostile: a matrix with no WikiD policy does not read 'resolve_mode'",
+                 id="config-resolve-mode-no-wikid"),
+    pytest.param(_unread(index="nonexist.idx"), _EXPERIMENT,
+                 "hostile: a matrix with no WikiD policy does not read datasets[0] 'index'",
+                 id="config-index-no-wikid"),
     pytest.param(_dataset(mode="time", boundary_date="2020-06-01"), _EXPERIMENT,
                  "dataset 'x': documents without a date cannot be time-split: d1",
                  id="matrix-time-split-undated"),
@@ -1508,6 +1567,77 @@ def test_hostile_input_exits_1_with_one_error_line(tmp_path, capsys, contents, a
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert names in err
+
+
+# -- refused settings: a flag a command's mode or policy does not read -------
+
+# the flags each split mode reads
+SPLIT_MODE_READS = {"random": {"--train-fraction", "--seed"}, "time": {"--boundary-date"}}
+
+
+@pytest.mark.parametrize("mode", SPLIT_MODE_READS)
+@pytest.mark.parametrize("flag, value", [("--train-fraction", "0.5"), ("--seed", "9"),
+                                         ("--boundary-date", "2020-06-01")])
+def test_split_takes_a_flag_exactly_when_its_mode_reads_it(tmp_path, capsys, mode, flag, value):
+    corpus = tmp_path / "dated.jsonl"
+    corpus.write_text(_DATED)
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    argv = ["split", "--corpus", str(corpus), "--mode", mode, flag, value,
+            "--train-output", str(train), "--test-output", str(test)]
+    if mode == "time" and flag != "--boundary-date":
+        argv += ["--boundary-date", "2020-06-01"]
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    if flag in SPLIT_MODE_READS[mode]:
+        assert (code, err) == (0, "")
+        assert train.exists() and test.exists()
+    else:
+        assert code == 2
+        assert err == f"usage error: a {mode} split does not read {flag}\n"
+        assert not train.exists() and not test.exists()
+
+
+@pytest.mark.parametrize("policy", list(MaskPolicy), ids=lambda p: p.value)
+@pytest.mark.parametrize("flags", [["--index", "{index}"], ["--resolve-mode", "temporal"],
+                                   ["--index", "{index}", "--resolve-mode", "temporal"]],
+                         ids=["index", "resolve-mode", "both"])
+def test_mask_takes_index_and_resolve_mode_exactly_when_a_policy_resolves(
+    tmp_path, capsys, policy, flags
+):
+    corpus, index = tmp_path / "corpus.jsonl", tmp_path / "entities.idx"
+    corpus.write_text('{"id": "d1", "text": "Jane Roe spoke.", "label": "real"}\n')
+    index.write_text(_index_file())
+    out = tmp_path / "out.jsonl"
+    code = dispatch(["mask", "--corpus", str(corpus), "--policy", policy.value,
+                     *(flag.format(index=index) for flag in flags), "--output", str(out)])
+    err = capsys.readouterr().err
+    if policy.requires_index and "--index" in flags:
+        assert (code, err) == (0, "")
+        assert out.read_text() == '{"id": "d1", "text": "Jane Roe spoke.", "label": "real"}\n'
+    elif policy.requires_index:
+        assert code == 2
+        assert err == f"usage error: --index is required for policy '{policy.value}'\n"
+    else:
+        given = ", ".join(flag for flag in flags if flag.startswith("--"))
+        assert code == 2
+        assert err == f"usage error: policy '{policy.value}' does not read {given}\n"
+    assert out.exists() == (code == 0)
+
+
+def test_refused_flags_are_checked_before_any_file_is_read(tmp_path, capsys):
+    # neither the corpus nor the index exists: the refusal, not [Errno 2], is the error
+    missing = ["--corpus", str(tmp_path / "nonexist.jsonl")]
+    runs = [
+        (["mask", *missing, "--policy", "no-mask", "--index", str(tmp_path / "nosuch.idx"),
+          "--output", str(tmp_path / "out")], "policy 'no-mask' does not read --index"),
+        (["split", *missing, "--mode", "time", "--boundary-date", "2020-12-31", "--seed", "9",
+          "--train-output", str(tmp_path / "out"), "--test-output", str(tmp_path / "out2")],
+         "a time split does not read --seed"),
+    ]
+    for argv, message in runs:
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_byte_past_the_first_chunk_names_its_line(tmp_path, capsys):
