@@ -13,9 +13,12 @@ continuity-corrected chi-square with one degree of freedom. Multiple
 comparisons against the same baseline are Bonferroni-adjusted.
 
 A featurized document (a row) is the bucket -> count dict featurize returns,
-from masking to scoring. A row's score has one definition, _score, through
-which training and evaluation both sum; no score is summed by BLAS, whose order
-depends on the CPU, so models and reports have the same bytes on every machine.
+from masking to scoring. A row's score has one definition, _score: its terms
+(weight * count, in the row's order) added left to right from -0.0, then the
+bias. Training and evaluation both sum in that one order; where the weights are
+Python floats, each term is added as it is made, in one pass over the row. No
+score is summed by BLAS, whose order depends on the CPU, so models and reports
+have the same bytes on every machine.
 A model's weights are a bucket -> weight map holding only the buckets its
 training rows (or its file) name: the bucket space is a hash range, not a
 parameter vector, and a bucket missing from the map weighs 0.0.
@@ -25,10 +28,10 @@ count of the training rows. Below _NUMPY_ROW (40) buckets, w is a Python list
 of floats and each row a list of (column, count) pairs. At or above it, w and
 each row's columns and counts are numpy arrays, so that an update gathers and
 writes a row's weights in one operation each. An update costs the same on both
-at 32-40 buckets (measured at _NUMPY_ROW). The benchmark's matrix and index rows
+at 36-40 buckets (measured at _NUMPY_ROW). The benchmark's matrix and index rows
 hold 7-18 buckets on average, its longdoc rows 400-480. Only the numpy arm imports
-numpy, so a run that trains on no long rows never loads it. Scoring a row is a
-plain loop over its dict.
+numpy, so a run that trains on no long rows never loads it. Scoring a row is one
+pass over its dict, as the list arm's update is.
 
 The step commands (split, train, eval) and run_matrix take one path through
 each step: a corpus is split by SplitSpec.apply, texts become rows through
@@ -60,7 +63,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from datetime import date as Date, timedelta
 from functools import cached_property
 from pathlib import Path
@@ -181,10 +184,12 @@ def _rows(
 def _score(bias: float, terms: Iterable[float]) -> float:
     """A row's score: its terms added one at a time, left to right, from -0.0
     (the identity of float addition, so an empty row scores exactly its bias),
-    then the bias. np.add.accumulate also adds strictly left to right, each sum
-    from the one before, so its last element is this total (-0.0 + x is x).
-    Not sum() (compensated from Python 3.12 on), reduceat or np.sum (pairwise)
-    or a dot product (its order depends on the CPU's BLAS kernel)."""
+    then the bias. _score_row and _sgd_lists make this sum in one pass, adding
+    each term as they make it. np.add.accumulate also adds strictly left to
+    right, each sum from the one before, so its last element is this total
+    (-0.0 + x is x), which is what _sgd_numpy passes here. Not sum()
+    (compensated from Python 3.12 on), reduceat or np.sum (pairwise) or a dot
+    product (its order depends on the CPU's BLAS kernel)."""
     total = -0.0
     for term in terms:
         total += term
@@ -192,8 +197,11 @@ def _score(bias: float, terms: Iterable[float]) -> float:
 
 
 def _score_row(weights: Mapping[int, float], bias: float, row: Mapping[int, int]) -> float:
-    """A featurized row's _score under weights; a bucket they lack adds a 0.0 term."""
-    return _score(bias, [weights.get(b, 0.0) * c for b, c in row.items()])
+    """A featurized row's _score under weights, in one pass; a bucket they lack adds 0.0."""
+    total = -0.0
+    for b, c in row.items():
+        total += weights.get(b, 0.0) * c
+    return bias + total
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +278,10 @@ def train(
 
 # A training set whose rows average at least this many buckets trains on numpy
 # arrays, a shorter one on Python lists. Per SGD update (400 rows of n buckets,
-# 10 epochs, best of 3; 2-core Xeon, Python 3.11, 3 runs), lists cost 1.8-2.4 us
-# against numpy's 6.1-7.1 at n = 4, 3.3-5.2 against 6.9-11.4 at 12, 7.0-12.3
-# against 7.2-12.9 at 32, 7.9-13.9 against 6.8-13.0 at 40, and 66-82 against
-# 16-23 at 256.
+# 10 epochs, best of 7; 2-core Xeon, Python 3.11, 3 runs), lists cost 1.0-1.7 us
+# against numpy's 5.3-10.0 at n = 4, 2.3-4.0 against 5.7-10.4 at 12, 5.4-9.4
+# against 6.4-11.5 at 32, 6.0-10.8 against 6.3-11.7 at 36, 7.0-12.1 against
+# 6.5-11.9 at 40, and 56-88 against 17-27 at 256.
 _NUMPY_ROW = 40
 
 
@@ -326,14 +334,18 @@ def _sgd_lists(
     rows: Sequence[Mapping[int, int]], col_of: dict[int, int], ys: list[float],
     config: TrainConfig, order: Iterable[int],
 ) -> tuple[list[float], float]:
-    """_fit's SGD on Python floats: w is a list, and each row a list of (column, count) pairs."""
+    """_fit's SGD on Python floats: w is a list, and each row a list of (column, count) pairs.
+    An update sums its row's _score in one pass."""
     feats = [list(zip(_columns(row, col_of), map(float, row.values()))) for row in rows]
     w = [0.0] * len(col_of)
     bias = 0.0
     lr, l2 = config.learning_rate, config.l2
     for i in order:
         pairs = feats[i]
-        g = _sigmoid(_score(bias, [w[c] * k for c, k in pairs])) - ys[i]
+        total = -0.0
+        for c, k in pairs:
+            total += w[c] * k
+        g = _sigmoid(bias + total) - ys[i]
         for c, k in pairs:
             wc = w[c]
             w[c] = wc - lr * (g * k + l2 * wc)
@@ -346,7 +358,9 @@ def _sgd_numpy(
     config: TrainConfig, order: Iterable[int],
 ) -> tuple[list[float], float]:
     """_sgd_lists on numpy arrays: an update gathers and writes a row's weights in one
-    operation each, and np.add.accumulate's last element is _score's sum of the terms."""
+    operation each. Its terms are a numpy array, not Python floats, so they are summed
+    in a second step: np.add.accumulate's last element is _score's left-to-right sum
+    from -0.0, the total _sgd_lists makes in one pass."""
     import numpy as np  # only here, so that a run that never takes this arm never loads it
 
     feats = [
@@ -609,8 +623,8 @@ class MatrixReport:
                     "mcnemar": (
                         None
                         if cell.mcnemar is None
-                        # asdict keeps McNemarResult's field order
-                        else {**asdict(cell.mcnemar), "significant": cell.mcnemar.significant}
+                        # vars keeps McNemarResult's field order, the order __init__ sets them
+                        else {**vars(cell.mcnemar), "significant": cell.mcnemar.significant}
                     ),
                 }
                 for cell in self.cells
