@@ -9,10 +9,11 @@ role QID resolved from an entity index. No Mask keeps every span.
 Masking is two steps: _tokens picks each span's token from the table, and
 _splice puts the tokens into the text. mask_text returns the text alone, as
 run_matrix needs; apply_mask also logs each span's token, and mask_corpus
-counts them. After any edit, whitespace runs created by deletions collapse
-to a single space and edge whitespace is trimmed; spacing elsewhere is
-preserved byte for byte. A document with no spans always comes back
-unchanged.
+counts them. The whitespace run around a deleted span, through any other
+deletion in it, becomes one space; a deletion with no whitespace beside it
+joins its neighbours directly. After any edit the edges are trimmed. All
+other spacing is kept byte for byte, and a document with no spans always
+comes back unchanged.
 """
 
 from __future__ import annotations
@@ -109,50 +110,34 @@ def _tokens(
     return tokens
 
 
-def _collapse_junctions(text: str, junctions: list[int]) -> str:
-    """Collapse the whitespace run around each deletion point to one space.
-
-    Junction positions index into `text`; they are processed left to right
-    with a running offset so earlier collapses keep later positions valid.
-    Only whitespace touching a deletion point is affected.
-    """
-    delta = 0
-    for j in junctions:
-        j = min(max(j - delta, 0), len(text))
-        a = j
-        while a > 0 and text[a - 1].isspace():
-            a -= 1
-        b = j
-        while b < len(text) and text[b].isspace():
-            b += 1
-        if b > a:
-            text = text[:a] + " " + text[b:]
-            delta += (b - a) - 1
-    return text
-
-
 def _splice(doc: AnnotatedDocument, tokens: list[str | None]) -> str:
-    """doc's text with each span's token spliced in, left to right."""
+    """doc's text with each span's token spliced in, left to right.
+
+    Deleted spans cut the spliced text into segments. Each segment joins the
+    text built so far through one space if either side of the cut had
+    whitespace to strip, and directly if neither had.
+    """
     text = doc.document.text
+    segments: list[str] = []  # the spliced text, cut at each deleted span
     pieces: list[str] = []
-    out_len = 0
-    junctions: list[int] = []
     cursor = 0
     for span, token in zip(doc.spans, tokens):
-        chunk = text[cursor:span.start]
-        pieces.append(chunk)
-        out_len += len(chunk)
-        if token is None:
-            token = span.surface
-        elif not token:
-            junctions.append(out_len)
-        pieces.append(token)
-        out_len += len(token)
+        pieces.append(text[cursor:span.start])
+        if token == "":
+            segments.append("".join(pieces))
+            pieces = []
+        else:
+            pieces.append(span.surface if token is None else token)
         cursor = span.end
     pieces.append(text[cursor:])
-    masked = "".join(pieces)
+    segments.append("".join(pieces))
+    masked = segments[0]
+    for segment in segments[1:]:
+        left, right = masked.rstrip(), segment.lstrip()
+        space = " " if len(left) + len(right) < len(masked) + len(segment) else ""
+        masked = left + space + right
     if tokens.count(None) < len(tokens):  # some span was edited
-        masked = _collapse_junctions(masked, junctions).strip()
+        masked = masked.strip()
     return masked
 
 

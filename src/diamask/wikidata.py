@@ -245,9 +245,9 @@ def _normalize(name: str) -> str:
 # used with fullmatch: "$" would also match before a final "\n", and "\d" any
 # Unicode decimal digit, which int() reads as another spelling of a number
 _QID_RE = re.compile(r"Q[0-9]+")
-# Wikidata time values look like "+2009-01-20T00:00:00Z"; low-precision
-# values zero out month/day.
-_TIME_RE = re.compile(r"^\+(\d{1,16})-(\d{2})-(\d{2})T")
+# Wikidata time values look like "+2009-01-20T00:00:00Z", in ASCII digits;
+# low-precision values zero out month/day.
+_TIME_RE = re.compile(r"^\+([0-9]{1,16})-([0-9]{2})-([0-9]{2})T")
 
 
 def qid_sort_key(token: str) -> tuple[int, object]:

@@ -20,7 +20,7 @@ from diamask import (
     index_dump,
     mask_corpus,
 )
-from diamask.masking import _collapse_junctions, mask_text
+from diamask.masking import mask_text
 from diamask.wikidata import resolve_person_label
 
 from helpers import make_sample_annotated, modi_dump_lines
@@ -156,6 +156,12 @@ class TestWhitespaceHandling:
     def test_deletion_before_punctuation_keeps_single_space(self):
         doc = ann("met Modi, leader", ("Modi", NeTag.PER))
         assert apply_mask(doc, MaskPolicy.NE_DEL).text == "met , leader"
+
+    def test_deletions_in_one_run_leave_other_runs_alone(self):
+        # both deletions sit in one whitespace run, which becomes one space;
+        # the double space after "a", which no deletion touches, stays
+        doc = ann("a  bc X      Y     z", ("X", NeTag.ORG), ("Y", NeTag.ORG))
+        assert apply_mask(doc, MaskPolicy.NE_DEL).text == "a  bc z"
 
     def test_deletion_flush_against_letters_adds_no_space(self):
         doc = ann("xUSy", ("US", NeTag.LOC))
@@ -306,8 +312,22 @@ def reference_span_action(span, policy, index, resolve_mode):
     return span.tag.value  # wikid-ner
 
 
+def reference_join(text, points):
+    """text with each maximal whitespace run [a, b) that holds a deletion
+    point j, a <= j <= b, made one space."""
+    pieces, cursor = [], 0
+    for run in re.finditer(r"\s+", text):
+        a, b = run.span()
+        if any(a <= j <= b for j in points):
+            pieces += (text[cursor:a], " ")
+            cursor = b
+    pieces.append(text[cursor:])
+    return "".join(pieces)
+
+
 def reference_apply_mask(doc, policy, index, resolve_mode):
-    """apply_mask as it was before mask_text: (masked text, replacement log)."""
+    """apply_mask as it was before mask_text, with the spacing rule of the
+    masking module's docstring: (masked text, replacement log)."""
     text = doc.document.text
     pieces, junctions, replacements = [], [], []
     out_len = 0
@@ -335,13 +355,15 @@ def reference_apply_mask(doc, policy, index, resolve_mode):
     pieces.append(text[cursor:])
     masked = "".join(pieces)
     if edited:
-        masked = _collapse_junctions(masked, junctions).strip()
+        masked = reference_join(masked, junctions).strip()
     return masked, tuple(replacements)
 
 
 MODI_INDEX = index_dump(io.StringIO("\n".join(modi_dump_lines()) + "\n"), SNAPSHOT)
-# whitespace runs, punctuation and nothing at all (so spans can touch)
-GAPS = ("", "", " ", "   ", "\t", " \n ", ",", ", ", " . ", "'s ", " (", ") ", "said")
+# whitespace runs, punctuation, a double-spaced word pair and nothing at all
+# (so spans can touch)
+GAPS = ("", "", " ", "   ", "      ", "\t", " \n ", ",", ", ", " . ", "'s ", " (", ") ", "said",
+        "a  b")
 SURFACES = {
     # "Wren Nobody" shares no token with the index, so it takes the PER fallback
     NeTag.PER: ("Modi", "Narendra Modi", "MODI", "Barack Obama", "Douglas Adams", "Wren Nobody"),

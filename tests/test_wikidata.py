@@ -137,6 +137,13 @@ class TestIndexDump:
         assert statement.start_date is None
         assert statement.end_date is None
 
+    def test_non_ascii_digit_qualifiers_leave_statement_undated(self):
+        # "\d" would read the Arabic-Indic digits of "٢٠٠٩" as the year 2009
+        entity = make_entity("Q9", "Jane Roe", positions=(("Q3", "٢٠٠٩-01-20"),))
+        index = index_of([entity_line(entity)])
+        assert index.records["Q9"].statements[0].start_date is None
+        assert _parse_time_value({"time": "+٢٠٠٩-01-20T00:00:00Z"}) is None
+
     def test_qualifiers_of_another_json_type_make_a_malformed_line(self):
         # only an absent key skips the date lookups; [] and null are no qualifier object
         good = make_entity("Q9", "Jane Roe", positions=(("Q3",),))
