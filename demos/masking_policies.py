@@ -1,7 +1,8 @@
 """Apply every masking policy to one annotated sentence.
 
 Builds a three-person entity index by hand so the Wikidata policies can
-replace the person mention with a role QID instead of a generic tag.
+replace the person mention with a role QID instead of a generic tag, then
+shows which statement that role came from under each resolve mode.
 """
 
 from datetime import date
@@ -15,9 +16,11 @@ from diamask import (
     MaskPolicy,
     NeSpan,
     NeTag,
+    ResolveMode,
     RoleProperty,
     Statement,
-    apply_mask,
+    mask_text,
+    resolve_person_label,
 )
 
 TEXT = (
@@ -90,19 +93,19 @@ def main() -> None:
     print(f"spans: {[(s.surface, s.tag.value) for s in annotated.spans]}")
     print()
     for policy in MaskPolicy:
-        masked = apply_mask(annotated, policy, index=index)
-        print(f"{policy.display_name:<10} {masked.text}")
+        print(f"{policy.display_name:<10} {mask_text(annotated, policy, index=index)}")
     print()
 
-    # The replacement log pairs every span with what it became.
-    masked = apply_mask(annotated, MaskPolicy.WIKID_NER, index=index)
-    print("wikid-ner replacement log:")
-    for span, replacement in masked.replacements:
-        print(f"  {span.surface!r} -> {replacement!r}")
+    # Each resolve mode picks the statement of Modi's record that gives the role.
+    for mode in ResolveMode:
+        label = resolve_person_label(index, "Modi", mode)
+        print(f"{mode.value:<10} 'Modi' -> {label.token} from {label.source.value}")
     print()
     print("the Q22337580 token is 'Chief Minister of Gujarat': dump-order")
     print("resolution takes the first position statement as written, even")
-    print("though a later one (Q192045, Prime Minister) had taken over")
+    print("though a later one (Q192045, Prime Minister) had taken over;")
+    print("temporal resolution takes the position held on the index's")
+    print("snapshot date")
 
 
 if __name__ == "__main__":

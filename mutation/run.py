@@ -1,0 +1,118 @@
+"""Mutation table: each row breaks one rule of the code and names the tests
+that must catch it.
+
+A row is a file, a snippet that must occur in it exactly once, the snippet's
+replacement, and the pytest node ids that must fail once it is applied. The
+runner copies src/, tests/ and pyproject.toml to a temporary directory,
+checks that every named test passes there, then applies each row on its own
+and runs its tests. It exits 1 if a row no longer applies (its snippet is
+missing or not unique), names a test that does not pass unmutated, or
+survives (some named test still passes).
+
+    python3 mutation/run.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+MASKING = "src/diamask/masking.py"
+WIKIDATA = "src/diamask/wikidata.py"
+WHITESPACE = "tests/test_masking.py::TestWhitespaceHandling::"
+WORKED = "tests/test_masking.py::TestWorkedExample::"
+
+
+class Row(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+ROWS = (
+    Row("_splice: whitespace after a cut alone gives one space", MASKING,
+        '" " if space or segment[0].isspace() else ""', '" " if space else ""',
+        (WHITESPACE + "test_whitespace_after_a_deletion_alone_gives_one_space",)),
+    Row("_splice: a whitespace-only segment passes its space to the next cut", MASKING,
+        'space = space or segment != ""', "space = space",
+        (WHITESPACE + "test_deletion_next_to_a_deletion[xU Vy-x y]",)),
+    Row("_splice: whitespace before a cut gives one space", MASKING,
+        "space = segment[-1].isspace()", "space = False",
+        (WHITESPACE + "test_deletion_before_punctuation_keeps_single_space",)),
+    Row("_splice: the edges are stripped after an edit", MASKING,
+        "masked = masked.strip()", "masked = masked",
+        (WHITESPACE + "test_edges_are_stripped_after_a_replacement",)),
+    Row("_RULES: WikiD+Del deletes the spans that are not persons", MASKING,
+        '("WikiD+Del", _ROLE, _DELETE)', '("WikiD+Del", _ROLE, _TAG)',
+        (WORKED + "test_masked_text_is_byte_exact[wikid-del]",
+         WORKED + "test_usage_multiset[wikid-del]")),
+    Row("_parse_time_value: a zeroed month is January", WIKIDATA,
+        "Date(year, max(month, 1), max(day, 1))", "Date(year, month, max(day, 1))",
+        ("tests/test_wikidata.py::TestIndexDump::test_zeroed_month_and_day_clamp_to_january_first",)),
+    Row("_parse_time_value: a date out of range is no date", WIKIDATA,
+        "    except ValueError:\n        return None\n\n\ndef _qualifier_date(",
+        "    finally:\n        pass\n\n\ndef _qualifier_date(",
+        ("tests/test_wikidata.py::TestIndexKernelsMatchReference::test_dates",)),
+)
+
+
+def _run_pytest(copy: Path, tests: tuple[str, ...], report: Path) -> tuple[int, int]:
+    """(tests run, tests that failed or errored) for the node ids given."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}",
+         *tests],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=300,
+    )
+    if not report.exists():
+        return 0, 0
+    suite = ET.parse(report).getroot()
+    suite = suite if suite.tag == "testsuite" else suite.find("testsuite")
+    return int(suite.get("tests")), int(suite.get("failures")) + int(suite.get("errors"))
+
+
+def run(rows: tuple[Row, ...] = ROWS) -> bool:
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp, "repo")
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(REPO / part, copy / part, ignore=skip)
+        shutil.copy(REPO / "pyproject.toml", copy)
+        report = Path(tmp, "report.xml")
+        every_test = tuple(dict.fromkeys(t for row in rows for t in row.tests))
+        ran, failed = _run_pytest(copy, every_test, report)
+        if (ran, failed) != (len(every_test), 0):
+            print(f"error: unmutated, {ran} of {len(every_test)} named tests ran and {failed} failed")
+            return False
+        for row in rows:
+            target = copy / row.path
+            original = target.read_text(encoding="utf-8")
+            count = original.count(row.snippet)
+            if count != 1:
+                print(f"DOES NOT APPLY ({count} matches in {row.path}): {row.name}")
+                ok = False
+                continue
+            target.write_text(original.replace(row.snippet, row.replacement), encoding="utf-8")
+            report.unlink(missing_ok=True)
+            try:
+                ran, failed = _run_pytest(copy, row.tests, report)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            killed = failed == ran == len(row.tests)
+            print(f"{'killed' if killed else 'SURVIVED'}: {row.name}")
+            ok = ok and killed
+    return ok
+
+
+if __name__ == "__main__":
+    sys.exit(0 if run() else 1)

@@ -50,7 +50,7 @@ from .experiment import (
     synth_diachronic_corpus,
     train,
 )
-from .masking import MaskedDocument, MaskPolicy, apply_mask, mask_corpus
+from .masking import MaskPolicy, mask_corpus, mask_text
 from .wikidata import (
     EntityIndex,
     EntityRecord,

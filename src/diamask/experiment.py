@@ -40,8 +40,8 @@ through _fit, which always takes its SGD order (_sgd_order), and a model
 scores rows through _evaluate_rows.
 
 run_matrix ties it together: each dataset is split and its gold labels read
-once; under each policy its documents are masked to text alone (mask_text,
-no replacement log), then for every (training dataset, policy) pair it trains
+once; under each policy its documents are masked to text alone
+(mask_text), then for every (training dataset, policy) pair it trains
 and evaluates in-domain and on every other dataset, and scores each masked
 policy against the no-mask baseline per cell. The same texts give the same
 rows, and the same rows and labels the same model and predictions, so one

@@ -7,34 +7,28 @@ any other span becomes. A span is kept, deleted, replaced by its tag name
 role QID resolved from an entity index. No Mask keeps every span.
 
 Masking is two steps: _tokens picks each span's token from the table, and
-_splice puts the tokens into the text. mask_text returns the text alone, as
-run_matrix needs; apply_mask also logs each span's token, and mask_corpus
-counts them. The whitespace run around a deleted span, through any other
-deletion in it, becomes one space; a deletion with no whitespace beside it
-joins its neighbours directly. After any edit the edges are trimmed. All
-other spacing is kept byte for byte, and a document with no spans always
-comes back unchanged.
+_splice puts the tokens into the text. There are two entry points:
+mask_text masks one document to its text, and mask_corpus masks a corpus and
+counts the tokens it spliced in. The whitespace run around a deleted span,
+through any other deletion in it, becomes one space; a deletion with no
+whitespace beside it joins its neighbours directly. _splice makes these
+joins in one pass over the segments between deletions, so its cost is linear
+in the text. After any edit the edges are trimmed. All other spacing is kept
+byte for byte, and a document with no spans always comes back unchanged.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .annotate import AnnotatedDocument, NeSpan, NeTag
+from .annotate import AnnotatedDocument, NeTag
 from .corpus import Corpus, Document
 from .errors import DataError
 from .wikidata import EntityIndex, ResolveMode, resolve_person_label
 
-__all__ = [
-    "MaskPolicy",
-    "MaskedDocument",
-    "apply_mask",
-    "mask_corpus",
-    "mask_text",
-]
+__all__ = ["MaskPolicy", "mask_corpus", "mask_text"]
 
 
 class MaskPolicy(Enum):
@@ -76,15 +70,6 @@ _RULES = {
 }
 
 
-@dataclass(frozen=True)
-class MaskedDocument:
-    text: str
-    replacements: tuple[tuple[NeSpan, str | None], ...]
-
-    def emitted_tokens(self) -> list[str]:
-        return [token for _, token in self.replacements if token is not None]
-
-
 def _tokens(
     doc: AnnotatedDocument,
     policy: MaskPolicy,
@@ -113,9 +98,10 @@ def _tokens(
 def _splice(doc: AnnotatedDocument, tokens: list[str | None]) -> str:
     """doc's text with each span's token spliced in, left to right.
 
-    Deleted spans cut the spliced text into segments. Each segment joins the
-    text built so far through one space if either side of the cut had
-    whitespace to strip, and directly if neither had.
+    Deleted spans cut the spliced text into segments. Each segment, stripped,
+    joins the one before it through one space if either side of the cut had
+    whitespace to strip, and directly if neither had. A segment that strips to
+    nothing lies inside one cut, so its whitespace counts for that cut.
     """
     text = doc.document.text
     segments: list[str] = []  # the spliced text, cut at each deleted span
@@ -132,10 +118,19 @@ def _splice(doc: AnnotatedDocument, tokens: list[str | None]) -> str:
     pieces.append(text[cursor:])
     segments.append("".join(pieces))
     masked = segments[0]
-    for segment in segments[1:]:
-        left, right = masked.rstrip(), segment.lstrip()
-        space = " " if len(left) + len(right) < len(masked) + len(segment) else ""
-        masked = left + space + right
+    if len(segments) > 1:
+        joined: list[str] = []
+        space = False  # whether either side of the current cut had whitespace
+        for segment in segments:
+            core = segment.strip()
+            if not core:
+                space = space or segment != ""
+                continue
+            if joined:
+                joined.append(" " if space or segment[0].isspace() else "")
+            joined.append(core)
+            space = segment[-1].isspace()
+        masked = "".join(joined)
     if tokens.count(None) < len(tokens):  # some span was edited
         masked = masked.strip()
     return masked
@@ -147,26 +142,12 @@ def mask_text(
     index: EntityIndex | None = None,
     resolve_mode: ResolveMode = ResolveMode.DUMP_ORDER,
 ) -> str:
-    """The masked text of one document, as apply_mask's .text, with no log."""
-    return _splice(doc, _tokens(doc, policy, index, resolve_mode))
+    """Mask one document to its text.
 
-
-def apply_mask(
-    doc: AnnotatedDocument,
-    policy: MaskPolicy,
-    index: EntityIndex | None = None,
-    resolve_mode: ResolveMode = ResolveMode.DUMP_ORDER,
-) -> MaskedDocument:
-    """Mask one document.
-
-    The replacement log pairs every input span with the token spliced in
-    for it (None for spans kept verbatim or deleted), so len(replacements)
-    == len(spans) always. WikiD-family policies need an entity index;
-    person spans that resolve to nothing still get the generic "PER" token.
+    WikiD-family policies need an entity index; person spans that resolve
+    to nothing still get the generic "PER" token.
     """
-    tokens = _tokens(doc, policy, index, resolve_mode)
-    log = tuple((span, token or None) for span, token in zip(doc.spans, tokens))
-    return MaskedDocument(text=_splice(doc, tokens), replacements=log)
+    return _splice(doc, _tokens(doc, policy, index, resolve_mode))
 
 
 def mask_corpus(

@@ -54,7 +54,7 @@ that leaves no trace. Each shortcut is exact:
   it. A Statement is frozen, so sharing one changes no value or equality.
 - One index_dump call parses each distinct qualifier time string once: a
   dict local to the call maps the raw "time" string to what
-  _parse_time_value gives for it, a None included. That function reads
+  _parse_time_value gives for it, a None included. That function is given
   nothing but the string, so the table changes no date.
 - save_index writes each record line from one template, which is what
   json.dumps(record_object, ensure_ascii=False) writes. Every string goes
@@ -257,17 +257,12 @@ def qid_sort_key(token: str) -> tuple[int, object]:
     return (1, token)
 
 
-def _parse_time_value(value: dict) -> Date | None:
-    raw = value.get("time")
-    if not isinstance(raw, str):
-        return None
+def _parse_time_value(raw: str) -> Date | None:
     m = _TIME_RE.match(raw)
     if not m:
         return None  # BCE or otherwise unusable
     year, month, day = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    if year < 1:
-        return None
-    try:
+    try:  # a day past the month's end, year 0 and years past 9999 raise
         return Date(year, max(month, 1), max(day, 1))
     except ValueError:
         return None
@@ -283,14 +278,13 @@ def _qualifier_date(qualifiers: dict, prop: str, dates: dict[str, Date | None]) 
         dv = snak.get("datavalue", {})
         if dv.get("type") != "time":
             continue
-        value = dv.get("value", {})
-        raw = value.get("time")
+        raw = dv.get("value", {}).get("time")
         if not isinstance(raw, str):
-            continue  # _parse_time_value's None
+            continue
         try:
             parsed = dates[raw]
         except KeyError:
-            parsed = dates[raw] = _parse_time_value(value)
+            parsed = dates[raw] = _parse_time_value(raw)
         if parsed is not None:
             return parsed
     return None

@@ -16,11 +16,10 @@ from diamask import (
     NeSpan,
     NeTag,
     ResolveMode,
-    apply_mask,
     index_dump,
     mask_corpus,
+    mask_text,
 )
-from diamask.masking import mask_text
 from diamask.wikidata import resolve_person_label
 
 from helpers import make_sample_annotated, modi_dump_lines
@@ -112,95 +111,94 @@ class TestMaskPolicy:
 class TestWorkedExample:
     @pytest.mark.parametrize("policy", list(MaskPolicy), ids=lambda p: p.value)
     def test_masked_text_is_byte_exact(self, policy, sample, modi_index):
-        masked = apply_mask(sample, policy, modi_index)
-        assert masked.text == EXPECTED[policy]
-
-    @pytest.mark.parametrize("policy", list(MaskPolicy), ids=lambda p: p.value)
-    def test_every_span_is_logged(self, policy, sample, modi_index):
-        masked = apply_mask(sample, policy, modi_index)
-        assert len(masked.replacements) == len(sample.spans)
-        assert [s for s, _ in masked.replacements] == list(sample.spans)
+        assert mask_text(sample, policy, modi_index) == EXPECTED[policy]
 
     @pytest.mark.parametrize("policy", list(MaskPolicy), ids=lambda p: p.value)
     def test_usage_multiset(self, policy, sample, modi_index):
-        masked = apply_mask(sample, policy, modi_index)
-        assert Counter(masked.emitted_tokens()) == Counter(EXPECTED_USAGE[policy])
-
-    def test_no_mask_logs_spans_without_tokens(self, sample):
-        masked = apply_mask(sample, MaskPolicy.NO_MASK)
-        assert all(token is None for _, token in masked.replacements)
-        assert len(masked.replacements) == 4
+        _, usage = mask_corpus([sample], policy, modi_index)
+        assert usage == Counter(EXPECTED_USAGE[policy])
 
 
 class TestWhitespaceHandling:
     def test_preexisting_runs_survive_replacement(self, modi_index):
         doc = ann("x  y US z", ("US", NeTag.LOC))
-        masked = apply_mask(doc, MaskPolicy.BASIC_NER, modi_index)
-        assert masked.text == "x  y LOC z"
+        assert mask_text(doc, MaskPolicy.BASIC_NER, modi_index) == "x  y LOC z"
 
     def test_preexisting_runs_survive_away_from_deletions(self):
         doc = ann("x  y US z", ("US", NeTag.LOC))
-        masked = apply_mask(doc, MaskPolicy.NE_DEL)
-        assert masked.text == "x  y z"
+        assert mask_text(doc, MaskPolicy.NE_DEL) == "x  y z"
 
     def test_deletion_at_text_start(self):
-        assert apply_mask(ann("US attacks", ("US", NeTag.LOC)), MaskPolicy.NE_DEL).text == "attacks"
+        assert mask_text(ann("US attacks", ("US", NeTag.LOC)), MaskPolicy.NE_DEL) == "attacks"
 
     def test_deletion_at_text_end(self):
-        assert apply_mask(ann("attack US", ("US", NeTag.LOC)), MaskPolicy.NE_DEL).text == "attack"
+        assert mask_text(ann("attack US", ("US", NeTag.LOC)), MaskPolicy.NE_DEL) == "attack"
 
     def test_deleting_everything_yields_empty_text(self):
         doc = ann("US UK", ("US", NeTag.LOC), ("UK", NeTag.LOC))
-        assert apply_mask(doc, MaskPolicy.NE_DEL).text == ""
+        assert mask_text(doc, MaskPolicy.NE_DEL) == ""
 
     def test_deletion_before_punctuation_keeps_single_space(self):
         doc = ann("met Modi, leader", ("Modi", NeTag.PER))
-        assert apply_mask(doc, MaskPolicy.NE_DEL).text == "met , leader"
+        assert mask_text(doc, MaskPolicy.NE_DEL) == "met , leader"
 
     def test_deletions_in_one_run_leave_other_runs_alone(self):
         # both deletions sit in one whitespace run, which becomes one space;
         # the double space after "a", which no deletion touches, stays
         doc = ann("a  bc X      Y     z", ("X", NeTag.ORG), ("Y", NeTag.ORG))
-        assert apply_mask(doc, MaskPolicy.NE_DEL).text == "a  bc z"
+        assert mask_text(doc, MaskPolicy.NE_DEL) == "a  bc z"
 
     def test_deletion_flush_against_letters_adds_no_space(self):
         doc = ann("xUSy", ("US", NeTag.LOC))
-        assert apply_mask(doc, MaskPolicy.NE_DEL).text == "xy"
+        assert mask_text(doc, MaskPolicy.NE_DEL) == "xy"
+
+    @pytest.mark.parametrize("text, want", [("xUVy", "xy"), ("xU Vy", "x y")])
+    def test_deletion_next_to_a_deletion(self, text, want):
+        # the segment between the two deletions strips to nothing, so its
+        # whitespace, if any, decides the one join left
+        assert mask_text(ann(text, ("U", NeTag.ORG), ("V", NeTag.ORG)), MaskPolicy.NE_DEL) == want
+
+    def test_whitespace_after_a_deletion_alone_gives_one_space(self):
+        assert mask_text(ann("xUS  y", ("US", NeTag.LOC)), MaskPolicy.NE_DEL) == "x y"
 
     def test_edges_are_stripped_only_after_an_edit(self):
         untouched = ann(" padded ")
-        assert apply_mask(untouched, MaskPolicy.NE_DEL).text == " padded "
+        assert mask_text(untouched, MaskPolicy.NE_DEL) == " padded "
         edited = ann(" padded US ", ("US", NeTag.LOC))
-        assert apply_mask(edited, MaskPolicy.NE_DEL).text == "padded"
+        assert mask_text(edited, MaskPolicy.NE_DEL) == "padded"
+
+    def test_edges_are_stripped_after_a_replacement(self):
+        edited = ann(" padded US ", ("US", NeTag.LOC))
+        assert mask_text(edited, MaskPolicy.BASIC_NER) == "padded LOC"
 
     def test_no_mask_never_touches_text(self, modi_index):
         doc = ann("  US  ", ("US", NeTag.LOC))
-        assert apply_mask(doc, MaskPolicy.NO_MASK).text == "  US  "
+        assert mask_text(doc, MaskPolicy.NO_MASK) == "  US  "
 
 
 class TestResolution:
     def test_unresolvable_person_falls_back_to_generic_token(self, modi_index):
         doc = ann("with Cleopatra tonight", ("Cleopatra", NeTag.PER))
-        masked = apply_mask(doc, MaskPolicy.WIKID, modi_index)
-        assert masked.text == "with PER tonight"
-        assert masked.emitted_tokens() == ["PER"]
+        corpus, usage = mask_corpus([doc], MaskPolicy.WIKID, modi_index)
+        assert corpus.documents[0].text == "with PER tonight"
+        assert usage == Counter({"PER": 1})
 
     def test_masked_surfaces_do_not_survive(self, sample, modi_index):
         for policy in (MaskPolicy.NE_DEL, MaskPolicy.BASIC_NER, MaskPolicy.WIKID_DEL):
-            masked = apply_mask(sample, policy, modi_index)
-            assert "Modi" not in masked.text
-            assert "Australia" not in masked.text
+            masked = mask_text(sample, policy, modi_index)
+            assert "Modi" not in masked
+            assert "Australia" not in masked
 
     def test_missing_index_is_an_error(self, sample):
         for policy in (MaskPolicy.WIKID, MaskPolicy.WIKID_DEL, MaskPolicy.WIKID_NER):
             with pytest.raises(DataError, match=policy.value):
-                apply_mask(sample, policy, None)
+                mask_text(sample, policy, None)
 
     def test_masking_without_spans_is_identity(self, modi_index):
         doc = ann("nothing notable here")
         for policy in MaskPolicy:
             index = modi_index if policy.requires_index else None
-            assert apply_mask(doc, policy, index).text == "nothing notable here"
+            assert mask_text(doc, policy, index) == "nothing notable here"
 
 
 class TestMaskCorpus:
@@ -276,25 +274,25 @@ def test_word_aligned_masking_invariants(words, mask_positions, policy):
     doc = AnnotatedDocument(
         document=Document(id="d", text=text, label=Label.REAL), spans=tuple(spans)
     )
-    masked = apply_mask(doc, policy, index)
-    assert len(masked.replacements) == len(spans)
+    masked = mask_text(doc, policy, index)
     if policy is MaskPolicy.NO_MASK or not spans:
-        assert masked.text == text
+        assert masked == text
     else:
-        assert "  " not in masked.text
-        assert masked.text == masked.text.strip()
-    for token in masked.emitted_tokens():
+        assert "  " not in masked
+        assert masked == masked.strip()
+    _, usage = mask_corpus([doc], policy, index)
+    for token in usage:
         assert _QID_OR_TAG.match(token)
 
 
-# -- mask_text, apply_mask and mask_corpus against the branch chain they replaced
+# -- mask_text and mask_corpus against the branch chain they replaced
 
 
 _KEEP, _DELETE = object(), object()
 
 
 def reference_span_action(span, policy, index, resolve_mode):
-    """What apply_mask spliced in for one span before the rule table: _KEEP,
+    """What masking spliced in for one span before the rule table: _KEEP,
     _DELETE, or a replacement, one branch per policy."""
     if policy is MaskPolicy.NO_MASK:
         return _KEEP
@@ -325,11 +323,11 @@ def reference_join(text, points):
     return "".join(pieces)
 
 
-def reference_apply_mask(doc, policy, index, resolve_mode):
-    """apply_mask as it was before mask_text, with the spacing rule of the
-    masking module's docstring: (masked text, replacement log)."""
+def reference_mask(doc, policy, index, resolve_mode):
+    """Masking as it was before the rule table, with the spacing rule of the
+    masking module's docstring: (masked text, tokens spliced in)."""
     text = doc.document.text
-    pieces, junctions, replacements = [], [], []
+    pieces, junctions, emitted = [], [], []
     out_len = 0
     edited = False
     cursor = 0
@@ -341,22 +339,20 @@ def reference_apply_mask(doc, policy, index, resolve_mode):
         if action is _KEEP:
             pieces.append(span.surface)
             out_len += len(span.surface)
-            replacements.append((span, None))
         elif action is _DELETE:
             junctions.append(out_len)
-            replacements.append((span, None))
             edited = True
         else:
             pieces.append(action)
             out_len += len(action)
-            replacements.append((span, action))
+            emitted.append(action)
             edited = True
         cursor = span.end
     pieces.append(text[cursor:])
     masked = "".join(pieces)
     if edited:
         masked = reference_join(masked, junctions).strip()
-    return masked, tuple(replacements)
+    return masked, emitted
 
 
 MODI_INDEX = index_dump(io.StringIO("\n".join(modi_dump_lines()) + "\n"), SNAPSHOT)
@@ -395,11 +391,9 @@ def spliced_docs(draw):
 
 @given(spliced_docs(), st.sampled_from(list(MaskPolicy)), st.sampled_from(list(ResolveMode)))
 @settings(max_examples=300)
-def test_mask_text_splices_as_apply_mask_did(doc, policy, mode):
-    text, log = reference_apply_mask(doc, policy, MODI_INDEX, mode)
+def test_masking_matches_the_reference(doc, policy, mode):
+    text, emitted = reference_mask(doc, policy, MODI_INDEX, mode)
     assert mask_text(doc, policy, MODI_INDEX, mode) == text
-    masked = apply_mask(doc, policy, MODI_INDEX, mode)
-    assert (masked.text, masked.replacements) == (text, log)
     corpus, usage = mask_corpus([doc], policy, MODI_INDEX, mode)
     assert corpus.documents[0].text == text
-    assert usage == Counter(token for _, token in log if token is not None)
+    assert usage == Counter(emitted)

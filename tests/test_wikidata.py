@@ -142,7 +142,7 @@ class TestIndexDump:
         entity = make_entity("Q9", "Jane Roe", positions=(("Q3", "٢٠٠٩-01-20"),))
         index = index_of([entity_line(entity)])
         assert index.records["Q9"].statements[0].start_date is None
-        assert _parse_time_value({"time": "+٢٠٠٩-01-20T00:00:00Z"}) is None
+        assert _parse_time_value("+٢٠٠٩-01-20T00:00:00Z") is None
 
     def test_qualifiers_of_another_json_type_make_a_malformed_line(self):
         # only an absent key skips the date lookups; [] and null are no qualifier object
@@ -697,7 +697,8 @@ def reference_qualifier_date(claim, prop):
         dv = snak.get("datavalue", {})
         if dv.get("type") != "time":
             continue
-        parsed = _parse_time_value(dv.get("value", {}))
+        raw = dv.get("value", {}).get("time")
+        parsed = _parse_time_value(raw) if isinstance(raw, str) else None
         if parsed is not None:
             return parsed
     return None
