@@ -24,10 +24,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
+ERRORS = "src/diamask/errors.py"
 MASKING = "src/diamask/masking.py"
 WIKIDATA = "src/diamask/wikidata.py"
 WHITESPACE = "tests/test_masking.py::TestWhitespaceHandling::"
 WORKED = "tests/test_masking.py::TestWorkedExample::"
+KERNELS = "tests/test_wikidata.py::TestIndexKernelsMatchReference::"
 
 
 class Row(NamedTuple):
@@ -61,7 +63,22 @@ ROWS = (
     Row("_parse_time_value: a date out of range is no date", WIKIDATA,
         "    except ValueError:\n        return None\n\n\ndef _qualifier_date(",
         "    finally:\n        pass\n\n\ndef _qualifier_date(",
-        ("tests/test_wikidata.py::TestIndexKernelsMatchReference::test_dates",)),
+        (KERNELS + "test_dates",)),
+    Row("decode_json: only JSON whitespace may follow the value", ERRORS,
+        'exact = not text[end:].strip(" \\t\\n\\r")', "exact = True",
+        ("tests/test_errors.py::test_json_loads_errors_keep_their_message[number-then-number]",
+         "tests/test_errors.py::test_json_loads_errors_keep_their_message[object-then-word]")),
+    Row("_build_maps: by_token takes the casefolded tokens of the name", WIKIDATA,
+        "for token in tokens:", "for token in name.split():",
+        ("tests/test_wikidata.py::TestLookup::test_token_fallback",
+         "tests/test_golden.py::test_cli_output_bytes[mask_wikid.jsonl]")),
+    Row("load_index: a repeated QID is an error, not a replacement", WIKIDATA,
+        "if qid in index.records:", "if False:",
+        ("tests/test_cli.py::test_hostile_input_exits_1_with_one_error_line[index-duplicate-qid]",)),
+    Row("_QID_RE: a QID's digits are ASCII", WIKIDATA,
+        'r"Q[0-9]+"', 'r"Q\\d+"',
+        (KERNELS + "test_build", KERNELS + "test_load_other_digits[qid]",
+         KERNELS + "test_load_other_digits[value]")),
 )
 
 

@@ -6,11 +6,13 @@ as opposed to programming errors, which stay plain ValueError/TypeError. The
 CLI maps DataError to exit status 1 and usage problems to exit status 2.
 
 numbered_lines numbers the lines of a text file, naming the line of a byte
-that is not UTF-8. This is the one place JSON is decoded: decode_json is
-json.loads plus a check that every string encodes as UTF-8, json_lines
-applies it to each non-blank line of a JSON Lines file, and json_file to a
-file holding one value. A loader wraps each record in
-prefixed(f"{path} line N"), so every record error names the file and line.
+that is not UTF-8. This is the one place JSON is decoded: decode_json gives
+json.loads's value or error, parsing a value with only JSON whitespace after
+it once and any other text through json.loads itself, then checks that every
+string encodes as UTF-8; json_lines applies it to each non-blank line of a
+JSON Lines file, and json_file to a file holding one value. A loader wraps
+each record in prefixed(f"{path} line N"), so every record error names the
+file and line.
 
 fields is the one way to read a decoded JSON object of settings (the
 experiment config, a model file and each object in them): a table maps each
@@ -68,18 +70,34 @@ def numbered_lines(lines: Iterable[str], where: object) -> Iterator[tuple[int, s
 _SURROGATE_ESCAPE = re.compile(r"\\(?<!\\\\)(?:\\\\)*(u[dD](?:[89abAB]..(?:\\u[dD][c-fC-F]..)?|[c-fC-F]..))")
 
 
+# json.loads(text) is _default_decoder.decode(text): a BOM check, then this
+# decoder's raw_decode after leading whitespace, then a check that only JSON
+# whitespace follows the value. The decoder keeps no state between calls.
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+
 def decode_json(text: str, where: object, lineno: int = 1) -> object:
     """json.loads(text), where text is where's lines from line lineno on, else
     DataError `<where> line N: malformed JSON (<reason>)` or, for an unpaired
-    \\ud800-\\udfff escape (a string UTF-8 cannot encode), `lone surrogate`."""
+    \\ud800-\\udfff escape (a string UTF-8 cannot encode), `lone surrogate`.
+
+    A value that starts the text with only JSON whitespace after it is
+    json.loads's value, parsed once; any other text (leading whitespace, a
+    BOM, data after the value, an error) goes to json.loads itself."""
     try:
-        value = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{where} line {lineno + exc.lineno - 1}: malformed JSON ({exc.msg})") from None
-    except (ValueError, RecursionError) as exc:  # int()'s digit limit, or nesting: no position
-        at = where if "\n" in text.rstrip() else f"{where} line {lineno}"
-        reason = "nested too deeply" if isinstance(exc, RecursionError) else "integer too long"
-        raise DataError(f"{at}: malformed JSON ({reason})") from None
+        value, end = _RAW_DECODE(text)
+        exact = not text[end:].strip(" \t\n\r")  # only JSON whitespace after the value
+    except (ValueError, RecursionError):
+        exact = False
+    if not exact:  # json.loads decodes the text once more, or says what is wrong with it
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where} line {lineno + exc.lineno - 1}: malformed JSON ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:  # int()'s digit limit, or nesting: no position
+            at = where if "\n" in text.rstrip() else f"{where} line {lineno}"
+            reason = "nested too deeply" if isinstance(exc, RecursionError) else "integer too long"
+            raise DataError(f"{at}: malformed JSON ({reason})") from None
     if "\\" in text:  # a quick scan, as most text holds no escape at all
         for match in _SURROGATE_ESCAPE.finditer(text):
             if len(match[1]) == 5:  # one half, without the other

@@ -44,14 +44,24 @@ that leaves no trace. Each shortcut is exact:
   with the same message.
 - The map build creates a posting list with its first QID in it, so a key
   already present costs no empty list, and no list in the maps is empty.
+- The map build casefolds and splits each name once: the by_name key joins
+  the tokens, and by_token takes the same tokens, which is
+  _normalize(name).split(" ") as no token holds a space.
+- index_dump and load_index put each record into index.records after their
+  own checks, not through add: on a new index nobody has read, add's resets
+  of the maps and the resolve memo clear nothing. load_index's duplicate and
+  QID-order checks guard that insert.
 - index_dump reads a claim's qualifiers once for both dates; a second read
   of the same key would give the same object, or the same error. A claim
   with no "qualifiers" key skips both lookups, which would read an empty
   object and find no date. The key's absence is told by a sentinel's
   identity, so a present [] or null still makes the line malformed.
-- One index_dump call builds each distinct statement once: a dict local to
-  the call maps (pid, target, start, end) to the Statement first built for
-  it. A Statement is frozen, so sharing one changes no value or equality.
+- One index_dump or load_index call builds each distinct statement once: a
+  dict local to the call maps (pid, target, start, end) to the Statement
+  first built for it. A Statement is frozen, so sharing one changes no value
+  or equality. load_index keys the dict by the raw JSON values, after the
+  key-count check: equal values are equal strings or null, which the first
+  build has checked, and an unhashable one is malformed as before.
 - One index_dump call parses each distinct qualifier time string once: a
   dict local to the call maps the raw "time" string to what
   _parse_time_value gives for it, a None included. That function is given
@@ -217,15 +227,16 @@ class EntityIndex:
         # repeated within the record finds it at the end of the list
         for qid, record in self.records.items():
             for name in (record.primary_label, *record.aliases):
-                key = _normalize(name)
-                if not key:
+                tokens = name.casefold().split()  # _normalize(name).split(" ")
+                if not tokens:
                     continue
+                key = " ".join(tokens)
                 bucket = by_name.get(key)
                 if bucket is None:
                     by_name[key] = [qid]
                 elif bucket[-1] != qid:
                     bucket.append(qid)
-                for token in key.split(" "):
+                for token in tokens:
                     bucket = by_token.get(token)
                     if bucket is None:
                         by_token[token] = [qid]
@@ -416,7 +427,7 @@ def index_dump(
                 index.malformed_lines += 1
                 continue
             if record is not None:
-                index.add(record)
+                index.records[record.qid] = record  # add, on an index nobody has read
     if not index.records:
         log.warning("dump produced an empty index (snapshot %s)", snapshot_date)
     return index
@@ -462,20 +473,25 @@ def save_index(index: EntityIndex, path: str | Path) -> None:
     write_output(path, itertools.chain([_JSON_LINE.encode(header) + "\n"], lines))
 
 
-def _load_statement(raw: dict) -> Statement:
+def _load_statement(raw: dict, shared: dict) -> Statement:
     """A saved statement; KeyError, ValueError, TypeError or DataError if it is
-    none that save_index writes."""
-    value, start, end = raw["value"], raw["start"], raw["end"]
-    if not _QID_RE.fullmatch(value):  # TypeError on a non-string
-        raise ValueError(f"bad statement value {value!r}")
+    none that save_index writes. shared maps the four values read here to the
+    Statement built for them before, and gains each one built here."""
     if len(raw) != 4:  # a key besides the four read here
         raise ValueError("unknown statement key")
-    return Statement(
-        _ROLE_BY_PID[raw["property"]],
-        value,
-        None if start is None else iso_date(start),
-        None if end is None else iso_date(end),
-    )
+    key = (raw["property"], raw["value"], raw["start"], raw["end"])
+    statement = shared.get(key)  # TypeError on an unhashable value
+    if statement is None:
+        pid, value, start, end = key
+        if not _QID_RE.fullmatch(value):  # TypeError on a non-string
+            raise ValueError(f"bad statement value {value!r}")
+        statement = shared[key] = Statement(
+            _ROLE_BY_PID[pid],
+            value,
+            None if start is None else iso_date(start),
+            None if end is None else iso_date(end),
+        )
+    return statement
 
 
 def load_index(path: str | Path) -> EntityIndex:
@@ -490,13 +506,14 @@ def load_index(path: str | Path) -> EntityIndex:
             header = fields(header, _HEADER_FIELDS)
         expected = header["record_count"]
         index = EntityIndex(snapshot_date=header["snapshot_date"])
+        shared: dict[tuple, Statement] = {}  # equal statements, one object (see _load_statement)
         last = -1
         for lineno, raw in lines:
             try:
                 qid, label, aliases = raw["qid"], raw["label"], raw["aliases"]
                 sitelinks = raw["sitelinks"]
                 # LIST: "" or {} would iterate as no statements, which save_index writes as []
-                statements = tuple([_load_statement(s) for s in LIST(raw["statements"])])
+                statements = tuple([_load_statement(s, shared) for s in LIST(raw["statements"])])
                 # _QID_RE.fullmatch raises TypeError on a non-string, as wanted
                 if not (
                     len(raw) == 5
@@ -513,7 +530,7 @@ def load_index(path: str | Path) -> EntityIndex:
             except (KeyError, ValueError, TypeError, DataError):
                 raise DataError(f"{path} line {lineno}: malformed index record") from None
             # save_index writes records by rising numeric QID; only a record that does not
-            # rise can repeat a QID, which index.add would let replace the earlier record
+            # rise can repeat a QID, which the insert below would let replace the earlier record
             number = int(qid[1:])
             if number <= last:
                 if qid in index.records:
@@ -521,7 +538,7 @@ def load_index(path: str | Path) -> EntityIndex:
                 if number < last:  # an equal number is a leading-zero spelling ("Q01")
                     raise DataError(f"{path} line {lineno}: record {qid!r} out of QID order")
             last = number
-            index.add(record)
+            index.records[qid] = record  # add, on an index nobody has read
     if len(index.records) != expected:
         raise DataError(
             f"{path}: header promises {expected} records, found {len(index.records)}"

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -9,6 +10,8 @@ from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diamask import (
     DataError,
@@ -38,7 +41,8 @@ from diamask.cli import (
 )
 from diamask.experiment import FEATURE_FIELDS, TRAIN_FIELDS
 
-from helpers import SYNTH_A, SYNTH_B, SYNTH_ROLE_MAP, entity_line, make_entity, modi_dump_lines
+from helpers import (SYNTH_A, SYNTH_B, SYNTH_ROLE_MAP, entity_line, make_entity, modi_dump_lines,
+                     mutated)
 
 
 @pytest.fixture(autouse=True)
@@ -1567,6 +1571,122 @@ def test_hostile_input_exits_1_with_one_error_line(tmp_path, capsys, contents, a
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert names in err
+
+
+# -- fuzz: each JSON input, broken at random, through dispatch ----------------
+
+_FUZZ_DOCS = "".join(
+    json.dumps({"id": f"d{i}", "text": ("zzz hoax Jane Roe" if i % 2 else "qqq report"),
+                "label": "fake" if i % 2 else "real"}) + "\n"
+    for i in range(10)
+)
+_FUZZ_INDEX = (
+    json.dumps({"format_version": 1, "snapshot_date": "2020-12-28", "record_count": 2}) + "\n"
+    + _index_record("Q1") + _index_record("Q3", "Ann Lee", start="2019-01-01")
+)
+_FUZZ_CONFIG = {"datasets": [{"name": "x", "corpus": "{docs}", "index": "{index}"}],
+                "policies": ["no-mask", "wikid"], "split": {"mode": "random"},
+                "resolve_mode": "temporal", "features": {"dimensions": 64}}
+# input -> (argv, a valid file of it); {f} is the file, and {corpus}, {docs},
+# {index} and {usage} the other inputs a run reads
+FUZZ_INPUTS = {
+    "corpus": (_INGEST, _FUZZ_DOCS),
+    "annotations": (["mask", "--corpus", "{docs}", "--annotations", "{f}", "--policy", "wikid",
+                     "--index", "{index}", "--output", "-"],
+                    _span(start=9, end=17) + _span(start=4, end=8, tag="ORG", text="hoax")
+                    .replace('"d1"', '"d3"')),
+    "index": (["coverage", "--usage", "a={usage}", "--top-k", "2", "--index", "{f}"], _FUZZ_INDEX),
+    "dump": (_INDEX_DUMP + ["--strict"], _dump_entity() + _dump_entity(id="Q3", sitelinks={})),
+    "model": (_EVAL, json.dumps(json.loads(_model()), indent=1) + "\n"),
+    "config": (_EXPERIMENT, json.dumps(_FUZZ_CONFIG, indent=1) + "\n"),
+}
+
+
+@st.composite
+def _fuzzed(draw, text):
+    """text's UTF-8 bytes after one to three breaks: a bit flipped, a cut, a
+    line repeated or dropped, or a part of a JSON value (the file's, else a
+    line's) dropped or of another JSON type."""
+    data = text.encode("utf-8")
+    pick = random.Random(draw(st.integers(0, 2**64 - 1)))  # uniform picks, as in mutated
+    for _ in range(pick.randint(1, 3)):
+        lines = data.splitlines(keepends=True)
+        if not lines:
+            break
+        how = pick.choice(["flip", "cut", "repeat", "drop", "retype"])
+        if how == "flip":
+            at = pick.randrange(len(data))
+            data = data[:at] + bytes([data[at] ^ 1 << pick.randrange(8)]) + data[at + 1:]
+        elif how == "cut":
+            data = data[:pick.randrange(len(data))]
+        elif how in ("repeat", "drop"):
+            at = pick.randrange(len(lines))
+            lines[at:at + 1] = [lines[at]] * 2 if how == "repeat" else []
+            data = b"".join(lines)
+        else:
+            at = pick.randrange(len(lines))
+            for start, end in ((0, len(lines)), (at, at + 1)):
+                try:
+                    value = json.loads(b"".join(lines[start:end]))
+                except ValueError:
+                    continue
+                value = draw(mutated(value, {}, (1,)))
+                lines[start:end] = [json.dumps(value).encode("ascii") + b"\n"]
+                break
+            data = b"".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """The inputs a fuzzed run reads besides the fuzzed file, and their paths."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"corpus": '{"id": "d1", "text": "Jane Roe spoke.", "label": "real"}\n',
+             "docs": _FUZZ_DOCS, "index": _FUZZ_INDEX, "usage": "Q2\t3\nPER\t1\nQ9\t2\n"}
+    paths = {name: root / name for name in files}
+    for name, contents in files.items():
+        paths[name].write_text(contents, encoding="utf-8")
+    return root, {name: str(path) for name, path in paths.items()}
+
+
+def _fuzz_valid(name, paths):
+    """The valid file of the input, naming the files in paths."""
+    text = FUZZ_INPUTS[name][1]
+    for key, path in paths.items():  # the config names the corpus and the index it reads
+        text = text.replace(f"{{{key}}}", path)
+    return text
+
+
+def _fuzz_run(fuzz_dir, capsys, name, contents):
+    """(exit status, stderr) of the input's run on the file contents (bytes)."""
+    root, paths = fuzz_dir
+    fuzzed = root / f"fuzzed-{name}"
+    fuzzed.write_bytes(contents)
+    capsys.readouterr()
+    code = dispatch([arg.format(f=fuzzed, **paths) for arg in FUZZ_INPUTS[name][0]])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", FUZZ_INPUTS)
+def test_each_fuzz_input_runs_unbroken(fuzz_dir, capsys, name):
+    valid = _fuzz_valid(name, fuzz_dir[1]).encode("utf-8")
+    code, err = _fuzz_run(fuzz_dir, capsys, name, valid)
+    assert code == 0 and "error:" not in err, err
+
+
+@pytest.mark.parametrize("name", FUZZ_INPUTS)
+@given(data=st.data())
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_input_exits_0_or_1_with_one_error_line(fuzz_dir, capsys, name, data):
+    contents = data.draw(_fuzzed(_fuzz_valid(name, fuzz_dir[1])), label="contents")
+    code, err = _fuzz_run(fuzz_dir, capsys, name, contents)
+    assert "Traceback" not in err and code in (0, 1), err
+    lines = err.splitlines()
+    if code == 0:
+        assert not any(line.startswith("error:") for line in lines), err
+    else:  # a warning logged on the way (an overlapping span dropped, say) is no error line
+        lines = [line for line in lines if not line.startswith("WARNING ")]
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 # -- refused settings: a flag a command's mode or policy does not read -------

@@ -11,7 +11,7 @@ from datetime import date
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diamask import (
@@ -282,6 +282,16 @@ class TestSaveLoad:
         assert loaded.records == modi_index.records
         assert lookup_by_name(loaded, "Modi") == lookup_by_name(modi_index, "Modi")
         assert loaded.malformed_lines == 0
+
+    def test_equal_statements_load_as_one_object(self, tmp_path):
+        index = EntityIndex(snapshot_date=SNAPSHOT)
+        for qid in ("Q1", "Q3", "Q5"):
+            index.add(person(qid, "Jane Roe", occupation="Q9" if qid == "Q5" else "Q2"))
+        save_index(index, tmp_path / "entities.idx")
+        loaded = load_index(tmp_path / "entities.idx")
+        first, second, other = (loaded.records[q].statements[0] for q in ("Q1", "Q3", "Q5"))
+        assert loaded.records == index.records
+        assert first is second and first is not other
 
     def test_header_and_numeric_record_order(self, tmp_path, modi_index):
         path = tmp_path / "entities.idx"
@@ -1060,6 +1070,8 @@ def scratch_index(tmp_path_factory):
 class TestIndexKernelsMatchReference:
     @given(_dump_lines(), st.booleans(), st.booleans())
     @settings(max_examples=500)
+    # a claim target of other digits: int() would read "Q٣" as Q3
+    @example([entity_line(make_entity("Q1", "Jane Roe", occupations=("Q٣",)))], False, False)
     def test_build(self, lines, person_only, strict):
         got = _build_or_error(lines, person_only=person_only, strict=strict)
         # the reference builds each statement and parses each date anew; sharing
@@ -1099,6 +1111,18 @@ class TestIndexKernelsMatchReference:
             resaved = scratch_index.with_name("resaved.idx")
             save_index(got, resaved)
             assert _json_values(resaved) == _json_values(scratch_index)
+
+    @pytest.mark.parametrize("qid, value", [("Q٣", "Q2"), ("Q1", "Q٣")], ids=["qid", "value"])
+    def test_load_other_digits(self, tmp_path, qid, value):
+        """A record or statement QID of other digits is malformed: int() would read "Q٣" as Q3."""
+        header = {"format_version": 1, "snapshot_date": "2020-12-28", "record_count": 1}
+        record = {"qid": qid, "label": "Jane Roe", "aliases": [], "sitelinks": 1,
+                  "statements": [{"property": "P39", "value": value, "start": None, "end": None}]}
+        path = tmp_path / "other-digits.idx"
+        path.write_text(f"{json.dumps(header)}\n{json.dumps(record, ensure_ascii=False)}\n",
+                        encoding="utf-8")
+        got = _load_or_error(load_index, path)
+        assert got == _load_or_error(reference_load_index, path) == f"{path} line 2: malformed index record"
 
     @given(_written_records(), st.dates())
     @settings(max_examples=300)
