@@ -25,11 +25,15 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
 ERRORS = "src/diamask/errors.py"
+EXPERIMENT = "src/diamask/experiment.py"
 MASKING = "src/diamask/masking.py"
 WIKIDATA = "src/diamask/wikidata.py"
 WHITESPACE = "tests/test_masking.py::TestWhitespaceHandling::"
 WORKED = "tests/test_masking.py::TestWorkedExample::"
 KERNELS = "tests/test_wikidata.py::TestIndexKernelsMatchReference::"
+LOOKUP = "tests/test_wikidata.py::TestLookup::"
+RESOLVE = "tests/test_wikidata.py::TestResolve::"
+ADD = "tests/test_wikidata.py::TestEntityIndexAdd::"
 
 
 class Row(NamedTuple):
@@ -79,6 +83,27 @@ ROWS = (
         'r"Q[0-9]+"', 'r"Q\\d+"',
         (KERNELS + "test_build", KERNELS + "test_load_other_digits[qid]",
          KERNELS + "test_load_other_digits[value]")),
+    Row("_sgd_order: every epoch reshuffles the rows", EXPERIMENT,
+        "    for _ in range(config.epochs):\n        rng.shuffle(order)\n        yield from order\n",
+        "    rng.shuffle(order)\n    for _ in range(config.epochs):\n        yield from order\n",
+        ("tests/test_golden.py::test_saved_model_bytes",
+         "tests/test_golden.py::test_saved_long_row_model_bytes")),
+    Row("resolve_person_label: a miss memoizes each mode's own label", WIKIDATA,
+        "index._resolved[surface, ResolveMode.TEMPORAL] = temporal",
+        "index._resolved[surface, ResolveMode.TEMPORAL] = dump_order",
+        (RESOLVE + "test_each_mode_gets_its_own_label[dump-order-first]",
+         RESOLVE + "test_each_mode_gets_its_own_label[temporal-first]")),
+    Row("lookup_by_name: a one-token surface falls back to its token's postings", WIKIDATA,
+        "candidates = by_token.get(key, ())", "candidates = ()",
+        (LOOKUP + "test_token_fallback",
+         LOOKUP + "test_one_token_fallback_over_a_long_posting_list_matches_reference")),
+    Row("EntityIndex.add: an add clears the resolve memo", WIKIDATA,
+        "self._resolved.clear()", "pass",
+        (ADD + "test_add_after_resolve_changes_the_answer", ADD + "test_re_add_drops_the_old_names")),
+    Row("_record_line: a label is written through encode_basestring", WIKIDATA,
+        "f'\"label\": {encode_basestring(record.primary_label)}, '",
+        "f'\"label\": \"{record.primary_label}\", '",
+        ("tests/test_wikidata.py::TestSaveLoad::test_names_are_escaped_as_json_dumps_escapes_them",)),
 )
 
 

@@ -17,7 +17,9 @@ loaded index is there to resolve names. Posting order carries no meaning:
 lookup_by_name sorts its candidates by sitelink count descending, then
 numeric QID. resolve_person_label memoizes its answer on the index per
 (surface as written, mode); every add clears that memo, so a resolve always
-reflects the records present at the time.
+reflects the records present at the time. Only the choice of statement
+depends on the mode, so a surface's first resolve makes one lookup_by_name
+call and fills the memo for both modes.
 
 The dump is read as newline-delimited JSON entities, optionally gzipped.
 The wrapped-array form is tolerated: '[' and ']' lines are skipped and a
@@ -51,6 +53,10 @@ that leaves no trace. Each shortcut is exact:
   own checks, not through add: on a new index nobody has read, add's resets
   of the maps and the resolve memo clear nothing. load_index's duplicate and
   QID-order checks guard that insert.
+- lookup_by_name's token fallback for a one-token surface sorts that
+  token's posting list as it is, with no dict.fromkeys: the map build puts
+  each QID into a list once, so a dedupe of one list changes nothing. A
+  union of several tokens' lists still goes through dict.fromkeys.
 - index_dump reads a claim's qualifiers once for both dates; a second read
   of the same key would give the same object, or the same error. A claim
   with no "qualifiers" key skips both lookups, which would read an empty
@@ -559,15 +565,18 @@ def lookup_by_name(index: EntityIndex, surface: str) -> list[str]:
     if not key:
         return []
     by_name, by_token = index._maps or index._build_maps()  # as the properties read them
-    candidates = list(by_name.get(key, ()))
+    candidates = by_name.get(key)
     if not candidates:
-        candidates = list(
-            dict.fromkeys(q for token in key.split(" ") for q in by_token.get(token, ()))
-        )
+        if " " in key:
+            candidates = dict.fromkeys(
+                itertools.chain.from_iterable(by_token.get(token, ()) for token in key.split(" "))
+            )
+        else:  # one token: its posting list holds each QID once, so needs no dedupe
+            candidates = by_token.get(key, ())
     records = index.records
-    # every indexed QID matches _QID_RE, so int(q[1:]) is qid_sort_key's order
-    candidates.sort(key=lambda q: (-records[q].sitelink_count, int(q[1:])))
-    return candidates
+    # every indexed QID matches _QID_RE, so int(q[1:]) is qid_sort_key's order;
+    # sorted copies, so the map's own list keeps its order
+    return sorted(candidates, key=lambda q: (-records[q].sitelink_count, int(q[1:])))
 
 
 @dataclass(frozen=True)
@@ -591,37 +600,43 @@ def resolve_person_label(
     snapshot date (open-ended ranges count; the latest start wins, dump
     order breaking ties) and falls back to the full DUMP_ORDER cascade when
     none is valid. Unresolvable surfaces yield the generic person token.
-    Results are memoized on the index per surface as written and mode, so
-    lookup_by_name normalizes a surface only the first time it is resolved.
+    Results are memoized on the index per surface as written and mode. The
+    lookup does not depend on the mode, so a surface's first resolve makes
+    one lookup_by_name call and memoizes its label under both modes.
     """
     key = (surface, mode)
     resolved = index._resolved.get(key)
     if resolved is None:
-        resolved = index._resolved[key] = _resolve(index, surface, mode)
+        dump_order, temporal = _resolve(index, surface)
+        index._resolved[surface, ResolveMode.DUMP_ORDER] = dump_order
+        index._resolved[surface, ResolveMode.TEMPORAL] = temporal
+        resolved = index._resolved[key]
     return resolved
 
 
-def _resolve(index: EntityIndex, surface: str, mode: ResolveMode) -> ResolvedLabel:
+_UNRESOLVED = ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=None)
+
+
+def _resolve(index: EntityIndex, surface: str) -> tuple[ResolvedLabel, ResolvedLabel]:
+    """The surface's (DUMP_ORDER, TEMPORAL) labels, from one lookup."""
     candidates = lookup_by_name(index, surface)
     if not candidates:
-        return ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=None)
+        return _UNRESOLVED, _UNRESOLVED
     statements = index.records[candidates[0]].statements
-    if mode is ResolveMode.TEMPORAL:
-        valid = [
-            s
-            for s in statements
-            if s.property is RoleProperty.POSITION_HELD and s.valid_at(index.snapshot_date)
-        ]
-        if valid:
-            # max keeps the first of equal starts: dump order breaks ties
-            latest = max(valid, key=lambda s: s.start_date or Date.min)
-            return ResolvedLabel(token=latest.value_qid, source=RoleProperty.POSITION_HELD)
-        # fall through to dump-order behavior
-    for prop in (RoleProperty.POSITION_HELD, RoleProperty.OCCUPATION):
-        for s in statements:
-            if s.property is prop:
-                return ResolvedLabel(token=s.value_qid, source=prop)
-    return ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=None)
+    # the first-listed position held, else the first-listed occupation
+    dump_order = next((ResolvedLabel(token=s.value_qid, source=prop)
+                       for prop in (RoleProperty.POSITION_HELD, RoleProperty.OCCUPATION)
+                       for s in statements if s.property is prop), _UNRESOLVED)
+    valid = [
+        s
+        for s in statements
+        if s.property is RoleProperty.POSITION_HELD and s.valid_at(index.snapshot_date)
+    ]
+    if not valid:
+        return dump_order, dump_order
+    # max keeps the first of equal starts: dump order breaks ties
+    latest = max(valid, key=lambda s: s.start_date or Date.min)
+    return dump_order, ResolvedLabel(token=latest.value_qid, source=RoleProperty.POSITION_HELD)
 
 
 def coverage_rate(labels_a: Iterable[str], labels_b: Iterable[str]) -> float:

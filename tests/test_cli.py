@@ -1588,7 +1588,8 @@ _FUZZ_CONFIG = {"datasets": [{"name": "x", "corpus": "{docs}", "index": "{index}
                 "policies": ["no-mask", "wikid"], "split": {"mode": "random"},
                 "resolve_mode": "temporal", "features": {"dimensions": 64}}
 # input -> (argv, a valid file of it); {f} is the file, and {corpus}, {docs},
-# {index} and {usage} the other inputs a run reads
+# {index} and {usage} the other inputs a run reads. The gazetteer and the
+# usage report are TSV, which the JSON retyping leaves as it is
 FUZZ_INPUTS = {
     "corpus": (_INGEST, _FUZZ_DOCS),
     "annotations": (["mask", "--corpus", "{docs}", "--annotations", "{f}", "--policy", "wikid",
@@ -1599,6 +1600,11 @@ FUZZ_INPUTS = {
     "dump": (_INDEX_DUMP + ["--strict"], _dump_entity() + _dump_entity(id="Q3", sitelinks={})),
     "model": (_EVAL, json.dumps(json.loads(_model()), indent=1) + "\n"),
     "config": (_EXPERIMENT, json.dumps(_FUZZ_CONFIG, indent=1) + "\n"),
+    "gazetteer": (["tag", "--corpus", "{docs}", "--gazetteer", "{f}", "--output", "-"],
+                  "# name<TAB>tag\nJane Roe\tPER\nhoax\tMISC\n\nU.S.A\tLOC\n"),
+    "usage": (["coverage", "--usage", "a={f}", "--usage", "b={usage}", "--top-k", "2",
+               "--index", "{index}"],
+              "token\tcount\nQ2\t3\nPER\t1\nQ9\t12\nQ3\t2\n"),
 }
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import logging
 import os
+import random
 import re
 from datetime import date
 
@@ -329,6 +330,19 @@ class TestSaveLoad:
             save_index(index, path)
         assert not path.exists()  # checked before anything is written
 
+    def test_names_are_escaped_as_json_dumps_escapes_them(self, tmp_path):
+        names = ('Jane "JR" Roe', "back\\slash", "tab\there", "new\nline", "Zoë \u2028 Ω \x7f")
+        index = EntityIndex(snapshot_date=SNAPSHOT)
+        index.add(person("Q1", names[0], aliases=names[1:]))
+        path = tmp_path / "entities.idx"
+        save_index(index, path)
+        statement = {"property": "P106", "value": "Q2", "start": None, "end": None}
+        want = {"qid": "Q1", "label": names[0], "aliases": list(names[1:]), "sitelinks": 1,
+                "statements": [statement]}
+        # split, not splitlines: the line holds U+2028, which JSON writes as it is
+        assert path.read_text(encoding="utf-8").split("\n")[1] == json.dumps(want, ensure_ascii=False)
+        assert load_index(path).records == index.records
+
     def test_missing_header_is_rejected(self, tmp_path):
         path = tmp_path / "entities.idx"
         path.write_text("")
@@ -439,6 +453,22 @@ class TestLookup:
         assert lookup_by_name(modi_index, "Cleopatra") == []
         assert lookup_by_name(modi_index, "   ") == []
 
+    def test_one_token_fallback_over_a_long_posting_list_matches_reference(self):
+        """A bare surname takes its posting list as it is: ties on sitelinks
+        break by numeric QID, and the map's own list keeps its order."""
+        order = list(range(1, 301))
+        random.Random(7).shuffle(order)
+        index = EntityIndex(snapshot_date=SNAPSHOT)
+        for number in order:  # each QID twice in its record's names, once in the posting list
+            index.add(person(f"Q{number}", f"Ann{number} Smith", aliases=(f"Bo{number} Smith",),
+                             sitelinks=number % 3))
+        posting = list(index.by_token["smith"])
+        assert "smith" not in index.by_name and len(posting) == 300
+        got = lookup_by_name(index, "  SMITH ")
+        assert got == reference_lookup(index.records, "smith")
+        assert got[:3] == ["Q2", "Q5", "Q8"]
+        assert index.by_token["smith"] == posting
+
 
 class TestResolve:
     def test_dump_order_prefers_first_position_held(self, modi_index):
@@ -497,6 +527,36 @@ class TestResolve:
         resolved = resolve_person_label(index, "Jane Roe", ResolveMode.TEMPORAL)
         assert resolved.token == "Q100"
         assert resolved.source is RoleProperty.POSITION_HELD
+
+
+    def test_one_lookup_fills_both_modes(self, modi_index, monkeypatch):
+        calls = []
+
+        def counted(index, surface):
+            calls.append(surface)
+            return lookup_by_name(index, surface)
+
+        monkeypatch.setattr(wikidata, "lookup_by_name", counted)
+        for surface in ("Modi", "Cleopatra"):
+            for mode in (ResolveMode.TEMPORAL, ResolveMode.DUMP_ORDER, ResolveMode.TEMPORAL):
+                resolve_person_label(modi_index, surface, mode)
+        assert calls == ["Modi", "Cleopatra"]
+
+    @pytest.mark.parametrize("first", list(ResolveMode), ids=lambda mode: f"{mode.value}-first")
+    def test_each_mode_gets_its_own_label(self, first):
+        """Modes whose labels differ keep them apart, whichever resolves first."""
+        entity = make_entity(
+            "Q9",
+            "Jane Roe",
+            positions=(("Q100", "2001-01-01", "2010-01-01"), ("Q200", "2018-06-01", None)),
+            occupations=("Q33999",),
+        )
+        index = index_of([entity_line(entity)])
+        want = {ResolveMode.DUMP_ORDER: "Q100", ResolveMode.TEMPORAL: "Q200"}
+        second = next(mode for mode in ResolveMode if mode is not first)
+        for mode in (first, second, first, second):  # a miss, then memo hits
+            assert resolve_person_label(index, "Jane Roe", mode).token == want[mode]
+            assert resolve_person_label(index, "jane roe", mode).token == want[mode]
 
 
 class TestCoverage:
@@ -1163,8 +1223,10 @@ class TestIndexKernelsMatchReference:
                 reference.add(value)
                 continue
             assert lookup_by_name(index, value) == lookup_by_name(reference, value)
+            labels = dict(zip((ResolveMode.DUMP_ORDER, ResolveMode.TEMPORAL),
+                              wikidata._resolve(reference, value)))
             for mode in ResolveMode:
-                assert resolve_person_label(index, value, mode) == wikidata._resolve(reference, value, mode)
+                assert resolve_person_label(index, value, mode) == labels[mode]
             assert postings(index.by_name) == postings(reference.by_name)
             assert postings(index.by_token) == postings(reference.by_token)
         assert postings(index.by_name) == postings(reference.by_name)
