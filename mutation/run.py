@@ -31,7 +31,6 @@ WIKIDATA = "src/diamask/wikidata.py"
 WHITESPACE = "tests/test_masking.py::TestWhitespaceHandling::"
 WORKED = "tests/test_masking.py::TestWorkedExample::"
 KERNELS = "tests/test_wikidata.py::TestIndexKernelsMatchReference::"
-LOOKUP = "tests/test_wikidata.py::TestLookup::"
 RESOLVE = "tests/test_wikidata.py::TestResolve::"
 ADD = "tests/test_wikidata.py::TestEntityIndexAdd::"
 
@@ -88,17 +87,19 @@ ROWS = (
         "    rng.shuffle(order)\n    for _ in range(config.epochs):\n        yield from order\n",
         ("tests/test_golden.py::test_saved_model_bytes",
          "tests/test_golden.py::test_saved_long_row_model_bytes")),
-    Row("resolve_person_label: a miss memoizes each mode's own label", WIKIDATA,
-        "index._resolved[surface, ResolveMode.TEMPORAL] = temporal",
-        "index._resolved[surface, ResolveMode.TEMPORAL] = dump_order",
+    Row("resolve_person_label: a miss derives the label of the mode asked for", WIKIDATA,
+        "_resolve(statements, index.snapshot_date, mode)",
+        "_resolve(statements, index.snapshot_date, ResolveMode.DUMP_ORDER)",
         (RESOLVE + "test_each_mode_gets_its_own_label[dump-order-first]",
          RESOLVE + "test_each_mode_gets_its_own_label[temporal-first]")),
-    Row("lookup_by_name: a one-token surface falls back to its token's postings", WIKIDATA,
-        "candidates = by_token.get(key, ())", "candidates = ()",
-        (LOOKUP + "test_token_fallback",
-         LOOKUP + "test_one_token_fallback_over_a_long_posting_list_matches_reference")),
+    Row("resolve_person_label: the second mode reuses the surface's lookup", WIKIDATA,
+        "statements = index._top_statements.get(surface)", "statements = None",
+        (RESOLVE + "test_one_lookup_fills_both_modes",)),
     Row("EntityIndex.add: an add clears the resolve memo", WIKIDATA,
         "self._resolved.clear()", "pass",
+        (ADD + "test_add_after_resolve_changes_the_answer", ADD + "test_re_add_drops_the_old_names")),
+    Row("EntityIndex.add: an add clears the memo of looked-up statements", WIKIDATA,
+        "self._top_statements.clear()", "pass",
         (ADD + "test_add_after_resolve_changes_the_answer", ADD + "test_re_add_drops_the_old_names")),
     Row("_record_line: a label is written through encode_basestring", WIKIDATA,
         "f'\"label\": {encode_basestring(record.primary_label)}, '",

@@ -18,8 +18,10 @@ lookup_by_name sorts its candidates by sitelink count descending, then
 numeric QID. resolve_person_label memoizes its answer on the index per
 (surface as written, mode); every add clears that memo, so a resolve always
 reflects the records present at the time. Only the choice of statement
-depends on the mode, so a surface's first resolve makes one lookup_by_name
-call and fills the memo for both modes.
+depends on the mode, so the statements of a surface's top candidate are
+memoized per surface as well: resolving it under the second mode makes no
+second lookup_by_name call, and a mode's label is derived only when that
+mode is asked for.
 
 The dump is read as newline-delimited JSON entities, optionally gzipped.
 The wrapped-array form is tolerated: '[' and ']' lines are skipped and a
@@ -53,10 +55,6 @@ that leaves no trace. Each shortcut is exact:
   own checks, not through add: on a new index nobody has read, add's resets
   of the maps and the resolve memo clear nothing. load_index's duplicate and
   QID-order checks guard that insert.
-- lookup_by_name's token fallback for a one-token surface sorts that
-  token's posting list as it is, with no dict.fromkeys: the map build puts
-  each QID into a list once, so a dedupe of one list changes nothing. A
-  union of several tokens' lists still goes through dict.fromkeys.
 - index_dump reads a claim's qualifiers once for both dates; a second read
   of the same key would give the same object, or the same error. A claim
   with no "qualifiers" key skips both lookups, which would read an empty
@@ -210,6 +208,11 @@ class EntityIndex:
     _resolved: dict[tuple[str, ResolveMode], ResolvedLabel] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # the top lookup candidate's statements per surface as written, () when
+    # there is none; both modes resolve from them. add clears it
+    _top_statements: dict[str, tuple[Statement, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def add(self, record: EntityRecord) -> None:
         """Insert a record, replacing any earlier one with the same QID. The
@@ -217,6 +220,7 @@ class EntityIndex:
         self.records[record.qid] = record
         self._maps = None
         self._resolved.clear()
+        self._top_statements.clear()
 
     @property
     def by_name(self) -> dict[str, list[str]]:
@@ -567,12 +571,9 @@ def lookup_by_name(index: EntityIndex, surface: str) -> list[str]:
     by_name, by_token = index._maps or index._build_maps()  # as the properties read them
     candidates = by_name.get(key)
     if not candidates:
-        if " " in key:
-            candidates = dict.fromkeys(
-                itertools.chain.from_iterable(by_token.get(token, ()) for token in key.split(" "))
-            )
-        else:  # one token: its posting list holds each QID once, so needs no dedupe
-            candidates = by_token.get(key, ())
+        candidates = dict.fromkeys(
+            itertools.chain.from_iterable(by_token.get(token, ()) for token in key.split(" "))
+        )
     records = index.records
     # every indexed QID matches _QID_RE, so int(q[1:]) is qid_sort_key's order;
     # sorted copies, so the map's own list keeps its order
@@ -601,42 +602,43 @@ def resolve_person_label(
     order breaking ties) and falls back to the full DUMP_ORDER cascade when
     none is valid. Unresolvable surfaces yield the generic person token.
     Results are memoized on the index per surface as written and mode. The
-    lookup does not depend on the mode, so a surface's first resolve makes
-    one lookup_by_name call and memoizes its label under both modes.
+    lookup does not depend on the mode, so the top candidate's statements are
+    memoized per surface too: a surface makes one lookup_by_name call across
+    both modes, and each mode's label is derived when that mode is asked for.
     """
     key = (surface, mode)
     resolved = index._resolved.get(key)
     if resolved is None:
-        dump_order, temporal = _resolve(index, surface)
-        index._resolved[surface, ResolveMode.DUMP_ORDER] = dump_order
-        index._resolved[surface, ResolveMode.TEMPORAL] = temporal
-        resolved = index._resolved[key]
+        statements = index._top_statements.get(surface)
+        if statements is None:
+            statements = index._top_statements[surface] = _top_statements(index, surface)
+        resolved = index._resolved[key] = _resolve(statements, index.snapshot_date, mode)
     return resolved
 
 
-_UNRESOLVED = ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=None)
-
-
-def _resolve(index: EntityIndex, surface: str) -> tuple[ResolvedLabel, ResolvedLabel]:
-    """The surface's (DUMP_ORDER, TEMPORAL) labels, from one lookup."""
+def _top_statements(index: EntityIndex, surface: str) -> tuple[Statement, ...]:
+    """The statements of the surface's top lookup candidate; () when it has none."""
     candidates = lookup_by_name(index, surface)
-    if not candidates:
-        return _UNRESOLVED, _UNRESOLVED
-    statements = index.records[candidates[0]].statements
-    # the first-listed position held, else the first-listed occupation
-    dump_order = next((ResolvedLabel(token=s.value_qid, source=prop)
-                       for prop in (RoleProperty.POSITION_HELD, RoleProperty.OCCUPATION)
-                       for s in statements if s.property is prop), _UNRESOLVED)
-    valid = [
-        s
-        for s in statements
-        if s.property is RoleProperty.POSITION_HELD and s.valid_at(index.snapshot_date)
-    ]
-    if not valid:
-        return dump_order, dump_order
-    # max keeps the first of equal starts: dump order breaks ties
-    latest = max(valid, key=lambda s: s.start_date or Date.min)
-    return dump_order, ResolvedLabel(token=latest.value_qid, source=RoleProperty.POSITION_HELD)
+    return index.records[candidates[0]].statements if candidates else ()
+
+
+def _resolve(statements: tuple[Statement, ...], snapshot: Date, mode: ResolveMode) -> ResolvedLabel:
+    if mode is ResolveMode.TEMPORAL:
+        valid = [
+            s
+            for s in statements
+            if s.property is RoleProperty.POSITION_HELD and s.valid_at(snapshot)
+        ]
+        if valid:
+            # max keeps the first of equal starts: dump order breaks ties
+            latest = max(valid, key=lambda s: s.start_date or Date.min)
+            return ResolvedLabel(token=latest.value_qid, source=RoleProperty.POSITION_HELD)
+        # fall through to dump-order behavior
+    for prop in (RoleProperty.POSITION_HELD, RoleProperty.OCCUPATION):
+        for s in statements:
+            if s.property is prop:
+                return ResolvedLabel(token=s.value_qid, source=prop)
+    return ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=None)
 
 
 def coverage_rate(labels_a: Iterable[str], labels_b: Iterable[str]) -> float:

@@ -454,8 +454,8 @@ class TestLookup:
         assert lookup_by_name(modi_index, "   ") == []
 
     def test_one_token_fallback_over_a_long_posting_list_matches_reference(self):
-        """A bare surname takes its posting list as it is: ties on sitelinks
-        break by numeric QID, and the map's own list keeps its order."""
+        """A bare surname's candidates are its whole posting list: ties on
+        sitelinks break by numeric QID, and the map's own list keeps its order."""
         order = list(range(1, 301))
         random.Random(7).shuffle(order)
         index = EntityIndex(snapshot_date=SNAPSHOT)
@@ -829,8 +829,8 @@ def reference_extract_record(entity):
 class ReferencePostingIndex:
     """EntityIndex's maps as add kept them before they were derived: each add
     withdraws the postings of the record it replaces, then appends the QID to
-    the lists of the new record's names. lookup_by_name and wikidata._resolve
-    read only records, the maps and snapshot_date, so they run on it."""
+    the lists of the new record's names. lookup_by_name and
+    wikidata._top_statements read only records and the maps, so they run on it."""
 
     def __init__(self):
         self.snapshot_date = SNAPSHOT
@@ -1223,10 +1223,10 @@ class TestIndexKernelsMatchReference:
                 reference.add(value)
                 continue
             assert lookup_by_name(index, value) == lookup_by_name(reference, value)
-            labels = dict(zip((ResolveMode.DUMP_ORDER, ResolveMode.TEMPORAL),
-                              wikidata._resolve(reference, value)))
+            statements = wikidata._top_statements(reference, value)
             for mode in ResolveMode:
-                assert resolve_person_label(index, value, mode) == labels[mode]
+                assert resolve_person_label(index, value, mode) == wikidata._resolve(
+                    statements, reference.snapshot_date, mode)
             assert postings(index.by_name) == postings(reference.by_name)
             assert postings(index.by_token) == postings(reference.by_token)
         assert postings(index.by_name) == postings(reference.by_name)
