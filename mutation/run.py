@@ -101,6 +101,24 @@ ROWS = (
     Row("EntityIndex.add: an add clears the memo of looked-up statements", WIKIDATA,
         "self._top_statements.clear()", "pass",
         (ADD + "test_add_after_resolve_changes_the_answer", ADD + "test_re_add_drops_the_old_names")),
+    Row("_top_candidate: the most sitelinks win", WIKIDATA,
+        "most = max(counts)", "most = min(counts)",
+        (RESOLVE + "test_sitelink_tie_goes_to_the_lower_qid_number",)),
+    Row("_top_candidate: a sitelink tie goes to the lowest QID number, not the first string",
+        WIKIDATA, "min(ties, key=lambda q: int(q[1:]))", "min(ties)",
+        (RESOLVE + "test_sitelink_tie_goes_to_the_lower_qid_number",)),
+    Row("_top_candidate: a lone candidate is the top one", WIKIDATA,
+        "        return candidates[0]\n", "        return next(iter(index.records))\n",
+        (RESOLVE + "test_exact_bucket_of_one_qid_resolves_to_it",)),
+    Row("_top_candidate: the shortcut takes a lone candidate only", WIKIDATA,
+        "if len(candidates) == 1:", "if len(candidates) >= 1:",
+        (RESOLVE + "test_sitelink_tie_goes_to_the_lower_qid_number",)),
+    Row("_score_row: a row's terms add left to right, then the bias, as in _score", EXPERIMENT,
+        "for b, c in row.items():", "for b, c in reversed(row.items()):",
+        ("tests/test_experiment.py::TestRowScorer::test_terms_add_left_to_right_before_the_bias",)),
+    Row("_sgd_numpy: a row's terms add left to right, as in _score", EXPERIMENT,
+        "np.add.accumulate(wi * cnt)", "np.add.accumulate((wi * cnt)[::-1])",
+        ("tests/test_golden.py::test_saved_long_row_model_bytes",)),
     Row("_record_line: a label is written through encode_basestring", WIKIDATA,
         "f'\"label\": {encode_basestring(record.primary_label)}, '",
         "f'\"label\": \"{record.primary_label}\", '",

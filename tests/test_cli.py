@@ -1589,9 +1589,16 @@ _FUZZ_CONFIG = {"datasets": [{"name": "x", "corpus": "{docs}", "index": "{index}
                 "resolve_mode": "temporal", "features": {"dimensions": 64}}
 # input -> (argv, a valid file of it); {f} is the file, and {corpus}, {docs},
 # {index} and {usage} the other inputs a run reads. The gazetteer and the
-# usage report are TSV, which the JSON retyping leaves as it is
+# usage report are TSV, which the JSON retyping leaves as it is. A corpus is
+# read by more subcommands than ingest: lmi, split and train each fuzz it too
 FUZZ_INPUTS = {
     "corpus": (_INGEST, _FUZZ_DOCS),
+    "lmi-corpus": (["lmi", "--corpus", "{f}", "--min-count", "1", "--output", "-"], _FUZZ_DOCS),
+    "split-corpus": (["split", "--corpus", "{f}", "--mode", "time", "--boundary-date",
+                      "2020-01-15", "--train-output", "{corpus}.train",
+                      "--test-output", "{corpus}.test"], _DATED),
+    "train-corpus": (["train", "--corpus", "{f}", "--dimensions", "64",
+                      "--output", "{corpus}.model"], _FUZZ_DOCS),
     "annotations": (["mask", "--corpus", "{docs}", "--annotations", "{f}", "--policy", "wikid",
                      "--index", "{index}", "--output", "-"],
                     _span(start=9, end=17) + _span(start=4, end=8, tag="ORG", text="hoax")

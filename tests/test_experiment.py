@@ -307,6 +307,12 @@ class TestRowScorer:
             if not vec:
                 assert score.hex() == float(bias).hex()
 
+    def test_terms_add_left_to_right_before_the_bias(self):
+        # left to right, 1e16 swallows the 1.0 and -1e16 cancels it: 0.0, then the bias.
+        # Right to left keeps the 1.0 (1.5); the bias first rounds 1e16 + 1.5 up (2.0)
+        weights = {0: 1.0, 1: 1e16, 2: -1e16}
+        assert _score_row(weights, 0.5, {0: 1, 1: 1, 2: 1}) == 0.5
+
 
 def reference_fit(rows, labels, config):
     """Scalar SGD: dict weights, the same seeded shuffle, and each score summed

@@ -19,6 +19,7 @@ from diamask import (
     DataError,
     EntityIndex,
     EntityRecord,
+    ResolvedLabel,
     ResolveMode,
     RoleProperty,
     Statement,
@@ -531,12 +532,13 @@ class TestResolve:
 
     def test_one_lookup_fills_both_modes(self, modi_index, monkeypatch):
         calls = []
+        candidates = wikidata._candidates
 
         def counted(index, surface):
             calls.append(surface)
-            return lookup_by_name(index, surface)
+            return candidates(index, surface)
 
-        monkeypatch.setattr(wikidata, "lookup_by_name", counted)
+        monkeypatch.setattr(wikidata, "_candidates", counted)
         for surface in ("Modi", "Cleopatra"):
             for mode in (ResolveMode.TEMPORAL, ResolveMode.DUMP_ORDER, ResolveMode.TEMPORAL):
                 resolve_person_label(modi_index, surface, mode)
@@ -557,6 +559,29 @@ class TestResolve:
         for mode in (first, second, first, second):  # a miss, then memo hits
             assert resolve_person_label(index, "Jane Roe", mode).token == want[mode]
             assert resolve_person_label(index, "jane roe", mode).token == want[mode]
+
+    def test_sitelink_tie_goes_to_the_lower_qid_number(self):
+        """A token fallback whose top sitelink count Q9 and Q11 share resolves to
+        Q9: numeric order, where string order would put "Q11" first."""
+        index = EntityIndex(snapshot_date=SNAPSHOT)
+        # posting order Q12, Q11, Q9: neither the first posting nor the fewest sitelinks wins
+        index.add(person("Q12", "Al Smith", sitelinks=1, occupation="Q3"))
+        index.add(person("Q11", "John Smith", sitelinks=5, occupation="Q4"))
+        index.add(person("Q9", "Jo Smith", sitelinks=5, occupation="Q5"))
+        assert "smith" not in index.by_name and index.by_token["smith"] == ["Q12", "Q11", "Q9"]
+        assert lookup_by_name(index, "Smith")[0] == "Q9"
+        for mode in ResolveMode:
+            assert resolve_person_label(index, "Smith", mode).token == "Q5"
+
+    def test_exact_bucket_of_one_qid_resolves_to_it(self):
+        """A full name only one record holds resolves to that record's role,
+        though another record comes first and has more sitelinks."""
+        index = EntityIndex(snapshot_date=SNAPSHOT)
+        index.add(person("Q7", "Ann Roe", sitelinks=9, occupation="Q3"))
+        index.add(person("Q8", "Jane Roe", sitelinks=1, occupation="Q4"))
+        assert index.by_name["jane roe"] == ["Q8"]
+        for mode in ResolveMode:
+            assert resolve_person_label(index, "Jane Roe", mode).token == "Q4"
 
 
 class TestCoverage:
@@ -672,6 +697,8 @@ class TestEntityIndexAdd:
 _TOKENS = ("ann", "Ann", "bo", "cy", "dee")
 _NAMES = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map(" ".join)
 _DATES = st.sampled_from([None, date(2019, 1, 1), date(2020, 6, 1), date(2021, 6, 1)])
+# few QIDs, so re-adds are common; as strings "Q10" < "Q9", unlike their numbers
+_QIDS = st.sampled_from(["Q2", "Q9", "Q10", "Q11", "Q20", "Q100"])
 
 
 @st.composite
@@ -693,11 +720,11 @@ def _statements(draw):
 
 
 @st.composite
-def _records(draw, names=_NAMES):
+def _records(draw, names=_NAMES, qids=_QIDS):
     label = draw(names)
     aliases = draw(st.lists(st.one_of(st.just(label), names), max_size=3))
     return EntityRecord(
-        qid=f"Q{draw(st.integers(1, 6))}",  # small range: re-adds are common
+        qid=draw(qids),
         primary_label=label,
         aliases=tuple(aliases),
         statements=draw(_statements()),
@@ -722,17 +749,32 @@ def reference_lookup(records, surface):
     return sorted(hits, key=lambda q: (-records[q].sitelink_count, qid_sort_key(q)))
 
 
-def fresh_resolve(records, surface, mode):
-    index = EntityIndex(snapshot_date=SNAPSHOT)
-    for record in records.values():
-        index.add(record)
-    return resolve_person_label(index, surface, mode)
+def reference_resolve(records, surface, mode):
+    """The label of reference_lookup's first candidate, by the rules README
+    states: under TEMPORAL, of the positions held valid at the snapshot, the
+    one with the newest start, the first listed among equal starts; else, or
+    when none is valid, the first position held, then the first occupation,
+    then PER."""
+    candidates = reference_lookup(records, surface)
+    statements = records[candidates[0]].statements if candidates else ()
+    if mode is ResolveMode.TEMPORAL:
+        valid = [s for s in statements if s.property is RoleProperty.POSITION_HELD
+                 and (s.start_date or date.min) <= SNAPSHOT <= (s.end_date or date.max)]
+        if valid:
+            newest = max(s.start_date or date.min for s in valid)
+            first = next(s for s in valid if (s.start_date or date.min) == newest)
+            return ResolvedLabel(first.value_qid, RoleProperty.POSITION_HELD)
+    for prop in (RoleProperty.POSITION_HELD, RoleProperty.OCCUPATION):
+        for s in statements:
+            if s.property is prop:
+                return ResolvedLabel(s.value_qid, prop)
+    return ResolvedLabel(FALLBACK_PERSON_TOKEN, None)
 
 
-@given(
-    records=st.lists(_records(), min_size=1, max_size=8),
-    surfaces=st.lists(st.one_of(_NAMES, _NAMES.map(lambda n: f"  {n.upper()} ")), max_size=4),
-)
+_SURFACES = st.lists(st.one_of(_NAMES, _NAMES.map(lambda n: f"  {n.upper()} ")), max_size=4)
+
+
+@given(records=st.lists(_records(), min_size=1, max_size=8), surfaces=_SURFACES)
 def test_lookup_and_memoized_resolve_match_reference(records, surfaces):
     index = EntityIndex(snapshot_date=SNAPSHOT)
     model: dict[str, EntityRecord] = {}
@@ -742,9 +784,22 @@ def test_lookup_and_memoized_resolve_match_reference(records, surfaces):
         for surface in surfaces:
             assert lookup_by_name(index, surface) == reference_lookup(model, surface)
             for mode in ResolveMode:
-                expected = fresh_resolve(model, surface, mode)
+                expected = reference_resolve(model, surface, mode)
                 assert resolve_person_label(index, surface, mode) == expected
                 assert resolve_person_label(index, surface, mode) == expected
+
+
+# "Q010" and "Q10" share a number, so only candidate order tells them apart
+@given(records=st.lists(_records(qids=st.sampled_from(["Q2", "Q9", "Q10", "Q010", "Q11"])),
+                        min_size=1, max_size=8),
+       surfaces=_SURFACES)
+def test_top_candidate_is_lookups_first(records, surfaces):
+    index = EntityIndex(snapshot_date=SNAPSHOT)
+    for record in records:
+        index.add(record)
+        for surface in surfaces:
+            want = (lookup_by_name(index, surface) or [None])[0]
+            assert wikidata._top_candidate(index, surface) == want
 
 
 # -- the index kernels give what the plain record path gave ----------------
