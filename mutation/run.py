@@ -108,7 +108,7 @@ ROWS = (
         WIKIDATA, "min(ties, key=lambda q: int(q[1:]))", "min(ties)",
         (RESOLVE + "test_sitelink_tie_goes_to_the_lower_qid_number",)),
     Row("_top_candidate: a lone candidate is the top one", WIKIDATA,
-        "        return candidates[0]\n", "        return next(iter(index.records))\n",
+        "        return candidates[0]\n", "        return next(iter(records))\n",
         (RESOLVE + "test_exact_bucket_of_one_qid_resolves_to_it",)),
     Row("_top_candidate: the shortcut takes a lone candidate only", WIKIDATA,
         "if len(candidates) == 1:", "if len(candidates) >= 1:",

@@ -16,14 +16,15 @@ the index never makes them. load_index builds them before it returns, as a
 loaded index is there to resolve names. Posting order carries no meaning:
 lookup_by_name sorts its candidates by sitelink count descending, then
 numeric QID. Resolution needs only the first of them, the top candidate,
-which one pass over the candidates finds: the most sitelinks, then the
-lowest numeric QID. A lone candidate is taken as it is. resolve_person_label
-memoizes its answer on the index per (surface as written, mode); every add
-clears that memo, so a resolve always reflects the records present at the
-time. Only the choice of statement depends on the mode, so the statements
-of a surface's top candidate are memoized per surface as well: resolving it
-under the second mode looks no candidate up again, and a mode's label is
-derived only when that mode is asked for.
+so it asks lookup_by_name for the candidates unranked and finds that one in
+one pass: the most sitelinks, then the lowest numeric QID. A lone candidate
+is taken as it is. resolve_person_label memoizes its answer on the index
+per (surface as written, mode); every add clears that memo, so a resolve
+always reflects the records present at the time. Only the choice of
+statement depends on the mode, so the statements of a surface's top
+candidate are memoized per surface as well: resolving it under the second
+mode looks no candidate up again, and a mode's label is derived only when
+that mode is asked for.
 
 The dump is read as newline-delimited JSON entities, optionally gzipped.
 The wrapped-array form is tolerated: '[' and ']' lines are skipped and a
@@ -560,52 +561,47 @@ def load_index(path: str | Path) -> EntityIndex:
     return index
 
 
-def _candidates(index: EntityIndex, surface: str) -> list[str]:
-    """The surface's candidate QIDs in posting order: the by_name bucket of its
-    normalized full name if there is one (the map's own list, not a copy),
-    else the by_token postings of its tokens one after another, where a QID
-    that holds two of the tokens appears twice."""
-    key = _normalize(surface)
-    if not key:
-        return []
-    by_name, by_token = index._maps or index._build_maps()  # as the properties read them
-    return by_name.get(key) or list(
-        itertools.chain.from_iterable(by_token.get(token, ()) for token in key.split(" "))
-    )
-
-
-def lookup_by_name(index: EntityIndex, surface: str) -> list[str]:
+def lookup_by_name(index: EntityIndex, surface: str, *, ranked: bool = True) -> list[str]:
     """Candidate QIDs for a surface form.
 
     Exact normalized full-name match is tried first; only when it yields
     nothing does the per-token map contribute (union over the surface's
-    tokens). Candidates are ordered by sitelink count descending, numeric
-    QID ascending. Unknown surfaces return an empty list.
+    tokens, each QID once). Candidates are ordered by sitelink count
+    descending, numeric QID ascending; with ranked=False they keep posting
+    order, for a caller that needs only the first (_top_candidate). Unknown
+    surfaces return an empty list.
     """
+    key = _normalize(surface)
+    if not key:
+        return []
+    by_name, by_token = index._maps or index._build_maps()  # as the properties read them
+    candidates = by_name.get(key)
+    if not candidates:
+        candidates = dict.fromkeys(
+            itertools.chain.from_iterable(by_token.get(token, ()) for token in key.split(" "))
+        )
+    # copies either way, so the map's own list keeps its order
+    if not ranked:
+        return list(candidates)
     records = index.records
-    # every indexed QID matches _QID_RE, so int(q[1:]) is qid_sort_key's order;
-    # a sorted copy, so the map's own list keeps its order
-    return sorted(
-        dict.fromkeys(_candidates(index, surface)),
-        key=lambda q: (-records[q].sitelink_count, int(q[1:])),
-    )
+    # every indexed QID matches _QID_RE, so int(q[1:]) is qid_sort_key's order
+    return sorted(candidates, key=lambda q: (-records[q].sitelink_count, int(q[1:])))
 
 
 _SITELINKS = operator.attrgetter("sitelink_count")
 
 
-def _top_candidate(index: EntityIndex, surface: str) -> str | None:
-    """lookup_by_name's first element, found in one pass; None when there is
-    none. It is the candidate with the most sitelinks, and among those the
-    lowest QID number, the first such in candidate order as the stable sort
-    keeps it. A QID the token union repeats changes neither. A lone candidate
-    is the top one, with no key computed."""
-    candidates = _candidates(index, surface)
+def _top_candidate(records: dict[str, EntityRecord], candidates: list[str]) -> str | None:
+    """The first of the candidates as lookup_by_name ranks them, found in one
+    pass; None when there are none. It is the candidate with the most
+    sitelinks, and among those the lowest QID number, the first such in
+    candidate order as the stable sort keeps it. A lone candidate is the top
+    one, with no key computed."""
     if len(candidates) == 1:
         return candidates[0]
     if not candidates:
         return None
-    counts = list(map(_SITELINKS, map(index.records.__getitem__, candidates)))
+    counts = list(map(_SITELINKS, map(records.__getitem__, candidates)))
     most = max(counts)
     ties = itertools.compress(candidates, map(operator.eq, counts, itertools.repeat(most)))
     return min(ties, key=lambda q: int(q[1:]))
@@ -651,8 +647,9 @@ def resolve_person_label(
 
 def _top_statements(index: EntityIndex, surface: str) -> tuple[Statement, ...]:
     """The statements of the surface's top lookup candidate; () when it has none."""
-    top = _top_candidate(index, surface)
-    return () if top is None else index.records[top].statements
+    records = index.records
+    top = _top_candidate(records, lookup_by_name(index, surface, ranked=False))
+    return () if top is None else records[top].statements
 
 
 def _resolve(statements: tuple[Statement, ...], snapshot: Date, mode: ResolveMode) -> ResolvedLabel:

@@ -450,6 +450,18 @@ class TestLookup:
         index = index_of(lines)
         assert lookup_by_name(index, "smith") == ["Q12", "Q9", "Q11"]
 
+    def test_unranked_candidates_keep_posting_order_once_each(self):
+        index = EntityIndex(snapshot_date=SNAPSHOT)
+        index.add(person("Q12", "Ann Smith", sitelinks=9))
+        index.add(person("Q9", "Jo Smith Jones", sitelinks=5))
+        index.add(person("Q11", "Al Jones", sitelinks=5))
+        got = lookup_by_name(index, "Smith Jones", ranked=False)
+        assert got == ["Q12", "Q9", "Q11"]  # Q9 holds both tokens
+        got.clear()
+        exact = lookup_by_name(index, "al jones", ranked=False)
+        exact.append("Q12")
+        assert index.by_token["smith"] == ["Q12", "Q9"] and index.by_name["al jones"] == ["Q11"]
+
     def test_unknown_surface(self, modi_index):
         assert lookup_by_name(modi_index, "Cleopatra") == []
         assert lookup_by_name(modi_index, "   ") == []
@@ -532,13 +544,12 @@ class TestResolve:
 
     def test_one_lookup_fills_both_modes(self, modi_index, monkeypatch):
         calls = []
-        candidates = wikidata._candidates
 
-        def counted(index, surface):
+        def counted(index, surface, **kwargs):
             calls.append(surface)
-            return candidates(index, surface)
+            return lookup_by_name(index, surface, **kwargs)
 
-        monkeypatch.setattr(wikidata, "_candidates", counted)
+        monkeypatch.setattr(wikidata, "lookup_by_name", counted)
         for surface in ("Modi", "Cleopatra"):
             for mode in (ResolveMode.TEMPORAL, ResolveMode.DUMP_ORDER, ResolveMode.TEMPORAL):
                 resolve_person_label(modi_index, surface, mode)
@@ -798,8 +809,11 @@ def test_top_candidate_is_lookups_first(records, surfaces):
     for record in records:
         index.add(record)
         for surface in surfaces:
-            want = (lookup_by_name(index, surface) or [None])[0]
-            assert wikidata._top_candidate(index, surface) == want
+            ranked = lookup_by_name(index, surface)
+            unranked = lookup_by_name(index, surface, ranked=False)
+            assert sorted(unranked) == sorted(ranked)
+            want = (ranked or [None])[0]
+            assert wikidata._top_candidate(index.records, unranked) == want
 
 
 # -- the index kernels give what the plain record path gave ----------------
