@@ -24,6 +24,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
+ANNOTATE = "src/diamask/annotate.py"
+CORPUS = "src/diamask/corpus.py"
 ERRORS = "src/diamask/errors.py"
 EXPERIMENT = "src/diamask/experiment.py"
 MASKING = "src/diamask/masking.py"
@@ -33,6 +35,8 @@ WORKED = "tests/test_masking.py::TestWorkedExample::"
 KERNELS = "tests/test_wikidata.py::TestIndexKernelsMatchReference::"
 RESOLVE = "tests/test_wikidata.py::TestResolve::"
 ADD = "tests/test_wikidata.py::TestEntityIndexAdd::"
+SAVE_CORPUS = "tests/test_corpus.py::TestSaveCorpus::"
+WRITE_ANNOTATIONS = "tests/test_annotate.py::TestWriteAnnotations::"
 
 
 class Row(NamedTuple):
@@ -113,16 +117,26 @@ ROWS = (
     Row("_top_candidate: the shortcut takes a lone candidate only", WIKIDATA,
         "if len(candidates) == 1:", "if len(candidates) >= 1:",
         (RESOLVE + "test_sitelink_tie_goes_to_the_lower_qid_number",)),
-    Row("_score_row: a row's terms add left to right, then the bias, as in _score", EXPERIMENT,
+    Row("_score_row: a row's terms add left to right, then the bias", EXPERIMENT,
         "for b, c in row.items():", "for b, c in reversed(row.items()):",
         ("tests/test_experiment.py::TestRowScorer::test_terms_add_left_to_right_before_the_bias",)),
-    Row("_sgd_numpy: a row's terms add left to right, as in _score", EXPERIMENT,
+    Row("_sgd_numpy: a row's terms add left to right, as _score_row adds them", EXPERIMENT,
         "np.add.accumulate(wi * cnt)", "np.add.accumulate((wi * cnt)[::-1])",
         ("tests/test_golden.py::test_saved_long_row_model_bytes",)),
     Row("_record_line: a label is written through encode_basestring", WIKIDATA,
         "f'\"label\": {encode_basestring(record.primary_label)}, '",
         "f'\"label\": \"{record.primary_label}\", '",
         ("tests/test_wikidata.py::TestSaveLoad::test_names_are_escaped_as_json_dumps_escapes_them",)),
+    Row("_document_line: a text is written through encode_basestring", CORPUS,
+        '"text": {encode_basestring(doc.text)}', '"text": "{doc.text}"',
+        (SAVE_CORPUS + "test_strings_are_escaped_and_absent_fields_left_out",)),
+    Row("_document_line: an undated document's line has no \"date\" key", CORPUS,
+        'dated = "" if day is None else', "dated = ', \"date\": null' if day is None else",
+        (SAVE_CORPUS + "test_strings_are_escaped_and_absent_fields_left_out",)),
+    Row("write_annotations: a span offset must be an int, and True is not one", ANNOTATE,
+        "if type(s.start) is not int or type(s.end) is not int:", "if False:",
+        (WRITE_ANNOTATIONS + "test_a_value_load_annotations_would_reject_is_an_error[start]",
+         WRITE_ANNOTATIONS + "test_a_value_load_annotations_would_reject_is_an_error[end]")),
 )
 
 

@@ -18,11 +18,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document
-from .errors import DataError, json_lines, numbered_lines, prefixed, write_json_lines
+from .errors import DataError, json_lines, numbered_lines, prefixed, write_output
 from .wikidata import _normalize
 
 __all__ = [
@@ -52,6 +53,15 @@ class NeTag(Enum):
         except ValueError:
             known = "/".join(t.value for t in cls)
             raise DataError(f"unknown entity tag {raw!r}; expected one of {known}") from None
+
+    # Enum.__hash__ is a Python function (hash of the member name), and
+    # write_annotations looks one up per span. Members are singletons that compare
+    # by identity, so the identity hash agrees with ==; no output iterates a set of them.
+    __hash__ = object.__hash__
+
+
+# each tag's value as a JSON string
+_TAG_JSON = {tag: f'"{tag.value}"' for tag in NeTag}
 
 
 @dataclass(frozen=True)
@@ -162,18 +172,34 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
     return out
 
 
+def _annotation_line(ann: AnnotatedDocument) -> str:
+    """The line json.dumps(record, ensure_ascii=False) writes for the document's
+    record. Every string goes through encode_basestring, the function that
+    encoder applies to a str, and an offset, an int, is written by its str, as
+    the encoder writes one; a tag's value holds nothing to escape."""
+    spans = ", ".join([
+        f'{{"start": {s.start}, "end": {s.end}, "tag": {_TAG_JSON[s.tag]}, '
+        f'"text": {encode_basestring(s.surface)}}}'
+        for s in ann.spans
+    ])
+    return f'{{"doc_id": {encode_basestring(ann.document.id)}, "spans": [{spans}]}}\n'
+
+
 def write_annotations(docs: Sequence[AnnotatedDocument], path: str | Path) -> None:
-    """Write annotations in the format read by load_annotations."""
-    write_json_lines(path, (
-        {
-            "doc_id": ann.document.id,
-            "spans": [
-                {"start": s.start, "end": s.end, "tag": s.tag.value, "text": s.surface}
-                for s in ann.spans
-            ],
-        }
-        for ann in docs
-    ))
+    """Write annotations in the format read by load_annotations. A document id or
+    span text that is not a string, or an offset that is not an int (True
+    included), is a DataError before anything is written, as load_annotations
+    would reject it."""
+    for ann in docs:
+        doc_id = ann.document.id
+        if not isinstance(doc_id, str):
+            raise DataError(f"document {doc_id!r}: id must be a string")
+        for s in ann.spans:
+            if type(s.start) is not int or type(s.end) is not int:
+                raise DataError(f"document {doc_id!r}: span offsets must be integers")
+            if not isinstance(s.surface, str):
+                raise DataError(f"document {doc_id!r}: span text must be a string")
+    write_output(path, map(_annotation_line, docs))  # streamed: the file is never one string
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError, json_lines, prefixed, write_json_lines
+from .errors import DataError, json_lines, prefixed, write_output
 
 __all__ = [
     "Label",
@@ -164,18 +165,36 @@ def load_corpus(path: str | Path, *, name: str | None = None) -> Corpus:
     return Corpus(name=name or path.stem, documents=tuple(docs))
 
 
-def document_to_record(doc: Document) -> dict:
-    record: dict = {"id": doc.id, "text": doc.text, "label": doc.label.value}
-    if doc.date is not None:
-        record["date"] = doc.date.isoformat()
-    if doc.source is not None:
-        record["source"] = doc.source
-    return record
+# each label's value as a JSON string; Label hashes by identity
+_LABEL_JSON = {label: f'"{label.value}"' for label in Label}
+
+
+def _document_line(doc: Document) -> str:
+    """The line json.dumps(record, ensure_ascii=False) writes for the document's
+    record, which leaves out a date or source that is None. Every string goes
+    through encode_basestring, the function that encoder applies to a str; a
+    label's value and a date's isoformat hold nothing to escape."""
+    day, source = doc.date, doc.source
+    dated = "" if day is None else f', "date": "{day.isoformat()}"'
+    sourced = "" if source is None else f', "source": {encode_basestring(source)}'
+    return (
+        f'{{"id": {encode_basestring(doc.id)}, "text": {encode_basestring(doc.text)}, '
+        f'"label": {_LABEL_JSON[doc.label]}{dated}{sourced}}}\n'
+    )
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus in the JSON Lines format loaded by load_corpus."""
-    write_json_lines(path, map(document_to_record, corpus))
+    """Write a corpus in the JSON Lines format loaded by load_corpus. An id, text
+    or source that is not a string is a DataError before anything is written,
+    as load_corpus would reject the record."""
+    for doc in corpus:
+        if not isinstance(doc.id, str):
+            raise DataError(f"document {doc.id!r}: id must be a string")
+        if not isinstance(doc.text, str):
+            raise DataError(f"document {doc.id!r}: text must be a string")
+        if not isinstance(doc.source, (str, type(None))):
+            raise DataError(f"document {doc.id!r}: source must be a string or null")
+    write_output(path, map(_document_line, corpus))  # streamed: the file is never one string
 
 
 def split_random(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:

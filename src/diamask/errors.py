@@ -19,11 +19,14 @@ experiment config, a model file and each object in them): a table maps each
 key it may hold to a converter that checks the value's JSON type.
 
 write_output writes text as UTF-8 to a file, or to stdout when the path is
-"-", so both get the same bytes whatever the terminal's encoding;
-write_json_lines writes one JSON record per line through it. It encodes
-every record with one shared json.JSONEncoder(ensure_ascii=False), the very
-encoder json.dumps(record, ensure_ascii=False) builds anew on each call, so
-the bytes are the same; an encoder keeps no state between calls.
+"-", so both get the same bytes whatever the terminal's encoding. Every
+writer goes through it. save_corpus, write_annotations and save_index, which
+write a line per record, build each line from a template of their own, the
+line json.dumps(record, ensure_ascii=False) gives; write_json_lines, which
+save_model uses, writes one JSON value per line. It encodes every value with
+one shared json.JSONEncoder(ensure_ascii=False), the very encoder
+json.dumps(record, ensure_ascii=False) builds anew on each call, so the bytes
+are the same; an encoder keeps no state between calls.
 """
 
 from __future__ import annotations

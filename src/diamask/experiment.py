@@ -13,12 +13,11 @@ continuity-corrected chi-square with one degree of freedom. Multiple
 comparisons against the same baseline are Bonferroni-adjusted.
 
 A featurized document (a row) is the bucket -> count dict featurize returns,
-from masking to scoring. A row's score has one definition, _score: its terms
-(weight * count, in the row's order) added left to right from -0.0, then the
-bias. Training and evaluation both sum in that one order; where the weights are
-Python floats, each term is added as it is made, in one pass over the row. No
-score is summed by BLAS, whose order depends on the CPU, so models and reports
-have the same bytes on every machine.
+from masking to scoring. Training and evaluation both sum a row's score in the
+one order _score_row defines; where the weights are Python floats, each term is
+added as it is made, in one pass over the row. No score is summed by BLAS,
+whose order depends on the CPU, so models and reports have the same bytes on
+every machine.
 A model's weights are a bucket -> weight map holding only the buckets its
 training rows (or its file) name: the bucket space is a hash range, not a
 parameter vector, and a bucket missing from the map weighs 0.0.
@@ -181,23 +180,17 @@ def _rows(
     return [row_of[text] for text in texts]
 
 
-def _score(bias: float, terms: Iterable[float]) -> float:
-    """A row's score: its terms added one at a time, left to right, from -0.0
-    (the identity of float addition, so an empty row scores exactly its bias),
-    then the bias. _score_row and _sgd_lists make this sum in one pass, adding
-    each term as they make it. np.add.accumulate also adds strictly left to
-    right, each sum from the one before, so its last element is this total
-    (-0.0 + x is x), which is what _sgd_numpy passes here. Not sum()
-    (compensated from Python 3.12 on), reduceat or np.sum (pairwise) or a dot
-    product (its order depends on the CPU's BLAS kernel)."""
-    total = -0.0
-    for term in terms:
-        total += term
-    return bias + total
-
-
 def _score_row(weights: Mapping[int, float], bias: float, row: Mapping[int, int]) -> float:
-    """A featurized row's _score under weights, in one pass; a bucket they lack adds 0.0."""
+    """A featurized row's score under weights, the one definition of a row's score:
+    its terms (weight * count, in the row's order; a bucket the weights lack adds
+    0.0) added one at a time, left to right, from -0.0 (the identity of float
+    addition, so an empty row scores exactly its bias), then the bias. _sgd_lists
+    makes the same sum in one pass, adding each term as it makes it.
+    np.add.accumulate also adds strictly left to right, each sum from the one
+    before, so its last element is this total (-0.0 + x is x), which _sgd_numpy
+    adds to the bias. Not sum() (compensated from Python 3.12 on), reduceat or
+    np.sum (pairwise) or a dot product (its order depends on the CPU's BLAS
+    kernel)."""
     total = -0.0
     for b, c in row.items():
         total += weights.get(b, 0.0) * c
@@ -335,7 +328,7 @@ def _sgd_lists(
     config: TrainConfig, order: Iterable[int],
 ) -> tuple[list[float], float]:
     """_fit's SGD on Python floats: w is a list, and each row a list of (column, count) pairs.
-    An update sums its row's _score in one pass."""
+    An update sums its row's score as _score_row does, in one pass."""
     feats = [list(zip(_columns(row, col_of), map(float, row.values()))) for row in rows]
     w = [0.0] * len(col_of)
     bias = 0.0
@@ -359,8 +352,8 @@ def _sgd_numpy(
 ) -> tuple[list[float], float]:
     """_sgd_lists on numpy arrays: an update gathers and writes a row's weights in one
     operation each. Its terms are a numpy array, not Python floats, so they are summed
-    in a second step: np.add.accumulate's last element is _score's left-to-right sum
-    from -0.0, the total _sgd_lists makes in one pass."""
+    in a second step: np.add.accumulate's last element is _score_row's left-to-right
+    sum from -0.0, the total _sgd_lists makes in one pass."""
     import numpy as np  # only here, so that a run that never takes this arm never loads it
 
     feats = [
@@ -378,8 +371,10 @@ def _sgd_numpy(
         for i in order:
             col, cnt = feats[i]
             wi = w[col]
-            # [-1:] is empty for an empty row, which then scores its bias as _score's does
-            g = _sigmoid(_score(bias, np.add.accumulate(wi * cnt)[-1:].tolist())) - ys[i]
+            # the row's sum, as a list of one Python float; an empty row has no
+            # sum and scores its bias
+            total = np.add.accumulate(wi * cnt)[-1:].tolist()
+            g = _sigmoid(bias + total[0] if total else bias) - ys[i]
             w[col] = wi - lr * (g * cnt + l2 * wi)
             bias -= lr * g
     return w.tolist(), bias

@@ -315,3 +315,15 @@ def mutated(draw, value, wrong, counts=(0, 1, 2, 3)):
             # mutate, in this example and in every one after it
             parent[last] = copy.deepcopy(draw(wrong_here if how == "wrong" else _RETYPED))
     return value
+
+
+# ---------------------------------------------------------------------------
+# strings for the JSON Lines writers' properties
+
+# what JSON escapes ('"', '\\', every control character), what it writes as it
+# is although some readers do not (U+2028, U+2029, DEL), and letters outside
+# the BMP; any other character outside the surrogates, which UTF-8 cannot encode
+json_text = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x08\t\n\x0c\r\x1f\x7f\u2028\u2029\U0001d518\U00020000'),
+    st.characters(blacklist_categories=("Cs",)),
+))

@@ -23,6 +23,9 @@ from diamask import (
     write_annotations,
 )
 from diamask.annotate import _FOLD_MARKS, _WORD_RE, resolve_overlaps
+from diamask.errors import write_json_lines
+
+from helpers import json_text
 
 
 def doc(doc_id, text):
@@ -186,6 +189,77 @@ class TestLoadAnnotations:
         write_annotations(original, path)
         loaded = load_annotations(self.corpus(), path)
         assert [a.spans for a in loaded] == [a.spans for a in original]
+
+
+def reference_record(ann):
+    """The record write_annotations writes for ann, which json.dumps turns into its line."""
+    return {
+        "doc_id": ann.document.id,
+        "spans": [
+            {"start": s.start, "end": s.end, "tag": s.tag.value, "text": s.surface}
+            for s in ann.spans
+        ],
+    }
+
+
+@st.composite
+def annotated_documents(draw):
+    """Annotated documents with distinct ids, each with 0 or more spans: pairs of
+    distinct sorted cut points in its text."""
+    out = []
+    for doc_id in draw(st.lists(json_text.filter(bool), unique=True, max_size=4)):
+        text = draw(json_text)
+        cuts = sorted(draw(st.lists(st.integers(0, len(text)), unique=True, max_size=8)))
+        spans = tuple(
+            NeSpan(start=start, end=end, tag=draw(st.sampled_from(NeTag)), surface=text[start:end])
+            for start, end in zip(cuts[::2], cuts[1::2])
+        )
+        out.append(AnnotatedDocument(document=doc(doc_id, text), spans=spans))
+    return out
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("write")
+
+
+class TestWriteAnnotations:
+    @given(annotated_documents())
+    @settings(max_examples=300)
+    def test_write(self, scratch, docs):
+        write_annotations(docs, scratch / "spans.jsonl")
+        write_json_lines(scratch / "reference.jsonl", map(reference_record, docs))
+        assert (scratch / "spans.jsonl").read_bytes() == (scratch / "reference.jsonl").read_bytes()
+        corpus = Corpus(name="c", documents=tuple(a.document for a in docs))
+        assert load_annotations(corpus, scratch / "spans.jsonl") == docs
+
+    def test_strings_are_escaped_as_json_dumps_escapes_them(self, tmp_path):
+        text = 'say "Zoë"\n\u2028 back\\slash \U0001d518'
+        docs = [AnnotatedDocument(document=doc('d "1"\t', text),
+                                  spans=(span(4, 9, text=text), span(12, 22, NeTag.LOC, text)))]
+        write_annotations(docs, tmp_path / "spans.jsonl")
+        # split, not splitlines: the line holds U+2028, which JSON writes as it is
+        assert (tmp_path / "spans.jsonl").read_text(encoding="utf-8").split("\n") == [
+            json.dumps(reference_record(docs[0]), ensure_ascii=False),
+            "",
+        ]
+
+    @pytest.mark.parametrize("doc_id, start, end, message", [
+        (5, 1, 3, "document 5: id must be a string"),
+        ("d1", True, 3, "document 'd1': span offsets must be integers"),
+        ("d1", 0, True, "document 'd1': span offsets must be integers"),
+    ], ids=["id", "start", "end"])
+    def test_a_value_load_annotations_would_reject_is_an_error(
+        self, tmp_path, doc_id, start, end, message
+    ):
+        docs = [
+            AnnotatedDocument(document=doc("d0", TEXT), spans=(span(0, 2),)),
+            AnnotatedDocument(document=doc(doc_id, TEXT), spans=(span(start, end),)),
+        ]
+        path = tmp_path / "spans.jsonl"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            write_annotations(docs, path)
+        assert not path.exists()  # checked before anything is written
 
 
 class TestGazetteer:

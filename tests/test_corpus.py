@@ -5,7 +5,7 @@ from datetime import date
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamask import (
@@ -21,8 +21,9 @@ from diamask import (
     split_random,
 )
 from diamask.corpus import iso_date
+from diamask.errors import write_json_lines
 
-from helpers import random_corpus
+from helpers import json_text, random_corpus
 
 
 def write_jsonl(path, records):
@@ -179,6 +180,69 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         save_corpus(original, path)
         assert load_corpus(path).documents == original.documents
+
+
+def reference_record(doc):
+    """The record save_corpus writes for doc, which json.dumps turns into its line."""
+    record = {"id": doc.id, "text": doc.text, "label": doc.label.value}
+    if doc.date is not None:
+        record["date"] = doc.date.isoformat()
+    if doc.source is not None:
+        record["source"] = doc.source
+    return record
+
+
+@st.composite
+def documents(draw):
+    """Documents of every shape save_corpus takes, with distinct ids."""
+    ids = draw(st.lists(json_text.filter(bool), unique=True, max_size=4))
+    return tuple(
+        Document(id=doc_id, text=draw(json_text), label=draw(st.sampled_from(Label)),
+                 date=draw(st.none() | st.dates()), source=draw(st.none() | json_text))
+        for doc_id in ids
+    )
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("save")
+
+
+class TestSaveCorpus:
+    @given(documents())
+    @settings(max_examples=300)
+    def test_save(self, scratch, docs):
+        save_corpus(Corpus(name="c", documents=docs), scratch / "c.jsonl")
+        write_json_lines(scratch / "reference.jsonl", map(reference_record, docs))
+        assert (scratch / "c.jsonl").read_bytes() == (scratch / "reference.jsonl").read_bytes()
+        assert load_corpus(scratch / "c.jsonl").documents == docs
+
+    def test_strings_are_escaped_and_absent_fields_left_out(self, tmp_path):
+        docs = (
+            Document(id='a "b"', text="back\\slash\ttab\nnew \u2028 Zoë \x7f \U0001d518",
+                     label=Label.FAKE, date=date(2019, 7, 2), source="feed\x00"),
+            Document(id="c", text="", label=Label.REAL),
+        )
+        save_corpus(Corpus(name="c", documents=docs), tmp_path / "c.jsonl")
+        # split, not splitlines: a line holds U+2028, which JSON writes as it is
+        assert (tmp_path / "c.jsonl").read_text(encoding="utf-8").split("\n") == [
+            json.dumps(reference_record(docs[0]), ensure_ascii=False),
+            '{"id": "c", "text": "", "label": "real"}',
+            "",
+        ]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", 5, "document 5: id must be a string"),
+        ("text", None, "document 'd1': text must be a string"),
+        ("source", 5, "document 'd1': source must be a string or null"),
+    ])
+    def test_a_value_load_corpus_would_reject_is_an_error(self, tmp_path, field, value, message):
+        good = Document(id="d0", text="x", label=Label.REAL)
+        bad = Document(**{"id": "d1", "text": "y", "label": Label.FAKE, field: value})
+        path = tmp_path / "c.jsonl"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            save_corpus(Corpus(name="c", documents=(good, bad)), path)
+        assert not path.exists()  # checked before anything is written
 
 
 class TestSplitSpec:
