@@ -75,12 +75,12 @@ ROWS = (
         'exact = not text[end:].strip(" \\t\\n\\r")', "exact = True",
         ("tests/test_errors.py::test_json_loads_errors_keep_their_message[number-then-number]",
          "tests/test_errors.py::test_json_loads_errors_keep_their_message[object-then-word]")),
-    Row("_build_maps: by_token takes the casefolded tokens of the name", WIKIDATA,
+    Row("_derive: by_token takes the casefolded tokens of the name", WIKIDATA,
         "for token in tokens:", "for token in name.split():",
         ("tests/test_wikidata.py::TestLookup::test_token_fallback",
          "tests/test_golden.py::test_cli_output_bytes[mask_wikid.jsonl]")),
     Row("load_index: a repeated QID is an error, not a replacement", WIKIDATA,
-        "if qid in index.records:", "if False:",
+        "if qid in records:", "if False:",
         ("tests/test_cli.py::test_hostile_input_exits_1_with_one_error_line[index-duplicate-qid]",)),
     Row("_QID_RE: a QID's digits are ASCII", WIKIDATA,
         'r"Q[0-9]+"', 'r"Q\\d+"',
@@ -97,13 +97,10 @@ ROWS = (
         (RESOLVE + "test_each_mode_gets_its_own_label[dump-order-first]",
          RESOLVE + "test_each_mode_gets_its_own_label[temporal-first]")),
     Row("resolve_person_label: the second mode reuses the surface's lookup", WIKIDATA,
-        "statements = index._top_statements.get(surface)", "statements = None",
+        "statements = derived.top_statements.get(surface)", "statements = None",
         (RESOLVE + "test_one_lookup_fills_both_modes",)),
-    Row("EntityIndex.add: an add clears the resolve memo", WIKIDATA,
-        "self._resolved.clear()", "pass",
-        (ADD + "test_add_after_resolve_changes_the_answer", ADD + "test_re_add_drops_the_old_names")),
-    Row("EntityIndex.add: an add clears the memo of looked-up statements", WIKIDATA,
-        "self._top_statements.clear()", "pass",
+    Row("EntityIndex.add: an add drops everything derived from the records", WIKIDATA,
+        "self._derived = None", "pass",
         (ADD + "test_add_after_resolve_changes_the_answer", ADD + "test_re_add_drops_the_old_names")),
     Row("_top_candidate: the most sitelinks win", WIKIDATA,
         "most = max(counts)", "most = min(counts)",
@@ -133,6 +130,9 @@ ROWS = (
     Row("_document_line: an undated document's line has no \"date\" key", CORPUS,
         'dated = "" if day is None else', "dated = ', \"date\": null' if day is None else",
         (SAVE_CORPUS + "test_strings_are_escaped_and_absent_fields_left_out",)),
+    Row("mask_corpus: a WikiD policy with no index is refused before any document", MASKING,
+        "    _require_index(policy, index)\n    masked_docs", "    masked_docs",
+        ("tests/test_masking.py::TestResolution::test_missing_index_is_an_error",)),
     Row("write_annotations: a span offset must be an int, and True is not one", ANNOTATE,
         "if type(s.start) is not int or type(s.end) is not int:", "if False:",
         (WRITE_ANNOTATIONS + "test_a_value_load_annotations_would_reject_is_an_error[start]",

@@ -22,11 +22,7 @@ write_output writes text as UTF-8 to a file, or to stdout when the path is
 "-", so both get the same bytes whatever the terminal's encoding. Every
 writer goes through it. save_corpus, write_annotations and save_index, which
 write a line per record, build each line from a template of their own, the
-line json.dumps(record, ensure_ascii=False) gives; write_json_lines, which
-save_model uses, writes one JSON value per line. It encodes every value with
-one shared json.JSONEncoder(ensure_ascii=False), the very encoder
-json.dumps(record, ensure_ascii=False) builds anew on each call, so the bytes
-are the same; an encoder keeps no state between calls.
+line json.dumps(record, ensure_ascii=False) gives.
 """
 
 from __future__ import annotations
@@ -195,15 +191,6 @@ def write_output(dest: str | Path, chunks: Iterable[str]) -> None:
     with nullcontext(sys.stdout.buffer) if dest == "-" else open(dest, "wb") as out:
         out.writelines(chunk.encode("utf-8") for chunk in chunks)
         out.flush()  # stdout is not closed here
-
-
-# the encoder json.dumps(record, ensure_ascii=False) builds anew on every call
-_JSON_LINE = json.JSONEncoder(ensure_ascii=False)
-
-
-def write_json_lines(dest: str | Path, records: Iterable[object]) -> None:
-    """write_output of each record as one line of JSON, non-ASCII kept as is."""
-    write_output(dest, (_JSON_LINE.encode(record) + "\n" for record in records))
 
 
 @contextmanager

@@ -71,7 +71,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .analysis import extract_ngrams, tokenize
 from .annotate import AnnotatedDocument, NeSpan, NeTag
 from .corpus import Corpus, Document, Label, SplitSpec
-from .errors import DataError, fields, json_file, prefixed, write_json_lines
+from .errors import DataError, fields, json_file, prefixed, write_output
 from .errors import INTEGER, LIST, OBJECT, STRING, finite, number  # converters for fields
 # mask_corpus is unused here; perfbench's tracer test reads diamask.experiment.mask_corpus
 from .masking import MaskPolicy, mask_corpus, mask_text  # noqa: F401
@@ -436,7 +436,7 @@ def save_model(model: Model, path: str | Path) -> None:
         "bias": model.bias,
         "weights": {str(b): w for b, w in sorted(model.weights.items()) if w},
     }
-    write_json_lines(path, [obj])
+    write_output(path, [json.dumps(obj, ensure_ascii=False) + "\n"])
 
 
 def _bucket(key: str) -> int:

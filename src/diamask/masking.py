@@ -70,6 +70,12 @@ _RULES = {
 }
 
 
+def _require_index(policy: MaskPolicy, index: EntityIndex | None) -> None:
+    """A WikiD policy cannot mask without an index, whatever the documents."""
+    if index is None and policy.requires_index:
+        raise DataError(f"policy {policy.value!r} requires an entity index")
+
+
 def _tokens(
     doc: AnnotatedDocument,
     policy: MaskPolicy,
@@ -79,8 +85,6 @@ def _tokens(
     """One entry per span: None keeps it, "" deletes it, and any other string
     is the token spliced in for it (no tag or role token is empty)."""
     _, per_rule, other_rule = _RULES[policy]
-    if per_rule == _ROLE and index is None:
-        raise DataError(f"policy {policy.value!r} requires an entity index")
     tokens: list[str | None] = []
     for span in doc.spans:
         rule = per_rule if span.tag is NeTag.PER else other_rule
@@ -147,6 +151,7 @@ def mask_text(
     WikiD-family policies need an entity index; person spans that resolve
     to nothing still get the generic "PER" token.
     """
+    _require_index(policy, index)
     return _splice(doc, _tokens(doc, policy, index, resolve_mode))
 
 
@@ -161,15 +166,14 @@ def mask_corpus(
 
     Returns the masked corpus and the usage multiset counting every
     replacement token emitted across the corpus (empty for no-mask and
-    pure deletions).
+    pure deletions). A WikiD-family policy with no index is a DataError,
+    an empty corpus included.
     """
+    _require_index(policy, index)
     masked_docs: list[Document] = []
     usage: Counter[str] = Counter()
     for ann in docs:
-        try:
-            tokens = _tokens(ann, policy, index, resolve_mode)
-        except DataError as exc:
-            raise DataError(f"document {ann.document.id!r}: {exc}") from None
+        tokens = _tokens(ann, policy, index, resolve_mode)
         usage.update(filter(None, tokens))  # neither kept (None) nor deleted ("")
         src = ann.document
         masked_docs.append(

@@ -9,22 +9,22 @@ aliases are casefolded into two lookup maps, one keyed by the full
 normalized name and one by each individual name token, so both
 "narendra modi" and the bare "modi" can reach the same record.
 
-The maps are derived data: EntityIndex.add only inserts the record, and the
-first read of a map after an add builds both in one pass over the records,
-each posting list holding a QID once. So a build that only saves or counts
-the index never makes them. load_index builds them before it returns, as a
-loaded index is there to resolve names. Posting order carries no meaning:
-lookup_by_name sorts its candidates by sitelink count descending, then
-numeric QID. Resolution needs only the first of them, the top candidate,
-so it asks lookup_by_name for the candidates unranked and finds that one in
-one pass: the most sitelinks, then the lowest numeric QID. A lone candidate
-is taken as it is. resolve_person_label memoizes its answer on the index
-per (surface as written, mode); every add clears that memo, so a resolve
-always reflects the records present at the time. Only the choice of
-statement depends on the mode, so the statements of a surface's top
-candidate are memoized per surface as well: resolving it under the second
-mode looks no candidate up again, and a mode's label is derived only when
-that mode is asked for.
+Everything an EntityIndex derives from its records sits in one private
+slot: the two maps, resolve_person_label's answers per (surface as written,
+mode), and the statements of each surface's top candidate. EntityIndex.add
+inserts the record and drops the slot, so a resolve always reflects the
+records present at the time. The first read after an add derives the slot
+again: it builds both maps in one pass over the records, each posting list
+holding a QID once, and starts both memos empty. So a build that only saves
+or counts the index never makes them. load_index derives the slot before it
+returns, as a loaded index is there to resolve names. Posting order carries
+no meaning: lookup_by_name sorts its candidates by sitelink count
+descending, then numeric QID. Resolution needs only the first of them, the
+top candidate, so it asks lookup_by_name for the candidates unranked and
+finds that one in one pass: the most sitelinks, then the lowest numeric QID.
+A lone candidate is taken as it is. Only the choice of statement depends on
+the mode, so resolving a surface under the second mode looks no candidate
+up again, and a mode's label is derived only when that mode is asked for.
 
 The dump is read as newline-delimited JSON entities, optionally gzipped.
 The wrapped-array form is tolerated: '[' and ']' lines are skipped and a
@@ -54,10 +54,6 @@ that leaves no trace. Each shortcut is exact:
 - The map build casefolds and splits each name once: the by_name key joins
   the tokens, and by_token takes the same tokens, which is
   _normalize(name).split(" ") as no token holds a space.
-- index_dump and load_index put each record into index.records after their
-  own checks, not through add: on a new index nobody has read, add's resets
-  of the maps and the resolve memo clear nothing. load_index's duplicate and
-  QID-order checks guard that insert.
 - index_dump reads a claim's qualifiers once for both dates; a second read
   of the same key would give the same object, or the same error. A claim
   with no "qualifiers" key skips both lookups, which would read an empty
@@ -88,6 +84,7 @@ from __future__ import annotations
 import gzip
 import io
 import itertools
+import json
 import logging
 import operator
 import re
@@ -101,8 +98,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import iso_date
-from .errors import (_JSON_LINE, INTEGER, LIST, OBJECT, DataError, decode_json, fields,
-                     json_lines, numbered_lines, prefixed, write_output)
+from .errors import (INTEGER, LIST, OBJECT, DataError, decode_json, fields, json_lines,
+                     numbered_lines, prefixed, write_output)
 
 __all__ = [
     "RoleProperty",
@@ -196,45 +193,48 @@ class EntityRecord:
     sitelink_count: int
 
 
+@dataclass(slots=True)
+class _Derived:
+    """What an EntityIndex derives from its records (see the module docstring)."""
+
+    by_name: dict[str, list[str]]
+    by_token: dict[str, list[str]]
+    # resolve_person_label's answers per (surface as written, mode)
+    resolved: dict[tuple[str, ResolveMode], ResolvedLabel] = field(default_factory=dict)
+    # the top lookup candidate's statements per surface as written, () when
+    # there is none; both modes resolve from them
+    top_statements: dict[str, tuple[Statement, ...]] = field(default_factory=dict)
+
+
 @dataclass
 class EntityIndex:
-    """Records by QID, and the lookup maps derived from them: by_name maps a
-    normalized full name, by_token each of its tokens, to the QIDs holding it.
-    The maps are read-only properties, built on their first read after an add;
-    they are no constructor arguments, and equality ignores them."""
+    """Records by QID, and what is derived from them: the lookup maps, where
+    by_name maps a normalized full name, by_token each of its tokens, to the
+    QIDs holding it, and the resolve memos. The maps are read-only
+    properties. All of it is derived on its first read and dropped by each
+    add; none of it is a constructor argument, and equality ignores it."""
 
     snapshot_date: Date
     records: dict[str, EntityRecord] = field(default_factory=dict)
     malformed_lines: int = 0
-    # (by_name, by_token) as of the last add, or None until the next read
-    _maps: tuple[dict, dict] | None = field(default=None, init=False, compare=False, repr=False)
-    # resolve_person_label results per (surface as written, mode); add clears it
-    _resolved: dict[tuple[str, ResolveMode], ResolvedLabel] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    # the top lookup candidate's statements per surface as written, () when
-    # there is none; both modes resolve from them. add clears it
-    _top_statements: dict[str, tuple[Statement, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    # everything derived from records as of the last add, or None until the next read
+    _derived: _Derived | None = field(default=None, init=False, compare=False, repr=False)
 
     def add(self, record: EntityRecord) -> None:
         """Insert a record, replacing any earlier one with the same QID. The
         QID must have the form Q<digits>, as index_dump and load_index ensure."""
         self.records[record.qid] = record
-        self._maps = None
-        self._resolved.clear()
-        self._top_statements.clear()
+        self._derived = None
 
     @property
     def by_name(self) -> dict[str, list[str]]:
-        return (self._maps or self._build_maps())[0]
+        return (self._derived or self._derive()).by_name
 
     @property
     def by_token(self) -> dict[str, list[str]]:
-        return (self._maps or self._build_maps())[1]
+        return (self._derived or self._derive()).by_token
 
-    def _build_maps(self) -> tuple[dict, dict]:
+    def _derive(self) -> _Derived:
         by_name: dict[str, list[str]] = {}
         by_token: dict[str, list[str]] = {}
         # a QID is appended only while its own record is walked, so a key
@@ -256,8 +256,8 @@ class EntityIndex:
                         by_token[token] = [qid]
                     elif bucket[-1] != qid:
                         bucket.append(qid)
-        self._maps = (by_name, by_token)
-        return self._maps
+        self._derived = _Derived(by_name, by_token)
+        return self._derived
 
     def __len__(self) -> int:
         return len(self.records)
@@ -410,7 +410,8 @@ def index_dump(
     JSON type) is counted on index.malformed_lines and skipped, or raises
     DataError under strict. An empty result is valid but logged as a warning.
     """
-    index = EntityIndex(snapshot_date=snapshot_date)
+    records: dict[str, EntityRecord] = {}
+    malformed = 0
     where = source if isinstance(source, (str, Path)) else "dump"
     shared: dict[tuple, Statement] = {}  # equal statements, one object (see _extract_record)
     dates: dict[str, Date | None] = {}  # raw qualifier time -> its date (see _qualifier_date)
@@ -438,13 +439,13 @@ def index_dump(
             except DataError:
                 if strict:
                     raise
-                index.malformed_lines += 1
+                malformed += 1
                 continue
             if record is not None:
-                index.records[record.qid] = record  # add, on an index nobody has read
-    if not index.records:
+                records[record.qid] = record  # a repeated QID keeps its last record, as add does
+    if not records:
         log.warning("dump produced an empty index (snapshot %s)", snapshot_date)
-    return index
+    return EntityIndex(snapshot_date, records, malformed_lines=malformed)
 
 
 def _json_date(day: Date | None) -> str:
@@ -484,7 +485,7 @@ def save_index(index: EntityIndex, path: str | Path) -> None:
         "record_count": len(index.records),
     }
     lines = map(_record_line, records)  # streamed: the file is never one string
-    write_output(path, itertools.chain([_JSON_LINE.encode(header) + "\n"], lines))
+    write_output(path, itertools.chain([json.dumps(header, ensure_ascii=False) + "\n"], lines))
 
 
 def _load_statement(raw: dict, shared: dict) -> Statement:
@@ -519,7 +520,7 @@ def load_index(path: str | Path) -> EntityIndex:
         with prefixed(f"{path}: malformed index header"):
             header = fields(header, _HEADER_FIELDS)
         expected = header["record_count"]
-        index = EntityIndex(snapshot_date=header["snapshot_date"])
+        records: dict[str, EntityRecord] = {}
         shared: dict[tuple, Statement] = {}  # equal statements, one object (see _load_statement)
         last = -1
         for lineno, raw in lines:
@@ -547,17 +548,16 @@ def load_index(path: str | Path) -> EntityIndex:
             # rise can repeat a QID, which the insert below would let replace the earlier record
             number = int(qid[1:])
             if number <= last:
-                if qid in index.records:
+                if qid in records:
                     raise DataError(f"{path} line {lineno}: duplicate record {qid!r}")
                 if number < last:  # an equal number is a leading-zero spelling ("Q01")
                     raise DataError(f"{path} line {lineno}: record {qid!r} out of QID order")
             last = number
-            index.records[qid] = record  # add, on an index nobody has read
-    if len(index.records) != expected:
-        raise DataError(
-            f"{path}: header promises {expected} records, found {len(index.records)}"
-        )
-    index._build_maps()  # a loaded index is there to resolve names
+            records[qid] = record
+    if len(records) != expected:
+        raise DataError(f"{path}: header promises {expected} records, found {len(records)}")
+    index = EntityIndex(header["snapshot_date"], records)
+    index._derive()  # a loaded index is there to resolve names
     return index
 
 
@@ -574,9 +574,10 @@ def lookup_by_name(index: EntityIndex, surface: str, *, ranked: bool = True) -> 
     key = _normalize(surface)
     if not key:
         return []
-    by_name, by_token = index._maps or index._build_maps()  # as the properties read them
-    candidates = by_name.get(key)
+    derived = index._derived or index._derive()  # as the properties read it
+    candidates = derived.by_name.get(key)
     if not candidates:
+        by_token = derived.by_token
         candidates = dict.fromkeys(
             itertools.chain.from_iterable(by_token.get(token, ()) for token in key.split(" "))
         )
@@ -635,13 +636,14 @@ def resolve_person_label(
     surface's candidates are looked up once across both modes, and each
     mode's label is derived when that mode is asked for.
     """
+    derived = index._derived or index._derive()
     key = (surface, mode)
-    resolved = index._resolved.get(key)
+    resolved = derived.resolved.get(key)
     if resolved is None:
-        statements = index._top_statements.get(surface)
+        statements = derived.top_statements.get(surface)
         if statements is None:
-            statements = index._top_statements[surface] = _top_statements(index, surface)
-        resolved = index._resolved[key] = _resolve(statements, index.snapshot_date, mode)
+            statements = derived.top_statements[surface] = _top_statements(index, surface)
+        resolved = derived.resolved[key] = _resolve(statements, index.snapshot_date, mode)
     return resolved
 
 

@@ -23,7 +23,6 @@ from diamask import (
     write_annotations,
 )
 from diamask.annotate import _FOLD_MARKS, _WORD_RE, resolve_overlaps
-from diamask.errors import write_json_lines
 
 from helpers import json_text
 
@@ -228,8 +227,8 @@ class TestWriteAnnotations:
     @settings(max_examples=300)
     def test_write(self, scratch, docs):
         write_annotations(docs, scratch / "spans.jsonl")
-        write_json_lines(scratch / "reference.jsonl", map(reference_record, docs))
-        assert (scratch / "spans.jsonl").read_bytes() == (scratch / "reference.jsonl").read_bytes()
+        reference = "".join(json.dumps(reference_record(a), ensure_ascii=False) + "\n" for a in docs)
+        assert (scratch / "spans.jsonl").read_bytes() == reference.encode("utf-8")
         corpus = Corpus(name="c", documents=tuple(a.document for a in docs))
         assert load_annotations(corpus, scratch / "spans.jsonl") == docs
 
@@ -244,17 +243,19 @@ class TestWriteAnnotations:
             "",
         ]
 
-    @pytest.mark.parametrize("doc_id, start, end, message", [
-        (5, 1, 3, "document 5: id must be a string"),
-        ("d1", True, 3, "document 'd1': span offsets must be integers"),
-        ("d1", 0, True, "document 'd1': span offsets must be integers"),
-    ], ids=["id", "start", "end"])
+    # Document does not check its text's type, so bytes text gives a bytes span text
+    @pytest.mark.parametrize("doc_id, start, end, text, message", [
+        (5, 1, 3, TEXT, "document 5: id must be a string"),
+        ("d1", True, 3, TEXT, "document 'd1': span offsets must be integers"),
+        ("d1", 0, True, TEXT, "document 'd1': span offsets must be integers"),
+        ("d1", 0, 2, TEXT.encode(), "document 'd1': span text must be a string"),
+    ], ids=["id", "start", "end", "text"])
     def test_a_value_load_annotations_would_reject_is_an_error(
-        self, tmp_path, doc_id, start, end, message
+        self, tmp_path, doc_id, start, end, text, message
     ):
         docs = [
             AnnotatedDocument(document=doc("d0", TEXT), spans=(span(0, 2),)),
-            AnnotatedDocument(document=doc(doc_id, TEXT), spans=(span(start, end),)),
+            AnnotatedDocument(document=doc(doc_id, text), spans=(span(start, end, text=text),)),
         ]
         path = tmp_path / "spans.jsonl"
         with pytest.raises(DataError, match=f"^{message}$"):

@@ -1304,6 +1304,9 @@ HOSTILE = [
     pytest.param("", ["split", "--corpus", "{f}", "--mode", "random", "--train-output", "-",
                       "--test-output", "-"],
                  "hostile: cannot split an empty corpus", id="split-empty-corpus"),
+    pytest.param("", ["split", "--corpus", "{f}", "--mode", "time", "--boundary-date", "2020-12-31",
+                      "--train-output", "-", "--test-output", "-"],
+                 "hostile: cannot split an empty corpus", id="split-empty-corpus-time"),
     pytest.param(_config(training=[1]), _EXPERIMENT, "hostile: training",
                  id="config-training-not-an-object"),
     # a key no table holds is an error in every object of the config and the model

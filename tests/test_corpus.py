@@ -21,7 +21,6 @@ from diamask import (
     split_random,
 )
 from diamask.corpus import iso_date
-from diamask.errors import write_json_lines
 
 from helpers import json_text, random_corpus
 
@@ -213,8 +212,8 @@ class TestSaveCorpus:
     @settings(max_examples=300)
     def test_save(self, scratch, docs):
         save_corpus(Corpus(name="c", documents=docs), scratch / "c.jsonl")
-        write_json_lines(scratch / "reference.jsonl", map(reference_record, docs))
-        assert (scratch / "c.jsonl").read_bytes() == (scratch / "reference.jsonl").read_bytes()
+        reference = "".join(json.dumps(reference_record(d), ensure_ascii=False) + "\n" for d in docs)
+        assert (scratch / "c.jsonl").read_bytes() == reference.encode("utf-8")
         assert load_corpus(scratch / "c.jsonl").documents == docs
 
     def test_strings_are_escaped_and_absent_fields_left_out(self, tmp_path):
@@ -411,6 +410,11 @@ class TestSplitByTime:
         )
         with pytest.raises(DataError, match="nodate-1.*nodate-2"):
             split_by_time(Corpus(name="c", documents=docs), spec)
+
+    def test_wrong_mode_is_rejected(self):
+        spec = SplitSpec(mode=SplitMode.RANDOM_HOLDOUT, train_fraction=0.8, seed=1)
+        with pytest.raises(DataError, match="^split_by_time requires mode 'time', got 'random'$"):
+            split_by_time(corpus_of(10, dated=True), spec)
 
 
 @pytest.mark.parametrize("spec, split", [

@@ -190,9 +190,14 @@ class TestResolution:
             assert "Australia" not in masked
 
     def test_missing_index_is_an_error(self, sample):
+        """A fault of the call: raised as it is, for a corpus of no documents too."""
         for policy in (MaskPolicy.WIKID, MaskPolicy.WIKID_DEL, MaskPolicy.WIKID_NER):
-            with pytest.raises(DataError, match=policy.value):
+            message = f"^policy {policy.value!r} requires an entity index$"
+            with pytest.raises(DataError, match=message):
                 mask_text(sample, policy, None)
+            for docs in ([sample], []):
+                with pytest.raises(DataError, match=message):
+                    mask_corpus(docs, policy, None)
 
     def test_masking_without_spans_is_identity(self, modi_index):
         doc = ann("nothing notable here")
@@ -243,11 +248,6 @@ class TestMaskCorpus:
         assert corpus.name == "ne-del"
         corpus, _ = mask_corpus(docs, MaskPolicy.NE_DEL, name="custom")
         assert corpus.name == "custom"
-
-    def test_errors_name_the_document(self, modi_index):
-        docs = self.corpus(modi_index)
-        with pytest.raises(DataError, match="doc-0"):
-            mask_corpus(docs, MaskPolicy.WIKID, None)
 
 
 WORDS = ("alpha", "beta", "gamma", "delta", "US", "Modi", "Obama", "epsilon")

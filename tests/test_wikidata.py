@@ -33,7 +33,7 @@ from diamask import (
 )
 from diamask import wikidata
 from diamask.corpus import iso_date
-from diamask.errors import OBJECT, write_json_lines
+from diamask.errors import OBJECT
 from diamask.wikidata import FALLBACK_PERSON_TOKEN, _parse_time_value, qid_sort_key
 
 from helpers import entity_line, make_entity, modi_dump_lines, mutated
@@ -904,7 +904,8 @@ class ReferencePostingIndex:
     def __init__(self):
         self.snapshot_date = SNAPSHOT
         self.records, self.by_name, self.by_token = {}, {}, {}
-        self._maps = (self.by_name, self.by_token)  # where lookup_by_name reads the maps
+        # where lookup_by_name reads the maps
+        self._derived = wikidata._Derived(self.by_name, self.by_token)
 
     def add(self, record):
         qid = record.qid
@@ -1028,7 +1029,9 @@ def reference_save_index(index, path):
         "record_count": len(index.records),
     }
     records = (index.records[qid] for qid in sorted(index.records, key=qid_sort_key))
-    write_json_lines(path, itertools.chain([header], map(reference_record_to_json, records)))
+    objects = itertools.chain([header], map(reference_record_to_json, records))
+    lines = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objects)
+    path.write_bytes(lines.encode("utf-8"))
 
 
 _QIDS = st.sampled_from(["Q1", "Q2", "Q5", "Q10"])
@@ -1335,7 +1338,7 @@ class TestIndexKernelsMatchReference:
         built = index_of([json.dumps(entity) for entity in entities])
         save_index(built, scratch_index)
         loaded = load_index(scratch_index)
-        assert built._maps is None and loaded._maps is not None  # only a load builds them at once
+        assert built._derived is None and loaded._derived is not None  # only a load derives at once
         keys = {*built.by_name, *built.by_token, *loaded.by_name, *loaded.by_token}
         for key in keys:
             assert lookup_by_name(loaded, key) == lookup_by_name(built, key)
