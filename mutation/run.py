@@ -37,6 +37,8 @@ RESOLVE = "tests/test_wikidata.py::TestResolve::"
 ADD = "tests/test_wikidata.py::TestEntityIndexAdd::"
 SAVE_CORPUS = "tests/test_corpus.py::TestSaveCorpus::"
 WRITE_ANNOTATIONS = "tests/test_annotate.py::TestWriteAnnotations::"
+SPACE = "tests/test_experiment.py::TestFeatureSpace::"
+ROW_ORDER = "tests/test_experiment.py::TestFeaturize::test_row_is_the_grams_in_order_of_first_appearance"
 
 
 class Row(NamedTuple):
@@ -137,6 +139,17 @@ ROWS = (
         "if type(s.start) is not int or type(s.end) is not int:", "if False:",
         (WRITE_ANNOTATIONS + "test_a_value_load_annotations_would_reject_is_an_error[start]",
          WRITE_ANNOTATIONS + "test_a_value_load_annotations_would_reject_is_an_error[end]")),
+    Row("FeatureSpace: the state every bucket copies is keyed by hash_seed", EXPERIMENT,
+        'digest_size=8, key=self.hash_seed.to_bytes(8, "little"))', "digest_size=8)",
+        (SPACE + "test_bucket_matches_independent_keyed_hash",
+         SPACE + "test_bucket_is_the_keyed_hash_for_every_seed_and_text", ROW_ORDER)),
+    Row("FeatureSpace.bucket: a phrase updates a copy of the keyed state, not the state",
+        EXPERIMENT, "state = self._keyed.copy()", "state = self._keyed",
+        (SPACE + "test_bucket_matches_independent_keyed_hash",
+         SPACE + "test_bucketing_leaves_the_keyed_state_as_it_was", ROW_ORDER)),
+    Row("_bucket_counts: only order 1 reads the tokens as its grams", EXPERIMENT,
+        "for gram in tokens if n == 1 else extract_ngrams(tokens, n):", "for gram in tokens:",
+        ("tests/test_experiment.py::TestFeaturize::test_matches_hand_built_vector", ROW_ORDER)),
 )
 
 

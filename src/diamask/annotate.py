@@ -186,10 +186,10 @@ def _annotation_line(ann: AnnotatedDocument) -> str:
 
 
 def write_annotations(docs: Sequence[AnnotatedDocument], path: str | Path) -> None:
-    """Write annotations in the format read by load_annotations. A document id or
-    span text that is not a string, or an offset that is not an int (True
-    included), is a DataError before anything is written, as load_annotations
-    would reject it."""
+    """Write annotations in the format read by load_annotations. A document id
+    that is not a string, or an offset that is not an int (True included), is a
+    DataError before anything is written, as load_annotations would reject it.
+    A span's text is a string: it equals its slice of the document's text."""
     for ann in docs:
         doc_id = ann.document.id
         if not isinstance(doc_id, str):
@@ -197,8 +197,6 @@ def write_annotations(docs: Sequence[AnnotatedDocument], path: str | Path) -> No
         for s in ann.spans:
             if type(s.start) is not int or type(s.end) is not int:
                 raise DataError(f"document {doc_id!r}: span offsets must be integers")
-            if not isinstance(s.surface, str):
-                raise DataError(f"document {doc_id!r}: span text must be a string")
     write_output(path, map(_annotation_line, docs))  # streamed: the file is never one string
 
 

@@ -66,6 +66,8 @@ class Document:
     def __post_init__(self) -> None:
         if not self.id:
             raise DataError("document id must be non-empty")
+        if not isinstance(self.text, str):
+            raise DataError(f"document {self.id!r}: text must be a string")
 
 
 @dataclass(frozen=True)
@@ -184,14 +186,12 @@ def _document_line(doc: Document) -> str:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus in the JSON Lines format loaded by load_corpus. An id, text
-    or source that is not a string is a DataError before anything is written,
-    as load_corpus would reject the record."""
+    """Write a corpus in the JSON Lines format loaded by load_corpus. An id or
+    source that is not a string is a DataError before anything is written, as
+    load_corpus would reject the record (a Document refuses a text that is not)."""
     for doc in corpus:
         if not isinstance(doc.id, str):
             raise DataError(f"document {doc.id!r}: id must be a string")
-        if not isinstance(doc.text, str):
-            raise DataError(f"document {doc.id!r}: text must be a string")
         if not isinstance(doc.source, (str, type(None))):
             raise DataError(f"document {doc.id!r}: source must be a string or null")
     write_output(path, map(_document_line, corpus))  # streamed: the file is never one string

@@ -132,14 +132,22 @@ class FeatureSpace:
             )
         if not (0 <= self.hash_seed < 2**64):
             raise DataError("hash_seed must fit in 64 bits")
+        # Not a field: a blake2b state can be neither pickled nor deep-copied
+        # (see __reduce__), and ==, hash and repr read the fields alone.
+        object.__setattr__(self, "_keyed", hashlib.blake2b(
+            digest_size=8, key=self.hash_seed.to_bytes(8, "little")))
+
+    def __reduce__(self) -> tuple:
+        return FeatureSpace, (self.orders, self.dimensions, self.hash_seed)
 
     def bucket(self, phrase: str) -> int:
-        digest = hashlib.blake2b(
-            phrase.encode("utf-8"),
-            digest_size=8,
-            key=self.hash_seed.to_bytes(8, "little"),
-        ).digest()
-        return int.from_bytes(digest, "big") & (self.dimensions - 1)
+        """BLAKE2b of the phrase's UTF-8 bytes, with an 8-byte digest and keyed
+        by hash_seed as 8 little-endian bytes, read as a big-endian integer and
+        masked to dimensions. The key is absorbed once per space, into a state
+        each phrase copies and never updates in place."""
+        state = self._keyed.copy()
+        state.update(phrase.encode("utf-8"))
+        return int.from_bytes(state.digest(), "big") & (self.dimensions - 1)
 
 
 # FeatureSpace's fields as the experiment config and a model file hold them
@@ -159,7 +167,8 @@ def _bucket_counts(text: str, space: FeatureSpace, memo: dict[str, int]) -> dict
     tokens = tokenize(text)
     vec: dict[int, int] = {}
     for n in space.orders:
-        for gram in extract_ngrams(tokens, n):
+        # an order-1 gram is its token: extract_ngrams would join 1-tuples
+        for gram in tokens if n == 1 else extract_ngrams(tokens, n):
             idx = memo.get(gram)
             if idx is None:
                 idx = memo[gram] = space.bucket(gram)

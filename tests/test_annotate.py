@@ -243,22 +243,23 @@ class TestWriteAnnotations:
             "",
         ]
 
-    # Document does not check its text's type, so bytes text gives a bytes span text
+    # a text that is not a string is refused by Document itself, and a span's surface
+    # must equal its slice of the text, so no span surface reaches the writer as bytes
     @pytest.mark.parametrize("doc_id, start, end, text, message", [
         (5, 1, 3, TEXT, "document 5: id must be a string"),
         ("d1", True, 3, TEXT, "document 'd1': span offsets must be integers"),
         ("d1", 0, True, TEXT, "document 'd1': span offsets must be integers"),
-        ("d1", 0, 2, TEXT.encode(), "document 'd1': span text must be a string"),
+        ("d1", 0, 2, TEXT.encode(), "document 'd1': text must be a string"),
     ], ids=["id", "start", "end", "text"])
     def test_a_value_load_annotations_would_reject_is_an_error(
         self, tmp_path, doc_id, start, end, text, message
     ):
-        docs = [
-            AnnotatedDocument(document=doc("d0", TEXT), spans=(span(0, 2),)),
-            AnnotatedDocument(document=doc(doc_id, text), spans=(span(start, end, text=text),)),
-        ]
         path = tmp_path / "spans.jsonl"
         with pytest.raises(DataError, match=f"^{message}$"):
+            docs = [
+                AnnotatedDocument(document=doc("d0", TEXT), spans=(span(0, 2),)),
+                AnnotatedDocument(document=doc(doc_id, text), spans=(span(start, end, text=text),)),
+            ]
             write_annotations(docs, path)
         assert not path.exists()  # checked before anything is written
 

@@ -47,6 +47,12 @@ class TestDocument:
         with pytest.raises(DataError):
             Document(id="", text="x", label=Label.REAL)
 
+    @pytest.mark.parametrize("text", [b"Jane Roe spoke", None, 5])
+    def test_rejects_a_text_that_is_not_a_string(self, text):
+        # else a bytes text gets as far as masking's splice, which dies with a TypeError
+        with pytest.raises(DataError, match="^document 'd': text must be a string$"):
+            Document(id="d", text=text, label=Label.REAL)
+
     def test_optional_fields_default_to_none(self):
         doc = Document(id="d1", text="x", label=Label.REAL)
         assert doc.date is None
@@ -237,9 +243,10 @@ class TestSaveCorpus:
     ])
     def test_a_value_load_corpus_would_reject_is_an_error(self, tmp_path, field, value, message):
         good = Document(id="d0", text="x", label=Label.REAL)
-        bad = Document(**{"id": "d1", "text": "y", "label": Label.FAKE, field: value})
         path = tmp_path / "c.jsonl"
         with pytest.raises(DataError, match=f"^{message}$"):
+            # a text that is not a string is refused by Document itself
+            bad = Document(**{"id": "d1", "text": "y", "label": Label.FAKE, field: value})
             save_corpus(Corpus(name="c", documents=(good, bad)), path)
         assert not path.exists()  # checked before anything is written
 

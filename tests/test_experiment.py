@@ -1,10 +1,12 @@
+import copy
 import hashlib
 import json
 import logging
 import math
+import pickle
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import date
 
 import pytest
@@ -39,6 +41,7 @@ from diamask import (
     train,
 )
 from diamask import experiment
+from diamask.analysis import extract_ngrams, tokenize
 from diamask.experiment import _evaluate_rows, _fit, _score_row, _sgd_order
 from diamask.masking import mask_corpus
 
@@ -52,6 +55,15 @@ from helpers import (
 )
 
 SMALL_SPACE = FeatureSpace(dimensions=2**16)
+
+
+def keyed_bucket(phrase, seed, dimensions):
+    """A phrase's bucket, recomputed from scratch: BLAKE2b keyed by the seed's 8
+    little-endian bytes, 8-byte digest read big-endian, masked to the table size."""
+    digest = hashlib.blake2b(
+        phrase.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
+    ).digest()
+    return int.from_bytes(digest, "big") & (dimensions - 1)
 
 
 def weight_bits(model):
@@ -89,18 +101,34 @@ class TestFeatureSpace:
             FeatureSpace(hash_seed=2**64)
 
     def test_bucket_matches_independent_keyed_hash(self):
-        # Recompute the bucket from scratch: keyed blake2b, 8-byte digest,
-        # big-endian integer, masked to the table size.
-        for seed in (0, 7, 2**63):
+        for seed in (0, 7, 2**63, 2**64 - 1):
             space = FeatureSpace(dimensions=2**12, hash_seed=seed)
-            for phrase in ("covid", "covid hoax", "task force", ""):
-                digest = hashlib.blake2b(
-                    phrase.encode("utf-8"),
-                    digest_size=8,
-                    key=seed.to_bytes(8, "little"),
-                ).digest()
-                expected = int.from_bytes(digest, "big") % 2**12
-                assert space.bucket(phrase) == expected
+            for phrase in ("covid", "covid hoax", "task force", "", "café", "日本 語", "\U0001F600"):
+                assert space.bucket(phrase) == keyed_bucket(phrase, seed, 2**12)
+
+    @given(seed=st.integers(0, 2**64 - 1), phrase=st.text(),
+           dimensions=st.integers(1, 63).map(lambda k: 2**k))
+    def test_bucket_is_the_keyed_hash_for_every_seed_and_text(self, seed, phrase, dimensions):
+        space = FeatureSpace(dimensions=dimensions, hash_seed=seed)
+        assert space.bucket(phrase) == keyed_bucket(phrase, seed, dimensions)
+
+    def test_bucketing_leaves_the_keyed_state_as_it_was(self):
+        # every phrase hashes from a copy of the keyed state, never the state itself
+        space = FeatureSpace(dimensions=2**63, hash_seed=99)
+        first = space.bucket("covid")
+        space.bucket("hoax")
+        assert space.bucket("covid") == first == keyed_bucket("covid", 99, 2**63)
+
+    def test_is_a_plain_value(self):
+        space = FeatureSpace(orders=(2, 1), dimensions=2**10, hash_seed=2**64 - 1)
+        twin = FeatureSpace(orders=(1, 2), dimensions=2**10, hash_seed=2**64 - 1)
+        assert space == twin and hash(space) == hash(twin)
+        assert space != replace(space, hash_seed=0)
+        assert repr(space) == "FeatureSpace(orders=(1, 2), dimensions=1024, hash_seed=18446744073709551615)"
+        assert asdict(space) == {"orders": (1, 2), "dimensions": 1024, "hash_seed": 2**64 - 1}
+        for copied in (copy.copy(space), copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+            assert copied == space
+            assert copied.bucket("covid hoax") == keyed_bucket("covid hoax", 2**64 - 1, 2**10)
 
     def test_bucket_depends_on_seed(self):
         a = FeatureSpace(hash_seed=1)
@@ -131,12 +159,24 @@ class TestFeaturize:
         text = "covid hoax spreading"
         expected: dict[int, int] = {}
         for gram in ("covid", "hoax", "spreading", "covid hoax", "hoax spreading"):
-            digest = hashlib.blake2b(
-                gram.encode("utf-8"), digest_size=8, key=(12345).to_bytes(8, "little")
-            ).digest()
-            idx = int.from_bytes(digest, "big") % 2**14
+            idx = keyed_bucket(gram, 12345, 2**14)
             expected[idx] = expected.get(idx, 0) + 1
         assert featurize(text, space) == expected
+
+    @given(text=st.text(alphabet="abAé ,.'\n", max_size=40),
+           orders=st.sets(st.sampled_from((1, 2, 3)), min_size=1),
+           dimensions=st.integers(1, 20).map(lambda k: 2**k),
+           seed=st.integers(0, 2**64 - 1))
+    def test_row_is_the_grams_in_order_of_first_appearance(self, text, orders, dimensions, seed):
+        # Key order is the row's column order in training and its left-to-right
+        # score, so compare item lists, not dicts; small tables make buckets collide.
+        space = FeatureSpace(orders=tuple(orders), dimensions=dimensions, hash_seed=seed)
+        expected: dict[int, int] = {}
+        for n in sorted(orders):
+            for gram in extract_ngrams(tokenize(text), n):
+                idx = keyed_bucket(gram, seed, dimensions)
+                expected[idx] = expected.get(idx, 0) + 1
+        assert list(featurize(text, space).items()) == list(expected.items())
 
     @given(st.lists(st.sampled_from("abcdef"), max_size=30))
     def test_total_count_equals_gram_count(self, tokens):
