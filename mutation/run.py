@@ -38,6 +38,9 @@ ADD = "tests/test_wikidata.py::TestEntityIndexAdd::"
 SAVE_CORPUS = "tests/test_corpus.py::TestSaveCorpus::"
 WRITE_ANNOTATIONS = "tests/test_annotate.py::TestWriteAnnotations::"
 SPACE = "tests/test_experiment.py::TestFeatureSpace::"
+TRAIN_CONFIG = "tests/test_experiment.py::TestTrainConfig::"
+REFUSED = "tests/test_constructors.py::test_a_value_no_loader_reads_back_is_refused_when_built"
+HOSTILE = "tests/test_cli.py::test_hostile_input_exits_1_with_one_error_line"
 ROW_ORDER = "tests/test_experiment.py::TestFeaturize::test_row_is_the_grams_in_order_of_first_appearance"
 
 
@@ -135,10 +138,25 @@ ROWS = (
     Row("mask_corpus: a WikiD policy with no index is refused before any document", MASKING,
         "    _require_index(policy, index)\n    masked_docs", "    masked_docs",
         ("tests/test_masking.py::TestResolution::test_missing_index_is_an_error",)),
-    Row("write_annotations: a span offset must be an int, and True is not one", ANNOTATE,
-        "if type(s.start) is not int or type(s.end) is not int:", "if False:",
+    Row("NeSpan: a span offset must be an int, and True is not one", ANNOTATE,
+        "if type(self.start) is not int or type(self.end) is not int:", "if False:",
         (WRITE_ANNOTATIONS + "test_a_value_load_annotations_would_reject_is_an_error[start]",
-         WRITE_ANNOTATIONS + "test_a_value_load_annotations_would_reject_is_an_error[end]")),
+         WRITE_ANNOTATIONS + "test_a_value_load_annotations_would_reject_is_an_error[end]",
+         REFUSED + "[span-start-a-string]")),
+    Row("FeatureSpace: a hash_seed must be an int, and True is not one", EXPERIMENT,
+        'setting("hash_seed", self.hash_seed, INTEGER)', "pass",
+        (REFUSED + "[space-hash-seed-a-bool]",)),
+    Row("TrainConfig: learning_rate and l2 are stored as floats", EXPERIMENT,
+        '        object.__setattr__(self, "learning_rate", learning_rate)\n'
+        '        object.__setattr__(self, "l2", l2)\n', "",
+        (TRAIN_CONFIG + "test_learning_rate_and_l2_are_stored_as_floats",)),
+    Row("EntityRecord: a QID is Q and digits", WIKIDATA,
+        "and _QID_RE.fullmatch(qid)", "and True",
+        (REFUSED + "[record-qid-not-digits]", REFUSED + "[record-qid-not-q]",
+         HOSTILE + "[index-qid-ends-in-a-newline]")),
+    Row("Document: a label must be a Label", CORPUS,
+        "if not isinstance(self.label, Label):", "if False:",
+        (REFUSED + "[document-label-a-string]",)),
     Row("FeatureSpace: the state every bucket copies is keyed by hash_seed", EXPERIMENT,
         'digest_size=8, key=self.hash_seed.to_bytes(8, "little"))', "digest_size=8)",
         (SPACE + "test_bucket_matches_independent_keyed_hash",

@@ -72,8 +72,12 @@ class NeSpan:
     surface: str
 
     def __post_init__(self) -> None:
+        if type(self.start) is not int or type(self.end) is not int:
+            raise DataError(f"span offsets must be integers, got [{self.start!r}, {self.end!r})")
         if not (0 <= self.start < self.end):
             raise DataError(f"bad span offsets [{self.start}, {self.end})")
+        if not isinstance(self.tag, NeTag):
+            raise DataError(f"span tag must be an NeTag, got {self.tag!r}")
 
     def check_against(self, text: str, doc_id: str) -> None:
         if self.end > len(text):
@@ -151,14 +155,7 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
                 for field in ("start", "end", "tag", "text"):
                     if field not in raw:
                         raise DataError(f"span for {doc_id!r} missing field {field!r}")
-                if type(raw["start"]) is not int or type(raw["end"]) is not int:
-                    raise DataError(f"span offsets for {doc_id!r} must be integers")
-                span = NeSpan(
-                    start=raw["start"],
-                    end=raw["end"],
-                    tag=NeTag.parse(raw["tag"]),
-                    surface=raw["text"],
-                )
+                span = NeSpan(raw["start"], raw["end"], NeTag.parse(raw["tag"]), raw["text"])
                 span.check_against(docs[doc_id].text, doc_id)
                 spans.append(span)
     out: list[AnnotatedDocument] = []
@@ -186,17 +183,9 @@ def _annotation_line(ann: AnnotatedDocument) -> str:
 
 
 def write_annotations(docs: Sequence[AnnotatedDocument], path: str | Path) -> None:
-    """Write annotations in the format read by load_annotations. A document id
-    that is not a string, or an offset that is not an int (True included), is a
-    DataError before anything is written, as load_annotations would reject it.
-    A span's text is a string: it equals its slice of the document's text."""
-    for ann in docs:
-        doc_id = ann.document.id
-        if not isinstance(doc_id, str):
-            raise DataError(f"document {doc_id!r}: id must be a string")
-        for s in ann.spans:
-            if type(s.start) is not int or type(s.end) is not int:
-                raise DataError(f"document {doc_id!r}: span offsets must be integers")
+    """Write annotations in the format read by load_annotations, which reads
+    back every AnnotatedDocument: a span's text is a string, as it equals its
+    slice of the document's text."""
     write_output(path, map(_annotation_line, docs))  # streamed: the file is never one string
 
 

@@ -29,7 +29,7 @@ from .corpus import (
     save_corpus,
 )
 from .errors import DataError, fields, json_file, numbered_lines, prefixed, write_output
-from .errors import BOOLEAN, INTEGER, LIST, STRING, number  # converters for fields
+from .errors import BOOLEAN, LIST, STRING, as_is  # converters for fields
 from .experiment import (
     FEATURE_FIELDS,
     TRAIN_FIELDS,
@@ -231,14 +231,14 @@ def _path(raw: object) -> str:
 
 
 # an experiment config's fields, one table per object; an empty annotations or
-# index path means none, as an absent one does
+# index path means none, as an absent one does. SplitSpec checks the split's values
 _DATASET_FIELDS = {
     "name": STRING, "annotations": lambda raw: STRING(raw) or None,
     "corpus": _path, "index": lambda raw: STRING(raw) or None,
 }
 _SPLIT_FIELDS = {
-    "mode": SplitMode, "train_fraction": number,
-    "boundary_date": lambda raw: iso_date(raw) if raw else None, "seed": INTEGER,
+    "mode": SplitMode, "train_fraction": as_is,
+    "boundary_date": lambda raw: iso_date(raw) if raw else None, "seed": as_is,
 }
 
 

@@ -21,7 +21,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError, json_lines, prefixed, write_output
+from .errors import (INTEGER, DataError, bad, json_lines, number, prefixed, setting, shown,
+                     write_output)
 
 __all__ = [
     "Label",
@@ -57,6 +58,8 @@ class Label(Enum):
 
 @dataclass(frozen=True)
 class Document:
+    """A corpus record; its date is a date (not a datetime) or None."""
+
     id: str
     text: str
     label: Label
@@ -64,10 +67,16 @@ class Document:
     source: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise DataError("document id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise DataError(f"id must be a non-empty string, got {self.id!r}")
         if not isinstance(self.text, str):
-            raise DataError(f"document {self.id!r}: text must be a string")
+            raise DataError(f"text must be a string (document {self.id!r})")
+        if not isinstance(self.label, Label):
+            raise DataError(f"label must be a Label, got {self.label!r} (document {self.id!r})")
+        if type(self.date) not in (Date, type(None)):
+            raise DataError(f"date must be a date, got {self.date!r} (document {self.id!r})")
+        if self.source is not None and not isinstance(self.source, str):
+            raise DataError(f"source must be a string or null (document {self.id!r})")
 
 
 @dataclass(frozen=True)
@@ -107,8 +116,15 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.train_fraction < 1.0):
-            raise DataError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if not isinstance(self.mode, SplitMode):
+            raise bad("mode", f"expected a SplitMode, got {shown(self.mode)}")
+        fraction = setting("train_fraction", self.train_fraction, number)
+        if type(self.boundary_date) not in (Date, type(None)):
+            raise bad("boundary_date", f"expected a date, got {shown(self.boundary_date)}")
+        setting("seed", self.seed, INTEGER)
+        if not (0.0 < fraction < 1.0):
+            raise DataError(f"train_fraction must be in (0, 1), got {fraction}")
+        object.__setattr__(self, "train_fraction", fraction)
         if self.mode is SplitMode.TIME_BASED and self.boundary_date is None:
             raise DataError("time-based split requires a boundary_date")
 
@@ -134,7 +150,8 @@ def load_corpus(path: str | Path, *, name: str | None = None) -> Corpus:
 
     Every record needs id, text, and label; text may be empty, as masking
     can make it. Labels parse case-insensitively. Malformed lines, missing
-    fields, and duplicate ids raise DataError naming the file and line.
+    fields, values Document refuses, and duplicate ids raise DataError naming
+    the file and line.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -146,24 +163,16 @@ def load_corpus(path: str | Path, *, name: str | None = None) -> Corpus:
             for field in ("id", "text", "label"):
                 if field not in record:
                     raise DataError(f"missing field {field!r}")
-            doc_id = record["id"]
-            if not isinstance(doc_id, str) or not doc_id:
-                raise DataError("id must be a non-empty string")
-            if doc_id in seen:
-                raise DataError(f"duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-            text = record["text"]
-            if not isinstance(text, str):
-                raise DataError("text must be a string")
             label = Label.parse(record["label"])
             try:
                 doc_date = None if record.get("date") is None else iso_date(record["date"])
             except ValueError as exc:
                 raise DataError(str(exc)) from None
-            source = record.get("source")
-            if not isinstance(source, (str, type(None))):
-                raise DataError("source must be a string or null")
-            docs.append(Document(id=doc_id, text=text, label=label, date=doc_date, source=source))
+            doc = Document(record["id"], record["text"], label, doc_date, record.get("source"))
+            if doc.id in seen:
+                raise DataError(f"duplicate document id {doc.id!r}")
+            seen.add(doc.id)
+            docs.append(doc)
     return Corpus(name=name or path.stem, documents=tuple(docs))
 
 
@@ -186,14 +195,8 @@ def _document_line(doc: Document) -> str:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus in the JSON Lines format loaded by load_corpus. An id or
-    source that is not a string is a DataError before anything is written, as
-    load_corpus would reject the record (a Document refuses a text that is not)."""
-    for doc in corpus:
-        if not isinstance(doc.id, str):
-            raise DataError(f"document {doc.id!r}: id must be a string")
-        if not isinstance(doc.source, (str, type(None))):
-            raise DataError(f"document {doc.id!r}: source must be a string or null")
+    """Write a corpus in the JSON Lines format loaded by load_corpus, which
+    reads back every Document."""
     write_output(path, map(_document_line, corpus))  # streamed: the file is never one string
 
 

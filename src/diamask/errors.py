@@ -12,11 +12,14 @@ it once and any other text through json.loads itself, then checks that every
 string encodes as UTF-8; json_lines applies it to each non-blank line of a
 JSON Lines file, and json_file to a file holding one value. A loader wraps
 each record in prefixed(f"{path} line N"), so every record error names the
-file and line.
+file and line. A record's class checks its values, so a loader only turns
+JSON into the types the class takes, and a writer writes what it is given.
 
 fields is the one way to read a decoded JSON object of settings (the
 experiment config, a model file and each object in them): a table maps each
-key it may hold to a converter that checks the value's JSON type.
+key it may hold to a converter that checks the value's JSON type, or to
+as_is where the value's class checks it through setting, so a value built
+in code gets the same `bad '<name>' (<reason>)` error as one read from a file.
 
 write_output writes text as UTF-8 to a file, or to stdout when the path is
 "-", so both get the same bytes whatever the terminal's encoding. Every
@@ -144,10 +147,32 @@ def fields(obj: object, table: Mapping[str, Callable], defaults: Mapping | None 
         try:
             values[name] = convert(raw)
         except (ValueError, TypeError, OverflowError) as exc:
-            raise DataError(f"bad {name!r} ({exc})") from None
+            raise bad(name, exc) from None
         except DataError as exc:
             raise DataError(f"{name}: {exc}") from None
     return values
+
+
+def bad(name: str, reason: object) -> DataError:
+    """The error for a setting's bad value: `bad '<name>' (<reason>)`."""
+    return DataError(f"bad {name!r} ({reason})")
+
+
+def setting(name: str, value: object, convert: Callable[[object], object]) -> object:
+    """convert(value) for a settings class's field name, as fields converts one
+    read from a file, else bad(name, <what convert raised>)."""
+    try:
+        return convert(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise bad(name, exc) from None
+
+
+def shown(value: object) -> str:
+    """value as JSON writes it (true, 1.5, "x"), or its repr if it is no JSON value."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
 
 
 def _expect(kind: str, *types: type) -> Callable[[object], object]:
@@ -157,10 +182,15 @@ def _expect(kind: str, *types: type) -> Callable[[object], object]:
 
     def check(raw: object) -> object:
         if type(raw) not in types:
-            raise TypeError(f"expected {kind}, got {json.dumps(raw)}")
+            raise TypeError(f"expected {kind}, got {shown(raw)}")
         return raw
 
     return check
+
+
+def as_is(raw: object) -> object:
+    """A fields converter passing any value through, for a field its class checks."""
+    return raw
 
 
 STRING = _expect("a string", str)
@@ -180,7 +210,7 @@ def finite(raw: object) -> float:
     """number, except NaN and Infinity: json.loads reads these tokens, JSON has none."""
     value = number(raw)
     if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {json.dumps(raw)}")
+        raise ValueError(f"expected a finite number, got {shown(raw)}")
     return value
 
 

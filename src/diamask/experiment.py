@@ -71,8 +71,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .analysis import extract_ngrams, tokenize
 from .annotate import AnnotatedDocument, NeSpan, NeTag
 from .corpus import Corpus, Document, Label, SplitSpec
-from .errors import DataError, fields, json_file, prefixed, write_output
-from .errors import INTEGER, LIST, OBJECT, STRING, finite, number  # converters for fields
+from .errors import DataError, fields, json_file, prefixed, setting, write_output
+from .errors import INTEGER, LIST, OBJECT, STRING, as_is, finite, number  # converters
 # mask_corpus is unused here; perfbench's tracer test reads diamask.experiment.mask_corpus
 from .masking import MaskPolicy, mask_corpus, mask_text  # noqa: F401
 from .wikidata import (
@@ -115,14 +115,17 @@ log = logging.getLogger(__name__)
 class FeatureSpace:
     """Hashed n-gram feature space: orders to extract, a power-of-two bucket
     count (at most 2**63, as bucket ids are stored as int64), and the 64-bit
-    key for the hash."""
+    key for the hash. Orders are stored ascending, each once."""
 
     orders: tuple[int, ...] = (1, 2)
     dimensions: int = 2**20
     hash_seed: int = 0
 
     def __post_init__(self) -> None:
-        orders = tuple(sorted(set(self.orders)))
+        given = setting("orders", self.orders, lambda raw: list(map(INTEGER, raw)))
+        setting("dimensions", self.dimensions, INTEGER)
+        setting("hash_seed", self.hash_seed, INTEGER)
+        orders = tuple(sorted(set(given)))
         if not orders or orders[0] < 1:
             raise DataError(f"n-gram orders must be >= 1, got {self.orders}")
         object.__setattr__(self, "orders", orders)
@@ -150,9 +153,9 @@ class FeatureSpace:
         return int.from_bytes(state.digest(), "big") & (self.dimensions - 1)
 
 
-# FeatureSpace's fields as the experiment config and a model file hold them
-FEATURE_FIELDS = {"orders": lambda raw: tuple(map(INTEGER, LIST(raw))),
-                  "dimensions": INTEGER, "hash_seed": INTEGER}
+# FeatureSpace's fields as the experiment config and a model file hold them;
+# FeatureSpace checks each value
+FEATURE_FIELDS = {"orders": lambda raw: tuple(LIST(raw)), "dimensions": as_is, "hash_seed": as_is}
 
 
 def featurize(text: str, space: FeatureSpace) -> dict[int, int]:
@@ -212,22 +215,32 @@ def _score_row(weights: Mapping[int, float], bias: float, row: Mapping[int, int]
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """SGD settings; learning_rate and l2 are stored as floats, so an int given
+    saves as the float it equals."""
+
     epochs: int = 10
     learning_rate: float = 0.1
     l2: float = 1e-6
     seed: int = 7
 
     def __post_init__(self) -> None:
+        setting("epochs", self.epochs, INTEGER)
+        learning_rate = setting("learning_rate", self.learning_rate, number)
+        l2 = setting("l2", self.l2, number)
+        setting("seed", self.seed, INTEGER)
         if self.epochs < 1:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise DataError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise DataError(f"l2 must be finite and >= 0, got {self.l2}")
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise DataError(f"learning_rate must be finite and > 0, got {learning_rate}")
+        if not (math.isfinite(l2) and l2 >= 0):
+            raise DataError(f"l2 must be finite and >= 0, got {l2}")
+        object.__setattr__(self, "learning_rate", learning_rate)
+        object.__setattr__(self, "l2", l2)
 
 
-# TrainConfig's fields as the experiment config and a model file hold them
-TRAIN_FIELDS = {"epochs": INTEGER, "learning_rate": number, "l2": number, "seed": INTEGER}
+# TrainConfig's fields as the experiment config and a model file hold them;
+# TrainConfig checks each value
+TRAIN_FIELDS = dict.fromkeys(("epochs", "learning_rate", "l2", "seed"), as_is)
 
 
 def _sigmoid(z: float) -> float:

@@ -37,8 +37,8 @@ read through errors.fields, followed by exactly record_count record objects
 sorted by numeric QID. A record or statement holding a key that save_index
 does not write is malformed, as a save after the load would drop it; records
 are not read through errors.fields, which costs too much per record, but
-counted against their five keys (statements their four) after the reads.
-Lookup maps are derived data and are rebuilt on load.
+counted against their five keys (statements their four), and their values
+checked by Statement and EntityRecord. Lookup maps are rebuilt on load.
 
 Build, save and load run once per record or statement, so they skip work
 that leaves no trace. Each shortcut is exact:
@@ -46,9 +46,8 @@ that leaves no trace. Each shortcut is exact:
   RoleProperty(pid) or prop.value, which run Enum code. A pid the map lacks
   raises KeyError, which load_index reports as "malformed index record", as
   it would the Enum's ValueError.
-- load_index checks a statement's QID while it builds the statement, and
-  walks no empty alias list: a bad value still rejects the whole record,
-  with the same message.
+- EntityRecord checks its fields in one expression and walks no empty
+  alias list; load_index reports a value it refuses as a malformed record.
 - The map build creates a posting list with its first QID in it, so a key
   already present costs no empty list, and no list in the maps is empty.
 - The map build casefolds and splits each name once: the by_name key joins
@@ -64,7 +63,7 @@ that leaves no trace. Each shortcut is exact:
   first built for it. A Statement is frozen, so sharing one changes no value
   or equality. load_index keys the dict by the raw JSON values, after the
   key-count check: equal values are equal strings or null, which the first
-  build has checked, and an unhashable one is malformed as before.
+  build has checked, and an unhashable one is malformed.
 - One index_dump call parses each distinct qualifier time string once: a
   dict local to the call maps the raw "time" string to what
   _parse_time_value gives for it, a None included. That function is given
@@ -75,8 +74,8 @@ that leaves no trace. Each shortcut is exact:
   to a str. A date's isoformat holds only digits and "-", so it needs no
   escape. Separators and key order are the encoder's defaults and the
   object's order. A count is written by int's str, as the encoder writes an
-  int; save_index checks first that it is one. Records sort by int(q[1:]),
-  which is qid_sort_key's order for every QID _QID_RE admits.
+  int, which EntityRecord ensures it is. Records sort by int(q[1:]), which
+  is qid_sort_key's order for every QID _QID_RE admits.
 """
 
 from __future__ import annotations
@@ -155,6 +154,10 @@ _ROLE_BY_PID = {prop.value: prop for prop in RoleProperty}
 _PID_BY_ROLE = {prop: pid for pid, prop in _ROLE_BY_PID.items()}
 
 
+# a date field's types: a datetime is a date, but saves as no YYYY-MM-DD
+_DAY = (Date, type(None))
+
+
 class ResolveMode(Enum):
     DUMP_ORDER = "dump-order"
     TEMPORAL = "temporal"
@@ -165,16 +168,20 @@ class ResolveMode(Enum):
 
 @dataclass(frozen=True)
 class Statement:
+    """A role claim; its dates are dates (not datetimes) or None."""
+
     property: RoleProperty
     value_qid: str
     start_date: Date | None
     end_date: Date | None
 
     def __post_init__(self) -> None:
-        if self.start_date and self.end_date and self.start_date > self.end_date:
-            raise DataError(
-                f"statement {self.value_qid}: start {self.start_date} after end {self.end_date}"
-            )
+        value, start, end = self.value_qid, self.start_date, self.end_date
+        if not (isinstance(self.property, RoleProperty) and isinstance(value, str)
+                and _QID_RE.fullmatch(value) and type(start) in _DAY and type(end) in _DAY):
+            raise DataError(f"bad statement {self!r}")
+        if start and end and start > end:
+            raise DataError(f"statement {value}: start {start} after end {end}")
 
     def valid_at(self, when: Date) -> bool:
         if self.start_date is not None and self.start_date > when:
@@ -186,11 +193,34 @@ class Statement:
 
 @dataclass(frozen=True)
 class EntityRecord:
+    """An indexed entity; its sitelink count is an int >= 0, and True is not one."""
+
     qid: str
     primary_label: str
     aliases: tuple[str, ...]
     statements: tuple[Statement, ...]
     sitelink_count: int
+
+    def __post_init__(self) -> None:
+        qid, label, aliases = self.qid, self.primary_label, self.aliases
+        statements, count = self.statements, self.sitelink_count
+        # one expression, as index_dump and load_index build a record per line
+        if not (type(count) is int and count >= 0
+                and isinstance(qid, str) and _QID_RE.fullmatch(qid)
+                and isinstance(label, str) and label
+                and type(aliases) is tuple and type(statements) is tuple
+                and (not aliases or all(map(_IS_STR, aliases)))
+                and all(map(_IS_STATEMENT, statements))):
+            fault = "bad QID, label, aliases or statements"
+            if type(count) is not int or count < 0:
+                fault = f"bad sitelink count {count!r}"
+            raise DataError(f"record {qid!r}: {fault}")
+
+
+# isinstance(item, str) and isinstance(item, Statement), bound once: EntityRecord
+# checks each alias and statement of every record, and map() calls these without
+# a generator
+_IS_STR, _IS_STATEMENT = str.__instancecheck__, Statement.__instancecheck__
 
 
 @dataclass(slots=True)
@@ -221,8 +251,8 @@ class EntityIndex:
     _derived: _Derived | None = field(default=None, init=False, compare=False, repr=False)
 
     def add(self, record: EntityRecord) -> None:
-        """Insert a record, replacing any earlier one with the same QID. The
-        QID must have the form Q<digits>, as index_dump and load_index ensure."""
+        """Insert a record, replacing any earlier one with the same QID, which
+        has the form Q<digits>, as EntityRecord ensures."""
         self.records[record.qid] = record
         self._derived = None
 
@@ -469,16 +499,10 @@ def _record_line(record: EntityRecord) -> str:
 
 
 def save_index(index: EntityIndex, path: str | Path) -> None:
-    """Write the versioned single-file index format (see module docstring).
-    A sitelink count that is not an integer >= 0 (True, say, which the
-    record's constructor lets through) is a DataError before anything is
-    written, as load_index would reject the record."""
+    """Write the versioned single-file index format (see module docstring),
+    which load_index reads back for every EntityRecord."""
     # every indexed QID matches _QID_RE, so int(q[1:]) is qid_sort_key's order
     records = [index.records[qid] for qid in sorted(index.records, key=lambda q: int(q[1:]))]
-    for record in records:
-        count = record.sitelink_count
-        if type(count) is not int or count < 0:
-            raise DataError(f"record {record.qid!r}: bad sitelink count {count!r}")
     header = {
         "format_version": FORMAT_VERSION,
         "snapshot_date": index.snapshot_date.isoformat(),
@@ -498,8 +522,6 @@ def _load_statement(raw: dict, shared: dict) -> Statement:
     statement = shared.get(key)  # TypeError on an unhashable value
     if statement is None:
         pid, value, start, end = key
-        if not _QID_RE.fullmatch(value):  # TypeError on a non-string
-            raise ValueError(f"bad statement value {value!r}")
         statement = shared[key] = Statement(
             _ROLE_BY_PID[pid],
             value,
@@ -525,25 +547,15 @@ def load_index(path: str | Path) -> EntityIndex:
         last = -1
         for lineno, raw in lines:
             try:
-                qid, label, aliases = raw["qid"], raw["label"], raw["aliases"]
-                sitelinks = raw["sitelinks"]
+                if len(raw) != 5:  # a key besides the five read here
+                    raise ValueError("unknown record key")
                 # LIST: "" or {} would iterate as no statements, which save_index writes as []
                 statements = tuple([_load_statement(s, shared) for s in LIST(raw["statements"])])
-                # _QID_RE.fullmatch raises TypeError on a non-string, as wanted
-                if not (
-                    len(raw) == 5
-                    and _QID_RE.fullmatch(qid)
-                    and type(sitelinks) is int
-                    and sitelinks >= 0
-                    and isinstance(label, str)
-                    and label
-                    and isinstance(aliases, list)
-                    and (not aliases or all(isinstance(a, str) for a in aliases))
-                ):
-                    raise ValueError("bad record fields")
-                record = EntityRecord(qid, label, tuple(aliases), statements, sitelinks)
+                record = EntityRecord(raw["qid"], raw["label"], tuple(LIST(raw["aliases"])),
+                                      statements, raw["sitelinks"])
             except (KeyError, ValueError, TypeError, DataError):
                 raise DataError(f"{path} line {lineno}: malformed index record") from None
+            qid = record.qid
             # save_index writes records by rising numeric QID; only a record that does not
             # rise can repeat a QID, which the insert below would let replace the earlier record
             number = int(qid[1:])

@@ -217,6 +217,23 @@ def annotated_documents(draw):
     return out
 
 
+@st.composite
+def accepted_annotations(draw):
+    """Annotated documents of every shape AnnotatedDocument takes, with distinct
+    ids: cut points may repeat, so a span may end where the next one starts."""
+    out = []
+    for doc_id in draw(st.lists(json_text.filter(bool), unique=True, max_size=4)):
+        text = draw(json_text)
+        cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=8)))
+        spans = tuple(
+            NeSpan(start=start, end=end, tag=draw(st.sampled_from(NeTag)), surface=text[start:end])
+            for start, end in zip(cuts[::2], cuts[1::2])
+            if start < end
+        )
+        out.append(AnnotatedDocument(document=doc(doc_id, text), spans=spans))
+    return out
+
+
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("write")
@@ -232,6 +249,18 @@ class TestWriteAnnotations:
         corpus = Corpus(name="c", documents=tuple(a.document for a in docs))
         assert load_annotations(corpus, scratch / "spans.jsonl") == docs
 
+    @given(accepted_annotations())
+    def test_round_trip(self, scratch, docs):
+        """Every list of AnnotatedDocuments loads back as written, and writes
+        again to the same bytes."""
+        path = scratch / "round-trip.jsonl"
+        write_annotations(docs, path)
+        saved = path.read_bytes()
+        loaded = load_annotations(Corpus(name="c", documents=tuple(a.document for a in docs)), path)
+        assert loaded == docs
+        write_annotations(loaded, path)
+        assert path.read_bytes() == saved
+
     def test_strings_are_escaped_as_json_dumps_escapes_them(self, tmp_path):
         text = 'say "Zoë"\n\u2028 back\\slash \U0001d518'
         docs = [AnnotatedDocument(document=doc('d "1"\t', text),
@@ -243,19 +272,20 @@ class TestWriteAnnotations:
             "",
         ]
 
-    # a text that is not a string is refused by Document itself, and a span's surface
-    # must equal its slice of the text, so no span surface reaches the writer as bytes
+    # Document refuses an id or text that is not a string, and NeSpan an offset that is
+    # not an int; a span's surface must equal its slice of the text, so no span surface
+    # reaches the writer as bytes
     @pytest.mark.parametrize("doc_id, start, end, text, message", [
-        (5, 1, 3, TEXT, "document 5: id must be a string"),
-        ("d1", True, 3, TEXT, "document 'd1': span offsets must be integers"),
-        ("d1", 0, True, TEXT, "document 'd1': span offsets must be integers"),
-        ("d1", 0, 2, TEXT.encode(), "document 'd1': text must be a string"),
+        (5, 1, 3, TEXT, "id must be a non-empty string, got 5"),
+        ("d1", True, 3, TEXT, "span offsets must be integers, got [True, 3)"),
+        ("d1", 0, True, TEXT, "span offsets must be integers, got [0, True)"),
+        ("d1", 0, 2, TEXT.encode(), "text must be a string (document 'd1')"),
     ], ids=["id", "start", "end", "text"])
     def test_a_value_load_annotations_would_reject_is_an_error(
         self, tmp_path, doc_id, start, end, text, message
     ):
         path = tmp_path / "spans.jsonl"
-        with pytest.raises(DataError, match=f"^{message}$"):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             docs = [
                 AnnotatedDocument(document=doc("d0", TEXT), spans=(span(0, 2),)),
                 AnnotatedDocument(document=doc(doc_id, text), spans=(span(start, end, text=text),)),

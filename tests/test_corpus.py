@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from datetime import date
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ class TestDocument:
     @pytest.mark.parametrize("text", [b"Jane Roe spoke", None, 5])
     def test_rejects_a_text_that_is_not_a_string(self, text):
         # else a bytes text gets as far as masking's splice, which dies with a TypeError
-        with pytest.raises(DataError, match="^document 'd': text must be a string$"):
+        with pytest.raises(DataError, match=r"^text must be a string \(document 'd'\)$"):
             Document(id="d", text=text, label=Label.REAL)
 
     def test_optional_fields_default_to_none(self):
@@ -222,6 +223,17 @@ class TestSaveCorpus:
         assert (scratch / "c.jsonl").read_bytes() == reference.encode("utf-8")
         assert load_corpus(scratch / "c.jsonl").documents == docs
 
+    @given(documents())
+    def test_round_trip(self, scratch, docs):
+        """Every corpus of Documents loads back as saved, and saves again to the same bytes."""
+        path = scratch / "round-trip.jsonl"
+        save_corpus(Corpus(name="c", documents=docs), path)
+        saved = path.read_bytes()
+        loaded = load_corpus(path)
+        assert loaded.documents == docs
+        save_corpus(loaded, path)
+        assert path.read_bytes() == saved
+
     def test_strings_are_escaped_and_absent_fields_left_out(self, tmp_path):
         docs = (
             Document(id='a "b"', text="back\\slash\ttab\nnew \u2028 Zoë \x7f \U0001d518",
@@ -237,15 +249,15 @@ class TestSaveCorpus:
         ]
 
     @pytest.mark.parametrize("field, value, message", [
-        ("id", 5, "document 5: id must be a string"),
-        ("text", None, "document 'd1': text must be a string"),
-        ("source", 5, "document 'd1': source must be a string or null"),
-    ])
+        ("id", 5, "id must be a non-empty string, got 5"),
+        ("text", None, "text must be a string (document 'd1')"),
+        ("source", 5, "source must be a string or null (document 'd1')"),
+    ], ids=["id", "text", "source"])
     def test_a_value_load_corpus_would_reject_is_an_error(self, tmp_path, field, value, message):
         good = Document(id="d0", text="x", label=Label.REAL)
         path = tmp_path / "c.jsonl"
-        with pytest.raises(DataError, match=f"^{message}$"):
-            # a text that is not a string is refused by Document itself
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            # each value is refused by Document itself
             bad = Document(**{"id": "d1", "text": "y", "label": Label.FAKE, field: value})
             save_corpus(Corpus(name="c", documents=(good, bad)), path)
         assert not path.exists()  # checked before anything is written

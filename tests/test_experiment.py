@@ -51,6 +51,7 @@ from helpers import (
     SYNTH_ROLE_MAP,
     chi2_tail_1df,
     exact_mcnemar_p,
+    json_text,
     mutated,
 )
 
@@ -218,6 +219,16 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(DataError):
             TrainConfig(l2=-1e-9)
+
+    def test_learning_rate_and_l2_are_stored_as_floats(self, tmp_path):
+        # a model file holds what the config holds, so integers would save as 1 and 0
+        config = TrainConfig(learning_rate=1, l2=0)
+        assert (config.learning_rate, config.l2) == (1.0, 0.0)
+        assert type(config.learning_rate) is float and type(config.l2) is float
+        assert config == TrainConfig(learning_rate=1.0, l2=0.0)
+        save_model(Model(FeatureSpace(dimensions=16), config, "t", {}, 0.0), tmp_path / "m.json")
+        saved = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["config"]
+        assert json.dumps(saved) == '{"epochs": 10, "learning_rate": 1.0, "l2": 0.0, "seed": 7}'
 
 
 class TestTrain:
@@ -521,6 +532,27 @@ def _models(draw):
                  weights=weights, bias=draw(_FINITE))
 
 
+@st.composite
+def _accepted_models(draw):
+    """Models built from every FeatureSpace and TrainConfig the classes take:
+    orders in any order and repeated, any power-of-two dimensions, learning_rate
+    and l2 drawn as integers as well as floats. Weights are nonzero, as
+    save_model drops a zero weight, which weighs what a missing one does."""
+    dimensions = 2 ** draw(st.integers(1, 63))
+    space = FeatureSpace(orders=tuple(draw(st.lists(st.integers(1, 5), min_size=1))),
+                         dimensions=dimensions, hash_seed=draw(st.integers(0, 2**64 - 1)))
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 10**6)),
+        learning_rate=draw(st.integers(1, 10**6) | _FINITE.filter(lambda x: x > 0)),
+        l2=draw(st.integers(0, 10**6) | _FINITE.filter(lambda x: x >= 0)),
+        seed=draw(st.integers(-(2**64), 2**64)),
+    )
+    buckets = st.integers(0, dimensions - 1)
+    weights = draw(st.dictionaries(buckets, _FINITE.filter(bool), max_size=5))
+    return Model(space=space, config=config, train_set=draw(json_text), weights=weights,
+                 bias=draw(_FINITE))
+
+
 # values of the right JSON type that load_model must reject
 _MODEL_WRONG = {
     "format_version": st.sampled_from([0, 2, 1.0]),
@@ -575,6 +607,16 @@ class TestModelSerialization:
         resaved = scratch_model.with_name("resaved.json")
         save_model(loaded, resaved)
         assert _model_values(resaved) == _model_values(scratch_model)
+
+    @given(_accepted_models())
+    def test_every_model_round_trips(self, scratch_model, model):
+        """A model loads back as saved, and saves again to the same bytes."""
+        save_model(model, scratch_model)
+        saved = scratch_model.read_bytes()
+        loaded = load_model(scratch_model)
+        assert loaded == model
+        save_model(loaded, scratch_model)
+        assert scratch_model.read_bytes() == saved
 
     def test_round_trip_preserves_predictions_and_weights(self, tmp_path):
         model = train(SEPARABLE, SMALL_SPACE)
