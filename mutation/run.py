@@ -42,6 +42,8 @@ TRAIN_CONFIG = "tests/test_experiment.py::TestTrainConfig::"
 REFUSED = "tests/test_constructors.py::test_a_value_no_loader_reads_back_is_refused_when_built"
 HOSTILE = "tests/test_cli.py::test_hostile_input_exits_1_with_one_error_line"
 ROW_ORDER = "tests/test_experiment.py::TestFeaturize::test_row_is_the_grams_in_order_of_first_appearance"
+TAGGER = "tests/test_annotate.py::TestTagWithGazetteer::"
+PREFIXED = "tests/test_errors.py::test_prefixed_names_where_and_the_line"
 
 
 class Row(NamedTuple):
@@ -168,6 +170,19 @@ ROWS = (
     Row("_bucket_counts: only order 1 reads the tokens as its grams", EXPERIMENT,
         "for gram in tokens if n == 1 else extract_ngrams(tokens, n):", "for gram in tokens:",
         ("tests/test_experiment.py::TestFeaturize::test_matches_hand_built_vector", ROW_ORDER)),
+    Row("tag_with_gazetteer: a head word inside the last span is not tried", ANNOTATE,
+        "        if i < resume:\n            continue\n", "",
+        (TAGGER + "test_a_head_inside_a_span_is_not_tried",
+         "tests/test_annotate.py::TestTaggerMatchesReference::test_same_spans")),
+    Row("_gazetteer_key: only an ASCII token skips dropping _FOLD_MARKS", ANNOTATE,
+        "token if token.isascii() else token.translate(_FOLD_MARKS)", "token",
+        ("tests/test_annotate.py::TestGazetteer::test_a_name_some_words_match_is_kept",
+         "tests/test_annotate.py::TestTaggerMatchesReference::test_same_spans")),
+    Row("prefixed: a record's error names its line", ERRORS,
+        'else f"{self.where} line {self.lineno}"', "else self.where",
+        (PREFIXED + "[line-data-error]", PREFIXED + "[line-os-error]",
+         HOSTILE + "[corpus-unknown-label]", HOSTILE + "[span-unknown-tag]",
+         HOSTILE + "[gazetteer-unknown-tag]", HOSTILE + "[usage-no-count]")),
 )
 
 

@@ -18,7 +18,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress, count
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -141,7 +143,7 @@ def load_annotations(corpus: Corpus, path: str | Path) -> list[AnnotatedDocument
     by_doc: dict[str, list[NeSpan]] = {}
     docs = {doc.id: doc for doc in corpus}
     for lineno, record in json_lines(path):
-        with prefixed(f"{path} line {lineno}"):
+        with prefixed(path, lineno):
             if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
                 raise DataError("expected an object with a string 'doc_id'")
             doc_id = record["doc_id"]
@@ -222,13 +224,15 @@ def _gazetteer_key(name: str) -> str:
 
     Tagging joins casefolded _WORD_RE words, and each such word, with
     _FOLD_MARKS dropped, is again one _WORD_RE word; so a key token that,
-    with them dropped, is not one word can never match.
+    with them dropped, is not one word can never match. An ASCII token is
+    checked as it is: it holds none of _FOLD_MARKS, which are all above
+    U+007F.
     """
     key = _normalize(name)
     if not key:
         raise DataError("gazetteer entry with empty name")
     for token in key.split(" "):
-        if not _WORD_RE.fullmatch(token.translate(_FOLD_MARKS)):
+        if not _WORD_RE.fullmatch(token if token.isascii() else token.translate(_FOLD_MARKS)):
             raise DataError(f"gazetteer name {name!r} can never match: {token!r} is not one word")
     return key
 
@@ -241,7 +245,7 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            with prefixed(f"{path} line {lineno}"):
+            with prefixed(path, lineno):
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise DataError("expected 'name<TAB>tag'")
@@ -264,31 +268,27 @@ def tag_with_gazetteer(document: Document, gazetteer: Gazetteer) -> AnnotatedDoc
     whitespace-insensitive; the stored surface is the original slice. The
     input document is not modified.
 
-    Each word is casefolded once, and windows are tried only at a word in
-    gazetteer.heads. That skips no match: a word holds no whitespace and no
-    code point casefolds to whitespace, so a window's first word is the first
-    token of its joined key.
+    The words are casefolded in C, and windows are tried only at a word in
+    gazetteer.heads that lies after the last span. That skips no match: a
+    word holds no whitespace and no code point casefolds to whitespace, so a
+    window's first word is the first token of its joined key, and scanning
+    never stops at a word inside a span. A word's offsets are read only for
+    a window that matched.
     """
     text = document.text
-    bounds = [(m.start(), m.end()) for m in _WORD_RE.finditer(text)]
-    folded = [text[start:end].casefold() for start, end in bounds]
-    entries, heads, max_tokens = gazetteer.entries, gazetteer.heads, gazetteer.max_tokens
+    matches = list(_WORD_RE.finditer(text))
+    folded = list(map(str.casefold, map(itemgetter(0), matches)))
+    entries, max_tokens, n = gazetteer.entries, gazetteer.max_tokens, len(folded)
     spans: list[NeSpan] = []
-    i = 0
-    while i < len(folded):
-        match_len = 0
-        match_tag: NeTag | None = None
-        if folded[i] in heads:
-            for k in range(min(max_tokens, len(folded) - i), 0, -1):
-                tag = entries.get(" ".join(folded[i : i + k]))
-                if tag is not None:
-                    match_len, match_tag = k, tag
-                    break
-        if match_tag is None:
-            i += 1
+    resume = 0  # the first word after the last span
+    for i in compress(count(), map(gazetteer.heads.__contains__, folded)):
+        if i < resume:
             continue
-        start = bounds[i][0]
-        end = bounds[i + match_len - 1][1]
-        spans.append(NeSpan(start=start, end=end, tag=match_tag, surface=text[start:end]))
-        i += match_len
+        for k in range(min(max_tokens, n - i), 0, -1):
+            tag = entries.get(" ".join(folded[i : i + k]))
+            if tag is not None:
+                start, end = matches[i].start(), matches[i + k - 1].end()
+                spans.append(NeSpan(start, end, tag, text[start:end]))
+                resume = i + k
+                break
     return AnnotatedDocument(document=document, spans=tuple(spans))

@@ -317,7 +317,7 @@ def _read_usage(path: str) -> Counter[str]:
             line = line.rstrip("\n")
             if not line or (lineno == 1 and line.startswith("token\t")):
                 continue
-            with prefixed(f"{path} line {lineno}"):
+            with prefixed(path, lineno):
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise DataError("expected 'token<TAB>count'")

@@ -157,7 +157,7 @@ def load_corpus(path: str | Path, *, name: str | None = None) -> Corpus:
     docs: list[Document] = []
     seen: set[str] = set()
     for lineno, record in json_lines(path):
-        with prefixed(f"{path} line {lineno}"):
+        with prefixed(path, lineno):
             if not isinstance(record, dict):
                 raise DataError("expected a JSON object")
             for field in ("id", "text", "label"):

@@ -11,9 +11,10 @@ json.loads's value or error, parsing a value with only JSON whitespace after
 it once and any other text through json.loads itself, then checks that every
 string encodes as UTF-8; json_lines applies it to each non-blank line of a
 JSON Lines file, and json_file to a file holding one value. A loader wraps
-each record in prefixed(f"{path} line N"), so every record error names the
-file and line. A record's class checks its values, so a loader only turns
-JSON into the types the class takes, and a writer writes what it is given.
+each record in prefixed(path, lineno), so every record error names the file
+and line; the `<path> line N: ` prefix is formatted only when an error passes
+through it. A record's class checks its values, so a loader only turns JSON
+into the types the class takes, and a writer writes what it is given.
 
 fields is the one way to read a decoded JSON object of settings (the
 experiment config, a model file and each object in them): a table maps each
@@ -22,7 +23,8 @@ as_is where the value's class checks it through setting, so a value built
 in code gets the same `bad '<name>' (<reason>)` error as one read from a file.
 
 write_output writes text as UTF-8 to a file, or to stdout when the path is
-"-", so both get the same bytes whatever the terminal's encoding. Every
+"-", so both get the same bytes whatever the terminal's encoding, and a lone
+surrogate, which UTF-8 cannot encode, is a DataError naming the file. Every
 writer goes through it. save_corpus, write_annotations and save_index, which
 write a line per record, build each line from a template of their own, the
 line json.dumps(record, ensure_ascii=False) gives.
@@ -34,7 +36,7 @@ import json
 import math
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -194,7 +196,19 @@ def as_is(raw: object) -> object:
 
 
 STRING = _expect("a string", str)
-INTEGER = _expect("an integer", int)
+_INT = _expect("an integer", int)
+
+
+def INTEGER(raw: object) -> object:
+    """A fields converter passing through an int that json.dumps can write: one
+    whose str has no more digits than sys.get_int_max_str_digits() allows."""
+    try:
+        str(_INT(raw))
+    except ValueError:  # from str; _INT raises TypeError
+        raise ValueError(f"expected an integer of at most {sys.get_int_max_str_digits()} digits") from None
+    return raw
+
+
 BOOLEAN = _expect("true or false", bool)
 LIST = _expect("a list", list)
 OBJECT = _expect("a JSON object", dict)
@@ -219,15 +233,30 @@ def write_output(dest: str | Path, chunks: Iterable[str]) -> None:
     if dest == "-":
         sys.stdout.flush()  # text already printed goes out first
     with nullcontext(sys.stdout.buffer) if dest == "-" else open(dest, "wb") as out:
-        out.writelines(chunk.encode("utf-8") for chunk in chunks)
+        try:
+            out.writelines(chunk.encode("utf-8") for chunk in chunks)
+        except UnicodeEncodeError as exc:  # UTF-8 encodes every code point but a surrogate
+            char = ord(exc.object[exc.start])
+            raise DataError(f"{dest}: cannot write U+{char:04X} (a lone surrogate) as UTF-8") from None
         out.flush()  # stdout is not closed here
 
 
-@contextmanager
-def prefixed(where: object) -> Iterator[None]:
-    """Re-raise a DataError or OSError from inside as a DataError prefixed
-    `<where>: `."""
-    try:
-        yield
-    except (DataError, OSError) as exc:
-        raise DataError(f"{where}: {exc}") from None
+class prefixed:
+    """A context that re-raises a DataError or OSError from inside as a
+    DataError prefixed `<where> line <lineno>: `, or `<where>: ` without a
+    lineno. The prefix is formatted only then, so a loader can enter one per
+    record for the cost of building it."""
+
+    __slots__ = ("where", "lineno")
+
+    def __init__(self, where: object, lineno: int | None = None) -> None:
+        self.where = where
+        self.lineno = lineno
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: type | None, exc: BaseException | None, tb: object) -> None:
+        if kind is not None and issubclass(kind, (DataError, OSError)):
+            at = self.where if self.lineno is None else f"{self.where} line {self.lineno}"
+            raise DataError(f"{at}: {exc}") from None

@@ -355,6 +355,7 @@ class TestGazetteer:
                 marks.update(ord(c) for c in folded if not word(c))
         assert marks == set(_FOLD_MARKS)
         assert {unicodedata.category(chr(mark)) for mark in marks} == {"Mn"}
+        assert min(_FOLD_MARKS) > 0x7F  # so _gazetteer_key checks an ASCII token as it is
         assert _WORD_RE.pattern == r"\w+(?:['\-.]\w+)*"  # a word is \w runs joined by ' - .
 
 
@@ -389,6 +390,14 @@ class TestTagWithGazetteer:
         gaz = Gazetteer.from_pairs([("a b", NeTag.PER), ("b c", NeTag.LOC)])
         ann = tag_with_gazetteer(doc("d", "a b c"), gaz)
         assert [s.surface for s in ann.spans] == ["a b"]
+
+    def test_a_head_inside_a_span_is_not_tried(self):
+        # the "b" at 2 starts the key "b c" but lies inside "a b"; the one at 6 does not
+        gaz = Gazetteer.from_pairs([("a b", NeTag.PER), ("b c", NeTag.LOC)])
+        ann = tag_with_gazetteer(doc("d", "a b c b c"), gaz)
+        assert [(s.start, s.surface, s.tag) for s in ann.spans] == [
+            (0, "a b", NeTag.PER), (6, "b c", NeTag.LOC)
+        ]
 
     def test_internal_apostrophe_is_one_word(self):
         ann = tag_with_gazetteer(doc("d", "Met O'Brien today."), self.GAZ)
@@ -454,22 +463,36 @@ def reference_tag(document, gazetteer):
 
 
 # Words that casefold alike ("ß", "SS", "ss") or to more than one character
-# ("İ"), and separators that end a word or join two into one ("al-bo").
-WORDS = ("al", "Al", "AL", "bo", "ß", "SS", "ss", "İ", "i̇", "x", "covid-19")
+# ("İ"), words with digits or "_", and separators that end a word or join two
+# into one ("al-bo").
+WORDS = ("al", "Al", "AL", "bo", "ß", "SS", "ss", "İ", "i̇", "x", "covid-19", "x2", "_b", "7")
 SEPARATORS = (" ", "  ", ", ", ". ", "-", "'", "\n", "!", " ")
-names = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+names = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3)
+
+
+@st.composite
+def tagging_cases(draw):
+    """(gazetteer pairs, text). Some keys are the 1- to 3-token prefixes of one
+    name, so they share a head, and the text is runs of words and of keys, so
+    one key's last words can start another ("al bo", then "bo x"). The text
+    may start with a separator, and may be empty."""
+    keys = [" ".join(words) for words in draw(st.lists(names, max_size=4))]
+    for words in draw(st.lists(names, max_size=2)):
+        keys += [" ".join(words[:k]) for k in range(1, len(words) + 1)]
+    pairs = [(key, draw(st.sampled_from(NeTag))) for key in keys]
+    runs = st.sampled_from(WORDS) | st.sampled_from(keys) if keys else st.sampled_from(WORDS)
+    lead = draw(st.just("") | st.sampled_from(SEPARATORS))
+    pieces = draw(st.lists(st.tuples(runs, st.sampled_from(SEPARATORS)), max_size=12))
+    return pairs, lead + "".join(run + sep for run, sep in pieces)
 
 
 class TestTaggerMatchesReference:
-    @given(
-        st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(SEPARATORS)), max_size=16),
-        # several keys of one head word: "al", "al bo", "al bo x", ...
-        st.lists(st.tuples(names, st.sampled_from(NeTag)), max_size=8),
-    )
+    @given(tagging_cases())
     @settings(max_examples=300)
-    def test_same_spans(self, pieces, pairs):
+    def test_same_spans(self, case):
+        pairs, text = case
         gazetteer = Gazetteer.from_pairs(pairs)
-        document = doc("d", "".join(word + sep for word, sep in pieces))
+        document = doc("d", text)
         assert tag_with_gazetteer(document, gazetteer).spans == reference_tag(document, gazetteer)
 
     def test_heads_are_the_keys_first_tokens(self):

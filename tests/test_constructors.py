@@ -101,6 +101,12 @@ REFUSED = [
      "record 'Q1': bad QID, label, aliases or statements"),
     ("statement-property-a-string", lambda: statement(property="P106"), write_statement,
      "bad statement Statement(property='P106'"),
+    ("config-seed-too-long", lambda: settings(config=TrainConfig(seed=10**5000)), write_model,
+     "bad 'seed' (expected an integer of at most 4300 digits)"),
+    ("config-epochs-too-long", lambda: settings(config=TrainConfig(epochs=10**5000)), write_model,
+     "bad 'epochs' (expected an integer of at most 4300 digits)"),
+    ("split-seed-too-long", lambda: SplitSpec(mode=SplitMode.RANDOM_HOLDOUT, seed=10**5000),
+     write_split, "bad 'seed' (expected an integer of at most 4300 digits)"),
     # the file would save, and its loader refuse it
     ("space-hash-seed-a-bool", lambda: settings(space=FeatureSpace(hash_seed=True)), write_model,
      "bad 'hash_seed' (expected an integer, got true)"),

@@ -1,5 +1,6 @@
 """errors.decode_json: json.loads's value or error, and a string UTF-8 cannot
-encode is an error naming its line."""
+encode is an error naming its line; errors.prefixed; and a writer given a
+string UTF-8 cannot encode."""
 
 import json
 from datetime import date
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamask.errors import _SURROGATE_ESCAPE, DataError, decode_json, json_file
+from diamask.annotate import AnnotatedDocument, NeSpan, NeTag, write_annotations
+from diamask.corpus import Corpus, Document, Label, save_corpus
+from diamask.errors import _SURROGATE_ESCAPE, DataError, decode_json, json_file, prefixed
 from diamask.experiment import FeatureSpace, Model, TrainConfig, load_model, save_model
 from diamask.wikidata import EntityIndex, EntityRecord, load_index, save_index
 
@@ -154,3 +157,86 @@ def test_saved_files_are_parsed_once(tmp_path, monkeypatch):
     assert load_model(tmp_path / "model.json") == model
     assert json_file(tmp_path / "model.json")["weights"] == {"3": 1.5, "7": -0.25}
     assert load_index(tmp_path / "index.idx") == index
+
+
+# -- prefixed -------------------------------------------------------------------
+
+@pytest.mark.parametrize("raised", [DataError("bad value"), FileNotFoundError("bad value")],
+                         ids=["data-error", "os-error"])
+@pytest.mark.parametrize("lineno, message", [(7, "f.jsonl line 7: bad value"), (None, "f.jsonl: bad value")],
+                         ids=["line", "no-line"])
+def test_prefixed_names_where_and_the_line(raised, lineno, message):
+    with pytest.raises(DataError) as caught:
+        with prefixed("f.jsonl", lineno):
+            raise raised
+    assert type(caught.value) is DataError and str(caught.value) == message
+    assert caught.value.__cause__ is None and caught.value.__suppress_context__
+
+
+@pytest.mark.parametrize("raised", [ValueError("x"), KeyError("x"), KeyboardInterrupt()],
+                         ids=["value-error", "key-error", "keyboard-interrupt"])
+def test_prefixed_passes_other_exceptions_through(raised):
+    with pytest.raises(type(raised)) as caught:
+        with prefixed("f.jsonl", 7):
+            raise raised
+    assert caught.value is raised
+
+
+class CountedWhere:
+    """A where that counts how often it is formatted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __format__(self, spec):
+        self.calls += 1
+        return "f.jsonl"
+
+    def __str__(self):
+        return format(self)
+
+    __repr__ = __str__
+
+
+def test_prefixed_formats_where_only_when_it_raises():
+    where = CountedWhere()
+    for lineno in (1, 2, None):
+        with prefixed(where, lineno):
+            pass
+    assert where.calls == 0
+    with pytest.raises(DataError, match="^f.jsonl line 3: bad value$"):
+        with prefixed(where, 3):
+            raise DataError("bad value")
+    assert where.calls == 1
+
+
+# -- a lone surrogate, which UTF-8 cannot encode, is a DataError from its writer --
+
+def _write_document(text, path):
+    save_corpus(Corpus("c", (Document("d", text, Label.REAL),)), path)
+
+
+def _write_span(text, path):
+    document = Document("d", text, Label.REAL)
+    write_annotations([AnnotatedDocument(document, (NeSpan(0, len(text), NeTag.PER, text),))], path)
+
+
+def _write_record(text, path):
+    index = EntityIndex(snapshot_date=date(2020, 12, 28))
+    index.add(EntityRecord("Q1", "Jane Roe", (text,), (), 2))
+    save_index(index, path)
+
+
+def _write_model(text, path):
+    save_model(Model(FeatureSpace(dimensions=16), TrainConfig(), text, {}, 0.0), path)
+
+
+@pytest.mark.parametrize("write", [_write_document, _write_span, _write_record, _write_model],
+                         ids=["save_corpus", "write_annotations", "save_index", "save_model"])
+@pytest.mark.parametrize("text, code", [("a\ud800b", "D800"), ("\udfff", "DFFF")])
+def test_a_lone_surrogate_is_an_error_naming_the_file_and_code_point(tmp_path, write, text, code):
+    path = tmp_path / "x.jsonl"
+    with pytest.raises(DataError) as caught:
+        write(text, path)
+    assert str(caught.value) == f"{path}: cannot write U+{code} (a lone surrogate) as UTF-8"
+    assert caught.value.__suppress_context__

@@ -230,6 +230,12 @@ class TestTrainConfig:
         saved = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["config"]
         assert json.dumps(saved) == '{"epochs": 10, "learning_rate": 1.0, "l2": 0.0, "seed": 7}'
 
+    def test_a_seed_of_as_many_digits_as_json_writes_round_trips(self, tmp_path):
+        # 10**4299 has 4300 digits, the most int's string conversion allows by default
+        model = Model(FeatureSpace(dimensions=16), TrainConfig(seed=10**4299), "t", {}, 0.0)
+        save_model(model, tmp_path / "m.json")
+        assert load_model(tmp_path / "m.json") == model
+
 
 class TestTrain:
     def test_separable_corpus_reaches_perfect_training_accuracy(self):
