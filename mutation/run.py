@@ -39,6 +39,7 @@ SAVE_CORPUS = "tests/test_corpus.py::TestSaveCorpus::"
 WRITE_ANNOTATIONS = "tests/test_annotate.py::TestWriteAnnotations::"
 SPACE = "tests/test_experiment.py::TestFeatureSpace::"
 TRAIN_CONFIG = "tests/test_experiment.py::TestTrainConfig::"
+MODEL_FILE = "tests/test_experiment.py::TestModelSerialization::"
 REFUSED = "tests/test_constructors.py::test_a_value_no_loader_reads_back_is_refused_when_built"
 HOSTILE = "tests/test_cli.py::test_hostile_input_exits_1_with_one_error_line"
 ROW_ORDER = "tests/test_experiment.py::TestFeaturize::test_row_is_the_grams_in_order_of_first_appearance"
@@ -98,14 +99,18 @@ ROWS = (
         "    rng.shuffle(order)\n    for _ in range(config.epochs):\n        yield from order\n",
         ("tests/test_golden.py::test_saved_model_bytes",
          "tests/test_golden.py::test_saved_long_row_model_bytes")),
-    Row("resolve_person_label: a miss derives the label of the mode asked for", WIKIDATA,
-        "_resolve(statements, index.snapshot_date, mode)",
-        "_resolve(statements, index.snapshot_date, ResolveMode.DUMP_ORDER)",
+    Row("resolve_person_label: a surface resolved before, under either mode, is a memo hit",
+        WIKIDATA, "labels = derived.resolved.get(surface)", "labels = None",
+        (RESOLVE + "test_one_lookup_fills_both_modes",)),
+    Row("_labels: with no valid position held, TEMPORAL's label is DUMP_ORDER's", WIKIDATA,
+        "return dump_order, dump_order", "return dump_order, _PER_LABEL",
+        (RESOLVE + "test_temporal_without_a_valid_position_is_the_dump_order_label"
+         "[occupation-only]",
+         RESOLVE + "test_temporal_expired_positions_fall_back_to_dump_order_cascade")),
+    Row("resolve_person_label: each mode reads its own label of the pair", WIKIDATA,
+        "labels[mode is _TEMPORAL]", "labels[0]",
         (RESOLVE + "test_each_mode_gets_its_own_label[dump-order-first]",
          RESOLVE + "test_each_mode_gets_its_own_label[temporal-first]")),
-    Row("resolve_person_label: the second mode reuses the surface's lookup", WIKIDATA,
-        "statements = derived.top_statements.get(surface)", "statements = None",
-        (RESOLVE + "test_one_lookup_fills_both_modes",)),
     Row("EntityIndex.add: an add drops everything derived from the records", WIKIDATA,
         "self._derived = None", "pass",
         (ADD + "test_add_after_resolve_changes_the_answer", ADD + "test_re_add_drops_the_old_names")),
@@ -152,6 +157,9 @@ ROWS = (
         '        object.__setattr__(self, "learning_rate", learning_rate)\n'
         '        object.__setattr__(self, "l2", l2)\n', "",
         (TRAIN_CONFIG + "test_learning_rate_and_l2_are_stored_as_floats",)),
+    Row("Model: an int weight is stored as a float", EXPERIMENT,
+        '{b: setting("weights", w, finite) for b, w', '{b: setting("weights", w, finite) and w for b, w',
+        (MODEL_FILE + "test_integer_bias_and_weights_are_stored_as_floats",)),
     Row("EntityRecord: a QID is Q and digits", WIKIDATA,
         "and _QID_RE.fullmatch(qid)", "and True",
         (REFUSED + "[record-qid-not-digits]", REFUSED + "[record-qid-not-q]",

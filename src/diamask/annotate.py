@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document
-from .errors import DataError, json_lines, numbered_lines, prefixed, write_output
+from .errors import DataError, json_lines, numbered_lines, prefixed, shown, write_output
 from .wikidata import _normalize
 
 __all__ = [
@@ -75,21 +75,25 @@ class NeSpan:
 
     def __post_init__(self) -> None:
         if type(self.start) is not int or type(self.end) is not int:
-            raise DataError(f"span offsets must be integers, got [{self.start!r}, {self.end!r})")
+            raise DataError(f"span offsets must be integers, got {self._offsets()}")
         if not (0 <= self.start < self.end):
-            raise DataError(f"bad span offsets [{self.start}, {self.end})")
+            raise DataError(f"bad span offsets {self._offsets()}")
         if not isinstance(self.tag, NeTag):
             raise DataError(f"span tag must be an NeTag, got {self.tag!r}")
+
+    def _offsets(self) -> str:
+        """[start, end) for a message; shown bounds an offset too long for str."""
+        return f"[{shown(self.start)}, {shown(self.end)})"
 
     def check_against(self, text: str, doc_id: str) -> None:
         if self.end > len(text):
             raise DataError(
-                f"document {doc_id!r}: span [{self.start}, {self.end}) exceeds text length {len(text)}"
+                f"document {doc_id!r}: span {self._offsets()} exceeds text length {len(text)}"
             )
         actual = text[self.start : self.end]
         if actual != self.surface:
             raise DataError(
-                f"document {doc_id!r}: span [{self.start}, {self.end}) reads {actual!r}, "
+                f"document {doc_id!r}: span {self._offsets()} reads {actual!r}, "
                 f"annotation says {self.surface!r}"
             )
 

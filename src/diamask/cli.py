@@ -169,8 +169,7 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     masked, usage = mask_corpus(annotated, policy, index, mode, name=corpus.name)
     save_corpus(masked, args.output)
     if args.usage_report:
-        ranked = top_labels(usage, None, len(usage)) if usage else []
-        write_output(args.usage_report, ["token\tcount\n", *(f"{t}\t{c}\n" for t, c in ranked)])
+        _write_usage(args.usage_report, usage)
     log.info("masked %d documents with %s", len(masked), policy.value)
     return 0
 
@@ -308,6 +307,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.output_text or not args.output_json:
         write_output(args.output_text or "-", [report.to_text()])
     return 0
+
+
+def _write_usage(dest: str, usage: Counter[str]) -> None:
+    """mask --usage-report's file: a header, then token<TAB>count by falling count."""
+    ranked = top_labels(usage, None, len(usage)) if usage else []
+    write_output(dest, ["token\tcount\n", *(f"{t}\t{c}\n" for t, c in ranked)])
 
 
 def _read_usage(path: str) -> Counter[str]:

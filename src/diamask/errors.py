@@ -170,11 +170,17 @@ def setting(name: str, value: object, convert: Callable[[object], object]) -> ob
 
 
 def shown(value: object) -> str:
-    """value as JSON writes it (true, 1.5, "x"), or its repr if it is no JSON value."""
+    """value as JSON writes it (true, 1.5, "x"), or its repr if it is no JSON
+    value, or, when it holds an int with more digits than str may write, a
+    bounded text naming its type."""
     try:
         return json.dumps(value)
     except (TypeError, ValueError):
+        pass
+    try:
         return repr(value)
+    except ValueError:  # int's digit limit
+        return f"<{type(value).__name__} too long to show>"
 
 
 def _expect(kind: str, *types: type) -> Callable[[object], object]:

@@ -65,13 +65,14 @@ import random
 from dataclasses import dataclass, replace
 from datetime import date as Date, timedelta
 from functools import cached_property
+from operator import countOf
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analysis import extract_ngrams, tokenize
 from .annotate import AnnotatedDocument, NeSpan, NeTag
 from .corpus import Corpus, Document, Label, SplitSpec
-from .errors import DataError, fields, json_file, prefixed, setting, write_output
+from .errors import DataError, bad, fields, json_file, prefixed, setting, write_output
 from .errors import INTEGER, LIST, OBJECT, STRING, as_is, finite, number  # converters
 # mask_corpus is unused here; perfbench's tracer test reads diamask.experiment.mask_corpus
 from .masking import MaskPolicy, mask_corpus, mask_text  # noqa: F401
@@ -254,13 +255,34 @@ def _sigmoid(z: float) -> float:
 class Model:
     """Trained logistic model. Scores point toward the fake label: the
     predicted label is fake iff sigmoid(score) > 0.5, ties toward real.
-    weights maps bucket -> weight; a bucket it does not hold weighs 0.0."""
+    weights maps bucket -> weight; a bucket it does not hold weighs 0.0.
+    Every bucket is an int in [0, dimensions); the bias and every weight are
+    finite numbers, not bools, stored as floats, so an int given saves as the
+    float it equals."""
 
     space: FeatureSpace
     config: TrainConfig
     train_set: str
     weights: dict[int, float]
     bias: float
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.space, FeatureSpace) and isinstance(self.config, TrainConfig)):
+            raise DataError("a model's space must be a FeatureSpace and its config a TrainConfig")
+        setting("train_set", self.train_set, STRING)
+        self.bias = setting("bias", self.bias, finite)
+        weights, dimensions = setting("weights", self.weights, OBJECT), self.space.dimensions
+        # C-level passes, as _fit builds a model of thousands of weights per training
+        # slice; the generator and the dict below run only for a fault or an int weight
+        if not (countOf(map(type, weights), int) == len(weights)
+                and min(weights, default=0) >= 0 and max(weights, default=0) < dimensions):
+            bucket = next(b for b in weights if type(b) is not int or not 0 <= b < dimensions)
+            raise bad("weights", f"bucket '{bucket}' is not an integer in [0, {dimensions})")
+        values = weights.values()
+        # a sum is finite only if every term is; an overflow of finite terms takes the slow path
+        if not (countOf(map(type, values), float) == len(weights) and math.isfinite(sum(values))):
+            # an int, or a value finite refuses, which it names
+            self.weights = {b: setting("weights", w, finite) for b, w in weights.items()}
 
     def predict(self, text: str) -> Label:
         return self._predict_row(featurize(text, self.space))
@@ -318,17 +340,21 @@ def _fit(
     if len(set(labels)) < 2:
         raise DataError("training corpus must contain both labels")
     ys = [1.0 if label is Label.FAKE else 0.0 for label in labels]
-    col_of: dict[int, int] = {}  # bucket -> column of w
+    col_of: dict = {}  # bucket -> column of w, then (once w is fitted) -> its weight
     sgd = _sgd_numpy if sum(map(len, rows)) >= _NUMPY_ROW * len(rows) else _sgd_lists
     w, bias = sgd(rows, col_of, ys, config, order)
-    # an overflow shows as a weight or bias that is not finite
-    if not (math.isfinite(bias) and all(map(math.isfinite, w))):
+    # each bucket's column gives way to its weight in place, which costs less than a
+    # new dict; only values change, so iterating the dict while updating it is safe
+    col_of.update(zip(col_of, w))
+    try:  # Model refuses a weight or bias that is not finite, which is how an overflow shows
+        return Model(space=space, config=config, train_set=name, weights=col_of, bias=bias)
+    except DataError:
+        if math.isfinite(bias) and all(map(math.isfinite, w)):
+            raise
         raise DataError(
             "training diverged: a weight or the bias is not finite "
             f"(learning_rate {config.learning_rate}, l2 {config.l2})"
-        )
-    weights = dict(zip(col_of, w))
-    return Model(space=space, config=config, train_set=name, weights=weights, bias=bias)
+        ) from None
 
 
 def _columns(row: Mapping[int, int], col_of: dict[int, int]) -> list[int]:
@@ -469,11 +495,12 @@ def _bucket(key: str) -> int:
     return int(key)
 
 
-def _weight(raw: object) -> float:
-    value = finite(raw)
-    if not value:  # save_model drops it: a bucket the file omits weighs 0.0
+def _weight(raw: object) -> object:
+    """raw, unless it is a zero number: save_model drops a zero weight, as a
+    bucket the file omits weighs 0.0. Model checks the rest."""
+    if raw == 0 and type(raw) is not bool:
         raise ValueError(f"expected a nonzero weight, got {json.dumps(raw)}")
-    return value
+    return raw
 
 
 def _model_space(raw: object) -> FeatureSpace:
@@ -488,8 +515,8 @@ _MODEL_FIELDS = {
     "format_version": INTEGER,
     "space": _model_space,
     "config": lambda raw: TrainConfig(**fields(raw, TRAIN_FIELDS)),
-    "train_set": STRING,
-    "bias": finite,
+    "train_set": as_is,
+    "bias": as_is,
     "weights": lambda raw: {_bucket(key): _weight(value) for key, value in OBJECT(raw).items()},
 }
 
@@ -501,11 +528,7 @@ def load_model(path: str | Path) -> Model:
     with prefixed(path):
         values = fields(obj, _MODEL_FIELDS)
         del values["format_version"]
-        model = Model(**values)
-        last, dimensions = max(model.weights, default=0), model.space.dimensions
-        if last >= dimensions:
-            raise DataError(f"bad 'weights' (bucket '{last}' is not below {dimensions})")
-    return model
+        return Model(**values)
 
 
 # ---------------------------------------------------------------------------

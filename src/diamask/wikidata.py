@@ -10,21 +10,22 @@ normalized name and one by each individual name token, so both
 "narendra modi" and the bare "modi" can reach the same record.
 
 Everything an EntityIndex derives from its records sits in one private
-slot: the two maps, resolve_person_label's answers per (surface as written,
-mode), and the statements of each surface's top candidate. EntityIndex.add
-inserts the record and drops the slot, so a resolve always reflects the
-records present at the time. The first read after an add derives the slot
-again: it builds both maps in one pass over the records, each posting list
-holding a QID once, and starts both memos empty. So a build that only saves
-or counts the index never makes them. load_index derives the slot before it
-returns, as a loaded index is there to resolve names. Posting order carries
-no meaning: lookup_by_name sorts its candidates by sitelink count
-descending, then numeric QID. Resolution needs only the first of them, the
-top candidate, so it asks lookup_by_name for the candidates unranked and
-finds that one in one pass: the most sitelinks, then the lowest numeric QID.
-A lone candidate is taken as it is. Only the choice of statement depends on
-the mode, so resolving a surface under the second mode looks no candidate
-up again, and a mode's label is derived only when that mode is asked for.
+slot: the two maps, and resolve_person_label's memo, which holds both
+modes' labels per surface as written. EntityIndex.add inserts the record
+and drops the slot, so a resolve always reflects the records present at
+the time. The first read after an add derives the slot again: it builds
+both maps in one pass over the records, each posting list holding a QID
+once, and starts the memo empty. So a build that only saves or counts the
+index never makes them. load_index derives the slot before it returns, as a
+loaded index is there to resolve names. Posting order carries no meaning:
+lookup_by_name sorts its candidates by sitelink count descending, then
+numeric QID. Resolution needs only the first of them, the top candidate, so
+it asks lookup_by_name for the candidates unranked and finds that one in
+one pass: the most sitelinks, then the lowest numeric QID. A lone candidate
+is taken as it is. Only the choice of statement depends on the mode, so a
+memo miss looks the surface up once and derives both modes' labels from
+the top candidate's statements; a hit picks the mode's label by identity,
+so no mode is hashed.
 
 The dump is read as newline-delimited JSON entities, optionally gzipped.
 The wrapped-array form is tolerated: '[' and ']' lines are skipped and a
@@ -162,8 +163,10 @@ class ResolveMode(Enum):
     DUMP_ORDER = "dump-order"
     TEMPORAL = "temporal"
 
-    # the resolve memo hashes one per span; as for RoleProperty
-    __hash__ = object.__hash__
+
+# resolve_person_label compares the mode with it on every memo hit; a module
+# global reads faster than a member read from the Enum class
+_TEMPORAL = ResolveMode.TEMPORAL
 
 
 @dataclass(frozen=True)
@@ -229,18 +232,15 @@ class _Derived:
 
     by_name: dict[str, list[str]]
     by_token: dict[str, list[str]]
-    # resolve_person_label's answers per (surface as written, mode)
-    resolved: dict[tuple[str, ResolveMode], ResolvedLabel] = field(default_factory=dict)
-    # the top lookup candidate's statements per surface as written, () when
-    # there is none; both modes resolve from them
-    top_statements: dict[str, tuple[Statement, ...]] = field(default_factory=dict)
+    # resolve_person_label's (DUMP_ORDER, TEMPORAL) labels per surface as written
+    resolved: dict[str, tuple[ResolvedLabel, ResolvedLabel]] = field(default_factory=dict)
 
 
 @dataclass
 class EntityIndex:
     """Records by QID, and what is derived from them: the lookup maps, where
     by_name maps a normalized full name, by_token each of its tokens, to the
-    QIDs holding it, and the resolve memos. The maps are read-only
+    QIDs holding it, and the resolve memo. The maps are read-only
     properties. All of it is derived on its first read and dropped by each
     add; none of it is a constructor argument, and equality ignores it."""
 
@@ -641,22 +641,18 @@ def resolve_person_label(
     held (P39), else the first-listed occupation (P106). TEMPORAL prefers the
     position held that is valid at the index's snapshot date (open-ended
     ranges count; the latest start wins, dump order breaking ties) and falls
-    back to the full DUMP_ORDER cascade when none is valid. Unresolvable
-    surfaces yield the generic person token. Results are memoized on the
-    index per surface as written and mode. The lookup does not depend on the
-    mode, so the top candidate's statements are memoized per surface too: a
-    surface's candidates are looked up once across both modes, and each
-    mode's label is derived when that mode is asked for.
+    back to the DUMP_ORDER label when none is valid. Unresolvable surfaces
+    yield the generic person token. The lookup does not depend on the mode,
+    so the index memoizes both modes' labels per surface as written: the
+    first resolve of a surface, under either mode, looks it up once and
+    derives both, and every later one, under either mode, is a memo hit.
     """
     derived = index._derived or index._derive()
-    key = (surface, mode)
-    resolved = derived.resolved.get(key)
-    if resolved is None:
-        statements = derived.top_statements.get(surface)
-        if statements is None:
-            statements = derived.top_statements[surface] = _top_statements(index, surface)
-        resolved = derived.resolved[key] = _resolve(statements, index.snapshot_date, mode)
-    return resolved
+    labels = derived.resolved.get(surface)
+    if labels is None:
+        labels = derived.resolved[surface] = _labels(_top_statements(index, surface),
+                                                     index.snapshot_date)
+    return labels[mode is _TEMPORAL]
 
 
 def _top_statements(index: EntityIndex, surface: str) -> tuple[Statement, ...]:
@@ -666,23 +662,22 @@ def _top_statements(index: EntityIndex, surface: str) -> tuple[Statement, ...]:
     return () if top is None else records[top].statements
 
 
-def _resolve(statements: tuple[Statement, ...], snapshot: Date, mode: ResolveMode) -> ResolvedLabel:
-    if mode is ResolveMode.TEMPORAL:
-        valid = [
-            s
-            for s in statements
-            if s.property is RoleProperty.POSITION_HELD and s.valid_at(snapshot)
-        ]
-        if valid:
-            # max keeps the first of equal starts: dump order breaks ties
-            latest = max(valid, key=lambda s: s.start_date or Date.min)
-            return ResolvedLabel(token=latest.value_qid, source=RoleProperty.POSITION_HELD)
-        # fall through to dump-order behavior
-    for prop in (RoleProperty.POSITION_HELD, RoleProperty.OCCUPATION):
-        for s in statements:
-            if s.property is prop:
-                return ResolvedLabel(token=s.value_qid, source=prop)
-    return ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=None)
+_PER_LABEL = ResolvedLabel(token=FALLBACK_PERSON_TOKEN, source=None)
+
+
+def _labels(statements: tuple[Statement, ...], snapshot: Date) -> tuple[ResolvedLabel, ResolvedLabel]:
+    """The (DUMP_ORDER, TEMPORAL) labels of a top candidate's statements. With
+    no position held valid at the snapshot, TEMPORAL's label is DUMP_ORDER's,
+    the same object."""
+    held = [s for s in statements if s.property is RoleProperty.POSITION_HELD]
+    first = held or [s for s in statements if s.property is RoleProperty.OCCUPATION]
+    dump_order = ResolvedLabel(first[0].value_qid, first[0].property) if first else _PER_LABEL
+    valid = [s for s in held if s.valid_at(snapshot)]
+    if not valid:
+        return dump_order, dump_order
+    # max keeps the first of equal starts: dump order breaks ties
+    latest = max(valid, key=lambda s: s.start_date or Date.min)
+    return dump_order, ResolvedLabel(latest.value_qid, RoleProperty.POSITION_HELD)
 
 
 def coverage_rate(labels_a: Iterable[str], labels_b: Iterable[str]) -> float:

@@ -54,6 +54,18 @@ class TestNeSpan:
             with pytest.raises(DataError):
                 NeSpan(start=start, end=end, tag=NeTag.PER, surface="x")
 
+    def test_an_offset_too_long_for_str_is_named_in_a_bounded_message(self):
+        """An offset with more digits than str writes is refused with a
+        DataError, by NeSpan when it is out of order and by check_against when
+        it runs past the text, and the message stays short."""
+        huge = 10**5000
+        shown = "<int too long to show>"
+        with pytest.raises(DataError, match=f"^{re.escape(f'bad span offsets [{shown}, 3)')}$"):
+            NeSpan(huge, 3, NeTag.PER, "x")
+        with pytest.raises(DataError) as caught:
+            AnnotatedDocument(doc("d", "x"), (NeSpan(0, huge, NeTag.PER, "x"),))
+        assert str(caught.value) == f"document 'd': span [0, {shown}) exceeds text length 1"
+
 
 class TestAnnotatedDocument:
     def test_accepts_sorted_disjoint_spans(self):
@@ -277,8 +289,8 @@ class TestWriteAnnotations:
     # reaches the writer as bytes
     @pytest.mark.parametrize("doc_id, start, end, text, message", [
         (5, 1, 3, TEXT, "id must be a non-empty string, got 5"),
-        ("d1", True, 3, TEXT, "span offsets must be integers, got [True, 3)"),
-        ("d1", 0, True, TEXT, "span offsets must be integers, got [0, True)"),
+        ("d1", True, 3, TEXT, "span offsets must be integers, got [true, 3)"),
+        ("d1", 0, True, TEXT, "span offsets must be integers, got [0, true)"),
         ("d1", 0, 2, TEXT.encode(), "text must be a string (document 'd1')"),
     ], ids=["id", "start", "end", "text"])
     def test_a_value_load_annotations_would_reject_is_an_error(

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
@@ -37,7 +38,8 @@ from diamask import (
     write_annotations,
 )
 from diamask.cli import (
-    _SPLIT_FIELDS, _parse_experiment_config, _split_spec, build_parser, dispatch,
+    _SPLIT_FIELDS, _parse_experiment_config, _read_usage, _split_spec, _write_usage, build_parser,
+    dispatch,
 )
 from diamask.experiment import FEATURE_FIELDS, TRAIN_FIELDS
 
@@ -1005,6 +1007,28 @@ class TestCoverage:
             ["coverage", "--usage", f"a={bad}", "--usage", f"b={bad}"]
         )
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def scratch_usage(tmp_path_factory):
+    return tmp_path_factory.mktemp("usage") / "usage.tsv"
+
+
+# what mask counts: role QIDs ("Q01" among them, which numbers as "Q1" does) and tags
+_USAGE_TOKENS = st.from_regex(r"Q[0-9]{1,4}", fullmatch=True) | st.sampled_from(
+    ["PER", "LOC", "ORG", "MISC"])
+
+
+@given(st.dictionaries(_USAGE_TOKENS, st.integers(1, 10**30)))
+def test_usage_report_round_trips(scratch_usage, counts):
+    """The counts a usage report holds read back as written, and writing them
+    again gives the same bytes."""
+    _write_usage(str(scratch_usage), Counter(counts))
+    saved = scratch_usage.read_bytes()
+    loaded = _read_usage(str(scratch_usage))
+    assert loaded == counts
+    _write_usage(str(scratch_usage), loaded)
+    assert scratch_usage.read_bytes() == saved
 
 
 # -- outputs: "-" prints exactly the bytes a path gets -----------------------

@@ -17,6 +17,7 @@ from diamask import (
     EntityRecord,
     FeatureSpace,
     Label,
+    Model,
     NeSpan,
     NeTag,
     RoleProperty,
@@ -54,6 +55,11 @@ def statement(**changes):
 def record(**changes):
     return EntityRecord(**{"qid": "Q1", "primary_label": "Jane Roe", "aliases": (),
                            "statements": (), "sitelink_count": 1, **changes})
+
+
+def model(**changes):
+    return Model(**{"space": FeatureSpace(dimensions=16), "config": TrainConfig(epochs=1),
+                    "train_set": "t", "weights": {3: 1.5}, "bias": 0.0, **changes})
 
 
 def settings(**changes):
@@ -107,6 +113,10 @@ REFUSED = [
      "bad 'epochs' (expected an integer of at most 4300 digits)"),
     ("split-seed-too-long", lambda: SplitSpec(mode=SplitMode.RANDOM_HOLDOUT, seed=10**5000),
      write_split, "bad 'seed' (expected an integer of at most 4300 digits)"),
+    ("model-space-not-a-space", lambda: model(space={"dimensions": 16}), save_model,
+     "a model's space must be a FeatureSpace and its config a TrainConfig"),
+    ("model-weights-a-list", lambda: model(weights=[1.5]), save_model,
+     "bad 'weights' (expected a JSON object, got [1.5])"),
     # the file would save, and its loader refuse it
     ("space-hash-seed-a-bool", lambda: settings(space=FeatureSpace(hash_seed=True)), write_model,
      "bad 'hash_seed' (expected an integer, got true)"),
@@ -128,9 +138,27 @@ REFUSED = [
      "bad statement Statement(property=<RoleProperty.OCCUPATION: 'P106'>, value_qid='bogus'"),
     ("statement-start-a-datetime", lambda: statement(start_date=datetime(2020, 1, 1)),
      write_statement, "start_date=datetime.datetime(2020, 1, 1, 0, 0)"),
+    ("model-bias-a-string", lambda: model(bias="0.5"), save_model,
+     "bad 'bias' (expected a number, got \"0.5\")"),
+    ("model-bias-infinite", lambda: model(bias=float("inf")), save_model,
+     "bad 'bias' (expected a finite number, got Infinity)"),
+    ("model-weight-a-bool", lambda: model(weights={3: True}), save_model,
+     "bad 'weights' (expected a number, got true)"),
+    ("model-weight-nan", lambda: model(weights={3: 1.5, 5: float("nan")}), save_model,
+     "bad 'weights' (expected a finite number, got NaN)"),
+    ("model-weight-beyond-float", lambda: model(weights={3: 10**400}), save_model,
+     "bad 'weights' (int too large to convert to float)"),
+    ("model-bucket-not-below-dimensions", lambda: model(weights={3: 1.5, 16: 2.5}), save_model,
+     "bad 'weights' (bucket '16' is not an integer in [0, 16))"),
+    ("model-bucket-negative", lambda: model(weights={-1: 1.5}), save_model,
+     "bad 'weights' (bucket '-1' is not an integer in [0, 16))"),
+    ("model-bucket-a-bool", lambda: model(weights={True: 1.5}), save_model,
+     "bad 'weights' (bucket 'True' is not an integer in [0, 16))"),
+    ("model-train-set-a-number", lambda: model(train_set=5), save_model,
+     "bad 'train_set' (expected a string, got 5)"),
     # the class would raise a TypeError, not a DataError
     ("span-start-a-string", lambda: span(start="0", end=3), write_span,
-     "span offsets must be integers, got ['0', 3)"),
+     'span offsets must be integers, got ["0", 3)'),
     ("space-dimensions-a-float", lambda: settings(space=FeatureSpace(dimensions=16.0)),
      write_model, "bad 'dimensions' (expected an integer, got 16.0)"),
     ("config-learning-rate-a-string", lambda: settings(config=TrainConfig(learning_rate="0.1")),
@@ -146,6 +174,9 @@ REFUSED = [
     ("split-boundary-date-a-string",
      lambda: SplitSpec(mode=SplitMode.TIME_BASED, boundary_date="2020-01-01"), write_split,
      "bad 'boundary_date' (expected a date, got \"2020-01-01\")"),
+    # the file would load back as another model: bucket 3, not "3"
+    ("model-bucket-a-string", lambda: model(weights={"3": 1.5}), save_model,
+     "bad 'weights' (bucket '3' is not an integer in [0, 16))"),
 ]
 
 

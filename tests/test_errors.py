@@ -1,6 +1,6 @@
 """errors.decode_json: json.loads's value or error, and a string UTF-8 cannot
-encode is an error naming its line; errors.prefixed; and a writer given a
-string UTF-8 cannot encode."""
+encode is an error naming its line; errors.prefixed; errors.shown; and a
+writer given a string UTF-8 cannot encode."""
 
 import json
 from datetime import date
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from diamask.annotate import AnnotatedDocument, NeSpan, NeTag, write_annotations
 from diamask.corpus import Corpus, Document, Label, save_corpus
-from diamask.errors import _SURROGATE_ESCAPE, DataError, decode_json, json_file, prefixed
+from diamask.errors import _SURROGATE_ESCAPE, DataError, decode_json, json_file, prefixed, shown
 from diamask.experiment import FeatureSpace, Model, TrainConfig, load_model, save_model
 from diamask.wikidata import EntityIndex, EntityRecord, load_index, save_index
 
@@ -240,3 +240,11 @@ def test_a_lone_surrogate_is_an_error_naming_the_file_and_code_point(tmp_path, w
         write(text, path)
     assert str(caught.value) == f"{path}: cannot write U+{code} (a lone surrogate) as UTF-8"
     assert caught.value.__suppress_context__
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (1.5, "1.5"), ("x", '"x"'), (float("nan"), "NaN"), (b"x", "b'x'"),
+    (10**5000, "<int too long to show>"), ([1, 10**5000], "<list too long to show>"),
+], ids=["bool", "float", "string", "nan", "bytes", "int-too-long-for-str", "list-holding-one"])
+def test_shown_is_json_else_the_repr_else_a_bounded_text(value, text):
+    assert shown(value) == text

@@ -540,10 +540,11 @@ def _models(draw):
 
 @st.composite
 def _accepted_models(draw):
-    """Models built from every FeatureSpace and TrainConfig the classes take:
-    orders in any order and repeated, any power-of-two dimensions, learning_rate
-    and l2 drawn as integers as well as floats. Weights are nonzero, as
-    save_model drops a zero weight, which weighs what a missing one does."""
+    """Models built from every FeatureSpace, TrainConfig and Model the classes
+    take: orders in any order and repeated, any power-of-two dimensions,
+    learning_rate, l2, the bias and the weights drawn as integers as well as
+    floats. Weights are nonzero, as save_model drops a zero weight, which weighs
+    what a missing one does."""
     dimensions = 2 ** draw(st.integers(1, 63))
     space = FeatureSpace(orders=tuple(draw(st.lists(st.integers(1, 5), min_size=1))),
                          dimensions=dimensions, hash_seed=draw(st.integers(0, 2**64 - 1)))
@@ -554,9 +555,10 @@ def _accepted_models(draw):
         seed=draw(st.integers(-(2**64), 2**64)),
     )
     buckets = st.integers(0, dimensions - 1)
-    weights = draw(st.dictionaries(buckets, _FINITE.filter(bool), max_size=5))
+    numbers = st.integers(-(2**60), 2**60) | _FINITE
+    weights = draw(st.dictionaries(buckets, numbers.filter(bool), max_size=5))
     return Model(space=space, config=config, train_set=draw(json_text), weights=weights,
-                 bias=draw(_FINITE))
+                 bias=draw(numbers))
 
 
 # values of the right JSON type that load_model must reject
@@ -623,6 +625,18 @@ class TestModelSerialization:
         assert loaded == model
         save_model(loaded, scratch_model)
         assert scratch_model.read_bytes() == saved
+
+    def test_integer_bias_and_weights_are_stored_as_floats(self, tmp_path):
+        """A model given integers saves floats, so a save, load and save again
+        writes the same bytes."""
+        model = Model(FeatureSpace(dimensions=16), TrainConfig(), "t", {3: 2, 5: -0.5}, 0)
+        assert (model.bias, model.weights) == (0.0, {3: 2.0, 5: -0.5})
+        assert type(model.bias) is float and set(map(type, model.weights.values())) == {float}
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert '"bias": 0.0, "weights": {"3": 2.0, "5": -0.5}' in first.read_text()
 
     def test_round_trip_preserves_predictions_and_weights(self, tmp_path):
         model = train(SEPARABLE, SMALL_SPACE)

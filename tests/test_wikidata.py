@@ -541,18 +541,55 @@ class TestResolve:
         assert resolved.source is RoleProperty.POSITION_HELD
 
 
-    def test_one_lookup_fills_both_modes(self, modi_index, monkeypatch):
-        calls = []
+    def test_one_lookup_fills_both_modes(self, monkeypatch):
+        """K distinct surfaces resolved cold under one mode make K lookups and
+        derive K label pairs; resolving them again, under either mode, makes
+        neither."""
+        lookups, derived = [], []
+        labels = wikidata._labels
 
-        def counted(index, surface, **kwargs):
-            calls.append(surface)
+        def counted_lookup(index, surface, **kwargs):
+            lookups.append(surface)
             return lookup_by_name(index, surface, **kwargs)
 
-        monkeypatch.setattr(wikidata, "lookup_by_name", counted)
-        for surface in ("Modi", "Cleopatra"):
-            for mode in (ResolveMode.TEMPORAL, ResolveMode.DUMP_ORDER, ResolveMode.TEMPORAL):
-                resolve_person_label(modi_index, surface, mode)
-        assert calls == ["Modi", "Cleopatra"]
+        def counted_labels(statements, snapshot):
+            derived.append(statements)
+            return labels(statements, snapshot)
+
+        monkeypatch.setattr(wikidata, "lookup_by_name", counted_lookup)
+        monkeypatch.setattr(wikidata, "_labels", counted_labels)
+        # "modi" is a surface of its own: the memo is keyed by the surface as written
+        surfaces = ["Modi", "Cleopatra", "Douglas Adams", "modi"]
+        for first in ResolveMode:
+            index = index_of(modi_dump_lines())
+            second = next(mode for mode in ResolveMode if mode is not first)
+            lookups.clear()
+            derived.clear()
+            for surface in surfaces:
+                resolve_person_label(index, surface, first)
+            assert lookups == surfaces and len(derived) == len(surfaces)
+            for mode in (second, first, second):
+                for surface in surfaces:
+                    resolve_person_label(index, surface, mode)
+            assert lookups == surfaces and len(derived) == len(surfaces)
+
+    @pytest.mark.parametrize("surface, token, source", [
+        ("Jane Roe", "Q36180", RoleProperty.OCCUPATION),
+        ("Cleopatra", FALLBACK_PERSON_TOKEN, None),
+    ], ids=["occupation-only", "per-fallback"])
+    def test_temporal_without_a_valid_position_is_the_dump_order_label(
+            self, surface, token, source):
+        """With no position held valid at the snapshot, TEMPORAL gives the
+        DUMP_ORDER label, the same object, whichever mode resolves first: an
+        occupation-only record's first occupation, and for a surface no record
+        holds, the PER fallback."""
+        line = entity_line(make_entity("Q9", "Jane Roe", occupations=("Q36180", "Q33999")))
+        for first in ResolveMode:
+            index = index_of([line])
+            second = next(mode for mode in ResolveMode if mode is not first)
+            label = resolve_person_label(index, surface, first)
+            assert (label.token, label.source) == (token, source)
+            assert resolve_person_label(index, surface, second) is label
 
     @pytest.mark.parametrize("first", list(ResolveMode), ids=lambda mode: f"{mode.value}-first")
     def test_each_mode_gets_its_own_label(self, first):
@@ -1309,10 +1346,10 @@ class TestIndexKernelsMatchReference:
                 reference.add(value)
                 continue
             assert lookup_by_name(index, value) == lookup_by_name(reference, value)
-            statements = wikidata._top_statements(reference, value)
-            for mode in ResolveMode:
-                assert resolve_person_label(index, value, mode) == wikidata._resolve(
-                    statements, reference.snapshot_date, mode)
+            labels = wikidata._labels(wikidata._top_statements(reference, value),
+                                      reference.snapshot_date)
+            for mode, label in zip((ResolveMode.DUMP_ORDER, ResolveMode.TEMPORAL), labels):
+                assert resolve_person_label(index, value, mode) == label
             assert postings(index.by_name) == postings(reference.by_name)
             assert postings(index.by_token) == postings(reference.by_token)
         assert postings(index.by_name) == postings(reference.by_name)
